@@ -22,9 +22,11 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -35,6 +37,7 @@ from .distributions import (
     CountVector,
     DirichletParams,
     GammaMixtureParams,
+    _as_shapes,
     alr_dirichlet_log_pdf,
     beta_binomial_log_pmf,
     dirichlet_log_pdf,
@@ -129,25 +132,27 @@ def all_passed(reports) -> bool:
 def enumerate_compositions(n: int, m: int) -> Iterator[CountVector]:
     """Yield every non-negative integer vector of length n summing to m,
     exactly once (C(m+n-1, n-1) of them), in lexicographic order."""
+    for row in _composition_matrix(n, m):
+        yield CountVector(row)
+
+
+def _composition_matrix(n: int, m: int) -> np.ndarray:
+    """The compositions of ``enumerate_compositions`` as the rows of an
+    int64 ``(C(m+n-1, n-1), n)`` matrix, in the same order.
+
+    Stars and bars: the n-1 bar positions among m+n-1 slots, taken in
+    lexicographic order, leave gaps between them that are the counts.
+    """
     if n < 1:
         raise ValueError("enumerate_compositions requires n >= 1")
     if m < 0:
         raise ValueError("enumerate_compositions requires m >= 0")
-
-    def rec(parts: int, total: int):
-        if parts == 1:
-            yield [total]
-            return
-        for first in range(total + 1):
-            for rest in rec(parts - 1, total - first):
-                yield [first] + rest
-
-    for combo in rec(n, m):
-        yield CountVector(combo)
-
-
-def _composition_matrix(n: int, m: int) -> np.ndarray:
-    return np.array([c.counts for c in enumerate_compositions(n, m)], dtype=np.int64)
+    rows = math.comb(m + n - 1, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m + n - 1), n - 1)),
+        dtype=np.int64, count=rows * (n - 1),
+    ).reshape(rows, n - 1)
+    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, m + n - 1)), axis=1) - 1
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -362,7 +367,7 @@ def check_dm_integral(
     vector over Dirichlet draws of the category probabilities; each cell
     must agree within ``z_threshold`` standard errors.
     """
-    shapes = params.shapes if isinstance(params, GammaMixtureParams) else np.asarray(params, float)
+    shapes = _as_shapes(params)
     n = shapes.size
     dir_params = DirichletParams(shapes)
     draws = np.empty((trials, n))
@@ -393,28 +398,28 @@ def check_dm_integral(
     )
 
 
-def check_beta_binomial_merge(r, m: int, *, seed: int = -1, tol: float = 1e-10) -> CheckReport:
+def check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
+                              seed: int = -1, tol: float = 1e-10) -> CheckReport:
     """Exact check that merging all but the first category of a
     Dirichlet-Multinomial yields the Beta-Binomial marginal: for every k,
-    the summed DM mass over {x : x_1 = k} must match it."""
+    the summed DM mass over {x : x_1 = k} must match it.
+
+    The identity is exact, so ``trials`` and ``rng`` are unused; they
+    keep the calling convention ``run_all`` uses for every check."""
     r = np.asarray(r, dtype=float)
     n = r.size
     big_r = float(r.sum())
     bb = BetaBinomialParams(r[0], big_r - r[0], m)
+    cells = _composition_matrix(n, m)
+    log_mass = np.array([dirichlet_multinomial_log_pmf(r, m, CountVector(x)) for x in cells])
     worst = 0.0
-    count = 0
     for k in range(m + 1):
-        terms = []
-        for rest in enumerate_compositions(n - 1, m - k) if n > 2 else [CountVector([m - k])]:
-            x = CountVector(np.concatenate([[k], rest.counts]))
-            terms.append(dirichlet_multinomial_log_pmf(r, m, x))
-            count += 1
-        merged = log_sum_exp(terms)
+        merged = log_sum_exp(log_mass[cells[:, 0] == k])
         worst = max(worst, _mixed_rel_err(merged, beta_binomial_log_pmf(bb, k)))
     name = f"beta-binomial-merge-n{n}-m{m}"
     return CheckReport(
         name=name, statistic=worst, threshold=tol, passed=worst <= tol,
-        size=count, seed=seed, detail="max log-mass rel. error across k",
+        size=len(cells), seed=seed, detail="max log-mass rel. error across k",
     )
 
 
@@ -457,7 +462,8 @@ def check_transform_density(
 
     ``variant="pointwise"`` checks, at ``trials`` random points, that the
     closed-form push-forward density equals the Dirichlet density at the
-    pulled-back point plus the closed-form log-Jacobian.
+    pulled-back point plus the closed-form log-Jacobian.  An empty
+    ``alpha`` draws fresh random concentrations for every point.
 
     ``variant="ks"`` (n = 2 only) transforms Dirichlet samples and runs a
     KS test against the push-forward CDF obtained by adaptive-Simpson
@@ -465,8 +471,14 @@ def check_transform_density(
     """
     if transform not in ("ratio", "alr"):
         raise ValueError("transform must be 'ratio' or 'alr'")
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.size not in (0, n):
+        raise ValueError(
+            f"alpha has {alpha.size} entries but n = {n}; "
+            "pass an empty alpha for random concentrations per point"
+        )
     if variant == "pointwise":
-        return _transform_pointwise(alpha, n, trials, rng, seed, transform, tol)
+        return _transform_pointwise(transform, trials, rng, seed, alpha, (n,), tol)
     if variant != "ks":
         raise ValueError("variant must be 'pointwise' or 'ks'")
     if n != 2:
@@ -474,27 +486,33 @@ def check_transform_density(
     return _transform_ks(alpha, trials, rng, seed, transform, p_floor)
 
 
-def _transform_pointwise(alpha, n, trials, rng, seed, transform, tol):
+def _transform_pointwise(transform: str, trials_per_n: int, rng, seed,
+                         alpha=(), dims=range(2, 7), tol: float = 1e-12) -> CheckReport:
+    # An empty alpha draws random concentrations for every point.
     alpha = np.asarray(alpha, dtype=float)
     worst = 0.0
-    for _ in range(trials):
-        a = alpha if alpha.size == n else rng.uniform(0.3, 5.0, size=n)
-        params = DirichletParams(a)
-        if transform == "ratio":
-            y = RatioVector(np.exp(rng.normal(0.0, 1.0, size=n - 1)))
-            direct = inverted_dirichlet_log_pdf(params, y)
-            pulled = dirichlet_log_pdf(params, ratio_inverse(y))
-            pulled += log_det_jacobian_ratio_inverse(y, n)
-        else:
-            y = LogRatioVector(rng.normal(0.0, 2.0, size=n - 1))
-            direct = alr_dirichlet_log_pdf(params, y)
-            pulled = dirichlet_log_pdf(params, log_ratio_inverse(y))
-            pulled += log_det_jacobian_log_ratio_inverse(y, n)
-        worst = max(worst, _mixed_rel_err(direct, pulled))
+    for n in dims:
+        for _ in range(trials_per_n):
+            params = DirichletParams(alpha if alpha.size else rng.uniform(0.3, 5.0, size=n))
+            if transform == "ratio":
+                y = RatioVector(np.exp(rng.normal(0.0, 1.0, size=n - 1)))
+                direct = inverted_dirichlet_log_pdf(params, y)
+                pulled = dirichlet_log_pdf(params, ratio_inverse(y))
+                pulled += log_det_jacobian_ratio_inverse(y, n)
+            else:
+                y = LogRatioVector(rng.normal(0.0, 2.0, size=n - 1))
+                direct = alr_dirichlet_log_pdf(params, y)
+                pulled = dirichlet_log_pdf(params, log_ratio_inverse(y))
+                pulled += log_det_jacobian_log_ratio_inverse(y, n)
+            worst = max(worst, _mixed_rel_err(direct, pulled))
+    if len(dims) == 1:
+        name, span = f"change-of-variables-{transform}-n{dims[0]}", f"n={dims[0]}"
+    else:
+        name, span = f"change-of-variables-{transform}", f"n={dims[0]}..{dims[-1]}"
     return CheckReport(
-        name=f"change-of-variables-{transform}-n{n}",
-        statistic=worst, threshold=tol, passed=worst <= tol,
-        size=trials, seed=seed, detail="max log-density rel. error",
+        name=name, statistic=worst, threshold=tol, passed=worst <= tol,
+        size=trials_per_n * len(dims), seed=seed,
+        detail=f"max log-density rel. error over {trials_per_n} points per {span}",
     )
 
 
@@ -628,10 +646,10 @@ def _check_round_trips(trials_per_n: int, rng, seed) -> CheckReport:
     )
 
 
-def _check_conditional_scale_invariance(rng, seed) -> CheckReport:
+def _check_conditional_scale_invariance(trials, rng, seed) -> CheckReport:
     # The conditional law depends on rates only through rates/sum(rates).
     worst = 0.0
-    for _ in range(50):
+    for _ in range(trials):
         n = int(rng.integers(2, 5))
         rates = rng.uniform(0.2, 4.0, size=n)
         scale = float(rng.uniform(0.1, 10.0))
@@ -641,21 +659,22 @@ def _check_conditional_scale_invariance(rng, seed) -> CheckReport:
     return CheckReport(
         name="conditional-multinomial-scale-invariance",
         statistic=worst, threshold=1e-12, passed=worst <= 1e-12,
-        size=50, seed=seed,
+        size=trials, seed=seed,
         detail="normalized rates invariant under rate scaling",
     )
 
 
-def _check_multinomial_normalization(m_max: int, rng, seed) -> CheckReport:
+def _check_multinomial_normalization(m_max: int, trials, rng, seed) -> CheckReport:
     worst = 0.0
     count = 0
     for n in (2, 3, 4):
-        for _ in range(20):
+        for _ in range(trials):
             raw = rng.uniform(0.05, 1.0, size=n)
             probs = Composition(raw / raw.sum())
             for m in range(0, m_max + 1):
                 terms = [
-                    multinomial_log_pmf(m, probs, x) for x in enumerate_compositions(n, m)
+                    multinomial_log_pmf(m, probs, CountVector(x))
+                    for x in _composition_matrix(n, m)
                 ]
                 worst = max(worst, abs(log_sum_exp(terms)))
                 count += len(terms)
@@ -663,20 +682,20 @@ def _check_multinomial_normalization(m_max: int, rng, seed) -> CheckReport:
         name="multinomial-normalization",
         statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
         size=count, seed=seed,
-        detail=f"max |log total mass| over n<=4, m<={m_max}, 20 random prob vectors",
+        detail=f"max |log total mass| over n<=4, m<={m_max}, {trials} random prob vectors",
     )
 
 
-def _check_dm_normalization(m_max: int, rng, seed) -> CheckReport:
+def _check_dm_normalization(m_max: int, trials, rng, seed) -> CheckReport:
     worst = 0.0
     count = 0
     for n in (2, 3, 4):
-        for _ in range(20):
+        for _ in range(trials):
             shapes = rng.uniform(0.2, 5.0, size=n)
             for m in range(0, m_max + 1):
                 terms = [
-                    dirichlet_multinomial_log_pmf(shapes, m, x)
-                    for x in enumerate_compositions(n, m)
+                    dirichlet_multinomial_log_pmf(shapes, m, CountVector(x))
+                    for x in _composition_matrix(n, m)
                 ]
                 worst = max(worst, abs(log_sum_exp(terms)))
                 count += len(terms)
@@ -684,13 +703,13 @@ def _check_dm_normalization(m_max: int, rng, seed) -> CheckReport:
         name="dirichlet-multinomial-normalization",
         statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
         size=count, seed=seed,
-        detail=f"max |log total mass| over n<=4, m<={m_max}, 20 random shape vectors",
+        detail=f"max |log total mass| over n<=4, m<={m_max}, {trials} random shape vectors",
     )
 
 
-def _check_dm_symmetry(rng, seed) -> CheckReport:
+def _check_dm_symmetry(trials, rng, seed) -> CheckReport:
     worst = 0.0
-    for _ in range(50):
+    for _ in range(trials):
         n = int(rng.integers(2, 6))
         shapes = rng.uniform(0.2, 5.0, size=n)
         m = int(rng.integers(0, 12))
@@ -702,12 +721,12 @@ def _check_dm_symmetry(rng, seed) -> CheckReport:
     return CheckReport(
         name="dirichlet-multinomial-symmetry",
         statistic=worst, threshold=0.0, passed=worst <= 0.0,
-        size=50, seed=seed,
+        size=trials, seed=seed,
         detail="joint permutation of shapes and counts leaves the mass unchanged exactly",
     )
 
 
-def _check_nb_normalization(seed) -> CheckReport:
+def _check_nb_normalization(trials=0, rng=None, seed=-1) -> CheckReport:
     worst = 0.0
     size = 0
     for big_r, p in ((2.5, 0.3), (1.0, 0.5), (4.0, 0.7)):
@@ -723,7 +742,7 @@ def _check_nb_normalization(seed) -> CheckReport:
     )
 
 
-def _check_normalized_nb_mass(shapes, theta, seed) -> CheckReport:
+def _check_normalized_nb_mass(shapes, theta, trials=0, rng=None, seed=-1) -> CheckReport:
     params = GammaMixtureParams(shapes, theta)
     bound = nb_truncation_bound(params.total_shape, params.success_prob, 1e-12)
     terms = []
@@ -741,7 +760,7 @@ def _check_normalized_nb_mass(shapes, theta, seed) -> CheckReport:
     )
 
 
-def _check_value_pmf_partition(seed) -> CheckReport:
+def _check_value_pmf_partition(trials=0, rng=None, seed=-1) -> CheckReport:
     # The value-aggregated masses over all reduced rationals seen below
     # the truncation bound, plus the m=0 atom, partition the pair space.
     params = GammaMixtureParams((1.0, 1.0), 1.0)
@@ -767,7 +786,7 @@ def _check_value_pmf_partition(seed) -> CheckReport:
     )
 
 
-def _check_alr_normalization_quadrature(seed) -> CheckReport:
+def _check_alr_normalization_quadrature(trials=0, rng=None, seed=-1) -> CheckReport:
     # Trapezoid on a wide uniform grid; the integrand decays like e^{-|y|}
     # so truncation at |y| = 40 contributes ~1e-17.
     params = DirichletParams((1.0, 1.0))
@@ -847,144 +866,54 @@ def _child_seed(master: int, index: int, stage: int = 0) -> int:
     return int(np.random.SeedSequence((master, index, stage)).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class _CheckDef:
-    name: str
-    run: Callable[[np.random.Generator, int, int], CheckReport]  # (rng, trials, seed)
-    statistical: bool = False
-    trials: int = 0
-
-
-def _suite(level: str) -> list[_CheckDef]:
+def _suite(level: str) -> list[tuple]:
+    # One row per check, in report order: (check, args, statistical, trials).
+    # run_all calls check(*args, trials, rng, seed=seed).  Exact checks
+    # read trials as draws per setting, or ignore it and rng.
     quick = level == "quick"
-    t_big = 10_000 if quick else 100_000
+    big = 10_000 if quick else 100_000
     m_cap = 8 if quick else 12
-    defs: list[_CheckDef] = []
-
-    def add(name, fn, statistical=False, trials=0):
-        defs.append(_CheckDef(name, fn, statistical, trials))
-
-    for transform in ("ratio", "alr"):
-        add(
-            f"cov-{transform}",
-            lambda rng, t, s, tr=transform: _pooled_pointwise(tr, rng, s),
-        )
-        add(
-            f"jacobian-fd-{transform}",
-            lambda rng, t, s, tr=transform: _check_jacobian_fd(tr, 100, rng, s),
-        )
-        add(
-            f"lemma-{transform}",
-            lambda rng, t, s, tr=transform: _check_lemma_substitution(tr, 100, rng, s),
-        )
-    add("round-trips", lambda rng, t, s: _check_round_trips(100, rng, s))
-    add(
-        "transform-ks-ratio",
-        lambda rng, t, s: check_transform_density(
-            (1.0, 1.0), 2, t, rng, seed=s, transform="ratio", variant="ks"
-        ),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "transform-ks-alr",
-        lambda rng, t, s: check_transform_density(
-            (2.0, 3.0), 2, t, rng, seed=s, transform="alr", variant="ks"
-        ),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "conditional-multinomial-n2",
-        lambda rng, t, s: check_conditional_multinomial((1.0, 1.0), 2, t, rng, seed=s),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "conditional-multinomial-n3",
-        lambda rng, t, s: check_conditional_multinomial((2.0, 1.0, 1.0), 3, t, rng, seed=s),
-        statistical=True, trials=t_big,
-    )
-    add("conditional-scale-invariance", lambda rng, t, s: _check_conditional_scale_invariance(rng, s))
-    add(
-        "pi-independence-1",
-        lambda rng, t, s: check_pi_independent_of_s(
-            GammaMixtureParams((1.0, 1.0), 1.0), t, rng, seed=s
-        ),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "pi-independence-2",
-        lambda rng, t, s: check_pi_independent_of_s(
-            GammaMixtureParams((3.0, 2.0), 0.5), t, rng, seed=s
-        ),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "pi-independence-negative-control",
-        lambda rng, t, s: check_pi_independent_of_s(
-            GammaMixtureParams((1.0, 1.0), 1.0), t, rng, seed=s, negative_control=True
-        ),
-        trials=10_000,
-    )
-    add(
-        "dm-integral-uniform",
-        lambda rng, t, s: check_dm_integral((1.0, 1.0, 1.0), 2, t, rng, seed=s),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "dm-integral-r21",
-        lambda rng, t, s: check_dm_integral((2.0, 1.0), 5, t, rng, seed=s),
-        statistical=True, trials=t_big,
-    )
-    add("bb-merge-uniform", lambda rng, t, s: check_beta_binomial_merge((1.0, 1.0, 1.0), 4, seed=s))
-    add(
-        "bb-merge-fractional",
-        lambda rng, t, s: check_beta_binomial_merge((2.0, 1.5, 1.5), 7, seed=s),
-    )
-    add("bb-merge-n2", lambda rng, t, s: check_beta_binomial_merge((1.5, 2.5), 6, seed=s))
-    for big_r, theta in ((2.0, 1.0), (1.0, 0.5), (3.5, 0.8), (0.7, 2.0), (5.0, 0.3)):
-        add(
-            f"nb-mixture-R{big_r:g}-theta{theta:g}",
-            lambda rng, t, s, R=big_r, th=theta: _check_nb_mixture(R, th, t, rng, s),
-            statistical=True, trials=t_big,
-        )
-    add(
-        "gamma-common-scale-sum",
-        lambda rng, t, s: _check_gamma_common_scale_sum(1.3, 2.2, 0.7, t, rng, s),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "poisson-superposition",
-        lambda rng, t, s: _check_poisson_superposition(1.5, 2.5, t, rng, s),
-        statistical=True, trials=t_big,
-    )
-    add(
-        "multinomial-normalization",
-        lambda rng, t, s: _check_multinomial_normalization(m_cap, rng, s),
-    )
-    add("dm-normalization", lambda rng, t, s: _check_dm_normalization(m_cap, rng, s))
-    add("dm-symmetry", lambda rng, t, s: _check_dm_symmetry(rng, s))
-    add("nb-normalization", lambda rng, t, s: _check_nb_normalization(s))
-    for shapes, theta in (((1.0, 1.0), 1.0), ((2.5, 1.5, 1.0), 0.7), ((0.8, 1.7), 2.0)):
-        label = "-".join(f"{v:g}" for v in shapes)
-        add(
-            f"normalized-nb-mass-{label}",
-            lambda rng, t, s, sh=shapes, th=theta: _check_normalized_nb_mass(sh, th, s),
-        )
-    add("normalized-nb-value-partition", lambda rng, t, s: _check_value_pmf_partition(s))
-    add("alr-normalization-quadrature", lambda rng, t, s: _check_alr_normalization_quadrature(s))
-    return defs
-
-
-def _pooled_pointwise(transform: str, rng, seed) -> CheckReport:
-    worst = 0.0
-    for n in range(2, 7):
-        rep = _transform_pointwise((), n, 1000, rng, seed, transform, 1e-12)
-        worst = max(worst, rep.statistic)
-    return CheckReport(
-        name=f"change-of-variables-{transform}",
-        statistic=worst, threshold=1e-12, passed=worst <= 1e-12,
-        size=5000, seed=seed,
-        detail="max log-density rel. error over 1000 points per n=2..6",
-    )
+    unit_rates = GammaMixtureParams((1.0, 1.0), 1.0)
+    return [
+        (_transform_pointwise, ("ratio",), False, 1000),
+        (_check_jacobian_fd, ("ratio",), False, 100),
+        (_check_lemma_substitution, ("ratio",), False, 100),
+        (_transform_pointwise, ("alr",), False, 1000),
+        (_check_jacobian_fd, ("alr",), False, 100),
+        (_check_lemma_substitution, ("alr",), False, 100),
+        (_check_round_trips, (), False, 100),
+        (partial(check_transform_density, transform="ratio", variant="ks"),
+         ((1.0, 1.0), 2), True, big),
+        (partial(check_transform_density, transform="alr", variant="ks"),
+         ((2.0, 3.0), 2), True, big),
+        (check_conditional_multinomial, ((1.0, 1.0), 2), True, big),
+        (check_conditional_multinomial, ((2.0, 1.0, 1.0), 3), True, big),
+        (_check_conditional_scale_invariance, (), False, 50),
+        (check_pi_independent_of_s, (unit_rates,), True, big),
+        (check_pi_independent_of_s, (GammaMixtureParams((3.0, 2.0), 0.5),), True, big),
+        (partial(check_pi_independent_of_s, negative_control=True), (unit_rates,), False, 10_000),
+        (check_dm_integral, ((1.0, 1.0, 1.0), 2), True, big),
+        (check_dm_integral, ((2.0, 1.0), 5), True, big),
+        (check_beta_binomial_merge, ((1.0, 1.0, 1.0), 4), False, 0),
+        (check_beta_binomial_merge, ((2.0, 1.5, 1.5), 7), False, 0),
+        (check_beta_binomial_merge, ((1.5, 2.5), 6), False, 0),
+        (_check_nb_mixture, (2.0, 1.0), True, big),
+        (_check_nb_mixture, (1.0, 0.5), True, big),
+        (_check_nb_mixture, (3.5, 0.8), True, big),
+        (_check_nb_mixture, (0.7, 2.0), True, big),
+        (_check_nb_mixture, (5.0, 0.3), True, big),
+        (_check_gamma_common_scale_sum, (1.3, 2.2, 0.7), True, big),
+        (_check_poisson_superposition, (1.5, 2.5), True, big),
+        (_check_multinomial_normalization, (m_cap,), False, 20),
+        (_check_dm_normalization, (m_cap,), False, 20),
+        (_check_dm_symmetry, (), False, 50),
+        (_check_nb_normalization, (), False, 0),
+        (_check_normalized_nb_mass, ((1.0, 1.0), 1.0), False, 0),
+        (_check_normalized_nb_mass, ((2.5, 1.5, 1.0), 0.7), False, 0),
+        (_check_normalized_nb_mass, ((0.8, 1.7), 2.0), False, 0),
+        (_check_value_pmf_partition, (), False, 0),
+        (_check_alr_normalization_quadrature, (), False, 0),
+    ]
 
 
 def run_all(seed: int, level: str = "full") -> list[CheckReport]:
@@ -998,20 +927,13 @@ def run_all(seed: int, level: str = "full") -> list[CheckReport]:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     reports: list[CheckReport] = []
-    for index, cdef in enumerate(_suite(level)):
+    for index, (check, args, statistical, trials) in enumerate(_suite(level)):
         child = _child_seed(seed, index)
-        rng = np.random.default_rng(child)
-        report = cdef.run(rng, cdef.trials, child)
-        if cdef.statistical and not report.passed and not report.inconclusive:
+        report = check(*args, trials, np.random.default_rng(child), seed=child)
+        if statistical and not report.passed and not report.inconclusive:
             retry_seed = _child_seed(seed, index, stage=1)
-            retry_rng = np.random.default_rng(retry_seed)
-            report = cdef.run(retry_rng, 10 * cdef.trials, retry_seed)
-            report = CheckReport(
-                name=report.name, statistic=report.statistic,
-                threshold=report.threshold, passed=report.passed,
-                size=report.size, seed=report.seed,
-                inconclusive=report.inconclusive,
-                detail=(report.detail + "; retried at 10x samples").lstrip("; "),
-            )
+            report = check(*args, 10 * trials, np.random.default_rng(retry_seed), seed=retry_seed)
+            detail = (report.detail + "; retried at 10x samples").lstrip("; ")
+            report = replace(report, detail=detail)
         reports.append(report)
     return reports

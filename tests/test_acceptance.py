@@ -2,44 +2,28 @@
 
 Every test prints a single pass/fail line (run ``pytest -s`` to see them
 on success; pytest shows captured output on failure anyway).  Stated
-runtime budgets are asserted alongside the numerical tolerances.
+runtime budgets are asserted alongside the numerical tolerances.  The
+criteria call the verification suite's own check functions at the
+criterion's sizes, so each identity has one definition.
 """
 
-import math
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-from countcomp import (
-    Composition,
-    DirichletParams,
-    GammaMixtureParams,
-    LogRatioVector,
-    RatioVector,
-    alr_dirichlet_log_pdf,
-    dirichlet_log_pdf,
-    dirichlet_multinomial_log_pmf,
-    enumerate_compositions,
-    finite_difference_log_det_log_ratio_inverse,
-    finite_difference_log_det_ratio_inverse,
-    log_det_jacobian_log_ratio_inverse,
-    log_det_jacobian_ratio_inverse,
-    log_ratio_forward,
-    log_ratio_inverse,
-    log_sum_exp,
-    inverted_dirichlet_log_pdf,
-    nb_truncation_bound,
-    normalized_nb_log_pmf,
-    ratio_forward,
-    ratio_inverse,
-)
+from countcomp import GammaMixtureParams
 from countcomp.checks import (
     check_beta_binomial_merge,
     check_conditional_multinomial,
     check_pi_independent_of_s,
+    _check_dm_normalization,
+    _check_jacobian_fd,
     _check_nb_mixture,
+    _check_normalized_nb_mass,
+    _check_round_trips,
+    _transform_pointwise,
 )
 
 
@@ -49,92 +33,51 @@ def _verdict(num: int, description: str, passed: bool, detail: str) -> None:
     assert passed, line
 
 
-def _mixed_rel_err(got: float, want: float) -> float:
-    return abs(got - want) / max(1.0, abs(want))
-
-
 def test_criterion_01_change_of_variables_ratio():
     rng = np.random.default_rng(20260801)
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 7):
-        for _ in range(1000):
-            params = DirichletParams(rng.uniform(0.3, 5.0, size=n))
-            y = RatioVector(np.exp(rng.normal(size=n - 1)))
-            direct = inverted_dirichlet_log_pdf(params, y)
-            pulled = dirichlet_log_pdf(params, ratio_inverse(y))
-            pulled += log_det_jacobian_ratio_inverse(y, n)
-            worst = max(worst, _mixed_rel_err(direct, pulled))
+    rep = _transform_pointwise("ratio", 1000, rng, 20260801)
     elapsed = time.perf_counter() - start
     _verdict(
         1, "ratio change of variables, 1000 points per n=2..6",
-        worst <= 1e-12 and elapsed < 1.0,
-        f"max rel err {worst:.3e} <= 1e-12, {elapsed:.2f}s < 1s",
+        rep.passed and elapsed < 1.0,
+        f"max rel err {rep.statistic:.3e} <= 1e-12, {elapsed:.2f}s < 1s",
     )
 
 
 def test_criterion_02_change_of_variables_log_ratio():
     rng = np.random.default_rng(20260802)
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 7):
-        for _ in range(1000):
-            params = DirichletParams(rng.uniform(0.3, 5.0, size=n))
-            y = LogRatioVector(rng.normal(0.0, 2.0, size=n - 1))
-            direct = alr_dirichlet_log_pdf(params, y)
-            pulled = dirichlet_log_pdf(params, log_ratio_inverse(y))
-            pulled += log_det_jacobian_log_ratio_inverse(y, n)
-            worst = max(worst, _mixed_rel_err(direct, pulled))
+    rep = _transform_pointwise("alr", 1000, rng, 20260802)
     elapsed = time.perf_counter() - start
     _verdict(
         2, "log-ratio change of variables, 1000 points per n=2..6",
-        worst <= 1e-12 and elapsed < 1.0,
-        f"max rel err {worst:.3e} <= 1e-12, {elapsed:.2f}s < 1s",
+        rep.passed and elapsed < 1.0,
+        f"max rel err {rep.statistic:.3e} <= 1e-12, {elapsed:.2f}s < 1s",
     )
 
 
 def test_criterion_03_jacobians_vs_finite_differences():
     rng = np.random.default_rng(20260803)
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 7):
-        for _ in range(100):
-            ry = RatioVector(rng.uniform(0.1, 3.0, size=n - 1))
-            closed = log_det_jacobian_ratio_inverse(ry, n)
-            fd = finite_difference_log_det_ratio_inverse(ry.entries)
-            worst = max(worst, abs(math.exp(fd - closed) - 1.0))
-            ay = LogRatioVector(rng.uniform(-2.0, 2.0, size=n - 1))
-            closed = log_det_jacobian_log_ratio_inverse(ay, n)
-            fd = finite_difference_log_det_log_ratio_inverse(ay.entries)
-            worst = max(worst, abs(math.exp(fd - closed) - 1.0))
+    reps = [_check_jacobian_fd(tr, 100, rng, 20260803) for tr in ("ratio", "alr")]
     elapsed = time.perf_counter() - start
     _verdict(
         3, "closed-form Jacobians vs central differences, 100 points per n=2..6",
-        worst <= 1e-6 and elapsed < 5.0,
-        f"max rel err {worst:.3e} <= 1e-6, {elapsed:.2f}s < 5s",
+        all(rep.passed for rep in reps) and elapsed < 5.0,
+        f"max rel err {max(rep.statistic for rep in reps):.3e} <= 1e-6, {elapsed:.2f}s < 5s",
     )
 
 
 def test_criterion_04_dm_normalization():
     rng = np.random.default_rng(20260804)
     start = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3, 4):
-        for _ in range(20):
-            shapes = rng.uniform(0.2, 5.0, size=n)
-            for m in range(0, 13):
-                total = log_sum_exp(
-                    [
-                        dirichlet_multinomial_log_pmf(shapes, m, x)
-                        for x in enumerate_compositions(n, m)
-                    ]
-                )
-                worst = max(worst, abs(math.expm1(total)))
+    rep = _check_dm_normalization(12, 20, rng, 20260804)
     elapsed = time.perf_counter() - start
     _verdict(
         4, "Dirichlet-multinomial normalization, n<=4, m<=12, 20 shape draws",
-        worst <= 1e-10 and elapsed < 10.0,
-        f"max |mass-1| {worst:.3e} <= 1e-10, {elapsed:.2f}s < 10s",
+        rep.passed and elapsed < 10.0,
+        f"max |log mass| {rep.statistic:.3e} <= 1e-10, {elapsed:.2f}s < 10s",
     )
 
 
@@ -205,35 +148,20 @@ def test_criterion_08_pi_independent_of_total():
 
 def test_criterion_09_normalized_nb_total_mass():
     start = time.perf_counter()
-    worst = 0.0
-    for shapes, theta in (((1.0, 1.0), 1.0), ((2.5, 1.5, 1.0), 0.7), ((0.8, 1.7), 2.0)):
-        params = GammaMixtureParams(shapes, theta)
-        bound = nb_truncation_bound(params.total_shape, params.success_prob, 1e-12)
-        terms = [
-            normalized_nb_log_pmf(params, 0, k, m)
-            for m in range(bound + 1)
-            for k in range(m + 1)
-        ]
-        worst = max(worst, abs(math.expm1(log_sum_exp(terms))))
+    reps = [
+        _check_normalized_nb_mass(shapes, theta)
+        for shapes, theta in (((1.0, 1.0), 1.0), ((2.5, 1.5, 1.0), 0.7), ((0.8, 1.7), 2.0))
+    ]
     elapsed = time.perf_counter() - start
     _verdict(
         9, "normalized-NB pair masses sum to 1 (NB tail < 1e-12), three settings",
-        worst <= 1e-9 and elapsed < 5.0,
-        f"max |mass-1| {worst:.3e} <= 1e-9, {elapsed:.2f}s < 5s",
+        all(rep.passed for rep in reps) and elapsed < 5.0,
+        f"max |mass-1| {max(rep.statistic for rep in reps):.3e} <= 1e-9, {elapsed:.2f}s < 5s",
     )
 
 
 def test_criterion_10_round_trips_and_determinism():
-    rng = np.random.default_rng(20260810)
-    worst = 0.0
-    for n in range(2, 9):
-        for _ in range(200):
-            raw = rng.uniform(0.05, 1.0, size=n)
-            x = Composition(raw / raw.sum())
-            r = ratio_inverse(ratio_forward(x)).entries
-            a = log_ratio_inverse(log_ratio_forward(x)).entries
-            worst = max(worst, float(np.abs(r / x.entries - 1.0).max()))
-            worst = max(worst, float(np.abs(a / x.entries - 1.0).max()))
+    round_trips = _check_round_trips(200, np.random.default_rng(20260810), 20260810)
 
     cmd = [sys.executable, "-m", "countcomp.cli", "verify", "--seed", "7", "--level", "quick"]
     start = time.perf_counter()
@@ -250,7 +178,8 @@ def test_criterion_10_round_trips_and_determinism():
     slowest = max(mid - start, end - mid)
     _verdict(
         10, "transform round trips within 1e-12; quick verify byte-identical",
-        worst <= 1e-12 and runs_ok and slowest < 60.0,
-        f"max round-trip err {worst:.3e} <= 1e-12, byte-identical={first.stdout == second.stdout}, "
+        round_trips.passed and runs_ok and slowest < 60.0,
+        f"max round-trip err {round_trips.statistic:.3e} <= 1e-12, "
+        f"byte-identical={first.stdout == second.stdout}, "
         f"slowest quick run {slowest:.1f}s < 60s",
     )

@@ -1,5 +1,6 @@
 """Tests for the verification harness itself."""
 
+import itertools
 import json
 import math
 
@@ -19,6 +20,8 @@ from countcomp import (
     enumerate_compositions,
     run_all,
 )
+from countcomp import checks
+from countcomp.simplex import LogRatioVector
 
 
 class TestEnumerateCompositions:
@@ -32,6 +35,9 @@ class TestEnumerateCompositions:
             assert len(items) == math.comb(m + n - 1, n - 1)
             assert len(set(items)) == len(items)  # each exactly once
             assert all(sum(item) == m for item in items)
+            # dm-symmetry indexes into this order, so pin it: lexicographic.
+            brute = [p for p in itertools.product(range(m + 1), repeat=n) if sum(p) == m]
+            assert items == brute
 
     def test_n4_m10_is_286(self):
         assert sum(1 for _ in enumerate_compositions(4, 10)) == 286
@@ -143,10 +149,57 @@ class TestTransformDensity:
         )
         assert rep.passed
 
+    def test_pointwise_alpha_must_have_n_entries(self):
+        # A fixed alpha of the wrong length must not be swapped for random
+        # concentrations; only an empty alpha asks for those.
+        rng = np.random.default_rng(109)
+        with pytest.raises(ValueError, match="alpha"):
+            check_transform_density((1.0, 2.0, 3.0), 5, 10, rng, variant="pointwise")
+
     def test_ks_requires_n2(self):
         rng = np.random.default_rng(107)
         with pytest.raises(ValueError):
             check_transform_density((1.0, 1.0, 1.0), 3, 100, rng, variant="ks")
+
+
+QUICK_REPORT_NAMES = (
+    "change-of-variables-ratio",
+    "jacobian-finite-difference-ratio",
+    "determinant-lemma-ratio",
+    "change-of-variables-alr",
+    "jacobian-finite-difference-alr",
+    "determinant-lemma-alr",
+    "transform-round-trips",
+    "transform-ks-ratio-alpha1-1",
+    "transform-ks-alr-alpha2-3",
+    "conditional-multinomial-n2-m2",
+    "conditional-multinomial-n3-m3",
+    "conditional-multinomial-scale-invariance",
+    "pi-independence-r1-1-theta1",
+    "pi-independence-r3-2-theta0.5",
+    "pi-independence-negative-control",
+    "dm-integral-n3-m2",
+    "dm-integral-n2-m5",
+    "beta-binomial-merge-n3-m4",
+    "beta-binomial-merge-n3-m7",
+    "beta-binomial-merge-n2-m6",
+    "nb-mixture-chisq-R2-theta1",
+    "nb-mixture-chisq-R1-theta0.5",
+    "nb-mixture-chisq-R3.5-theta0.8",
+    "nb-mixture-chisq-R0.7-theta2",
+    "nb-mixture-chisq-R5-theta0.3",
+    "gamma-common-scale-sum-ks-r1.3+2.2-theta0.7",
+    "poisson-superposition-chisq-1.5+2.5",
+    "multinomial-normalization",
+    "dirichlet-multinomial-normalization",
+    "dirichlet-multinomial-symmetry",
+    "negative-binomial-normalization",
+    "normalized-nb-mass-r1-1-theta1",
+    "normalized-nb-mass-r2.5-1.5-1-theta0.7",
+    "normalized-nb-mass-r0.8-1.7-theta2",
+    "normalized-nb-value-partition",
+    "alr-density-normalization-quadrature",
+)
 
 
 class TestRunAll:
@@ -154,6 +207,7 @@ class TestRunAll:
         first = run_all(424242, "quick")
         second = run_all(424242, "quick")
         assert [r.to_json_dict() for r in first] == [r.to_json_dict() for r in second]
+        assert tuple(r.name for r in first) == QUICK_REPORT_NAMES
         assert all_passed(first)
         # JSON-lines serialization round-trips.
         for rep in first:
@@ -168,6 +222,43 @@ class TestRunAll:
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):
             run_all(0, "paranoid")
+
+
+# Each row perturbs one library function, as seen from inside
+# countcomp.checks, by 1e-6: above every tolerance involved (1e-12 for
+# the pointwise and round-trip checks, 1e-10 for DM normalization, 1e-9
+# for the normalized-NB mass).  The check that relies on it must fail,
+# so the acceptance criteria that call these checks cannot pass vacuously.
+def _shift_log(fn):
+    return lambda *args: fn(*args) + 1e-6
+
+
+def _shift_alr_point(fn):
+    return lambda y: fn(LogRatioVector(y.entries + 1e-6))
+
+
+@pytest.mark.parametrize(
+    "target,perturb,run",
+    [
+        ("inverted_dirichlet_log_pdf", _shift_log,
+         lambda rng: checks._transform_pointwise("ratio", 20, rng, 0)),
+        ("alr_dirichlet_log_pdf", _shift_log,
+         lambda rng: checks._transform_pointwise("alr", 20, rng, 0)),
+        ("dirichlet_multinomial_log_pmf", _shift_log,
+         lambda rng: checks._check_dm_normalization(3, 2, rng, 0)),
+        ("normalized_nb_log_pmf", _shift_log,
+         lambda rng: checks._check_normalized_nb_mass((1.0, 1.0), 1.0)),
+        ("log_ratio_inverse", _shift_alr_point,
+         lambda rng: checks._check_round_trips(5, rng, 0)),
+    ],
+)
+def test_perturbed_library_function_fails_its_check(monkeypatch, target, perturb, run):
+    rng = np.random.default_rng(113)
+    assert run(rng).passed  # the unperturbed check passes
+    monkeypatch.setattr(checks, target, perturb(getattr(checks, target)))
+    rep = run(rng)
+    assert not rep.passed and not rep.inconclusive
+    assert rep.statistic > rep.threshold
 
 
 class TestAllPassed:
