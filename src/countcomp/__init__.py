@@ -6,20 +6,12 @@ push-forwards on the open simplex, the Poisson-Gamma count chain
 Dirichlet-multinomial and beta-binomial marginals), the mass function of
 a normalized count, and a verification suite that mechanically checks
 every identity connecting them.
+
+The suite lives in ``countcomp.checks`` and uses scipy as its oracle.
+Its names are loaded on first access, so importing the package does not
+import scipy.
 """
 
-from .checks import (
-    CheckReport,
-    adaptive_simpson,
-    all_passed,
-    check_beta_binomial_merge,
-    check_conditional_multinomial,
-    check_dm_integral,
-    check_pi_independent_of_s,
-    check_transform_density,
-    enumerate_compositions,
-    run_all,
-)
 from .distributions import (
     AggregatedValueMass,
     BetaBinomialParams,
@@ -115,3 +107,13 @@ __all__ = [
     "ratio_inverse",
     "run_all",
 ]
+
+
+def __getattr__(name):
+    # The names of __all__ not imported above are the suite's (PEP 562):
+    # importing ``checks``, and scipy with it, waits until one is used.
+    if name in __all__:
+        from . import checks
+
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,17 +16,16 @@ import sys
 
 import numpy as np
 
-from . import checks, distributions as dist
+from . import distributions as dist
 from .simplex import (
     Composition,
     LogRatioVector,
     RatioVector,
-    log_det_jacobian_log_ratio_inverse,
-    log_det_jacobian_ratio_inverse,
-    log_ratio_forward,
-    log_ratio_inverse,
-    ratio_forward,
-    ratio_inverse,
+    RowError,
+    log_ratio_forward_rows,
+    log_ratio_inverse_rows,
+    ratio_forward_rows,
+    ratio_inverse_rows,
 )
 
 EXIT_OK = 0
@@ -38,8 +37,17 @@ class UsageError(Exception):
     """Malformed input: bad JSON/CSV, unknown names, wrong arity."""
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+_CSV_BLOCK_ROWS = 10_000
+
+
+def _write_csv(out, header: list[str], rows: np.ndarray) -> None:
+    """Write a header and the rows of a 2-D array, one block of rows at a
+    time.  ``tolist`` turns entries into Python floats and ints, whose
+    ``repr`` is a float's shortest round-trip text and an int's digits."""
+    out.write(",".join(header) + "\n")
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS].tolist()
+        out.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
 def _load_params(args) -> dict:
@@ -204,9 +212,14 @@ def _cmd_eval(args, out) -> int:
 _SAMPLE_DISTS = ("dirichlet", "gamma", "poisson", "negative-binomial", "multinomial")
 
 
+def _column(draws: list) -> np.ndarray:
+    return np.array(draws).reshape(len(draws), 1)
+
+
 def _cmd_sample(args, out) -> int:
     params = _load_params(args)
-    if args.count < 0:
+    count = args.count
+    if count < 0:
         raise UsageError("--count must be non-negative")
     rng = np.random.default_rng(args.seed)
     name = args.dist
@@ -214,17 +227,17 @@ def _cmd_sample(args, out) -> int:
         _require_keys(params, {"alpha"}, name)
         dp = dist.DirichletParams(_vector(params, "alpha"))
         header = [f"x{i + 1}" for i in range(dp.n)]
-        rows = (dist.dirichlet_sample(dp, rng).entries for _ in range(args.count))
+        draw = lambda: dist.dirichlet_sample(dp, rng, size=count)
     elif name == "gamma":
         _require_keys(params, {"shape", "scale"}, name)
         shape, scale = _number(params, "shape"), _number(params, "scale")
         header = ["value"]
-        rows = ([dist.gamma_sample(shape, scale, rng)] for _ in range(args.count))
+        draw = lambda: _column([dist.gamma_sample(shape, scale, rng) for _ in range(count)])
     elif name == "poisson":
         _require_keys(params, {"rate"}, name)
         rate = _number(params, "rate")
         header = ["value"]
-        rows = ([dist.poisson_sample(rate, rng)] for _ in range(args.count))
+        draw = lambda: _column([dist.poisson_sample(rate, rng) for _ in range(count)])
     elif name == "negative-binomial":
         if set(params) == {"R", "theta"}:
             big_r, theta = _number(params, "R"), _number(params, "theta")
@@ -233,25 +246,27 @@ def _cmd_sample(args, out) -> int:
             gm = dist.GammaMixtureParams(_vector(params, "shapes"), _number(params, "scale"))
             big_r, theta = gm.total_shape, gm.scale
         header = ["value"]
-        rows = (
-            [dist.negative_binomial_sample_via_mixture(big_r, theta, rng)]
-            for _ in range(args.count)
+        draw = lambda: _column(
+            [dist.negative_binomial_sample_via_mixture(big_r, theta, rng) for _ in range(count)]
         )
     elif name == "multinomial":
         _require_keys(params, {"probs", "m"}, name)
         probs = Composition(_vector(params, "probs"))
         m = _integer(params, "m")
         header = [f"x{i + 1}" for i in range(probs.n)]
-        rows = (dist.multinomial_sample(m, probs, rng).counts for _ in range(args.count))
+        draw = lambda: dist.multinomial_sample(m, probs, rng, size=count)
     elif name in _EVAL_DISTS:
         raise ValueError(f"no sampler for {name!r}; samplers exist for {', '.join(_SAMPLE_DISTS)}")
     else:
         raise UsageError(
             f"unknown distribution {name!r}; samplers exist for {', '.join(_SAMPLE_DISTS)}"
         )
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) if isinstance(v, float) else str(int(v)) for v in row) + "\n")
+    # Every row is drawn and checked before any is written.
+    try:
+        rows = draw()
+    except RowError as exc:
+        raise ValueError(f"row {exc.row + 1}: {exc}") from exc
+    _write_csv(out, header, rows)
     return EXIT_OK
 
 
@@ -259,61 +274,57 @@ def _cmd_sample(args, out) -> int:
 # transform
 # ---------------------------------------------------------------------------
 
+_TRANSFORMS = {
+    ("ratio", "forward"): (ratio_forward_rows, "y"),
+    ("ratio", "inverse"): (ratio_inverse_rows, "x"),
+    ("alr", "forward"): (log_ratio_forward_rows, "y"),
+    ("alr", "inverse"): (log_ratio_inverse_rows, "x"),
+}
 
-def _read_csv_rows(stream) -> list[tuple[int, list[float]]]:
-    rows = []
+
+def _read_csv(stream) -> tuple[list[int], np.ndarray]:
+    """Numeric CSV rows as an (N, n) float array, with the line number of
+    each row.  A first line that is not numeric is a header and skipped."""
+    linenos, rows = [], []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
         try:
-            rows.append((lineno, [float(p) for p in parts]))
+            row = [float(p) for p in line.split(",")]
         except ValueError as exc:
             if lineno == 1:
                 continue  # header row
             raise UsageError(f"row {lineno}: not numeric CSV: {line!r}") from exc
-    return rows
+        if rows and len(row) != len(rows[0]):
+            raise UsageError(
+                f"row {lineno}: {len(row)} columns, but row {linenos[0]} has {len(rows[0])}"
+            )
+        linenos.append(lineno)
+        rows.append(row)
+    return linenos, np.array(rows, dtype=float)
 
 
 def _cmd_transform(args, stream_in, out) -> int:
-    rows = _read_csv_rows(stream_in)
-    out_rows = []
-    header = None
-    for lineno, row in rows:
+    linenos, values = _read_csv(stream_in)
+    if not linenos:
+        return EXIT_OK
+    transform, prefix = _TRANSFORMS[args.kind, args.direction]
+    try:
         try:
-            if args.direction == "forward":
-                x = Composition(row)
-                if args.kind == "ratio":
-                    y = ratio_forward(x)
-                    jac = log_det_jacobian_ratio_inverse(y, x.n)
-                else:
-                    y = log_ratio_forward(x)
-                    jac = log_det_jacobian_log_ratio_inverse(y, x.n)
-                values = list(y.entries)
-                header = [f"y{j + 1}" for j in range(len(values))]
-            else:
-                if args.kind == "ratio":
-                    y = RatioVector(row)
-                    x = ratio_inverse(y)
-                    jac = log_det_jacobian_ratio_inverse(y, x.n)
-                else:
-                    y = LogRatioVector(row)
-                    x = log_ratio_inverse(y)
-                    jac = log_det_jacobian_log_ratio_inverse(y, x.n)
-                values = list(x.entries)
-                header = [f"x{j + 1}" for j in range(len(values))]
-        except ValueError as exc:
-            raise ValueError(f"row {lineno}: {exc}") from exc
-        if args.jacobian:
-            values.append(jac)
-        out_rows.append(values)
-    if header is not None:
-        if args.jacobian:
-            header = header + ["log_det_jacobian_inverse"]
-        out.write(",".join(header) + "\n")
-    for values in out_rows:
-        out.write(",".join(_fmt(v) for v in values) + "\n")
+            coords, log_det = transform(values)
+        except RowError as exc:
+            # The rows before the one named passed the checks on the
+            # inputs; one that fails a later check is the first bad row.
+            transform(values[: exc.row])
+            raise
+    except RowError as exc:
+        raise ValueError(f"row {linenos[exc.row]}: {exc}") from exc
+    header = [f"{prefix}{j + 1}" for j in range(coords.shape[1])]
+    if args.jacobian:
+        header.append("log_det_jacobian_inverse")
+        coords = np.column_stack((coords, log_det))
+    _write_csv(out, header, coords)
     return EXIT_OK
 
 
@@ -323,6 +334,8 @@ def _cmd_transform(args, stream_in, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from . import checks  # the suite imports scipy; only verify pays for it
+
     reports = checks.run_all(args.seed, args.level)
     for report in reports:
         out.write(json.dumps(report.to_json_dict()) + "\n")

@@ -39,13 +39,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import Composition
+from .simplex import Composition, RowError, _reject_rows, composition_rows
 from .special import log_beta, log_gamma, log_multivariate_beta, log_sum_exp
 
 __all__ = [
     "DirichletParams",
     "GammaMixtureParams",
     "CountVector",
+    "count_rows",
     "BetaBinomialParams",
     "AggregatedValueMass",
     "dirichlet_log_pdf",
@@ -136,6 +137,33 @@ class GammaMixtureParams:
         return self.scale / (1.0 + self.scale)
 
 
+def count_rows(values) -> np.ndarray:
+    """Check every row of an (N, n) array as a CountVector.
+
+    Returns the rows as a new read-only int64 array.  The rules are those
+    of the CountVector constructor, which calls this on its single row; a
+    RowError names the first row that breaks one.  Integer input is
+    checked exactly; other input must hold integral values.  Every entry
+    must fit in int64.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise RowError(0, "CountVector requires a vector of length >= 1")
+    if arr.dtype.kind in "iu":
+        non_integer = np.zeros(arr.shape[0], dtype=bool)
+    else:
+        arr = arr.astype(float)
+        non_integer = ~(np.isfinite(arr) & (arr == np.floor(arr))).all(axis=1)
+    _reject_rows(
+        (non_integer, "CountVector entries must be integers"),
+        ((arr < 0).any(axis=1), "CountVector entries must be non-negative"),
+        ((arr >= 2**63).any(axis=1), "CountVector entries must be below 2**63 (int64)"),
+    )
+    ints = arr.astype(np.int64)
+    ints.flags.writeable = False
+    return ints
+
+
 @dataclass(frozen=True)
 class CountVector:
     """Non-negative integer counts with their total cached."""
@@ -144,18 +172,10 @@ class CountVector:
     total: int = field(init=False)
 
     def __init__(self, counts):
-        arr = np.array(counts)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("CountVector requires a vector of length >= 1")
-        as_float = arr.astype(float)
-        if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
-            raise ValueError("CountVector entries must be integers")
-        if np.any(as_float < 0):
-            raise ValueError("CountVector entries must be non-negative")
-        ints = as_float.astype(np.int64)
-        ints.flags.writeable = False
+        ints = count_rows([counts])[0]
         object.__setattr__(self, "counts", ints)
-        object.__setattr__(self, "total", int(ints.sum()))
+        # A Python sum: the exact total, where an int64 sum could wrap.
+        object.__setattr__(self, "total", sum(ints.tolist()))
 
     @property
     def n(self) -> int:
@@ -238,15 +258,24 @@ def alr_dirichlet_log_pdf(params: DirichletParams, y) -> float:
     return float(-params.log_normalizer() + (head * y.entries).sum() - params.total * y.log_k)
 
 
-def dirichlet_sample(params: DirichletParams, rng: np.random.Generator) -> Composition:
+def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=None):
     """Draw from Dir(alpha) by normalizing independent Gamma(alpha_i, 1) draws.
 
     Deliberately the gamma-normalization construction, not stick
     breaking, so the sampler itself exercises the claim that normalized
     common-scale Gamma intensities are Dirichlet.
+
+    Without ``size``, returns one Composition.  With ``size``, returns a
+    read-only (size, n) array: the rows that ``size`` single draws give,
+    in order, each checked as a Composition (``composition_rows``) once
+    all are drawn.
     """
-    draws = np.array([gamma_sample(a, 1.0, rng) for a in params.alpha])
-    return Composition(draws / draws.sum())
+    rows = 1 if size is None else _as_count(size, "size")
+    draws = np.array(
+        [[gamma_sample(a, 1.0, rng) for a in params.alpha] for _ in range(rows)]
+    ).reshape(rows, params.n)
+    normalized = draws / draws.sum(axis=1, keepdims=True)
+    return Composition(normalized[0]) if size is None else composition_rows(normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +377,31 @@ def negative_binomial_sample_via_mixture(
     return poisson_sample(lam, rng)
 
 
-def multinomial_sample(m: int, probs: Composition, rng: np.random.Generator) -> CountVector:
+def multinomial_sample(m: int, probs: Composition, rng: np.random.Generator, size=None):
     """Draw Multinomial(m, probs) by sequential binomial thinning; the
-    total is exactly m."""
+    total is exactly m.
+
+    Without ``size``, returns one CountVector.  With ``size``, returns a
+    read-only (size, n) int64 array: the rows that ``size`` single draws
+    give, in order, checked by ``count_rows`` once all are drawn.
+    """
     m = _as_count(m, "m")
+    rows = 1 if size is None else _as_count(size, "size")
     n = probs.n
-    counts = np.zeros(n, dtype=np.int64)
-    remaining = m
     # Suffix sums keep the conditional probabilities well scaled.
-    suffix = np.concatenate([np.cumsum(probs.entries[::-1])[::-1], [0.0]])
-    for i in range(n - 1):
-        if remaining == 0:
-            break
-        p = probs.entries[i] / suffix[i]
-        p = min(max(p, 0.0), 1.0)
-        c = int(rng.binomial(remaining, p))
-        counts[i] = c
-        remaining -= c
-    counts[n - 1] = remaining
-    return CountVector(counts)
+    suffix = np.cumsum(probs.entries[::-1])[::-1]
+    cond = [min(max(probs.entries[i] / suffix[i], 0.0), 1.0) for i in range(n - 1)]
+    counts = np.zeros((rows, n), dtype=np.int64)
+    for row in counts:
+        remaining = m
+        for i, p in enumerate(cond):
+            if remaining == 0:
+                break
+            c = int(rng.binomial(remaining, p))
+            row[i] = c
+            remaining -= c
+        row[n - 1] = remaining
+    return CountVector(counts[0]) if size is None else count_rows(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ after dropping the redundant n-th simplex coordinate.  All Jacobians
 here are therefore for the chart that keeps the first n-1 coordinates;
 the finite-difference machinery at the bottom of the module uses the
 same chart, so the two routes are directly comparable.
+
+Each map, closed-form Jacobian and validity rule is written once,
+row-wise over (N, n) arrays.  The value objects and scalar maps apply
+it to one row; ``composition_rows``, ``ratio_rows``, ``log_ratio_rows``
+and the ``*_rows`` maps apply it to a batch, with a RowError naming the
+first row that fails.
 """
 
 from __future__ import annotations
@@ -25,18 +31,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import log_sum_exp
+from .special import _log_each, log_sum_exp_rows
 
 __all__ = [
     "Composition",
     "RatioVector",
     "LogRatioVector",
+    "RowError",
+    "composition_rows",
+    "ratio_rows",
+    "log_ratio_rows",
     "ratio_forward",
     "ratio_inverse",
     "log_ratio_forward",
     "log_ratio_inverse",
     "log_det_jacobian_ratio_inverse",
     "log_det_jacobian_log_ratio_inverse",
+    "ratio_forward_rows",
+    "ratio_inverse_rows",
+    "log_ratio_forward_rows",
+    "log_ratio_inverse_rows",
     "finite_difference_jacobian",
     "finite_difference_log_det_ratio_inverse",
     "finite_difference_log_det_log_ratio_inverse",
@@ -53,6 +67,115 @@ _POSITIVE_FLOOR = sys.float_info.min
 _FD_STEP = 1e-6
 
 
+class RowError(ValueError):
+    """A ValueError about one row of a batch; ``row`` is its 0-based index.
+
+    The message is the one a single value object raises for that row, so
+    a caller that numbers rows its own way (input lines, draws) can add
+    the prefix it needs.
+    """
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _reject_rows(*rules) -> None:
+    """Raise a RowError for the first row that breaks a rule.
+
+    Each rule is a ``(bad, message)`` pair: a boolean mask over the rows
+    and the message, or a function of the row index that builds it.
+    Rules come in the order one row is checked in, so a row that breaks
+    several of them is reported with the first.
+    """
+    bad = rules[0][0]
+    for mask, _ in rules[1:]:
+        bad = bad | mask
+    rows = bad.nonzero()[0]
+    if rows.size:
+        row = int(rows[0])
+        message = next(message for mask, message in rules if mask[row])
+        raise RowError(row, message(row) if callable(message) else message)
+
+
+def _float_rows(values, what: str, min_len: int) -> np.ndarray:
+    """``values`` as a new (N, n) float array with n >= min_len.
+
+    A value object passes ``[entries]``, so an entries argument that is
+    not a vector has the wrong number of dimensions here.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < min_len:
+        raise RowError(0, f"{what} requires a vector of length >= {min_len}")
+    return arr
+
+
+def _append_column(rows: np.ndarray, value: float) -> np.ndarray:
+    out = np.empty((rows.shape[0], rows.shape[1] + 1))
+    out[:, :-1] = rows
+    out[:, -1] = value
+    return out
+
+
+def composition_rows(values) -> np.ndarray:
+    """Check every row of an (N, n) array as a Composition.
+
+    Returns the rows renormalized, as a new read-only float array.  The
+    rules are those of the Composition constructor, which calls this on
+    its single row; a RowError names the first row that breaks one.
+    """
+    arr = _float_rows(values, "Composition", 2)
+    # Clipping at 0 changes no row that passes the rules before the sum
+    # rule, and keeps +inf and -inf from meeting (and warning) in a sum.
+    totals = np.maximum(arr, 0.0).sum(axis=1)
+    _reject_rows(
+        (~np.isfinite(arr).all(axis=1), "Composition entries must be finite"),
+        (
+            (arr < _POSITIVE_FLOOR).any(axis=1),
+            "Composition entries must be strictly positive normal floats; "
+            "boundary points are rejected rather than clamped",
+        ),
+        (
+            np.abs(totals - 1.0) > _SUM_SLACK,
+            lambda row: f"Composition entries sum to {float(totals[row])!r}, "
+            "more than 1e-9 away from 1",
+        ),
+    )
+    arr /= totals[:, None]
+    arr.flags.writeable = False
+    return arr
+
+
+def ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
+    """Check every row of an (N, n-1) array as a RatioVector.
+
+    Returns the rows as a new read-only float array and ``z = 1 + sum``
+    of each row.  A RowError names the first row that fails.
+    """
+    arr = _float_rows(values, "RatioVector", 1)
+    _reject_rows(
+        (
+            ~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
+            "RatioVector entries must be strictly positive and finite",
+        ),
+    )
+    arr.flags.writeable = False
+    return arr, 1.0 + arr.sum(axis=1)
+
+
+def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
+    """Check every row of an (N, n-1) array as a LogRatioVector.
+
+    Returns the rows as a new read-only float array and ``log k`` of each
+    row, ``k = 1 + sum(exp(row))``, computed shift-stably.  A RowError
+    names the first row that fails.
+    """
+    arr = _float_rows(values, "LogRatioVector", 1)
+    _reject_rows((~np.isfinite(arr).all(axis=1), "LogRatioVector entries must be finite"))
+    arr.flags.writeable = False
+    return arr, log_sum_exp_rows(_append_column(arr, 0.0))
+
+
 @dataclass(frozen=True)
 class Composition:
     """A point on the open simplex: positive entries summing to 1.
@@ -65,24 +188,7 @@ class Composition:
     entries: np.ndarray
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("Composition requires a vector of length >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("Composition entries must be finite")
-        if np.any(arr < _POSITIVE_FLOOR):
-            raise ValueError(
-                "Composition entries must be strictly positive normal floats; "
-                "boundary points are rejected rather than clamped"
-            )
-        total = float(arr.sum())
-        if abs(total - 1.0) > _SUM_SLACK:
-            raise ValueError(
-                f"Composition entries sum to {total!r}, more than 1e-9 away from 1"
-            )
-        arr /= total
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", composition_rows([entries])[0])
 
     @property
     def n(self) -> int:
@@ -98,14 +204,9 @@ class RatioVector:
     z: float = field(init=False)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("RatioVector requires a vector of length >= 1")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("RatioVector entries must be strictly positive and finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "z", 1.0 + float(arr.sum()))
+        rows, z = ratio_rows([entries])
+        object.__setattr__(self, "entries", rows[0])
+        object.__setattr__(self, "z", float(z[0]))
 
     @property
     def n(self) -> int:
@@ -127,15 +228,9 @@ class LogRatioVector:
     log_k: float = field(init=False)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("LogRatioVector requires a vector of length >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("LogRatioVector entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-        with_zero = np.append(arr, 0.0)
-        object.__setattr__(self, "log_k", float(log_sum_exp(with_zero)))
+        rows, log_k = log_ratio_rows([entries])
+        object.__setattr__(self, "entries", rows[0])
+        object.__setattr__(self, "log_k", float(log_k[0]))
 
     @property
     def k(self) -> float:
@@ -147,22 +242,52 @@ class LogRatioVector:
         return self.entries.size + 1
 
 
+# ---------------------------------------------------------------------------
+# The maps and their log-Jacobians, row-wise over (N, .) arrays.  The
+# scalar functions pass one row; the *_rows functions pass a batch.
+# ---------------------------------------------------------------------------
+
+
+def _ratios(x: np.ndarray) -> np.ndarray:
+    return x[:, :-1] / x[:, -1:]
+
+
+def _from_ratios(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return _append_column(y, 1.0) / z[:, None]
+
+
+def _log_ratios(x: np.ndarray) -> np.ndarray:
+    logs = np.log(x)
+    return logs[:, :-1] - logs[:, -1:]
+
+
+def _from_log_ratios(y: np.ndarray) -> np.ndarray:
+    shift = np.maximum(y.max(axis=1), 0.0)
+    w = np.exp(_append_column(y, 0.0) - shift[:, None])
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _ratio_log_det(z: np.ndarray, n: int) -> np.ndarray:
+    return -n * _log_each(z)
+
+
+def _log_ratio_log_det(y: np.ndarray, log_k: np.ndarray) -> np.ndarray:
+    return y.sum(axis=1) - (y.shape[1] + 1) * log_k
+
+
 def ratio_forward(x: Composition) -> RatioVector:
     """Map a composition to its ratio coordinates y_i = x_i / x_n."""
-    e = x.entries
-    return RatioVector(e[:-1] / e[-1])
+    return RatioVector(_ratios(x.entries[None])[0])
 
 
 def ratio_inverse(y: RatioVector) -> Composition:
     """Map ratio coordinates back to the simplex: x_i = y_i / z, x_n = 1 / z."""
-    raw = np.append(y.entries, 1.0) / y.z
-    return Composition(raw)
+    return Composition(_from_ratios(y.entries[None], np.array([y.z]))[0])
 
 
 def log_ratio_forward(x: Composition) -> LogRatioVector:
     """Map a composition to additive log-ratio coordinates log(x_i / x_n)."""
-    logs = np.log(x.entries)
-    return LogRatioVector(logs[:-1] - logs[-1])
+    return LogRatioVector(_log_ratios(x.entries[None])[0])
 
 
 def log_ratio_inverse(y: LogRatioVector) -> Composition:
@@ -172,9 +297,7 @@ def log_ratio_inverse(y: LogRatioVector) -> Composition:
     shift-stably: max(0, max(y)) is subtracted before exponentiating, so
     large entries do not overflow.
     """
-    shift = max(0.0, float(y.entries.max()))
-    w = np.exp(np.append(y.entries, 0.0) - shift)
-    return Composition(w / w.sum())
+    return Composition(_from_log_ratios(y.entries[None])[0])
 
 
 def log_det_jacobian_ratio_inverse(y: RatioVector, n: int) -> float:
@@ -182,7 +305,7 @@ def log_det_jacobian_ratio_inverse(y: RatioVector, n: int) -> float:
     coordinates; the closed form is ``-n * log(z)``."""
     if n != y.n:
         raise ValueError(f"expected {n - 1} ratio entries for n={n}, got {y.entries.size}")
-    return -n * math.log(y.z)
+    return float(_ratio_log_det(np.array([y.z]), n)[0])
 
 
 def log_det_jacobian_log_ratio_inverse(y: LogRatioVector, n: int) -> float:
@@ -190,7 +313,43 @@ def log_det_jacobian_log_ratio_inverse(y: LogRatioVector, n: int) -> float:
     coordinates; the closed form is ``sum(y) - n * log(k)``."""
     if n != y.n:
         raise ValueError(f"expected {n - 1} log-ratio entries for n={n}, got {y.entries.size}")
-    return float(y.entries.sum()) - n * y.log_k
+    return float(_log_ratio_log_det(y.entries[None], np.array([y.log_k]))[0])
+
+
+def ratio_forward_rows(x) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``ratio_forward``: for each row of an (N, n) array,
+    checked as a composition, its ratio coordinates and the log |det J|
+    of the ratio inverse there.  Returns an (N, n-1) and an (N,) array;
+    a RowError names the first row that fails a check."""
+    x = composition_rows(x)
+    y, z = ratio_rows(_ratios(x))
+    return y, _ratio_log_det(z, x.shape[1])
+
+
+def ratio_inverse_rows(y) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``ratio_inverse``: for each row of an (N, n-1) array
+    of ratio coordinates, its composition and the log |det J| of the
+    ratio inverse there.  The checks on the inputs run before those on
+    the outputs, each naming the first row that fails."""
+    y, z = ratio_rows(y)
+    return composition_rows(_from_ratios(y, z)), _ratio_log_det(z, y.shape[1] + 1)
+
+
+def log_ratio_forward_rows(x) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``log_ratio_forward``: for each row of an (N, n)
+    array, checked as a composition, its log-ratio coordinates and the
+    log |det J| of the log-ratio inverse there."""
+    y, log_k = log_ratio_rows(_log_ratios(composition_rows(x)))
+    return y, _log_ratio_log_det(y, log_k)
+
+
+def log_ratio_inverse_rows(y) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``log_ratio_inverse``: for each row of an (N, n-1)
+    array of log-ratio coordinates, its composition and the log |det J|
+    of the log-ratio inverse there.  The checks on the inputs run before
+    those on the outputs, each naming the first row that fails."""
+    y, log_k = log_ratio_rows(y)
+    return composition_rows(_from_log_ratios(y)), _log_ratio_log_det(y, log_k)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "log_beta",
     "rank_one_update_det",
     "log_sum_exp",
+    "log_sum_exp_rows",
 ]
 
 # Lanczos approximation, g = 7, 9 coefficients.  Gives ~15 significant
@@ -157,14 +158,38 @@ def log_sum_exp(values) -> float:
     ValueError
         If the input is empty or contains NaN.
     """
+    return float(log_sum_exp_rows([values])[0])
+
+
+def log_sum_exp_rows(values) -> np.ndarray:
+    """Row-wise ``log_sum_exp`` of an (N, n) array, n >= 1, as an (N,) array.
+
+    A row whose maximum is infinite returns it: ``-inf`` for zero mass,
+    ``inf`` for infinite mass.
+
+    Raises
+    ------
+    ValueError
+        If a row is empty or the input contains NaN.
+    """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("log_sum_exp requires a non-empty vector")
-    if np.any(np.isnan(arr)):
-        raise ValueError("log_sum_exp input contains NaN")
-    m = float(arr.max())
-    if m == -math.inf:
-        return -math.inf
-    if m == math.inf:
-        return math.inf
-    return m + math.log(float(np.exp(arr - m).sum()))
+    m = arr.max(axis=1)  # NaN wherever a row holds one
+    finite = np.isfinite(m)
+    if not finite.all():
+        if np.isnan(m).any():
+            raise ValueError("log_sum_exp input contains NaN")
+        m[finite] = log_sum_exp_rows(arr[finite])
+        return m
+    return m + _log_each(np.exp(arr - m[:, None]).sum(axis=1))
+
+
+def _log_each(values: np.ndarray) -> np.ndarray:
+    """Elementwise natural log by ``math.log``.
+
+    ``np.log`` can differ from ``math.log`` in the last ulp, and the
+    log-sum-exp and Jacobian values the CLI and the suite print are
+    pinned to ``math.log``'s bits.
+    """
+    return np.array([math.log(v) for v in values.tolist()])

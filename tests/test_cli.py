@@ -1,5 +1,7 @@
-"""End-to-end tests of the command-line interface via subprocesses."""
+"""End-to-end tests of the command-line interface, via subprocesses and
+in-process calls of ``cli.main``."""
 
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,22 @@ import sys
 
 import numpy as np
 import pytest
+
+from countcomp import (
+    Composition,
+    DirichletParams,
+    LogRatioVector,
+    RatioVector,
+    cli,
+    dirichlet_sample,
+    log_det_jacobian_log_ratio_inverse,
+    log_det_jacobian_ratio_inverse,
+    log_ratio_forward,
+    log_ratio_inverse,
+    multinomial_sample,
+    ratio_forward,
+    ratio_inverse,
+)
 
 CLI = [sys.executable, "-m", "countcomp.cli"]
 
@@ -157,6 +175,17 @@ class TestSample:
         res = run_cli("sample", "--dist", "wat", "--params", "{}", "--count", "1", "--seed", "0")
         assert res.returncode == 2
 
+    def test_domain_error_writes_nothing_and_names_row(self):
+        # Gamma(0.01) draws underflow; draw 910 of this seed is the first
+        # row that Composition rejects.  No row may be written before it.
+        res = run_cli(
+            "sample", "--dist", "dirichlet", "--params", '{"alpha": [0.01, 0.01, 0.01]}',
+            "--count", "5000", "--seed", "3",
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: row 910: Composition entries must be")
+
 
 class TestTransform:
     def test_alr_forward_equal_parts(self):
@@ -198,6 +227,89 @@ class TestTransform:
     def test_non_numeric_row_exits_2(self):
         res = run_cli("transform", "ratio", "forward", stdin="0.5,0.5\n0.2,zebra\n")
         assert res.returncode == 2
+
+    def test_ragged_rows_exit_2(self):
+        res = run_cli("transform", "ratio", "forward", stdin="x1,x2\n0.5,0.5\n0.2,0.3,0.5\n")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: row 3:")
+
+    def test_first_bad_row_reported_across_steps(self):
+        # Row 2 passes the check on ratio inputs, but its image has a
+        # subnormal entry; row 3 fails the input check.  Row 2 comes first.
+        res = run_cli("transform", "ratio", "inverse", stdin="1,1\n1e-310,1\n-1,1\n")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: row 2: Composition entries must be strictly positive")
+
+
+def _main_stdout(capsys, monkeypatch, argv, stdin=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _csv_line(values):
+    return ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(int(v))
+                    for v in values) + "\n"
+
+
+class TestBatchedMatchesScalarApi:
+    """The CLI works on whole arrays; its bytes must be those of a loop
+    over the scalar value objects and maps."""
+
+    ROWS = 1000
+
+    @pytest.mark.parametrize("kind", ["ratio", "alr"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_transform(self, capsys, monkeypatch, kind, direction):
+        rng = np.random.default_rng(2024)
+        x = rng.dirichlet(rng.uniform(0.3, 5.0, 4), size=self.ROWS)
+        if direction == "forward":
+            rows = x
+        else:
+            rows = x[:, :-1] / x[:, -1:]
+            rows = rows if kind == "ratio" else np.log(rows)
+        stdin = "".join(_csv_line(row) for row in rows)
+        got = _main_stdout(capsys, monkeypatch, ["transform", kind, direction, "--jacobian"], stdin)
+        prefix = "y" if direction == "forward" else "x"
+        width = 3 if direction == "forward" else 4
+        want = [",".join([f"{prefix}{j + 1}" for j in range(width)]
+                         + ["log_det_jacobian_inverse"]) + "\n"]
+        for row in rows:
+            if direction == "forward":
+                comp = Composition(row)
+                y = ratio_forward(comp) if kind == "ratio" else log_ratio_forward(comp)
+                coords = y.entries
+            else:
+                y = RatioVector(row) if kind == "ratio" else LogRatioVector(row)
+                coords = (ratio_inverse(y) if kind == "ratio" else log_ratio_inverse(y)).entries
+            log_det = (log_det_jacobian_ratio_inverse(y, 4) if kind == "ratio"
+                       else log_det_jacobian_log_ratio_inverse(y, 4))
+            want.append(_csv_line([*coords, log_det]))
+        assert got == "".join(want)
+
+    def test_sample_dirichlet(self, capsys, monkeypatch):
+        alpha = [0.7, 2.5, 1.3, 4.0]
+        got = _main_stdout(capsys, monkeypatch, [
+            "sample", "--dist", "dirichlet", "--params", json.dumps({"alpha": alpha}),
+            "--count", str(self.ROWS), "--seed", "17"])
+        rng = np.random.default_rng(17)
+        params = DirichletParams(alpha)
+        want = "x1,x2,x3,x4\n" + "".join(
+            _csv_line(dirichlet_sample(params, rng).entries) for _ in range(self.ROWS))
+        assert got == want
+
+    def test_sample_multinomial(self, capsys, monkeypatch):
+        probs = [0.1, 0.2, 0.3, 0.4]
+        got = _main_stdout(capsys, monkeypatch, [
+            "sample", "--dist", "multinomial", "--params", json.dumps({"probs": probs, "m": 40}),
+            "--count", str(self.ROWS), "--seed", "19"])
+        rng = np.random.default_rng(19)
+        comp = Composition(probs)
+        want = "x1,x2,x3,x4\n" + "".join(
+            _csv_line(multinomial_sample(40, comp, rng).counts) for _ in range(self.ROWS))
+        assert got == want
 
 
 class TestVerify:

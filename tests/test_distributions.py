@@ -31,6 +31,8 @@ from countcomp import (
     normalized_nb_value_pmf,
     ratio_inverse,
 )
+from countcomp.distributions import count_rows
+from countcomp.simplex import RowError
 
 
 class TestParamValidation:
@@ -59,6 +61,30 @@ class TestParamValidation:
             CountVector([1, -1])
         with pytest.raises(ValueError):
             CountVector([1.5, 2])
+
+    @pytest.mark.parametrize("big", [2**63, 1e20, 2.0**63, 2**64, 2**70])
+    def test_count_vector_rejects_values_past_int64(self, big):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            CountVector([1, big])
+
+    def test_count_vector_exact_near_int64(self):
+        top = 2**63 - 1
+        assert CountVector([top]).counts.tolist() == [top]
+        assert CountVector([2**53 + 1]).counts.tolist() == [2**53 + 1]
+        # The total is exact even where an int64 sum would wrap.
+        assert CountVector([2**62, 2**62]).total == 2**63
+
+    def test_count_rows_names_first_bad_row(self):
+        rows = count_rows([[1, 2], [3, 4]])
+        assert rows.dtype == np.int64 and rows.tolist() == [[1, 2], [3, 4]]
+        assert not rows.flags.writeable
+        # Row 1 breaks the integer rule, row 2 the sign rule, row 3 both.
+        with pytest.raises(RowError, match="integers") as info:
+            count_rows([[1.0, 2.0], [0.5, 1.0], [1.0, -1.0], [-0.5, 1.0]])
+        assert info.value.row == 1
+        with pytest.raises(RowError, match="non-negative") as info:
+            count_rows([[1, 2], [3, 4], [-3, 4]])
+        assert info.value.row == 2
 
     def test_beta_binomial_params(self):
         with pytest.raises(ValueError):

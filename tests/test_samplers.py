@@ -24,6 +24,7 @@ from countcomp import (
     poisson_sample,
 )
 from countcomp.checks import _chi_square_gof
+from countcomp.simplex import RowError
 
 N = 100_000
 
@@ -174,6 +175,15 @@ class TestMultinomialSampler:
             x = multinomial_sample(17, Composition([0.1, 0.2, 0.3, 0.4]), rng)
             assert x.total == 17
 
+    def test_size_gives_the_rows_of_single_draws(self):
+        probs = Composition([0.1, 0.2, 0.3, 0.4])
+        rows = multinomial_sample(25, probs, np.random.default_rng(44), size=300)
+        rng = np.random.default_rng(44)
+        singles = [multinomial_sample(25, probs, rng).counts for _ in range(300)]
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        np.testing.assert_array_equal(rows, singles)
+        assert multinomial_sample(25, probs, rng, size=0).shape == (0, 4)
+
     def test_matches_pmf(self):
         rng = np.random.default_rng(43)
         m, probs = 5, Composition([0.2, 0.3, 0.5])
@@ -210,6 +220,30 @@ class TestDirichletSampler:
         target = np.array([0.2, 0.3, 0.5])
         se = draws.std(axis=0, ddof=1) / math.sqrt(N)
         assert np.all(np.abs(draws.mean(axis=0) - target) < 3.0 * se)
+
+    def test_size_gives_the_rows_of_single_draws(self):
+        params = DirichletParams([0.5, 1.0, 2.0, 3.0, 0.7, 1.1, 2.2, 0.9, 4.0, 1.5])
+        rows = dirichlet_sample(params, np.random.default_rng(60), size=300)
+        rng = np.random.default_rng(60)
+        singles = [dirichlet_sample(params, rng).entries for _ in range(300)]
+        assert rows.shape == (300, 10) and not rows.flags.writeable
+        assert rows.tobytes() == np.array(singles).tobytes()
+
+    def test_size_checks_every_row_and_names_the_first_bad_one(self):
+        # Gamma(0.01) draws underflow to 0, so some rows are not compositions.
+        params = DirichletParams([0.01, 0.01, 0.01])
+        rng = np.random.default_rng(3)
+        first_bad = None
+        for i in range(5000):
+            try:
+                dirichlet_sample(params, rng)
+            except ValueError:
+                first_bad = i
+                break
+        assert first_bad is not None
+        with pytest.raises(RowError) as info:
+            dirichlet_sample(params, np.random.default_rng(3), size=5000)
+        assert info.value.row == first_bad
 
     def test_returns_valid_composition(self):
         rng = np.random.default_rng(61)

@@ -1,6 +1,7 @@
 """Tests for the simplex coordinate maps and their Jacobians."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from countcomp import (
     ratio_forward,
     ratio_inverse,
 )
+from countcomp.simplex import RowError, composition_rows, log_ratio_rows, ratio_rows
 
 
 def random_composition(rng, n):
@@ -54,6 +56,50 @@ class TestComposition:
         x = Composition([0.4, 0.6])
         with pytest.raises(ValueError):
             x.entries[0] = 0.9
+
+
+class TestRowValidators:
+    """The batch validators apply the value objects' rules row by row."""
+
+    BAD_ROWS = {
+        (composition_rows, Composition): (
+            [0.2, 0.3, 0.6], [0.5, math.nan, 0.5], [0.5, 0.5, 0.0], [0.5, math.inf, -math.inf],
+            [0.5, 0.5, 1e-310], [1.5, -0.5, 0.0],
+        ),
+        (ratio_rows, RatioVector): ([0.5, 0.0], [math.inf, 1.0], [-1.0, 2.0], [math.nan, 1.0]),
+        (log_ratio_rows, LogRatioVector): ([0.5, math.nan], [-math.inf, 1.0]),
+    }
+
+    @pytest.mark.parametrize("check, value_object", BAD_ROWS, ids=lambda f: f.__name__)
+    def test_message_and_row_match_the_value_object(self, check, value_object):
+        good = [0.2, 0.3, 0.5] if value_object is Composition else [0.25, 0.75]
+        for bad in self.BAD_ROWS[check, value_object]:
+            with pytest.raises(ValueError) as single:
+                value_object(bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RowError) as batch:
+                    check([good, good, bad, good])
+            assert batch.value.row == 2
+            assert str(batch.value) == str(single.value)
+
+    def test_first_bad_row_wins_then_first_rule(self):
+        good = [0.2, 0.3, 0.5]
+        with pytest.raises(RowError, match="away from 1") as info:
+            composition_rows([good, [0.2, 0.3, 0.6], [0.5, math.nan, 0.5]])
+        assert info.value.row == 1
+        # Non-finite, boundary and sum rules all fail row 1; finiteness is checked first.
+        with pytest.raises(RowError, match="finite") as info:
+            composition_rows([good, [math.inf, 0.0, 0.5], [0.0, 0.5, 0.5]])
+        assert info.value.row == 1
+
+    def test_rows_read_only_and_renormalized(self):
+        rows = composition_rows([[0.2 + 1e-12, 0.3, 0.5], [0.5, 0.5, 1e-300]])
+        assert not rows.flags.writeable
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-15)
+        assert composition_rows(np.empty((0, 3))).shape == (0, 3)
+        with pytest.raises(RowError, match="length >= 2"):
+            composition_rows([[1.0], [1.0]])
 
 
 class TestRatioTransform:

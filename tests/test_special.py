@@ -1,6 +1,7 @@
 """Tests for the log-domain special functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from countcomp import (
     log_sum_exp,
     rank_one_update_det,
 )
+from countcomp.special import log_sum_exp_rows
 
 # log B(2.5, 3.5), frozen from adaptive quadrature of the integral
 # definition int_0^1 t^1.5 (1-t)^2.5 dt (value 0.03681553890925537).
@@ -154,6 +156,16 @@ class TestLogSumExp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             log_sum_exp([])
+
+    def test_rows_equal_single_calls(self):
+        rows = [[0.1, -3.0, 2.0], [-math.inf, -math.inf, -math.inf], [math.inf, 800.0, 1.0],
+                [-1000.0, -1000.0, -math.inf], [700.0, 0.0, -700.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_sum_exp_rows(rows)
+        assert got.tolist() == [log_sum_exp(row) for row in rows]
+        with pytest.raises(ValueError, match="NaN"):
+            log_sum_exp_rows([[0.0, 1.0], [math.nan, 0.0]])
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=10),
