@@ -284,8 +284,10 @@ _TRANSFORMS = {
 
 def _read_csv(stream) -> tuple[list[int], np.ndarray]:
     """Numeric CSV rows as an (N, n) float array, with the line number of
-    each row.  A first line that is not numeric is a header and skipped."""
+    each row.  Blank lines are skipped.  A first non-blank line that is
+    not numeric is a header and skipped."""
     linenos, rows = [], []
+    header_allowed = True
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -293,9 +295,11 @@ def _read_csv(stream) -> tuple[list[int], np.ndarray]:
         try:
             row = [float(p) for p in line.split(",")]
         except ValueError as exc:
-            if lineno == 1:
+            if header_allowed:
+                header_allowed = False
                 continue  # header row
             raise UsageError(f"row {lineno}: not numeric CSV: {line!r}") from exc
+        header_allowed = False
         if rows and len(row) != len(rows[0]):
             raise UsageError(
                 f"row {lineno}: {len(row)} columns, but row {linenos[0]} has {len(rows[0])}"

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .simplex import Composition, RowError, _reject_rows, composition_rows
-from .special import log_beta, log_gamma, log_multivariate_beta, log_sum_exp
+from .special import _log_gamma_each, log_gamma, log_multivariate_beta, log_sum_exp
 
 __all__ = [
     "DirichletParams",
@@ -76,7 +76,7 @@ def _positive_vector(values, what: str, min_len: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < min_len:
         raise ValueError(f"{what} requires a vector of length >= {min_len}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
         raise ValueError(f"{what} entries must be strictly positive and finite")
     arr.flags.writeable = False
     return arr
@@ -100,8 +100,13 @@ class DirichletParams:
         return float(self.alpha.sum())
 
     def log_normalizer(self) -> float:
-        """log B(alpha)."""
-        return log_multivariate_beta(self.alpha)
+        """log B(alpha), computed on first use and kept."""
+        try:
+            return self._log_normalizer
+        except AttributeError:
+            value = log_multivariate_beta(self.alpha)
+            object.__setattr__(self, "_log_normalizer", value)
+            return value
 
 
 @dataclass(frozen=True)
@@ -416,20 +421,45 @@ def negative_binomial_log_pmf(R: float, p: float, m: int) -> float:
     ``p`` multiplies the p^m factor (so the mean is R p / (1-p)); this
     is the opposite of some libraries' convention.
     """
+    R, p = _nb_params(R, p)
+    m = _as_count(m, "m")
+    return _nb_log_terms(_log_gamma_map, R, p, m)
+
+
+def _nb_params(R, p) -> tuple[float, float]:
     R = float(R)
     p = float(p)
     if not math.isfinite(R) or R <= 0.0:
         raise ValueError("negative_binomial_log_pmf requires R > 0")
     if not math.isfinite(p) or not 0.0 < p < 1.0:
         raise ValueError(f"negative_binomial_log_pmf requires p in (0, 1), got {p!r}")
-    m = _as_count(m, "m")
-    return (
-        log_gamma(m + R)
-        - log_gamma(R)
-        - log_gamma(m + 1.0)
-        + R * math.log1p(-p)
-        + m * math.log(p)
+    return R, p
+
+
+def _log_gamma_map(*args):
+    """``log_gamma`` of each argument; the scalar twin of ``_log_gamma_each``."""
+    return map(log_gamma, args)
+
+
+# The NB and Beta-Binomial log masses, written once.  ``lgs`` is
+# ``_log_gamma_map`` for one (k, m) or ``_log_gamma_each`` for arrays of
+# k and m (integral floats); both give the same bits for the same pair.
+
+
+def _nb_log_terms(lgs, R: float, p: float, m):
+    lg_m_r, lg_r, lg_m1 = lgs(m + R, R, m + 1.0)
+    return lg_m_r - lg_r - lg_m1 + R * math.log1p(-p) + m * math.log(p)
+
+
+def _bb_log_terms(lgs, a: float, b: float, k, m):
+    # Grouped so that the a == b case is exactly symmetric in k <-> m-k;
+    # each log B(x, y) is (log G(x) + log G(y)) - log G(x + y).
+    x, y = k + a, m - k + b
+    lg_m1, lg_k1, lg_mk1, lg_x, lg_y, lg_xy, lg_a, lg_b, lg_ab = lgs(
+        m + 1.0, k + 1.0, m - k + 1.0, x, y, x + y, a, b, a + b
     )
+    log_choose = lg_m1 - (lg_k1 + lg_mk1)
+    return log_choose + (((lg_x + lg_y) - lg_xy) - ((lg_a + lg_b) - lg_ab))
 
 
 def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
@@ -480,9 +510,7 @@ def beta_binomial_log_pmf(params: BetaBinomialParams, k: int) -> float:
     m = params.m
     if k > m:
         raise ValueError(f"k={k} exceeds the number of trials m={m}")
-    # Grouped so that the a == b case is exactly symmetric in k <-> m-k.
-    log_choose = log_gamma(m + 1.0) - (log_gamma(k + 1.0) + log_gamma(m - k + 1.0))
-    return log_choose + (log_beta(k + params.a, m - k + params.b) - log_beta(params.a, params.b))
+    return _bb_log_terms(_log_gamma_map, params.a, params.b, k, m)
 
 
 def normalized_nb_log_pmf(
@@ -494,20 +522,27 @@ def normalized_nb_log_pmf(
     Defined on pairs including m = 0 (k must then be 0; the
     Beta-Binomial factor is log 1 = 0), so the pair masses sum to 1.
     """
-    if not 0 <= component < params.n:
-        raise ValueError(f"component {component} out of range for n={params.n}")
+    a, b = _merged_shapes(params, component)
     k = _as_count(k, "k")
     m = _as_count(m, "m")
     if k > m:
         raise ValueError(f"k={k} exceeds the total m={m}")
+    out = negative_binomial_log_pmf(params.total_shape, params.success_prob, m)
+    if m > 0:
+        out += _bb_log_terms(_log_gamma_map, a, b, k, m)
+    return out
+
+
+def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, float]:
+    """Beta-Binomial shapes (r_c, R - r_c) of one component against the
+    rest merged."""
+    if not 0 <= component < params.n:
+        raise ValueError(f"component {component} out of range for n={params.n}")
     a = float(params.shapes[component])
     b = params.total_shape - a
     if b <= 0.0:
         raise ValueError("normalized_nb_log_pmf needs at least two components to merge")
-    out = negative_binomial_log_pmf(params.total_shape, params.success_prob, m)
-    if m > 0:
-        out += beta_binomial_log_pmf(BetaBinomialParams(a, b, m), k)
-    return out
+    return a, b
 
 
 class AggregatedValueMass(NamedTuple):
@@ -518,22 +553,69 @@ class AggregatedValueMass(NamedTuple):
     truncation_bound: int
 
 
+# A tail bound below tail_mass * 2^-53 cannot move a sum near tail_mass.
+_LOG_NEGLIGIBLE = -53.0 * math.log(2.0)
+# Most totals nb_truncation_bound evaluates at once: 10^6 covers ten
+# standard deviations up to an NB variance R p / (1-p)^2 of about 10^10.
+_MAX_BOUND_WINDOW = 1_000_000
+
+
 def nb_truncation_bound(R: float, p: float, tail_mass: float = 1e-12) -> int:
     """Smallest M such that the NB(R, p) mass beyond M is below
-    ``tail_mass``, found by summing the PMF."""
+    ``tail_mass``.
+
+    The tail beyond M is a suffix sum of PMF values computed in log
+    space, never 1 - CDF, so it neither cancels nor underflows for large
+    R.  The sum runs up to an M_hi whose remaining tail is provably
+    negligible: past the mode the ratio pmf(m+1)/pmf(m) = p(m+R)/(m+1)
+    moves monotonically toward p, so the tail beyond M_hi is at most
+    pmf(M_hi) r / (1 - r) with r the larger of that ratio at M_hi and p.
+
+    Raises
+    ------
+    ValueError
+        On invalid R, p or tail_mass, or if the PMF window needed exceeds
+        10^6 totals.
+    """
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
-    # Linear-domain recurrence pmf(m+1) = pmf(m) * p * (m + R) / (m + 1).
-    pmf = math.exp(negative_binomial_log_pmf(R, p, 0))
-    remaining = 1.0 - pmf
-    m = 0
-    while remaining >= tail_mass:
-        pmf *= p * (m + R) / (m + 1.0)
-        remaining -= pmf
-        m += 1
-        if m > 10_000_000:
-            raise RuntimeError("NB tail did not reach the requested mass bound")
-    return m
+    R, p = _nb_params(R, p)
+    lo = max(0, math.ceil((R - 1.0) * p / (1.0 - p)))  # at or just past the mode
+    hi = lo + 16 + math.ceil(10.0 * math.sqrt(R * p) / (1.0 - p))
+    _check_window(R, p, lo, hi)
+    limit = math.log(tail_mass) + _LOG_NEGLIGIBLE
+    log_beyond_hi, r = _nb_tail_bound(R, p, hi)
+    if log_beyond_hi >= limit:
+        # pmf(hi + i) <= pmf(hi) r^i, and the ratio keeps falling.
+        hi += math.ceil((log_beyond_hi - limit) / -math.log(r)) + 1
+        _check_window(R, p, lo, hi)
+        log_beyond_hi, r = _nb_tail_bound(R, p, hi)
+    beyond_hi = math.exp(log_beyond_hi)
+    while True:
+        pmf = np.exp(_nb_log_terms(_log_gamma_each, R, p, np.arange(lo, hi + 1, dtype=float)))
+        from_m = np.cumsum(pmf[::-1])[::-1] + beyond_hi  # mass at lo + i and beyond
+        beyond = np.append(from_m[1:], beyond_hi)  # mass beyond lo + i
+        if lo == 0 or from_m[0] >= tail_mass:
+            return lo + int(np.argmax(beyond < tail_mass))
+        # The bound lies below the mode, as for tail_mass near 1.
+        lo = 0
+        _check_window(R, p, lo, hi)
+
+
+def _nb_tail_bound(R: float, p: float, m: int) -> tuple[float, float]:
+    """(log of pmf(m) r / (1 - r), r), for m past the NB mode: an upper
+    bound on the mass beyond m, with r >= every ratio pmf(i+1)/pmf(i) for
+    i >= m."""
+    r = p * max(m + R, m + 1.0) / (m + 1.0)
+    return _nb_log_terms(_log_gamma_map, R, p, m) + math.log(r / (1.0 - r)), r
+
+
+def _check_window(R: float, p: float, lo: int, hi: int) -> None:
+    if hi - lo >= _MAX_BOUND_WINDOW:
+        raise ValueError(
+            f"nb_truncation_bound: the tail of NB({R!r}, {p!r}) needs totals "
+            f"{lo}..{hi}, more than {_MAX_BOUND_WINDOW} at once"
+        )
 
 
 def normalized_nb_value_pmf(
@@ -561,13 +643,13 @@ def normalized_nb_value_pmf(
         frac = Fraction(_as_count(k, "value numerator"), int(m))
     if frac < 0 or frac > 1:
         raise ValueError(f"value must lie in [0, 1], got {frac}")
-    num, den = frac.numerator, frac.denominator
-    bound = nb_truncation_bound(params.total_shape, params.success_prob, tail_mass)
-    terms = []
-    j = 1
-    while j * den <= bound:
-        terms.append(normalized_nb_log_pmf(params, component, j * num, j * den))
-        j += 1
-    if not terms:
+    a, b = _merged_shapes(params, component)
+    big_r, p = params.total_shape, params.success_prob
+    bound = nb_truncation_bound(big_r, p, tail_mass)
+    # The pairs (j num, j den), j = 1 .. bound // den, in one batch.
+    j = np.arange(1, bound // frac.denominator + 1, dtype=float)
+    if not j.size:
         return AggregatedValueMass(-math.inf, bound)
+    k, m = j * frac.numerator, j * frac.denominator
+    terms = _nb_log_terms(_log_gamma_each, big_r, p, m) + _bb_log_terms(_log_gamma_each, a, b, k, m)
     return AggregatedValueMass(log_sum_exp(terms), bound)

@@ -47,14 +47,24 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 
-def _log_gamma_lanczos(a: float) -> float:
-    """Lanczos series, accurate for a >= 0.5."""
+def _log_gamma_lanczos(a, log=math.log):
+    """Lanczos series, accurate for a >= 0.5.
+
+    ``a`` is a float, or a float array with ``log=_log_each``: the same
+    operations in the same order give the same bits entry by entry.
+    """
     x = a - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (x + i)
     t = x + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (x + 0.5) * math.log(t) - t + math.log(acc)
+    return _HALF_LOG_TWO_PI + (x + 0.5) * log(t) - t + log(acc)
+
+
+def _log_gamma_reflected(a, log=math.log, sin=math.sin):
+    """Reflection formula ``Gamma(a) Gamma(1-a) = pi / sin(pi a)``, for
+    a < 1/2; arrays as in ``_log_gamma_lanczos``."""
+    return _LOG_PI - log(sin(math.pi * a)) - _log_gamma_lanczos(1.0 - a, log)
 
 
 def log_gamma(a: float) -> float:
@@ -80,8 +90,45 @@ def log_gamma(a: float) -> float:
     if a == 1.0 or a == 2.0:
         return 0.0  # exact zeros of log Gamma, matching reference libraries
     if a < 0.5:
-        return _LOG_PI - math.log(math.sin(math.pi * a)) - _log_gamma_lanczos(1.0 - a)
+        return _log_gamma_reflected(a)
     return _log_gamma_lanczos(a)
+
+
+def _log_gamma_each(*args) -> list[np.ndarray]:
+    """``log_gamma`` of every entry of each argument, in one batch.
+
+    Each argument is a float or a float array; one float array comes
+    back per argument, in its shape.  Every entry equals the scalar
+    ``log_gamma`` of it bit for bit: the branches, constants and order of
+    operations are the scalar's, and logs and sines go through ``math``
+    per entry.  Worth it from tens of entries; a single value is cheaper
+    through ``log_gamma``.
+
+    Raises
+    ------
+    ValueError
+        If an entry is not a strictly positive finite number.
+    """
+    parts = [np.asarray(a, dtype=float) for a in args]
+    a = np.concatenate([part.ravel() for part in parts])
+    if a.size and not (a.min() > 0.0 and a.max() < math.inf):  # NaN fails both
+        raise ValueError("log_gamma requires finite arguments > 0")
+    small = a < 0.5
+    if small.any():
+        out = np.empty_like(a)
+        out[~small] = _log_gamma_lanczos(a[~small], _log_each)
+        out[small] = _log_gamma_reflected(a[small], _log_each, _sin_each)
+    else:
+        out = _log_gamma_lanczos(a, _log_each)
+    out[(a == 1.0) | (a == 2.0)] = 0.0
+    split, start = [], 0
+    for part in parts:
+        split.append(out[start:start + part.size].reshape(part.shape))
+        start += part.size
+    return split
+
+
+_BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
 
 
 def log_multivariate_beta(alpha) -> float:
@@ -100,15 +147,22 @@ def log_multivariate_beta(alpha) -> float:
     arr = np.asarray(alpha, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("log_multivariate_beta requires a vector of length >= 2")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("log_multivariate_beta requires strictly positive finite entries")
+    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
+        raise ValueError(_BETA_DOMAIN)
     # fsum makes the result exactly permutation-invariant.
     return math.fsum(log_gamma(a) for a in arr) - log_gamma(math.fsum(arr))
 
 
 def log_beta(a: float, b: float) -> float:
-    """Return log B(a, b), the log of the Beta function."""
-    return log_multivariate_beta((a, b))
+    """Return log B(a, b), the log of the Beta function.
+
+    The same value as ``log_multivariate_beta((a, b))`` (``fsum`` of two
+    floats is their rounded sum), without building a vector.
+    """
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
+        raise ValueError(_BETA_DOMAIN)
+    return (log_gamma(a) + log_gamma(b)) - log_gamma(a + b)
 
 
 def rank_one_update_det(diag, u, v) -> float:
@@ -192,4 +246,9 @@ def _log_each(values: np.ndarray) -> np.ndarray:
     log-sum-exp and Jacobian values the CLI and the suite print are
     pinned to ``math.log``'s bits.
     """
-    return np.array([math.log(v) for v in values.tolist()])
+    return np.fromiter(map(math.log, values.tolist()), float, values.size)
+
+
+def _sin_each(values: np.ndarray) -> np.ndarray:
+    """Elementwise sine by ``math.sin``, for the batch ``log_gamma``."""
+    return np.fromiter(map(math.sin, values.tolist()), float, values.size)

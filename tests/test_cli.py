@@ -219,6 +219,16 @@ class TestTransform:
         assert res.returncode == 0
         assert res.stdout.strip().splitlines()[1] == "1.0"
 
+    def test_header_after_blank_lines_accepted(self):
+        res = run_cli("transform", "alr", "forward", stdin="\n  \nx1,x2\n0.5,0.5\n")
+        assert res.returncode == 0
+        assert res.stdout == "y1\n0.0\n"
+
+    def test_only_first_nonblank_line_may_be_header(self):
+        res = run_cli("transform", "alr", "forward", stdin="\nx1,x2\ny1,y2\n0.5,0.5\n")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: row 3: not numeric CSV")
+
     def test_simplex_violation_reports_row(self):
         res = run_cli("transform", "ratio", "forward", stdin="0.5,0.5\n0.9,0.9\n")
         assert res.returncode == 1

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import nbinom
 
+from countcomp import distributions
 from countcomp import (
     BetaBinomialParams,
     Composition,
@@ -114,6 +118,23 @@ class TestDirichletPdf:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dirichlet_log_pdf(DirichletParams([1.0, 1.0]), Composition([0.2, 0.3, 0.5]))
+
+    def test_log_normalizer_computed_once(self, monkeypatch):
+        params = DirichletParams([2.0, 3.0, 5.0])
+        want = distributions.log_multivariate_beta(params.alpha)
+        calls = []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return want
+
+        monkeypatch.setattr(distributions, "log_multivariate_beta", counted)
+        x = Composition([0.2, 0.3, 0.5])
+        first = dirichlet_log_pdf(params, x)
+        assert dirichlet_log_pdf(params, x) == first
+        assert params.log_normalizer() == want
+        assert len(calls) == 1
+        assert repr(params) == repr(DirichletParams([2.0, 3.0, 5.0]))
 
 
 class TestInvertedDirichletPdf:
@@ -333,6 +354,17 @@ class TestNormalizedNbPmf:
             normalized_nb_log_pmf(GammaMixtureParams([2.0], 1.0), 0, 0, 1)  # nothing to merge
 
 
+def _nb_tail(bound, big_r, p):
+    """NB mass beyond ``bound``; scipy's p is the weight of the fixed factor."""
+    return nbinom.sf(bound, big_r, 1.0 - p)
+
+
+def _assert_smallest_bound(bound, big_r, p, tail_mass):
+    # 1 % slack for scipy's own error in the tail.
+    assert _nb_tail(bound, big_r, p) < tail_mass * 1.01
+    assert bound == 0 or _nb_tail(bound - 1, big_r, p) >= tail_mass * 0.99
+
+
 class TestNbTruncationBound:
     def test_bound_is_smallest(self):
         big_r, p = 2.0, 0.5
@@ -340,6 +372,46 @@ class TestNbTruncationBound:
         mass = [math.exp(negative_binomial_log_pmf(big_r, p, m)) for m in range(bound + 1)]
         assert 1.0 - sum(mass) < 1e-12
         assert 1.0 - sum(mass[:-1]) >= 1e-12
+
+    def test_large_shape_where_the_zero_mass_underflows(self):
+        # (1/2)^2000 underflows to 0.0; a linear recurrence from it never
+        # moves, so the bound used to spin 10^7 steps and raise.
+        bound = nb_truncation_bound(2000.0, 0.5)
+        _assert_smallest_bound(bound, 2000.0, 0.5, 1e-12)
+
+    def test_no_cancellation_in_the_tail(self):
+        # No underflow here: 1 - CDF cancelled and never fell below 1e-14.
+        big_r, p = 298.67222488483714, 0.5862091361899134
+        _assert_smallest_bound(nb_truncation_bound(big_r, p, 1e-14), big_r, p, 1e-14)
+
+    def test_smallest_bound_not_one_short(self):
+        # 1 - CDF returned 891, whose true tail is 3.4e-14.
+        big_r, p = 166.76667029982772, 0.7476362268226904
+        assert nb_truncation_bound(big_r, p, 1e-14) == 902
+        assert _nb_tail(891, big_r, p) > 3e-14
+
+    def test_tail_mass_near_one_lies_below_the_mode(self):
+        for tail_mass in (0.3, 0.5, 0.9, 0.999):
+            _assert_smallest_bound(nb_truncation_bound(40.0, 0.5, tail_mass), 40.0, 0.5, tail_mass)
+
+    @given(
+        st.floats(1e-2, 3e3),
+        st.floats(0.02, 0.98),
+        st.sampled_from((1e-9, 1e-12, 1e-14)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bound_is_smallest_against_scipy(self, big_r, p, tail_mass):
+        _assert_smallest_bound(nb_truncation_bound(big_r, p, tail_mass), big_r, p, tail_mass)
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="tail_mass"):
+            nb_truncation_bound(2.0, 0.5, 0.0)
+        with pytest.raises(ValueError, match="requires R > 0"):
+            nb_truncation_bound(-1.0, 0.5)
+        with pytest.raises(ValueError, match="p in"):
+            nb_truncation_bound(2.0, 1.0)
+        with pytest.raises(ValueError, match="more than 1000000"):
+            nb_truncation_bound(1e15, 0.5)
 
 
 class TestNormalizedNbValuePmf:
@@ -383,6 +455,37 @@ class TestNormalizedNbValuePmf:
         )
         assert total >= 1.0 - max(nb_tail, 0.0) - 1e-9
         assert total <= 1.0 + 1e-9
+
+    def test_large_shapes(self):
+        # R = 3000: the NB mass at 0 underflows, which used to break the bound.
+        params = GammaMixtureParams([1500.0, 1500.0], 1.0)
+        out = normalized_nb_value_pmf(params, 0, (1, 2))
+        assert math.isfinite(out.log_mass)
+        pairs = [
+            normalized_nb_log_pmf(params, 0, j, 2 * j)
+            for j in range(1, out.truncation_bound // 2 + 1)
+        ]
+        assert out.log_mass == log_sum_exp(pairs)
+
+    def test_batch_equals_pair_loop_bitwise(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            params = GammaMixtureParams(np.exp(rng.uniform(-3.0, 4.0, n)), np.exp(rng.uniform(-2.5, 1.0)))
+            component = int(rng.integers(0, n))
+            m = int(rng.integers(1, 9))
+            k = int(rng.integers(0, m + 1))
+            tail_mass = float(rng.choice([1e-9, 1e-12, 1e-14]))
+            out = normalized_nb_value_pmf(params, component, (k, m), tail_mass)
+            q = Fraction(k, m)
+            pairs = [
+                normalized_nb_log_pmf(params, component, j * q.numerator, j * q.denominator)
+                for j in range(1, out.truncation_bound // q.denominator + 1)
+            ]
+            assert out.truncation_bound == nb_truncation_bound(
+                params.total_shape, params.success_prob, tail_mass
+            )
+            assert out.log_mass == log_sum_exp(pairs)
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):

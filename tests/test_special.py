@@ -17,7 +17,7 @@ from countcomp import (
     log_sum_exp,
     rank_one_update_det,
 )
-from countcomp.special import log_sum_exp_rows
+from countcomp.special import _log_gamma_each, log_sum_exp_rows
 
 # log B(2.5, 3.5), frozen from adaptive quadrature of the integral
 # definition int_0^1 t^1.5 (1-t)^2.5 dt (value 0.03681553890925537).
@@ -50,6 +50,32 @@ class TestLogGamma:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             log_gamma(bad)
+
+
+class TestLogGammaBatch:
+    def test_equals_scalar_bitwise(self):
+        rng = np.random.default_rng(3)
+        half = 0.5
+        args = np.concatenate([
+            np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 100_000)),
+            [np.nextafter(half, 0.0), half, np.nextafter(half, 1.0), 1.0, 2.0],
+            np.arange(1.0, 3001.0),
+        ])
+        (got,) = _log_gamma_each(args)
+        want = np.array([log_gamma(a) for a in args.tolist()])
+        assert np.count_nonzero(got != want) == 0
+
+    def test_arguments_keep_their_shapes(self):
+        grid = np.array([[0.25, 1.0], [2.0, 7.5]])
+        scalar, empty, matrix = _log_gamma_each(3.5, np.array([]), grid)
+        assert scalar.shape == () and empty.shape == (0,) and matrix.shape == (2, 2)
+        assert scalar == log_gamma(3.5)
+        assert matrix.tolist() == [[log_gamma(a) for a in row] for row in grid.tolist()]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError, match="finite arguments > 0"):
+            _log_gamma_each(np.array([1.5, bad]))
 
 
 class TestLogMultivariateBeta:
@@ -99,6 +125,21 @@ class TestLogBeta:
 
     def test_equals_multivariate_form(self):
         assert log_beta(2.5, 3.5) == log_multivariate_beta((2.5, 3.5))
+
+    def test_equals_multivariate_form_bitwise(self):
+        rng = np.random.default_rng(13)
+        for a, b in np.exp(rng.uniform(math.log(1e-6), math.log(1e6), (2000, 2))).tolist():
+            assert log_beta(a, b) == log_multivariate_beta((a, b))
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)]
+    )
+    def test_domain_error_message_unchanged(self, a, b):
+        message = "log_multivariate_beta requires strictly positive finite entries"
+        with pytest.raises(ValueError, match=message):
+            log_beta(a, b)
+        with pytest.raises(ValueError, match=message):
+            log_multivariate_beta((a, b))
 
 
 class TestRankOneUpdateDet:
