@@ -38,18 +38,21 @@ from .distributions import (
     DirichletParams,
     GammaMixtureParams,
     _as_shapes,
-    alr_dirichlet_log_pdf,
+    _log_multinomial_coefficient,
+    alr_dirichlet_log_pdf_rows,
     beta_binomial_log_pmf,
-    dirichlet_log_pdf,
+    dirichlet_log_pdf_rows,
     dirichlet_multinomial_log_pmf,
+    dirichlet_multinomial_log_pmf_rows,
     dirichlet_sample,
     gamma_sample,
-    inverted_dirichlet_log_pdf,
-    multinomial_log_pmf,
+    inverted_dirichlet_log_pdf_rows,
+    multinomial_log_pmf_rows,
     nb_truncation_bound,
-    negative_binomial_log_pmf,
+    negative_binomial_log_pmf_rows,
     negative_binomial_sample_via_mixture,
     normalized_nb_log_pmf,
+    normalized_nb_log_pmf_rows,
     normalized_nb_value_pmf,
     poisson_sample,
 )
@@ -57,16 +60,22 @@ from .simplex import (
     Composition,
     LogRatioVector,
     RatioVector,
+    _log_ratios,
+    _ratios,
     finite_difference_log_det_log_ratio_inverse,
     finite_difference_log_det_ratio_inverse,
     log_det_jacobian_log_ratio_inverse,
     log_det_jacobian_ratio_inverse,
     log_ratio_forward,
     log_ratio_inverse,
+    log_ratio_inverse_rows,
+    log_ratio_rows,
     ratio_forward,
     ratio_inverse,
+    ratio_inverse_rows,
+    ratio_rows,
 )
-from .special import log_gamma, log_sum_exp, rank_one_update_det
+from .special import _log_gamma_each, log_sum_exp, rank_one_update_det
 
 __all__ = [
     "CheckReport",
@@ -242,8 +251,9 @@ def _contingency_p(table: np.ndarray) -> float:
     return float(p)
 
 
-def _mixed_rel_err(got: float, want: float) -> float:
-    return abs(got - want) / max(1.0, abs(want))
+def _mixed_rel_err(got, want):
+    """|got - want| / max(1, |want|), for floats or entry by entry."""
+    return np.abs(got - want) / np.maximum(1.0, np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +281,7 @@ def check_conditional_multinomial(
     n = rates.size
     cells = _composition_matrix(n, m)
     probs = Composition(rates / rates.sum())
-    cell_logp = np.array(
-        [multinomial_log_pmf(m, probs, CountVector(row)) for row in cells]
-    )
+    cell_logp = multinomial_log_pmf_rows(m, probs, cells)
     index = {tuple(row): i for i, row in enumerate(cells.tolist())}
     observed = np.zeros(len(cells))
     accepted = 0
@@ -369,25 +377,15 @@ def check_dm_integral(
     """
     shapes = _as_shapes(params)
     n = shapes.size
-    dir_params = DirichletParams(shapes)
-    draws = np.empty((trials, n))
-    for i in range(trials):
-        draws[i] = dirichlet_sample(dir_params, rng).entries
+    draws = dirichlet_sample(DirichletParams(shapes), rng, size=trials)
     cells = _composition_matrix(n, m)
-    log_coef = np.array(
-        [
-            log_gamma(m + 1.0) - sum(log_gamma(c + 1.0) for c in row)
-            for row in cells.astype(float)
-        ]
-    )
+    log_coef = _log_multinomial_coefficient(_log_gamma_each, m, cells.T)
     # (cells x trials) multinomial masses at each draw of pi.
     log_mass = log_coef[:, None] + cells.astype(float) @ np.log(draws).T
     mass = np.exp(log_mass)
     estimate = mass.mean(axis=1)
     stderr = mass.std(axis=1, ddof=1) / math.sqrt(trials)
-    target = np.array(
-        [dirichlet_multinomial_log_pmf(shapes, m, CountVector(row)) for row in cells]
-    )
+    target = dirichlet_multinomial_log_pmf_rows(shapes, m, cells)
     z = np.abs(estimate - np.exp(target)) / np.maximum(stderr, 1e-300)
     statistic = float(z.max())
     name = f"dm-integral-n{n}-m{m}"
@@ -411,11 +409,11 @@ def check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
     big_r = float(r.sum())
     bb = BetaBinomialParams(r[0], big_r - r[0], m)
     cells = _composition_matrix(n, m)
-    log_mass = np.array([dirichlet_multinomial_log_pmf(r, m, CountVector(x)) for x in cells])
+    log_mass = dirichlet_multinomial_log_pmf_rows(r, m, cells)
     worst = 0.0
     for k in range(m + 1):
         merged = log_sum_exp(log_mass[cells[:, 0] == k])
-        worst = max(worst, _mixed_rel_err(merged, beta_binomial_log_pmf(bb, k)))
+        worst = max(worst, float(_mixed_rel_err(merged, beta_binomial_log_pmf(bb, k))))
     name = f"beta-binomial-merge-n{n}-m{m}"
     return CheckReport(
         name=name, statistic=worst, threshold=tol, passed=worst <= tol,
@@ -488,23 +486,30 @@ def check_transform_density(
 
 def _transform_pointwise(transform: str, trials_per_n: int, rng, seed,
                          alpha=(), dims=range(2, 7), tol: float = 1e-12) -> CheckReport:
-    # An empty alpha draws random concentrations for every point.
+    # An empty alpha draws random concentrations for every point.  The
+    # points are drawn one by one, in the order of the draws, and
+    # evaluated in one batch per n.
     alpha = np.asarray(alpha, dtype=float)
     worst = 0.0
     for n in dims:
+        alphas, points = [], []
         for _ in range(trials_per_n):
-            params = DirichletParams(alpha if alpha.size else rng.uniform(0.3, 5.0, size=n))
+            if not alpha.size:
+                alphas.append(rng.uniform(0.3, 5.0, size=n))
             if transform == "ratio":
-                y = RatioVector(np.exp(rng.normal(0.0, 1.0, size=n - 1)))
-                direct = inverted_dirichlet_log_pdf(params, y)
-                pulled = dirichlet_log_pdf(params, ratio_inverse(y))
-                pulled += log_det_jacobian_ratio_inverse(y, n)
+                points.append(np.exp(rng.normal(0.0, 1.0, size=n - 1)))
             else:
-                y = LogRatioVector(rng.normal(0.0, 2.0, size=n - 1))
-                direct = alr_dirichlet_log_pdf(params, y)
-                pulled = dirichlet_log_pdf(params, log_ratio_inverse(y))
-                pulled += log_det_jacobian_log_ratio_inverse(y, n)
-            worst = max(worst, _mixed_rel_err(direct, pulled))
+                points.append(rng.normal(0.0, 2.0, size=n - 1))
+        a = np.reshape(alphas, (-1, n)) if alphas else alpha
+        y = np.reshape(points, (-1, n - 1))
+        if transform == "ratio":
+            direct = inverted_dirichlet_log_pdf_rows(a, y)
+            x, log_det = ratio_inverse_rows(y)
+        else:
+            direct = alr_dirichlet_log_pdf_rows(a, y)
+            x, log_det = log_ratio_inverse_rows(y)
+        pulled = dirichlet_log_pdf_rows(a, x) + log_det
+        worst = max(worst, float(_mixed_rel_err(direct, pulled).max(initial=0.0)))
     if len(dims) == 1:
         name, span = f"change-of-variables-{transform}-n{dims[0]}", f"n={dims[0]}"
     else:
@@ -518,13 +523,13 @@ def _transform_pointwise(transform: str, trials_per_n: int, rng, seed,
 
 def _transform_ks(alpha, trials, rng, seed, transform, p_floor):
     params = DirichletParams(alpha)
-    samples = np.empty(trials)
-    for i in range(trials):
-        comp = dirichlet_sample(params, rng)
-        if transform == "ratio":
-            samples[i] = ratio_forward(comp).entries[0]
-        else:
-            samples[i] = log_ratio_forward(comp).entries[0]
+    # The sampled rows are compositions already: map them without
+    # checking (and renormalizing) them a second time.
+    x = dirichlet_sample(params, rng, size=trials)
+    if transform == "ratio":
+        samples = ratio_rows(_ratios(x))[0][:, 0]
+    else:
+        samples = log_ratio_rows(_log_ratios(x))[0][:, 0]
 
     # The bounded reparameterizations below pin the support to (0, 1);
     # integrands are assembled in log domain and the endpoints nudged
@@ -533,7 +538,7 @@ def _transform_ks(alpha, trials, rng, seed, transform, p_floor):
     clamp = lambda t: min(max(t, 1e-15), 1.0 - 1e-15)
     if transform == "ratio":
         fast = _ratio_density_scalar(params)
-        slow = lambda y: inverted_dirichlet_log_pdf(params, RatioVector([y]))
+        library = inverted_dirichlet_log_pdf_rows
         to_t = lambda y: y / (1.0 + y)
 
         def density_t(t):  # y = t / (1 - t), dy = dt / (1 - t)^2
@@ -542,7 +547,7 @@ def _transform_ks(alpha, trials, rng, seed, transform, p_floor):
 
     else:
         fast = _alr_density_scalar(params)
-        slow = lambda y: alr_dirichlet_log_pdf(params, LogRatioVector([y]))
+        library = alr_dirichlet_log_pdf_rows
         to_t = lambda y: 1.0 / (1.0 + math.exp(-y))
 
         def density_t(t):  # y = log(t / (1 - t)), dy = dt / (t (1 - t))
@@ -553,8 +558,10 @@ def _transform_ks(alpha, trials, rng, seed, transform, p_floor):
 
     # Certify the quadrature closure against the library density before
     # trusting it (the closure exists only to keep quadrature cheap).
-    for y in np.quantile(samples, np.linspace(0.01, 0.99, 99)):
-        if _mixed_rel_err(fast(float(y)), slow(float(y))) > 1e-12:
+    probes = np.quantile(samples, np.linspace(0.01, 0.99, 99))
+    want = library(params.alpha, probes[:, None])
+    for y, w in zip(probes.tolist(), want.tolist()):
+        if _mixed_rel_err(fast(y), w) > 1e-12:
             raise AssertionError("quadrature closure disagrees with library density")
 
     order = np.argsort(samples)
@@ -664,20 +671,27 @@ def _check_conditional_scale_invariance(trials, rng, seed) -> CheckReport:
     )
 
 
+def _compositions_up_to(n: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compositions of every total m = 0..m_max in one matrix, in
+    order of m; with the total of each row and the row index where each
+    total after 0 begins."""
+    blocks = [_composition_matrix(n, m) for m in range(m_max + 1)]
+    sizes = [len(block) for block in blocks]
+    return np.concatenate(blocks), np.repeat(np.arange(m_max + 1), sizes), np.cumsum(sizes)[:-1]
+
+
 def _check_multinomial_normalization(m_max: int, trials, rng, seed) -> CheckReport:
     worst = 0.0
     count = 0
     for n in (2, 3, 4):
+        cells, totals, starts = _compositions_up_to(n, m_max)
         for _ in range(trials):
             raw = rng.uniform(0.05, 1.0, size=n)
             probs = Composition(raw / raw.sum())
-            for m in range(0, m_max + 1):
-                terms = [
-                    multinomial_log_pmf(m, probs, CountVector(x))
-                    for x in _composition_matrix(n, m)
-                ]
-                worst = max(worst, abs(log_sum_exp(terms)))
-                count += len(terms)
+            terms = multinomial_log_pmf_rows(totals, probs, cells)
+            for per_m in np.split(terms, starts):
+                worst = max(worst, abs(log_sum_exp(per_m)))
+            count += len(terms)
     return CheckReport(
         name="multinomial-normalization",
         statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
@@ -690,15 +704,13 @@ def _check_dm_normalization(m_max: int, trials, rng, seed) -> CheckReport:
     worst = 0.0
     count = 0
     for n in (2, 3, 4):
+        cells, totals, starts = _compositions_up_to(n, m_max)
         for _ in range(trials):
             shapes = rng.uniform(0.2, 5.0, size=n)
-            for m in range(0, m_max + 1):
-                terms = [
-                    dirichlet_multinomial_log_pmf(shapes, m, CountVector(x))
-                    for x in _composition_matrix(n, m)
-                ]
-                worst = max(worst, abs(log_sum_exp(terms)))
-                count += len(terms)
+            terms = dirichlet_multinomial_log_pmf_rows(shapes, totals, cells)
+            for per_m in np.split(terms, starts):
+                worst = max(worst, abs(log_sum_exp(per_m)))
+            count += len(terms)
     return CheckReport(
         name="dirichlet-multinomial-normalization",
         statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
@@ -731,7 +743,7 @@ def _check_nb_normalization(trials=0, rng=None, seed=-1) -> CheckReport:
     size = 0
     for big_r, p in ((2.5, 0.3), (1.0, 0.5), (4.0, 0.7)):
         bound = nb_truncation_bound(big_r, p, 1e-14)
-        terms = [negative_binomial_log_pmf(big_r, p, m) for m in range(bound + 1)]
+        terms = negative_binomial_log_pmf_rows(big_r, p, np.arange(bound + 1))
         worst = max(worst, abs(math.expm1(log_sum_exp(terms))))
         size = max(size, bound)
     return CheckReport(
@@ -745,11 +757,7 @@ def _check_nb_normalization(trials=0, rng=None, seed=-1) -> CheckReport:
 def _check_normalized_nb_mass(shapes, theta, trials=0, rng=None, seed=-1) -> CheckReport:
     params = GammaMixtureParams(shapes, theta)
     bound = nb_truncation_bound(params.total_shape, params.success_prob, 1e-12)
-    terms = []
-    for m in range(0, bound + 1):
-        for k in range(0, m + 1):
-            terms.append(normalized_nb_log_pmf(params, 0, k, m))
-    total = math.exp(log_sum_exp(terms))
+    total = math.exp(log_sum_exp(normalized_nb_log_pmf_rows(params, 0, *_pairs(0, bound))))
     statistic = abs(total - 1.0)
     label = "-".join(f"{s:g}" for s in params.shapes)
     return CheckReport(
@@ -760,19 +768,23 @@ def _check_normalized_nb_mass(shapes, theta, trials=0, rng=None, seed=-1) -> Che
     )
 
 
+def _pairs(first: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (k, m) with first <= m <= bound and 0 <= k <= m, in
+    order of m and then k, as two int arrays."""
+    m = np.repeat(np.arange(first, bound + 1), np.arange(first + 1, bound + 2))
+    k = np.concatenate([np.arange(j + 1) for j in range(first, bound + 1)])
+    return k, m
+
+
 def _check_value_pmf_partition(trials=0, rng=None, seed=-1) -> CheckReport:
     # The value-aggregated masses over all reduced rationals seen below
     # the truncation bound, plus the m=0 atom, partition the pair space.
     params = GammaMixtureParams((1.0, 1.0), 1.0)
     bound = nb_truncation_bound(params.total_shape, params.success_prob, 1e-12)
-    rationals = set()
-    pair_terms = []
-    for m in range(1, bound + 1):
-        for k in range(0, m + 1):
-            rationals.add(Fraction(k, m))
-            pair_terms.append(normalized_nb_log_pmf(params, 0, k, m))
+    k, m = _pairs(1, bound)
+    rationals = set(map(Fraction, k.tolist(), m.tolist()))
     atom = normalized_nb_log_pmf(params, 0, 0, 0)
-    pair_total = math.exp(log_sum_exp(pair_terms + [atom]))
+    pair_total = math.exp(log_sum_exp(np.append(normalized_nb_log_pmf_rows(params, 0, k, m), atom)))
     value_logs = [
         normalized_nb_value_pmf(params, 0, q).log_mass for q in sorted(rationals)
     ]
@@ -789,9 +801,10 @@ def _check_value_pmf_partition(trials=0, rng=None, seed=-1) -> CheckReport:
 def _check_alr_normalization_quadrature(trials=0, rng=None, seed=-1) -> CheckReport:
     # Trapezoid on a wide uniform grid; the integrand decays like e^{-|y|}
     # so truncation at |y| = 40 contributes ~1e-17.
-    params = DirichletParams((1.0, 1.0))
     grid = np.linspace(-40.0, 40.0, 32001)
-    vals = np.array([math.exp(alr_dirichlet_log_pdf(params, LogRatioVector([y]))) for y in grid])
+    log_density = alr_dirichlet_log_pdf_rows((1.0, 1.0), grid[:, None])
+    # math.exp, not np.exp, which can differ from it in the last ulp.
+    vals = np.fromiter(map(math.exp, log_density.tolist()), float, grid.size)
     mass = float(np.trapezoid(vals, grid))
     statistic = abs(mass - 1.0)
     return CheckReport(
@@ -810,7 +823,7 @@ def _check_nb_mixture(big_r, theta, trials, rng, seed) -> CheckReport:
     )
     top = int(draws.max())
     observed = np.bincount(draws, minlength=top + 2).astype(float)
-    pmf = np.exp([negative_binomial_log_pmf(big_r, p, m) for m in range(top + 1)])
+    pmf = np.exp(negative_binomial_log_pmf_rows(big_r, p, np.arange(top + 1)))
     expected = trials * np.append(pmf, max(0.0, 1.0 - pmf.sum()))
     _, pval = _chi_square_gof(observed, expected)
     return CheckReport(

@@ -39,8 +39,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import Composition, RowError, _reject_rows, composition_rows
-from .special import _log_gamma_each, log_gamma, log_multivariate_beta, log_sum_exp
+from .simplex import (
+    Composition,
+    RowError,
+    _checked_compositions,
+    _reject_rows,
+    _ValueObject,
+    composition_rows,
+    log_ratio_rows,
+    ratio_rows,
+)
+from .special import (
+    _fsum_columns,
+    _log_each,
+    _log_gamma_each,
+    _log_gamma_map,
+    log_gamma,
+    log_multivariate_beta,
+    log_multivariate_beta_rows,
+    log_sum_exp,
+)
 
 __all__ = [
     "DirichletParams",
@@ -50,18 +68,25 @@ __all__ = [
     "BetaBinomialParams",
     "AggregatedValueMass",
     "dirichlet_log_pdf",
+    "dirichlet_log_pdf_rows",
     "dirichlet_sample",
     "inverted_dirichlet_log_pdf",
+    "inverted_dirichlet_log_pdf_rows",
     "alr_dirichlet_log_pdf",
+    "alr_dirichlet_log_pdf_rows",
     "gamma_sample",
     "poisson_sample",
     "negative_binomial_log_pmf",
+    "negative_binomial_log_pmf_rows",
     "negative_binomial_sample_via_mixture",
     "multinomial_log_pmf",
+    "multinomial_log_pmf_rows",
     "multinomial_sample",
     "dirichlet_multinomial_log_pmf",
+    "dirichlet_multinomial_log_pmf_rows",
     "beta_binomial_log_pmf",
     "normalized_nb_log_pmf",
+    "normalized_nb_log_pmf_rows",
     "normalized_nb_value_pmf",
     "nb_truncation_bound",
 ]
@@ -82,8 +107,8 @@ def _positive_vector(values, what: str, min_len: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class DirichletParams:
+@dataclass(frozen=True, eq=False)
+class DirichletParams(_ValueObject):
     """Concentration vector alpha of a Dirichlet law, length n >= 2."""
 
     alpha: np.ndarray
@@ -109,8 +134,8 @@ class DirichletParams:
             return value
 
 
-@dataclass(frozen=True)
-class GammaMixtureParams:
+@dataclass(frozen=True, eq=False)
+class GammaMixtureParams(_ValueObject):
     """Per-component Gamma shapes r_1..r_n with one shared scale theta.
 
     Derived: R = sum(r) and the count-success probability
@@ -169,8 +194,8 @@ def count_rows(values) -> np.ndarray:
     return ints
 
 
-@dataclass(frozen=True)
-class CountVector:
+@dataclass(frozen=True, eq=False)
+class CountVector(_ValueObject):
     """Non-negative integer counts with their total cached."""
 
     counts: np.ndarray
@@ -232,7 +257,7 @@ def dirichlet_log_pdf(params: DirichletParams, x: Composition) -> float:
     ``-log B(alpha) + sum (alpha_i - 1) log x_i``."""
     if x.n != params.n:
         raise ValueError(f"dimension mismatch: alpha has {params.n} entries, x has {x.n}")
-    return float(-params.log_normalizer() + ((params.alpha - 1.0) * np.log(x.entries)).sum())
+    return float(_dirichlet_log_terms(params.log_normalizer(), params.alpha, x.entries))
 
 
 def inverted_dirichlet_log_pdf(params: DirichletParams, y) -> float:
@@ -243,12 +268,9 @@ def inverted_dirichlet_log_pdf(params: DirichletParams, y) -> float:
         raise ValueError(
             f"dimension mismatch: alpha has {params.n} entries, y has {y.entries.size}"
         )
-    head = params.alpha[:-1]
-    return float(
-        -params.log_normalizer()
-        + ((head - 1.0) * np.log(y.entries)).sum()
-        - params.total * math.log(y.z)
-    )
+    return float(_inverted_dirichlet_log_terms(
+        params.log_normalizer(), params.alpha, params.total, y.entries, math.log(y.z)
+    ))
 
 
 def alr_dirichlet_log_pdf(params: DirichletParams, y) -> float:
@@ -259,8 +281,83 @@ def alr_dirichlet_log_pdf(params: DirichletParams, y) -> float:
         raise ValueError(
             f"dimension mismatch: alpha has {params.n} entries, y has {y.entries.size}"
         )
-    head = params.alpha[:-1]
-    return float(-params.log_normalizer() + (head * y.entries).sum() - params.total * y.log_k)
+    return float(_alr_dirichlet_log_terms(
+        params.log_normalizer(), params.alpha, params.total, y.entries, y.log_k
+    ))
+
+
+# The three log densities, written once.  Each takes one point (alpha and
+# the point as vectors, log B, sum(alpha) and log z or log k as floats)
+# or a batch (the same as row-aligned arrays, alpha with one row or N).
+
+
+def _dirichlet_log_terms(log_b, alpha, x):
+    return -log_b + ((alpha - 1.0) * np.log(x)).sum(axis=-1)
+
+
+def _inverted_dirichlet_log_terms(log_b, alpha, total, y, log_z):
+    return -log_b + ((alpha[..., :-1] - 1.0) * np.log(y)).sum(axis=-1) - total * log_z
+
+
+def _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
+    return -log_b + (alpha[..., :-1] * y).sum(axis=-1) - total * log_k
+
+
+def dirichlet_log_pdf_rows(alpha, x) -> np.ndarray:
+    """Batch form of ``dirichlet_log_pdf``: the log density at each row
+    of an (N, n) array of compositions, as an (N,) array.
+
+    ``alpha`` is one (n,) concentration vector for every row, or an
+    (N, n) array with one per row.  The rows of ``x`` must pass the
+    Composition rules and are used as given, not renormalized: entry i
+    equals ``dirichlet_log_pdf(DirichletParams(alpha_i), c)`` bit for bit
+    for the Composition c whose entries are ``x[i]``, such as the rows
+    ``composition_rows`` and the batch maps return.  A RowError names
+    the first bad row.
+    """
+    x, _ = _checked_compositions(x)
+    alpha, log_b, _ = _alpha_rows(alpha, *x.shape)
+    return _dirichlet_log_terms(log_b, alpha, x)
+
+
+def inverted_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
+    """Batch form of ``inverted_dirichlet_log_pdf``: the log density at
+    each row of an (N, n-1) array of ratio coordinates, each checked as a
+    RatioVector (``ratio_rows``), as an (N,) array.  ``alpha`` is as in
+    ``dirichlet_log_pdf_rows``; entry i equals the scalar value at
+    ``RatioVector(y[i])`` bit for bit."""
+    y, z = ratio_rows(y)
+    alpha, log_b, total = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
+    return _inverted_dirichlet_log_terms(log_b, alpha, total, y, _log_each(z))
+
+
+def alr_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
+    """Batch form of ``alr_dirichlet_log_pdf``: the log density at each
+    row of an (N, n-1) array of log-ratio coordinates, each checked as a
+    LogRatioVector (``log_ratio_rows``), as an (N,) array.  ``alpha`` is
+    as in ``dirichlet_log_pdf_rows``; entry i equals the scalar value at
+    ``LogRatioVector(y[i])`` bit for bit."""
+    y, log_k = log_ratio_rows(y)
+    alpha, log_b, total = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
+    return _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
+
+
+def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The concentrations for ``rows`` points of dimension n: a (1, n) or
+    (rows, n) array, with log B and the sum of each of its rows."""
+    arr = np.array(alpha, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None]
+    if arr.ndim != 2 or arr.shape[0] not in (1, rows) or arr.shape[1] != n:
+        raise ValueError(
+            f"dimension mismatch: alpha must be ({n},) or ({rows}, {n}), "
+            f"got shape {np.shape(alpha)}"
+        )
+    _reject_rows((
+        ~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
+        "DirichletParams entries must be strictly positive and finite",
+    ))
+    return arr, log_multivariate_beta_rows(arr), arr.sum(axis=1)
 
 
 def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=None):
@@ -426,6 +523,14 @@ def negative_binomial_log_pmf(R: float, p: float, m: int) -> float:
     return _nb_log_terms(_log_gamma_map, R, p, m)
 
 
+def negative_binomial_log_pmf_rows(R: float, p: float, m) -> np.ndarray:
+    """Batch form of ``negative_binomial_log_pmf`` over an array of
+    totals ``m``, in its shape; each entry equals the scalar value bit for
+    bit."""
+    R, p = _nb_params(R, p)
+    return _nb_log_terms(_log_gamma_each, R, p, _count_array(m, "m"))
+
+
 def _nb_params(R, p) -> tuple[float, float]:
     R = float(R)
     p = float(p)
@@ -436,9 +541,13 @@ def _nb_params(R, p) -> tuple[float, float]:
     return R, p
 
 
-def _log_gamma_map(*args):
-    """``log_gamma`` of each argument; the scalar twin of ``_log_gamma_each``."""
-    return map(log_gamma, args)
+def _count_array(values, what: str) -> np.ndarray:
+    """Non-negative integers as a float array: the batch twin of
+    ``_as_count``."""
+    arr = np.asarray(values, dtype=float)
+    if not (np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))).all():
+        raise ValueError(f"{what} must hold non-negative integers")
+    return arr
 
 
 # The NB and Beta-Binomial log masses, written once.  ``lgs`` is
@@ -470,12 +579,52 @@ def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
         raise ValueError(f"dimension mismatch: probs has {probs.n} entries, x has {x.n}")
     if x.total != m:
         raise ValueError(f"counts sum to {x.total}, expected total m={m}")
-    counts = x.counts.astype(float)
-    return float(
-        log_gamma(m + 1.0)
-        - sum(log_gamma(c + 1.0) for c in counts)
-        + (counts * np.log(probs.entries)).sum()
+    return float(_multinomial_log_terms(
+        _log_gamma_map, m, x.counts.tolist(), x.counts, np.log(probs.entries)
+    ))
+
+
+def multinomial_log_pmf_rows(m, probs: Composition, x) -> np.ndarray:
+    """Batch form of ``multinomial_log_pmf``: the log mass at each row of
+    an (N, n) count array, each checked as a CountVector (``count_rows``),
+    as an (N,) array.  ``m`` is one total for every row or an (N,) array
+    of them.  Entry i equals ``multinomial_log_pmf(m_i, probs,
+    CountVector(x[i]))`` bit for bit; a RowError names the first row
+    that fails a check."""
+    x = count_rows(x)
+    m = _checked_totals(x, m, probs.n, "probs")
+    return _multinomial_log_terms(_log_gamma_each, m, x.T, x, np.log(probs.entries))
+
+
+# The multinomial and Dirichlet-Multinomial log masses, written once,
+# for one point or a batch.  ``m`` is the total or an array of totals,
+# and ``counts`` holds one value per component: numbers for one point,
+# with ``lgs`` = ``_log_gamma_map`` and ``fsum`` = ``math.fsum``, or
+# columns over the rows of a batch, with ``_log_gamma_each`` and
+# ``_fsum_columns``.  (Python numbers keep the scalar path cheap.)
+
+
+def _log_multinomial_coefficient(lgs, m, counts):
+    """``log m! - sum log c_i!``, the sum taken in component order."""
+    lg_m1, *lg_c1 = lgs(m + 1.0, *[c + 1.0 for c in counts])
+    return lg_m1 - sum(lg_c1)
+
+
+def _multinomial_log_terms(lgs, m, counts, x, log_p):
+    # x: the same counts as an (n,) or (N, n) array.
+    return _log_multinomial_coefficient(lgs, m, counts) + (x * log_p).sum(axis=-1)
+
+
+def _dm_log_terms(lgs, fsum, m, counts, r):
+    n, big_r = len(r), math.fsum(r)
+    lg_m1, lg_big_r, lg_m_big_r, *lg = lgs(
+        m + 1.0, big_r, m + big_r,
+        *[c + r_i for c, r_i in zip(counts, r)], *r, *[c + 1.0 for c in counts],
     )
+    shares = [c_r - r_i - c_1 for c_r, r_i, c_1 in zip(lg[:n], lg[n:2 * n], lg[2 * n:])]
+    # fsum keeps the result exactly invariant under joint permutation of
+    # shapes and counts.
+    return lg_m1 + lg_big_r - lg_m_big_r + fsum(shares)
 
 
 def dirichlet_multinomial_log_pmf(params, m: int, x: CountVector) -> float:
@@ -492,15 +641,36 @@ def dirichlet_multinomial_log_pmf(params, m: int, x: CountVector) -> float:
         raise ValueError(f"dimension mismatch: shapes has {r.size} entries, x has {x.n}")
     if x.total != m:
         raise ValueError(f"counts sum to {x.total}, expected total m={m}")
-    # fsum keeps the result exactly invariant under joint permutation of
-    # shapes and counts.
-    big_r = math.fsum(r)
-    counts = x.counts.astype(float)
-    per_component = math.fsum(
-        log_gamma(c + ri) - log_gamma(ri) - log_gamma(c + 1.0)
-        for c, ri in zip(counts, r)
-    )
-    return log_gamma(m + 1.0) + log_gamma(big_r) - log_gamma(m + big_r) + per_component
+    return _dm_log_terms(_log_gamma_map, math.fsum, m, x.counts.tolist(), r.tolist())
+
+
+def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
+    """Batch form of ``dirichlet_multinomial_log_pmf``: the log mass at
+    each row of an (N, n) count array, each checked as a CountVector, as
+    an (N,) array, for one shape vector.  ``m`` is as in
+    ``multinomial_log_pmf_rows``.  Entry i equals the scalar value bit for
+    bit, and so keeps its exact permutation invariance."""
+    r = _as_shapes(params)
+    x = count_rows(x)
+    m = _checked_totals(x, m, r.size, "shapes")
+    return _dm_log_terms(_log_gamma_each, _fsum_columns, m, x.T, r)
+
+
+def _checked_totals(x: np.ndarray, m, n: int, what: str) -> np.ndarray:
+    """Check that the count rows x have n entries and sum to m (one
+    total or one per row); return the totals as floats."""
+    if x.shape[1] != n:
+        raise ValueError(f"dimension mismatch: {what} has {n} entries, x has {x.shape[1]}")
+    if x.shape[1] * int(x.max(initial=0)) < 2**63:
+        totals = x.sum(axis=1)
+    else:  # an int64 sum could wrap; the exact one, as for CountVector
+        totals = np.array([sum(row) for row in x.tolist()], dtype=object)
+    m = np.broadcast_to(np.asarray(m), totals.shape)
+    wrong = np.flatnonzero(totals != m)
+    if wrong.size:
+        row = int(wrong[0])
+        raise RowError(row, f"counts sum to {totals[row]}, expected total m={m[row]}")
+    return totals.astype(float)
 
 
 def beta_binomial_log_pmf(params: BetaBinomialParams, k: int) -> float:
@@ -530,6 +700,22 @@ def normalized_nb_log_pmf(
     out = negative_binomial_log_pmf(params.total_shape, params.success_prob, m)
     if m > 0:
         out += _bb_log_terms(_log_gamma_map, a, b, k, m)
+    return out
+
+
+def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m) -> np.ndarray:
+    """Batch form of ``normalized_nb_log_pmf`` over arrays of pairs
+    (k, m), broadcast together; each entry equals the scalar value bit for
+    bit."""
+    a, b = _merged_shapes(params, component)
+    k, m = np.broadcast_arrays(_count_array(k, "k"), _count_array(m, "m"))
+    over = np.flatnonzero(k > m)
+    if over.size:
+        i = np.unravel_index(over[0], k.shape)
+        raise ValueError(f"k={k[i]:g} exceeds the total m={m[i]:g}")
+    out = negative_binomial_log_pmf_rows(params.total_shape, params.success_prob, m)
+    some = m > 0
+    out[some] += _bb_log_terms(_log_gamma_each, a, b, k[some], m[some])
     return out
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,6 +124,15 @@ def composition_rows(values) -> np.ndarray:
     rules are those of the Composition constructor, which calls this on
     its single row; a RowError names the first row that breaks one.
     """
+    arr, totals = _checked_compositions(values)
+    arr /= totals[:, None]
+    arr.flags.writeable = False
+    return arr
+
+
+def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``values`` as a new float array, checked by the
+    Composition rules but not renormalized, and the sum of each row."""
     arr = _float_rows(values, "Composition", 2)
     # Clipping at 0 changes no row that passes the rules before the sum
     # rule, and keeps +inf and -inf from meeting (and warning) in a sum.
@@ -141,9 +150,7 @@ def composition_rows(values) -> np.ndarray:
             "more than 1e-9 away from 1",
         ),
     )
-    arr /= totals[:, None]
-    arr.flags.writeable = False
-    return arr
+    return arr, totals
 
 
 def ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +183,40 @@ def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     return arr, log_sum_exp_rows(_append_column(arr, 0.0))
 
 
-@dataclass(frozen=True)
-class Composition:
+class _ValueObject:
+    """Value equality and hashing for a frozen dataclass with read-only
+    ndarray fields.
+
+    The generated ``__eq__`` compares the fields as tuples, which raises
+    for arrays of two or more entries, and the generated ``__hash__``
+    raises for any array.  Here arrays compare by ``np.array_equal`` and
+    hash by their entries as Python numbers, which agrees with it (0.0
+    and -0.0 hash alike).  Subclasses are declared with ``eq=False`` so
+    that the dataclass decorator keeps these methods.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(_field_values(self), _field_values(other))
+        )
+
+    def __hash__(self):
+        return hash(tuple(
+            tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in _field_values(self)
+        ))
+
+
+def _field_values(obj) -> list:
+    return [getattr(obj, f.name) for f in fields(obj)]
+
+
+@dataclass(frozen=True, eq=False)
+class Composition(_ValueObject):
     """A point on the open simplex: positive entries summing to 1.
 
     The constructor renormalizes away accumulated float error (raw sums
@@ -195,8 +234,8 @@ class Composition:
         return self.entries.size
 
 
-@dataclass(frozen=True)
-class RatioVector:
+@dataclass(frozen=True, eq=False)
+class RatioVector(_ValueObject):
     """Image of a composition under the ratio map: n-1 positive entries
     ``y_i = x_i / x_n``, with ``z = 1 + sum(y)`` cached."""
 
@@ -214,8 +253,8 @@ class RatioVector:
         return self.entries.size + 1
 
 
-@dataclass(frozen=True)
-class LogRatioVector:
+@dataclass(frozen=True, eq=False)
+class LogRatioVector(_ValueObject):
     """Image of a composition under the log-ratio map: n-1 real entries
     ``y_i = log(x_i / x_n)``.
 

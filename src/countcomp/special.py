@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "log_gamma",
     "log_multivariate_beta",
+    "log_multivariate_beta_rows",
     "log_beta",
     "rank_one_update_det",
     "log_sum_exp",
@@ -128,6 +129,19 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     return split
 
 
+def _log_gamma_map(*args):
+    """``log_gamma`` of each argument; the one-point twin of
+    ``_log_gamma_each``, with no batch cost."""
+    return map(log_gamma, args)
+
+
+def _fsum_columns(columns) -> np.ndarray:
+    """``math.fsum`` across equal-length columns, row by row: the batch
+    twin of ``math.fsum`` over one value per component."""
+    rows = np.column_stack(columns)
+    return np.fromiter(map(math.fsum, rows.tolist()), float, rows.shape[0])
+
+
 _BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
 
 
@@ -149,8 +163,35 @@ def log_multivariate_beta(alpha) -> float:
         raise ValueError("log_multivariate_beta requires a vector of length >= 2")
     if not (np.isfinite(arr).all() and (arr > 0.0).all()):
         raise ValueError(_BETA_DOMAIN)
-    # fsum makes the result exactly permutation-invariant.
-    return math.fsum(log_gamma(a) for a in arr) - log_gamma(math.fsum(arr))
+    return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, arr.tolist())
+
+
+def log_multivariate_beta_rows(alpha) -> np.ndarray:
+    """Row-wise ``log_multivariate_beta`` of an (N, n) array, n >= 2, as
+    an (N,) array.  Each entry equals the scalar value of its row bit for
+    bit.
+
+    Raises
+    ------
+    ValueError
+        If rows have fewer than two entries, or any entry is not positive
+        and finite.
+    """
+    arr = np.asarray(alpha, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise ValueError("log_multivariate_beta requires a vector of length >= 2")
+    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
+        raise ValueError(_BETA_DOMAIN)
+    return _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, arr.T)
+
+
+def _log_multivariate_beta_terms(lgs, fsum, alpha):
+    # ``alpha`` holds one value per component: floats for one vector
+    # (lgs = _log_gamma_map, fsum = math.fsum), or columns for a batch of
+    # rows (_log_gamma_each, _fsum_columns).  fsum makes the result
+    # exactly permutation-invariant.
+    *lg_alpha, lg_total = lgs(*alpha, fsum(alpha))
+    return fsum(lg_alpha) - lg_total
 
 
 def log_beta(a: float, b: float) -> float:

@@ -229,12 +229,20 @@ class TestRunAll:
 # the pointwise and round-trip checks, 1e-10 for DM normalization, 1e-9
 # for the normalized-NB mass).  The check that relies on it must fail,
 # so the acceptance criteria that call these checks cannot pass vacuously.
+# A function is perturbed in both its forms, the scalar entry point and
+# its batch form ``<name>_rows``, so the row follows its check to
+# whichever form the check calls.
 def _shift_log(fn):
     return lambda *args: fn(*args) + 1e-6
 
 
 def _shift_alr_point(fn):
-    return lambda y: fn(LogRatioVector(y.entries + 1e-6))
+    def shifted(y):
+        if isinstance(y, LogRatioVector):
+            return fn(LogRatioVector(y.entries + 1e-6))
+        return fn(np.asarray(y) + 1e-6)
+
+    return shifted
 
 
 @pytest.mark.parametrize(
@@ -255,7 +263,9 @@ def _shift_alr_point(fn):
 def test_perturbed_library_function_fails_its_check(monkeypatch, target, perturb, run):
     rng = np.random.default_rng(113)
     assert run(rng).passed  # the unperturbed check passes
-    monkeypatch.setattr(checks, target, perturb(getattr(checks, target)))
+    forms = [name for name in (target, f"{target}_rows") if hasattr(checks, name)]
+    for name in forms:
+        monkeypatch.setattr(checks, name, perturb(getattr(checks, name)))
     rep = run(rng)
     assert not rep.passed and not rep.inconclusive
     assert rep.statistic > rep.threshold

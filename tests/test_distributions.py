@@ -492,3 +492,38 @@ class TestNormalizedNbValuePmf:
             normalized_nb_value_pmf(self.params, 0, (0, 0))
         with pytest.raises(ValueError):
             normalized_nb_value_pmf(self.params, 0, (3, 2))
+
+
+# Pairs of factories: two calls of the first give equal objects, the
+# second gives one that differs from them.
+VALUE_OBJECTS = {
+    "DirichletParams": (lambda: DirichletParams([1.0, 2.0]), lambda: DirichletParams([1.0, 3.0])),
+    "GammaMixtureParams": (
+        lambda: GammaMixtureParams([1.0, 2.0], 0.5),
+        lambda: GammaMixtureParams([1.0, 2.0], 0.7),
+    ),
+    "CountVector": (lambda: CountVector([1, 2]), lambda: CountVector([2, 1])),
+    "Composition": (lambda: Composition([0.25, 0.75]), lambda: Composition([0.75, 0.25])),
+    "RatioVector": (lambda: RatioVector([1.0, 2.0]), lambda: RatioVector([2.0, 1.0])),
+    "LogRatioVector": (lambda: LogRatioVector([0.5, -1.0]), lambda: LogRatioVector([-1.0, 0.5])),
+    "BetaBinomialParams": (
+        lambda: BetaBinomialParams(1.0, 2.0, 3),
+        lambda: BetaBinomialParams(1.0, 2.0, 4),
+    ),
+}
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize("name", VALUE_OBJECTS)
+    def test_equal_by_value_and_hash_agrees(self, name):
+        make, make_other = VALUE_OBJECTS[name]
+        a, b, other = make(), make(), make_other()
+        assert a == b and not a != b
+        assert a != other and not a == other
+        assert hash(a) == hash(b)
+        assert a in [b] and len({a, b, other}) == 2
+        assert a != "not a value object"
+
+    def test_signed_zeros_are_equal_and_hash_alike(self):
+        a, b = LogRatioVector([0.0, 1.0]), LogRatioVector([-0.0, 1.0])
+        assert a == b and hash(a) == hash(b)

@@ -202,21 +202,21 @@ class TestDirichletSampler:
     def test_uniform_marginal_ks(self):
         rng = np.random.default_rng(47)
         params = DirichletParams([1.0, 1.0])
-        draws = np.array([dirichlet_sample(params, rng).entries[0] for _ in range(N)])
+        draws = dirichlet_sample(params, rng, size=N)[:, 0]
         _, p = stats.kstest(draws, stats.uniform.cdf)
         assert p > 0.001
 
     def test_symmetric_mean(self):
         rng = np.random.default_rng(53)
         params = DirichletParams([5.0, 5.0])
-        draws = np.array([dirichlet_sample(params, rng).entries[0] for _ in range(N)])
+        draws = dirichlet_sample(params, rng, size=N)[:, 0]
         se = draws.std(ddof=1) / math.sqrt(N)
         assert abs(draws.mean() - 0.5) < 3.0 * se
 
     def test_mean_vector(self):
         rng = np.random.default_rng(59)
         params = DirichletParams([2.0, 3.0, 5.0])
-        draws = np.array([dirichlet_sample(params, rng).entries for _ in range(N)])
+        draws = dirichlet_sample(params, rng, size=N)
         target = np.array([0.2, 0.3, 0.5])
         se = draws.std(axis=0, ddof=1) / math.sqrt(N)
         assert np.all(np.abs(draws.mean(axis=0) - target) < 3.0 * se)
