@@ -3,8 +3,9 @@
 Each batch form must equal its scalar entry point with ``==``, row by
 row, over the whole parameter range: n in 2..10, shapes and
 concentrations in [1e-2, 1e3], totals up to 2000, and probabilities
-near 0 and 1.  The last tests check that the multinomial and
-Dirichlet-Multinomial masses over every composition of m sum to 1.
+near 0 and 1.  ``TestNormalization`` checks that the multinomial and
+Dirichlet-Multinomial masses over every composition of m sum to 1, and
+``TestChecks`` the checks the batch forms make on their input.
 """
 
 import math
