@@ -167,42 +167,49 @@ def _composition_matrix(n: int, m: int) -> np.ndarray:
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 48) -> float:
     """Adaptive Simpson quadrature of ``f`` over [a, b] to absolute
-    tolerance ``tol``, with Richardson extrapolation of the final step."""
-    fa, fb = f(a), f(b)
+    tolerance ``tol``, with Richardson extrapolation of the final step.
+
+    A thin wrapper: the scalar ``f`` is lifted entry by entry into the
+    batch quadrature the verification suite runs on its batch densities.
+    """
+    lifted = lambda t: np.fromiter(map(f, t.tolist()), float, t.size)
+    return float(_adaptive_simpson_rows(lifted, [a], [b], tol, max_depth)[0])
+
+
+def _adaptive_simpson_rows(f, a, b, tol: float, max_depth: int = 48) -> np.ndarray:
+    """Adaptive Simpson quadrature of ``f`` over each interval [a_i, b_i],
+    as an array; ``f`` maps an array of points to an array of values.
+
+    Every pending interval is refined in the same step: its nodes are
+    evaluated in one call of ``f``, the intervals whose Simpson estimate
+    moves by at most 15 ``tol`` on bisection are accepted with their
+    Richardson step, and only the rest are bisected, at half the
+    tolerance.  Past ``max_depth`` bisections an interval is accepted
+    as it stands.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
-    fm = f(mid)
+    fa, fm, fb = np.split(f(np.concatenate([a, mid, b])), 3)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm, frm = f(lm), f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _simpson_rec(f, a, mid, fa, flm, fm, left, half, depth - 1) + _simpson_rec(
-        f, mid, b, fm, frm, fb, right, half, depth - 1
-    )
-
-
-def _cumulative_cdf(density: Callable[[float], float], start: float,
-                    knots: np.ndarray, tol_per_interval: float = 1e-12) -> np.ndarray:
-    """Cumulative integral of ``density`` from ``start`` to each ascending
-    knot, by adaptive Simpson on the successive gaps."""
-    out = np.empty(knots.size)
-    acc = 0.0
-    prev = start
-    for i, t in enumerate(knots):
-        if t > prev:
-            acc += adaptive_simpson(density, prev, float(t), tol_per_interval)
-            prev = float(t)
-        out[i] = acc
+    out = np.zeros(a.size)
+    owner = np.arange(a.size)
+    for depth in range(max_depth, -1, -1):
+        mid = 0.5 * (a + b)
+        flm, frm = np.split(f(np.concatenate([0.5 * (a + mid), 0.5 * (mid + b)])), 2)
+        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        done = (np.abs(delta) <= 15.0 * tol) | (depth == 0)
+        np.add.at(out, owner[done], (left + right + delta / 15.0)[done])
+        if done.all():
+            break
+        go = ~done
+        a, b = np.concatenate([a[go], mid[go]]), np.concatenate([mid[go], b[go]])
+        fa, fm, fb = (np.concatenate([fa[go], fm[go]]), np.concatenate([flm[go], frm[go]]),
+                      np.concatenate([fm[go], fb[go]]))
+        whole = np.concatenate([left[go], right[go]])
+        owner = np.concatenate([owner[go], owner[go]])
+        tol *= 0.5
     return out
 
 
@@ -327,6 +334,8 @@ def check_pi_independent_of_s(
     """
     if params.n != 2:
         raise ValueError("the binned independence test uses n = 2")
+    if trials < 1:
+        raise ValueError("the binned independence test needs trials >= 1")
     r1, r2 = params.shapes
     theta = params.scale
     pi = np.empty(trials)
@@ -375,6 +384,8 @@ def check_dm_integral(
     vector over Dirichlet draws of the category probabilities; each cell
     must agree within ``z_threshold`` standard errors.
     """
+    if trials < 2:
+        raise ValueError("the Monte-Carlo standard error needs trials >= 2")
     shapes = _as_shapes(params)
     n = shapes.size
     draws = dirichlet_sample(DirichletParams(shapes), rng, size=trials)
@@ -421,29 +432,6 @@ def check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
     )
 
 
-def _ratio_density_scalar(params: DirichletParams):
-    # Fast scalar closure for quadrature, certified below against the
-    # library density before use.
-    a1, a2 = params.alpha
-    log_b = params.log_normalizer()
-
-    def log_density(y: float) -> float:
-        return -log_b + (a1 - 1.0) * math.log(y) - (a1 + a2) * math.log1p(y)
-
-    return log_density
-
-
-def _alr_density_scalar(params: DirichletParams):
-    a1, a2 = params.alpha
-    log_b = params.log_normalizer()
-
-    def log_density(y: float) -> float:
-        k = math.log1p(math.exp(y)) if y < 30 else y + math.log1p(math.exp(-y))
-        return -log_b + a1 * y - (a1 + a2) * k
-
-    return log_density
-
-
 def check_transform_density(
     alpha,
     n: int,
@@ -463,9 +451,12 @@ def check_transform_density(
     pulled-back point plus the closed-form log-Jacobian.  An empty
     ``alpha`` draws fresh random concentrations for every point.
 
-    ``variant="ks"`` (n = 2 only) transforms Dirichlet samples and runs a
-    KS test against the push-forward CDF obtained by adaptive-Simpson
-    quadrature on a bounded reparameterization of the support.
+    ``variant="ks"`` (n = 2 and a fixed alpha of 2 entries only)
+    transforms ``trials`` Dirichlet samples and runs a KS test against
+    the push-forward CDF: batch adaptive-Simpson quadrature of the
+    library's batch density (``inverted_dirichlet_log_pdf_rows`` or
+    ``alr_dirichlet_log_pdf_rows``) on a bounded reparameterization of
+    the support, over every gap between the sorted samples at once.
     """
     if transform not in ("ratio", "alr"):
         raise ValueError("transform must be 'ratio' or 'alr'")
@@ -481,6 +472,10 @@ def check_transform_density(
         raise ValueError("variant must be 'pointwise' or 'ks'")
     if n != 2:
         raise ValueError("the KS variant is defined for n = 2")
+    if alpha.size != 2:
+        raise ValueError("the KS variant needs a fixed alpha of 2 entries")
+    if trials < 1:
+        raise ValueError("the KS variant needs trials >= 1")
     return _transform_ks(alpha, trials, rng, seed, transform, p_floor)
 
 
@@ -527,52 +522,39 @@ def _transform_ks(alpha, trials, rng, seed, transform, p_floor):
     # checking (and renormalizing) them a second time.
     x = dirichlet_sample(params, rng, size=trials)
     if transform == "ratio":
-        samples = ratio_rows(_ratios(x))[0][:, 0]
+        y = np.sort(ratio_rows(_ratios(x))[0][:, 0])
+        knots = y / (1.0 + y)
     else:
-        samples = log_ratio_rows(_log_ratios(x))[0][:, 0]
-
-    # The bounded reparameterizations below pin the support to (0, 1);
-    # integrands are assembled in log domain and the endpoints nudged
-    # 1e-15 inward, so boundary evaluations neither overflow nor hit
-    # log(0).  (Both suite settings keep the integrand bounded there.)
-    clamp = lambda t: min(max(t, 1e-15), 1.0 - 1e-15)
-    if transform == "ratio":
-        fast = _ratio_density_scalar(params)
-        library = inverted_dirichlet_log_pdf_rows
-        to_t = lambda y: y / (1.0 + y)
-
-        def density_t(t):  # y = t / (1 - t), dy = dt / (1 - t)^2
-            t = clamp(t)
-            return math.exp(fast(t / (1.0 - t)) - 2.0 * math.log1p(-t))
-
-    else:
-        fast = _alr_density_scalar(params)
-        library = alr_dirichlet_log_pdf_rows
-        to_t = lambda y: 1.0 / (1.0 + math.exp(-y))
-
-        def density_t(t):  # y = log(t / (1 - t)), dy = dt / (t (1 - t))
-            t = clamp(t)
-            return math.exp(
-                fast(math.log(t) - math.log1p(-t)) - math.log(t) - math.log1p(-t)
-            )
-
-    # Certify the quadrature closure against the library density before
-    # trusting it (the closure exists only to keep quadrature cheap).
-    probes = np.quantile(samples, np.linspace(0.01, 0.99, 99))
-    want = library(params.alpha, probes[:, None])
-    for y, w in zip(probes.tolist(), want.tolist()):
-        if _mixed_rel_err(fast(y), w) > 1e-12:
-            raise AssertionError("quadrature closure disagrees with library density")
-
-    order = np.argsort(samples)
-    knots = np.array([to_t(float(v)) for v in samples[order]])
-    cdf = _cumulative_cdf(density_t, 0.0, knots)
-    d, p = _ks_p_value(cdf)
+        y = np.sort(log_ratio_rows(_log_ratios(x))[0][:, 0])
+        knots = 1.0 / (1.0 + np.exp(-y))
+    d, p = _ks_p_value(_push_forward_cdf(params.alpha, transform, knots))
     return CheckReport(
         name=f"transform-ks-{transform}-alpha{params.alpha[0]:g}-{params.alpha[1]:g}",
         statistic=p, threshold=p_floor, passed=p > p_floor,
         size=trials, seed=seed, detail=f"KS D={d:.6g}; p-value must exceed threshold",
     )
+
+
+def _push_forward_cdf(alpha, transform: str, knots: np.ndarray) -> np.ndarray:
+    """The CDF of the n = 2 ratio or log-ratio push-forward of Dir(alpha)
+    at ascending knots in the bounded coordinate t = y / (1 + y) (ratio)
+    or t = 1 / (1 + e^-y) (log ratio), by batch adaptive Simpson of the
+    library's batch density on every gap between the knots."""
+
+    # The bounded reparameterizations pin the support to (0, 1); the
+    # integrands are assembled in log domain and the endpoints nudged
+    # 1e-15 inward, so boundary evaluations neither overflow nor hit
+    # log(0).  (Both suite settings keep the integrand bounded there.)
+    def density_t(t):
+        t = np.clip(t, 1e-15, 1.0 - 1e-15)
+        if transform == "ratio":  # y = t / (1 - t), dy = dt / (1 - t)^2
+            log_density = inverted_dirichlet_log_pdf_rows(alpha, (t / (1.0 - t))[:, None])
+            return np.exp(log_density - 2.0 * np.log1p(-t))
+        log_t, log_s = np.log(t), np.log1p(-t)  # y = log(t / (1 - t)), dy = dt / (t (1 - t))
+        return np.exp(alr_dirichlet_log_pdf_rows(alpha, (log_t - log_s)[:, None]) - log_t - log_s)
+
+    gaps = _adaptive_simpson_rows(density_t, np.append(0.0, knots[:-1]), knots, 1e-12)
+    return np.cumsum(gaps)
 
 
 # ---------------------------------------------------------------------------

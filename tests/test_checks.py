@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from countcomp import (
     CheckReport,
@@ -62,6 +63,30 @@ class TestAdaptiveSimpson:
             2.0, abs=1e-9
         )
 
+    def test_empty_interval_is_zero(self):
+        assert adaptive_simpson(math.exp, 0.7, 0.7) == 0.0
+
+    def test_reversed_interval_negates(self):
+        forward = adaptive_simpson(math.exp, 0.0, 1.0, tol=1e-12)
+        assert adaptive_simpson(math.exp, 1.0, 0.0, tol=1e-12) == pytest.approx(-forward, abs=1e-14)
+        assert forward == pytest.approx(math.e - 1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("max_depth", [5, 48])
+    def test_endpoint_singularity_stops_at_depth_cap(self, max_depth):
+        # t^-1/2 never meets the tolerance next to 0, so refinement ends
+        # at the depth cap: at most 3 + 2 (2^(depth+1) - 1) evaluations.
+        evals = []
+
+        def f(t):
+            evals.append(t)
+            return t**-0.5
+
+        val = adaptive_simpson(f, 1e-15, 1.0, max_depth=max_depth)
+        assert math.isfinite(val)
+        assert len(evals) <= 3 + 2 * (2 ** (max_depth + 1) - 1)
+        if max_depth == 48:
+            assert val == pytest.approx(2.0, abs=1e-6)
+
 
 class TestConditionalMultinomial:
     def test_passes_on_reference_settings(self):
@@ -97,6 +122,13 @@ class TestPiIndependence:
         with pytest.raises(ValueError):
             check_pi_independent_of_s(GammaMixtureParams((1.0, 1.0, 1.0), 1.0), 100, rng)
 
+    @pytest.mark.parametrize("negative_control", [False, True])
+    def test_requires_a_trial(self, negative_control):
+        rng = np.random.default_rng(83)
+        with pytest.raises(ValueError, match="trials >= 1"):
+            check_pi_independent_of_s(GammaMixtureParams((1.0, 1.0), 1.0), 0, rng,
+                                      negative_control=negative_control)
+
 
 class TestDmIntegral:
     def test_uniform_case(self):
@@ -108,6 +140,14 @@ class TestDmIntegral:
         rng = np.random.default_rng(97)
         rep = check_dm_integral((2.0, 1.0), 5, 30_000, rng, seed=97)
         assert rep.passed
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_standard_error_needs_two_trials(self, trials):
+        # One draw or none has no standard error: a ValueError, not a
+        # failed report with a NaN statistic.
+        rng = np.random.default_rng(97)
+        with pytest.raises(ValueError, match="trials >= 2"):
+            check_dm_integral((2.0, 1.0), 5, trials, rng)
 
 
 class TestBetaBinomialMerge:
@@ -160,6 +200,38 @@ class TestTransformDensity:
         rng = np.random.default_rng(107)
         with pytest.raises(ValueError):
             check_transform_density((1.0, 1.0, 1.0), 3, 100, rng, variant="ks")
+
+    def test_ks_requires_fixed_alpha_and_a_trial(self):
+        rng = np.random.default_rng(107)
+        with pytest.raises(ValueError, match="fixed alpha of 2 entries"):
+            check_transform_density((), 2, 100, rng, variant="ks")
+        for transform in ("ratio", "alr"):
+            with pytest.raises(ValueError, match="trials >= 1"):
+                check_transform_density((1.0, 1.0), 2, 0, rng, transform=transform, variant="ks")
+
+    @pytest.mark.parametrize("transform", ["ratio", "alr"])
+    @pytest.mark.parametrize("alpha", [(1.0, 1.0), (2.0, 3.0), (3.5, 0.7), (1.2, 40.0)])
+    def test_ks_cdf_matches_incomplete_beta(self, alpha, transform):
+        # In the bounded coordinate t both n = 2 push-forwards are the
+        # first Dirichlet component, so their CDF is Beta(a1, a2)'s.
+        knots = np.sort(np.random.default_rng(127).beta(*alpha, size=1000))
+        cdf = checks._push_forward_cdf(np.array(alpha), transform, knots)
+        assert np.abs(cdf - betainc(*alpha, knots)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "transform,alpha,target",
+        [("ratio", (1.0, 1.0), "inverted_dirichlet_log_pdf_rows"),
+         ("alr", (2.0, 3.0), "alr_dirichlet_log_pdf_rows")],
+    )
+    def test_ks_cdf_comes_from_library_density(self, monkeypatch, transform, alpha, target):
+        # Negative control: a library density 5% too large integrates to a
+        # CDF that ends near e^0.05, which the KS test must reject.
+        shifted = getattr(checks, target)
+        monkeypatch.setattr(checks, target, lambda *args: shifted(*args) + 0.05)
+        rng = np.random.default_rng(131)
+        rep = check_transform_density(alpha, 2, 10_000, rng, transform=transform, variant="ks")
+        assert not rep.passed and not rep.inconclusive
+        assert rep.statistic < checks.P_FLOOR
 
 
 QUICK_REPORT_NAMES = (
