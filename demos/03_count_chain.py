@@ -22,11 +22,9 @@ from countcomp import (
     beta_binomial_log_pmf,
     dirichlet_multinomial_log_pmf,
     enumerate_compositions,
-    gamma_sample,
     log_sum_exp,
     negative_binomial_log_pmf,
     negative_binomial_sample_via_mixture,
-    poisson_sample,
 )
 
 rng = np.random.default_rng(2)
@@ -37,7 +35,7 @@ print(f"derived R={R}, p=theta/(1+theta)={p:.4f}")
 
 # --- totals: mixture draws vs the closed-form NB PMF -------------------
 n_draws = 30_000
-draws = np.array([negative_binomial_sample_via_mixture(R, params.scale, rng) for _ in range(n_draws)])
+draws = negative_binomial_sample_via_mixture(R, params.scale, rng, size=n_draws)
 print("\ntotal S: empirical vs NB(R, p) mass")
 for m in range(6):
     analytic = math.exp(negative_binomial_log_pmf(R, p, m))
@@ -45,18 +43,19 @@ for m in range(6):
 print(f"  mean: empirical {draws.mean():.3f}  analytic R*theta = {R * params.scale:.3f}")
 
 # --- conditional counts: Poisson vectors with total fixed --------------
+# Each component's count is Poisson over its own Gamma(r_i, theta)
+# intensity: one mixture draw per component and simulation.
 m = 3
-kept = []
-for _ in range(200_000):
-    lam = [gamma_sample(r, params.scale, rng) for r in params.shapes]
-    vec = [poisson_sample(max(v, 1e-300), rng) for v in lam]
-    if sum(vec) == m:
-        kept.append(tuple(vec))
+vecs = np.column_stack([
+    negative_binomial_sample_via_mixture(r, params.scale, rng, size=200_000)
+    for r in params.shapes
+])
+kept = vecs[vecs.sum(axis=1) == m]
 print(f"\ncounts given S={m}: accepted {len(kept)} of 200000 simulations")
 print("  cell: empirical vs Dirichlet-multinomial mass")
 for cell in enumerate_compositions(3, m):
     key = tuple(cell.counts.tolist())
-    emp = sum(1 for v in kept if v == key) / len(kept)
+    emp = (kept == cell.counts).all(axis=1).mean()
     dm = math.exp(dirichlet_multinomial_log_pmf(params, m, cell))
     print(f"  {key}: {emp:.4f} vs {dm:.4f}")
 

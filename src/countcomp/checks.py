@@ -39,6 +39,7 @@ from .distributions import (
     GammaMixtureParams,
     _as_shapes,
     _log_multinomial_coefficient,
+    _poisson,
     alr_dirichlet_log_pdf_rows,
     beta_binomial_log_pmf,
     dirichlet_log_pdf_rows,
@@ -276,11 +277,11 @@ def check_conditional_multinomial(
     *,
     seed: int = -1,
     p_floor: float = P_FLOOR,
-    max_attempts: int = 10_000_000,
 ) -> CheckReport:
     """Condition independent Poisson draws on their total hitting m and
     chi-square the kept vectors against Multinomial(m, rates/sum(rates)).
 
+    Exactly ``trials`` Poisson vectors are drawn, one batch per rate.
     Fewer than 10 accepted vectors per outcome cell makes the check
     inconclusive rather than failed.
     """
@@ -289,22 +290,19 @@ def check_conditional_multinomial(
     cells = _composition_matrix(n, m)
     probs = Composition(rates / rates.sum())
     cell_logp = multinomial_log_pmf_rows(m, probs, cells)
-    index = {tuple(row): i for i, row in enumerate(cells.tolist())}
-    observed = np.zeros(len(cells))
-    accepted = 0
-    attempts = 0
-    budget = min(int(trials), max_attempts)
-    while attempts < budget:
-        attempts += 1
-        draw = tuple(poisson_sample(r, rng) for r in rates)
-        if sum(draw) == m:
-            observed[index[draw]] += 1
-            accepted += 1
+    draws = np.column_stack([poisson_sample(r, rng, size=trials) for r in rates])
+    kept = draws[draws.sum(axis=1) == m]
+    accepted = len(kept)
+    # The cells hold every vector that sums to m, so unique rows over
+    # cells and kept vectors are the cells, and each kept vector's
+    # inverse index is its cell's.
+    _, inverse = np.unique(np.concatenate([cells, kept]), axis=0, return_inverse=True)
+    observed = np.bincount(inverse[len(cells):], minlength=len(cells))[inverse[:len(cells)]]
     name = f"conditional-multinomial-n{n}-m{m}"
     if accepted < 10 * len(cells):
         return CheckReport(
             name=name, statistic=float(accepted), threshold=float(10 * len(cells)),
-            passed=False, size=attempts, seed=seed, inconclusive=True,
+            passed=False, size=trials, seed=seed, inconclusive=True,
             detail="too few accepted samples to test",
         )
     expected = accepted * np.exp(cell_logp)
@@ -338,14 +336,10 @@ def check_pi_independent_of_s(
         raise ValueError("the binned independence test needs trials >= 1")
     r1, r2 = params.shapes
     theta = params.scale
-    pi = np.empty(trials)
-    totals = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        lam1 = gamma_sample(r1, theta, rng)
-        lam2 = gamma_sample(r2, theta, rng)
-        lam_total = lam1 + lam2
-        pi[i] = lam1 / lam_total
-        totals[i] = poisson_sample(lam_total, rng)
+    lam1 = gamma_sample(r1, theta, rng, size=trials)
+    lam_total = lam1 + gamma_sample(r2, theta, rng, size=trials)
+    pi = lam1 / lam_total
+    totals = _poisson(lam_total, rng)
     if negative_control:
         totals = np.minimum(3, (4.0 * pi).astype(np.int64))
     deciles = np.quantile(pi, np.linspace(0.1, 0.9, 9))
@@ -466,6 +460,8 @@ def check_transform_density(
             f"alpha has {alpha.size} entries but n = {n}; "
             "pass an empty alpha for random concentrations per point"
         )
+    if trials < 1:
+        raise ValueError("check_transform_density needs trials >= 1")
     if variant == "pointwise":
         return _transform_pointwise(transform, trials, rng, seed, alpha, (n,), tol)
     if variant != "ks":
@@ -474,8 +470,6 @@ def check_transform_density(
         raise ValueError("the KS variant is defined for n = 2")
     if alpha.size != 2:
         raise ValueError("the KS variant needs a fixed alpha of 2 entries")
-    if trials < 1:
-        raise ValueError("the KS variant needs trials >= 1")
     return _transform_ks(alpha, trials, rng, seed, transform, p_floor)
 
 
@@ -800,9 +794,7 @@ def _check_alr_normalization_quadrature(trials=0, rng=None, seed=-1) -> CheckRep
 def _check_nb_mixture(big_r, theta, trials, rng, seed) -> CheckReport:
     params = GammaMixtureParams((big_r,), theta)
     p = params.success_prob
-    draws = np.array(
-        [negative_binomial_sample_via_mixture(big_r, theta, rng) for _ in range(trials)]
-    )
+    draws = negative_binomial_sample_via_mixture(big_r, theta, rng, size=trials)
     top = int(draws.max())
     observed = np.bincount(draws, minlength=top + 2).astype(float)
     pmf = np.exp(negative_binomial_log_pmf_rows(big_r, p, np.arange(top + 1)))
@@ -816,9 +808,7 @@ def _check_nb_mixture(big_r, theta, trials, rng, seed) -> CheckReport:
 
 
 def _check_gamma_common_scale_sum(r1, r2, theta, trials, rng, seed) -> CheckReport:
-    draws = np.array(
-        [gamma_sample(r1, theta, rng) + gamma_sample(r2, theta, rng) for _ in range(trials)]
-    )
+    draws = gamma_sample(r1, theta, rng, size=trials) + gamma_sample(r2, theta, rng, size=trials)
     ref = stats.gamma(a=r1 + r2, scale=theta)
     d, pval = stats.kstest(draws, ref.cdf)
     return CheckReport(
@@ -829,10 +819,8 @@ def _check_gamma_common_scale_sum(r1, r2, theta, trials, rng, seed) -> CheckRepo
 
 
 def _check_poisson_superposition(a, b, trials, rng, seed) -> CheckReport:
-    summed = np.array(
-        [poisson_sample(a, rng) + poisson_sample(b, rng) for _ in range(trials)]
-    )
-    direct = np.array([poisson_sample(a + b, rng) for _ in range(trials)])
+    summed = poisson_sample(a, rng, size=trials) + poisson_sample(b, rng, size=trials)
+    direct = poisson_sample(a + b, rng, size=trials)
     top = int(max(summed.max(), direct.max()))
     table = np.stack(
         [np.bincount(summed, minlength=top + 1), np.bincount(direct, minlength=top + 1)]

@@ -212,10 +212,6 @@ def _cmd_eval(args, out) -> int:
 _SAMPLE_DISTS = ("dirichlet", "gamma", "poisson", "negative-binomial", "multinomial")
 
 
-def _column(draws: list) -> np.ndarray:
-    return np.array(draws).reshape(len(draws), 1)
-
-
 def _cmd_sample(args, out) -> int:
     params = _load_params(args)
     count = args.count
@@ -232,12 +228,12 @@ def _cmd_sample(args, out) -> int:
         _require_keys(params, {"shape", "scale"}, name)
         shape, scale = _number(params, "shape"), _number(params, "scale")
         header = ["value"]
-        draw = lambda: _column([dist.gamma_sample(shape, scale, rng) for _ in range(count)])
+        draw = lambda: dist.gamma_sample(shape, scale, rng, size=count)[:, None]
     elif name == "poisson":
         _require_keys(params, {"rate"}, name)
         rate = _number(params, "rate")
         header = ["value"]
-        draw = lambda: _column([dist.poisson_sample(rate, rng) for _ in range(count)])
+        draw = lambda: dist.poisson_sample(rate, rng, size=count)[:, None]
     elif name == "negative-binomial":
         if set(params) == {"R", "theta"}:
             big_r, theta = _number(params, "R"), _number(params, "theta")
@@ -246,9 +242,9 @@ def _cmd_sample(args, out) -> int:
             gm = dist.GammaMixtureParams(_vector(params, "shapes"), _number(params, "scale"))
             big_r, theta = gm.total_shape, gm.scale
         header = ["value"]
-        draw = lambda: _column(
-            [dist.negative_binomial_sample_via_mixture(big_r, theta, rng) for _ in range(count)]
-        )
+        draw = lambda: dist.negative_binomial_sample_via_mixture(
+            big_r, theta, rng, size=count
+        )[:, None]
     elif name == "multinomial":
         _require_keys(params, {"probs", "m"}, name)
         probs = Composition(_vector(params, "probs"))

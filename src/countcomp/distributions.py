@@ -54,7 +54,6 @@ from .special import (
     _log_each,
     _log_gamma_each,
     _log_gamma_map,
-    log_gamma,
     log_multivariate_beta,
     log_multivariate_beta_rows,
     log_sum_exp,
@@ -368,42 +367,53 @@ def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=Non
     common-scale Gamma intensities are Dirichlet.
 
     Without ``size``, returns one Composition.  With ``size``, returns a
-    read-only (size, n) array: the rows that ``size`` single draws give,
-    in order, each checked as a Composition (``composition_rows``) once
-    all are drawn.
+    read-only (size, n) array of one Gamma batch per column, normalized,
+    each row checked as a Composition (``composition_rows``).  A row
+    whose Gammas all underflow to 0 breaks the normal-float floor rule,
+    as a row with one such entry does.
     """
     rows = 1 if size is None else _as_count(size, "size")
-    draws = np.array(
-        [[gamma_sample(a, 1.0, rng) for a in params.alpha] for _ in range(rows)]
-    ).reshape(rows, params.n)
-    normalized = draws / draws.sum(axis=1, keepdims=True)
+    draws = np.column_stack([gamma_sample(a, 1.0, rng, size=rows) for a in params.alpha])
+    totals = draws.sum(axis=1, keepdims=True)
+    # An all-zero row stays 0 rather than 0/0, so the floor rule names it.
+    normalized = draws / np.where(totals > 0.0, totals, 1.0)
     return Composition(normalized[0]) if size is None else composition_rows(normalized)
 
 
 # ---------------------------------------------------------------------------
 # Elementary samplers
 # ---------------------------------------------------------------------------
+#
+# Each sampler is written once, over an array of draws; without ``size``
+# it returns row 0 of ``size=1`` and leaves the generator where
+# ``size=1`` leaves it.  The rejection samplers draw their variates for
+# every pending entry, keep the accepted entries and draw again only for
+# the rest.
 
 
-def _gamma_std(shape: float, rng: np.random.Generator) -> float:
-    # Marsaglia-Tsang squeeze method, valid for shape >= 1.
+def _gamma_std(shape: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    # Marsaglia-Tsang (2000) squeeze method, valid for shape >= 1.
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.standard_normal()
+    out = np.empty(size)
+    pending = np.arange(size)
+    while pending.size:
+        x = rng.standard_normal(pending.size)
+        u = rng.random(pending.size)
         v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.random()
-        if u < 1.0 - 0.0331 * x * x * x * x:
-            return d * v
-        if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
+        v3 = v * v * v
+        accept = (v > 0.0) & (u < 1.0 - 0.0331 * x * x * x * x)
+        slow = np.flatnonzero((v > 0.0) & ~accept & (u > 0.0))
+        accept[slow] = np.log(u[slow]) < 0.5 * x[slow] ** 2 + d * (
+            1.0 - v3[slow] + np.log(v3[slow]))
+        out[pending[accept]] = d * v3[accept]
+        pending = pending[~accept]
+    return out
 
 
-def gamma_sample(shape: float, scale: float, rng: np.random.Generator) -> float:
-    """Draw from Gamma(shape, scale), mean shape * scale.
+def gamma_sample(shape: float, scale: float, rng: np.random.Generator, size=None):
+    """Draw from Gamma(shape, scale), mean shape * scale: one float, or a
+    (size,) array.
 
     Rejection sampling for any shape > 0: Marsaglia-Tsang for
     shape >= 1, boosted by ``U^(1/shape)`` below 1.
@@ -411,72 +421,89 @@ def gamma_sample(shape: float, scale: float, rng: np.random.Generator) -> float:
     shape, scale = float(shape), float(scale)
     if not (math.isfinite(shape) and shape > 0.0 and math.isfinite(scale) and scale > 0.0):
         raise ValueError("gamma_sample requires shape > 0 and scale > 0")
+    rows = 1 if size is None else _as_count(size, "size")
     if shape < 1.0:
-        u = rng.random()
-        while u <= 0.0:
-            u = rng.random()
-        return scale * _gamma_std(shape + 1.0, rng) * u ** (1.0 / shape)
-    return scale * _gamma_std(shape, rng)
+        u = 1.0 - rng.random(rows)  # in (0, 1]
+        draws = scale * _gamma_std(shape + 1.0, rows, rng) * u ** (1.0 / shape)
+    else:
+        draws = scale * _gamma_std(shape, rows, rng)
+    return float(draws[0]) if size is None else draws
 
 
-def _poisson_inversion(rate: float, rng: np.random.Generator) -> int:
-    # Sequential search of the CDF; fine for the rates <= 30 it is used at.
-    u = rng.random()
-    p = math.exp(-rate)
-    cum = p
-    k = 0
-    cap = 200 + int(20.0 * rate)
-    while u > cum and k < cap:
-        k += 1
-        p *= rate / k
-        cum += p
+def _poisson(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # One draw per entry of ``rate`` (all >= 0): the entries at rate <= 30
+    # first, by inversion, then the rest by PTRS.
+    if rate.size and rate.max() >= 2.0**62:
+        raise ValueError("Poisson rates must lie below 2**62, so that draws fit in int64")
+    out = np.empty(rate.size, dtype=np.int64)
+    small = rate <= 30.0
+    out[small] = _poisson_inversion(rate[small], rng)
+    out[~small] = _poisson_ptrs(rate[~small], rng)
+    return out
+
+
+def _poisson_inversion(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # Sequential search of the CDF, one uniform per draw.  Entry by entry
+    # the recurrence and the cap are those of a single search, so a batch
+    # at one rate equals as many successive single draws.
+    u = rng.random(rate.size)
+    p = np.fromiter(map(math.exp, (-rate).tolist()), float, rate.size)
+    cum = p.copy()
+    k = np.zeros(rate.size, dtype=np.int64)
+    cap = 200 + (20.0 * rate).astype(np.int64)
+    pending = np.flatnonzero(u > cum)
+    while pending.size:
+        k[pending] += 1
+        p[pending] *= rate[pending] / k[pending]
+        cum[pending] += p[pending]
+        pending = pending[(u[pending] > cum[pending]) & (k[pending] < cap[pending])]
     return k
 
 
-def _poisson_ptrs(rate: float, rng: np.random.Generator) -> int:
-    # Hormann's transformed rejection with squeeze, for large rates.
-    slam = math.sqrt(rate)
-    loglam = math.log(rate)
-    b = 0.931 + 2.53 * slam
+def _poisson_ptrs(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # Hormann's (1993) transformed rejection with squeeze, for large rates.
+    b = 0.931 + 2.53 * np.sqrt(rate)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = int(math.floor((2.0 * a / us + b) * u + rate + 0.43))
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if v <= 0.0:
-            continue
-        if math.log(v * inv_alpha / (a / (us * us) + b)) <= k * loglam - rate - log_gamma(k + 1.0):
-            return k
+    out = np.empty(rate.size, dtype=np.int64)
+    pending = np.arange(rate.size)
+    while pending.size:
+        u = rng.random(pending.size) - 0.5
+        v = rng.random(pending.size)
+        us = 0.5 - np.abs(u)
+        k = np.floor((2.0 * a[pending] / us + b[pending]) * u + rate[pending] + 0.43)
+        accept = (us >= 0.07) & (v <= v_r[pending])
+        test = np.flatnonzero(~accept & (k >= 0.0) & ((us >= 0.013) | (v <= us)) & (v > 0.0))
+        t = pending[test]
+        (lg_k1,) = _log_gamma_each(k[test] + 1.0)
+        log_ratio = np.log(v[test] * inv_alpha[t] / (a[t] / (us[test] * us[test]) + b[t]))
+        accept[test] = log_ratio <= k[test] * np.log(rate[t]) - rate[t] - lg_k1
+        out[pending[accept]] = k[accept]
+        pending = pending[~accept]
+    return out
 
 
-def poisson_sample(rate: float, rng: np.random.Generator) -> int:
-    """Draw from Poisson(rate): CDF inversion for rate <= 30, transformed
-    rejection above."""
+def poisson_sample(rate: float, rng: np.random.Generator, size=None):
+    """Draw from Poisson(rate): one int, or a (size,) int64 array.  CDF
+    inversion for rate <= 30, transformed rejection above."""
     rate = float(rate)
     if not math.isfinite(rate) or rate <= 0.0:
         raise ValueError("poisson_sample requires a finite rate > 0")
-    if rate <= 30.0:
-        return _poisson_inversion(rate, rng)
-    return _poisson_ptrs(rate, rng)
+    rows = 1 if size is None else _as_count(size, "size")
+    draws = _poisson(np.full(rows, rate), rng)
+    return int(draws[0]) if size is None else draws
 
 
 def negative_binomial_sample_via_mixture(
-    R: float, theta: float, rng: np.random.Generator
-) -> int:
+    R: float, theta: float, rng: np.random.Generator, size=None
+):
     """Draw the count total by its mixture construction: Lambda ~
     Gamma(R, theta), then X ~ Poisson(Lambda).  Marginally
-    NB(R, p = theta/(1+theta))."""
-    lam = gamma_sample(R, theta, rng)
-    if lam <= 0.0:
-        return 0
-    return poisson_sample(lam, rng)
+    NB(R, p = theta/(1+theta)).  One int, or a (size,) int64 array."""
+    lam = gamma_sample(R, theta, rng, size=1 if size is None else size)
+    draws = _poisson(lam, rng)  # a Lambda that underflows to 0 gives 0
+    return int(draws[0]) if size is None else draws
 
 
 def multinomial_sample(m: int, probs: Composition, rng: np.random.Generator, size=None):
@@ -484,25 +511,20 @@ def multinomial_sample(m: int, probs: Composition, rng: np.random.Generator, siz
     total is exactly m.
 
     Without ``size``, returns one CountVector.  With ``size``, returns a
-    read-only (size, n) int64 array: the rows that ``size`` single draws
-    give, in order, checked by ``count_rows`` once all are drawn.
+    read-only (size, n) int64 array, thinned one category at a time
+    across all rows and checked by ``count_rows``.
     """
     m = _as_count(m, "m")
     rows = 1 if size is None else _as_count(size, "size")
-    n = probs.n
     # Suffix sums keep the conditional probabilities well scaled.
     suffix = np.cumsum(probs.entries[::-1])[::-1]
-    cond = [min(max(probs.entries[i] / suffix[i], 0.0), 1.0) for i in range(n - 1)]
-    counts = np.zeros((rows, n), dtype=np.int64)
-    for row in counts:
-        remaining = m
-        for i, p in enumerate(cond):
-            if remaining == 0:
-                break
-            c = int(rng.binomial(remaining, p))
-            row[i] = c
-            remaining -= c
-        row[n - 1] = remaining
+    cond = np.clip(probs.entries[:-1] / suffix[:-1], 0.0, 1.0)
+    counts = np.empty((rows, probs.n), dtype=np.int64)
+    remaining = np.full(rows, m, dtype=np.int64)
+    for i, p in enumerate(cond):
+        counts[:, i] = rng.binomial(remaining, p)
+        remaining -= counts[:, i]
+    counts[:, -1] = remaining
     return CountVector(counts[0]) if size is None else count_rows(counts)
 
 

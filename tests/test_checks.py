@@ -196,6 +196,14 @@ class TestTransformDensity:
         with pytest.raises(ValueError, match="alpha"):
             check_transform_density((1.0, 2.0, 3.0), 5, 10, rng, variant="pointwise")
 
+    @pytest.mark.parametrize("alpha", [(1.0, 2.0, 3.0), ()])
+    @pytest.mark.parametrize("transform", ["ratio", "alr"])
+    def test_pointwise_requires_a_trial(self, alpha, transform):
+        # Zero points is no test: a ValueError, not a pass over nothing.
+        rng = np.random.default_rng(107)
+        with pytest.raises(ValueError, match="trials >= 1"):
+            check_transform_density(alpha, 3, 0, rng, transform=transform, variant="pointwise")
+
     def test_ks_requires_n2(self):
         rng = np.random.default_rng(107)
         with pytest.raises(ValueError):

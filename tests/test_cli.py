@@ -25,6 +25,7 @@ from countcomp import (
     ratio_forward,
     ratio_inverse,
 )
+from countcomp.simplex import RowError
 
 CLI = [sys.executable, "-m", "countcomp.cli"]
 
@@ -176,15 +177,20 @@ class TestSample:
         assert res.returncode == 2
 
     def test_domain_error_writes_nothing_and_names_row(self):
-        # Gamma(0.01) draws underflow; draw 910 of this seed is the first
-        # row that Composition rejects.  No row may be written before it.
+        # Gamma(0.01) draws underflow; the library batch of this seed names
+        # the first row that Composition rejects, a later one than the
+        # first.  No row may be written before it.
+        with pytest.raises(RowError) as info:
+            dirichlet_sample(DirichletParams([0.01] * 3), np.random.default_rng(3), size=5000)
+        assert info.value.row > 0
         res = run_cli(
             "sample", "--dist", "dirichlet", "--params", '{"alpha": [0.01, 0.01, 0.01]}',
             "--count", "5000", "--seed", "3",
         )
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr.startswith("error: row 910: Composition entries must be")
+        assert res.stderr.startswith(
+            f"error: row {info.value.row + 1}: Composition entries must be")
 
 
 class TestTransform:
@@ -266,7 +272,8 @@ def _csv_line(values):
 
 class TestBatchedMatchesScalarApi:
     """The CLI works on whole arrays; its bytes must be those of a loop
-    over the scalar value objects and maps."""
+    over the scalar value objects and maps, and ``sample`` must print the
+    rows of the library's ``size=`` draw."""
 
     ROWS = 1000
 
@@ -304,10 +311,8 @@ class TestBatchedMatchesScalarApi:
         got = _main_stdout(capsys, monkeypatch, [
             "sample", "--dist", "dirichlet", "--params", json.dumps({"alpha": alpha}),
             "--count", str(self.ROWS), "--seed", "17"])
-        rng = np.random.default_rng(17)
-        params = DirichletParams(alpha)
-        want = "x1,x2,x3,x4\n" + "".join(
-            _csv_line(dirichlet_sample(params, rng).entries) for _ in range(self.ROWS))
+        rows = dirichlet_sample(DirichletParams(alpha), np.random.default_rng(17), size=self.ROWS)
+        want = "x1,x2,x3,x4\n" + "".join(_csv_line(row) for row in rows)
         assert got == want
 
     def test_sample_multinomial(self, capsys, monkeypatch):
@@ -315,10 +320,8 @@ class TestBatchedMatchesScalarApi:
         got = _main_stdout(capsys, monkeypatch, [
             "sample", "--dist", "multinomial", "--params", json.dumps({"probs": probs, "m": 40}),
             "--count", str(self.ROWS), "--seed", "19"])
-        rng = np.random.default_rng(19)
-        comp = Composition(probs)
-        want = "x1,x2,x3,x4\n" + "".join(
-            _csv_line(multinomial_sample(40, comp, rng).counts) for _ in range(self.ROWS))
+        rows = multinomial_sample(40, Composition(probs), np.random.default_rng(19), size=self.ROWS)
+        want = "x1,x2,x3,x4\n" + "".join(_csv_line(row) for row in rows)
         assert got == want
 
 

@@ -5,6 +5,8 @@ standard errors) that these are stable, not flaky.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from countcomp import (
     poisson_sample,
 )
 from countcomp.checks import _chi_square_gof
-from countcomp.simplex import RowError
+from countcomp.distributions import _poisson
+from countcomp.simplex import RowError, composition_rows
 
 N = 100_000
 
@@ -44,24 +47,53 @@ def test_samplers_are_deterministic_given_seed():
     assert draw_all(123) != draw_all(124)
 
 
+def _value(draw):
+    for field in ("entries", "counts"):
+        draw = getattr(draw, field, draw)
+    return draw
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng, size: gamma_sample(0.5, 2.0, rng, size=size),
+        lambda rng, size: gamma_sample(2.0, 1.0, rng, size=size),
+        lambda rng, size: poisson_sample(4.0, rng, size=size),
+        lambda rng, size: poisson_sample(45.0, rng, size=size),
+        lambda rng, size: negative_binomial_sample_via_mixture(2.0, 1.0, rng, size=size),
+        lambda rng, size: dirichlet_sample(DirichletParams([0.5, 2.0, 3.0]), rng, size=size),
+        lambda rng, size: multinomial_sample(9, Composition([0.2, 0.3, 0.5]), rng, size=size),
+    ],
+    ids=["gamma-boost", "gamma", "poisson-inversion", "poisson-ptrs", "nb", "dirichlet",
+         "multinomial"],
+)
+def test_scalar_call_is_row_zero_of_size_one(draw):
+    for seed in range(20):
+        single, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        one = draw(single, None)
+        rows = draw(batch, 1)
+        assert np.asarray(_value(one)).tobytes() == rows[0].tobytes()
+        assert single.bit_generator.state == batch.bit_generator.state
+
+
 class TestGammaSampler:
     def test_shape_one_is_exponential(self):
         rng = np.random.default_rng(2)
         theta = 1.7
-        draws = [gamma_sample(1.0, theta, rng) for _ in range(N)]
+        draws = gamma_sample(1.0, theta, rng, size=N)
         _, p = stats.kstest(draws, stats.expon(scale=theta).cdf)
         assert p > 0.001
 
     def test_mean(self):
         rng = np.random.default_rng(3)
         r, theta = 3.2, 0.6
-        draws = np.array([gamma_sample(r, theta, rng) for _ in range(N)])
+        draws = gamma_sample(r, theta, rng, size=N)
         se = draws.std(ddof=1) / math.sqrt(N)
         assert abs(draws.mean() - r * theta) < 3.0 * se
 
     def test_small_shape_boost_branch(self):
         rng = np.random.default_rng(5)
-        draws = [gamma_sample(0.5, 2.0, rng) for _ in range(N)]
+        draws = gamma_sample(0.5, 2.0, rng, size=N)
         _, p = stats.kstest(draws, stats.gamma(a=0.5, scale=2.0).cdf)
         assert p > 0.001
 
@@ -69,10 +101,16 @@ class TestGammaSampler:
         # Gamma(r1, t) + Gamma(r2, t) ~ Gamma(r1 + r2, t).
         rng = np.random.default_rng(7)
         r1, r2, theta = 1.3, 2.2, 0.7
-        draws = [
-            gamma_sample(r1, theta, rng) + gamma_sample(r2, theta, rng) for _ in range(N)
-        ]
+        draws = gamma_sample(r1, theta, rng, size=N) + gamma_sample(r2, theta, rng, size=N)
         _, p = stats.kstest(draws, stats.gamma(a=r1 + r2, scale=theta).cdf)
+        assert p > 0.001
+
+    @pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 50.0])
+    def test_batch_matches_scipy_cdf(self, shape):
+        rng = np.random.default_rng(8)
+        draws = gamma_sample(shape, 1.5, rng, size=N)
+        assert draws.shape == (N,)
+        _, p = stats.kstest(draws, stats.gamma(a=shape, scale=1.5).cdf)
         assert p > 0.001
 
     def test_domain(self):
@@ -86,14 +124,14 @@ class TestGammaSampler:
 class TestPoissonSampler:
     def test_zero_probability_rate_one(self):
         rng = np.random.default_rng(11)
-        draws = np.array([poisson_sample(1.0, rng) for _ in range(N)])
+        draws = poisson_sample(1.0, rng, size=N)
         p_zero = (draws == 0).mean()
         se = math.sqrt(math.exp(-1.0) * (1.0 - math.exp(-1.0)) / N)
         assert abs(p_zero - math.exp(-1.0)) < 3.0 * se
 
     def test_mean_and_variance_rate_four(self):
         rng = np.random.default_rng(13)
-        draws = np.array([poisson_sample(4.0, rng) for _ in range(N)])
+        draws = poisson_sample(4.0, rng, size=N)
         mean_se = draws.std(ddof=1) / math.sqrt(N)
         assert abs(draws.mean() - 4.0) < 3.0 * mean_se
         # Var of the sample variance of a Poisson: (mu + 2 mu^2) / N, roughly.
@@ -104,8 +142,8 @@ class TestPoissonSampler:
         # Sum at rates (a, b) matches a single draw at a + b.
         rng = np.random.default_rng(17)
         a, b = 1.5, 2.5
-        summed = np.array([poisson_sample(a, rng) + poisson_sample(b, rng) for _ in range(N)])
-        direct = np.array([poisson_sample(a + b, rng) for _ in range(N)])
+        summed = poisson_sample(a, rng, size=N) + poisson_sample(b, rng, size=N)
+        direct = poisson_sample(a + b, rng, size=N)
         top = int(max(summed.max(), direct.max()))
         table = np.stack(
             [np.bincount(summed, minlength=top + 1), np.bincount(direct, minlength=top + 1)]
@@ -120,7 +158,7 @@ class TestPoissonSampler:
     def test_large_rate_rejection_branch(self):
         rng = np.random.default_rng(19)
         rate = 45.0
-        draws = np.array([poisson_sample(rate, rng) for _ in range(N)])
+        draws = poisson_sample(rate, rng, size=N)
         top = int(draws.max())
         observed = np.bincount(draws, minlength=top + 2).astype(float)
         pmf = stats.poisson(rate).pmf(np.arange(top + 1))
@@ -128,15 +166,45 @@ class TestPoissonSampler:
         _, p = _chi_square_gof(observed, expected)
         assert p > 0.001
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, 2.0**62])
+    def test_domain(self, rate):
+        # Draws at rates from 2**62 up would overflow int64.
+        with pytest.raises(ValueError):
+            poisson_sample(rate, np.random.default_rng(1))
+
+    def test_one_batch_of_mixed_rates(self):
+        # Rates on both sides of the inversion/rejection split at 30,
+        # interleaved in one batch; each rate's draws follow its law.
+        rates = np.array([0.5, 4.0, 29.5, 30.5, 400.0])
+        per_rate = 20_000
+        batch = np.tile(rates, per_rate)
+        draws = _poisson(batch, np.random.default_rng(21))
+        assert draws.dtype == np.int64 and draws.shape == batch.shape
+        for rate in rates:
+            got = draws[batch == rate]
+            top = int(got.max())
+            observed = np.bincount(got, minlength=top + 2).astype(float)
+            pmf = stats.poisson(rate).pmf(np.arange(top + 1))
+            expected = per_rate * np.append(pmf, max(0.0, 1.0 - pmf.sum()))
+            _, p = _chi_square_gof(observed, expected)
+            assert p > 0.001, rate
+
+    def test_inversion_batch_equals_successive_single_draws(self):
+        # Below 30 a draw takes one uniform and the same CDF search, so a
+        # batch reproduces the stream of one-draw calls exactly.
+        for rate in (0.5, 4.0, 30.0):
+            rng = np.random.default_rng(22)
+            singles = [poisson_sample(rate, rng) for _ in range(500)]
+            rows = poisson_sample(rate, np.random.default_rng(22), size=500)
+            assert rows.tolist() == singles
+
 
 class TestNegativeBinomialMixture:
     def test_matches_closed_form_pmf(self):
         rng = np.random.default_rng(23)
         big_r, theta = 2.0, 1.0
         p_succ = theta / (1.0 + theta)
-        draws = np.array(
-            [negative_binomial_sample_via_mixture(big_r, theta, rng) for _ in range(N)]
-        )
+        draws = negative_binomial_sample_via_mixture(big_r, theta, rng, size=N)
         top = int(draws.max())
         observed = np.bincount(draws, minlength=top + 2).astype(float)
         pmf = np.exp([negative_binomial_log_pmf(big_r, p_succ, m) for m in range(top + 1)])
@@ -147,9 +215,7 @@ class TestNegativeBinomialMixture:
     def test_mean_and_overdispersed_variance(self):
         rng = np.random.default_rng(29)
         big_r, theta = 2.0, 1.0
-        draws = np.array(
-            [negative_binomial_sample_via_mixture(big_r, theta, rng) for _ in range(N)]
-        )
+        draws = negative_binomial_sample_via_mixture(big_r, theta, rng, size=N)
         mean_se = draws.std(ddof=1) / math.sqrt(N)
         assert abs(draws.mean() - big_r * theta) < 3.0 * mean_se
         target_var = big_r * theta * (1.0 + theta)
@@ -175,13 +241,14 @@ class TestMultinomialSampler:
             x = multinomial_sample(17, Composition([0.1, 0.2, 0.3, 0.4]), rng)
             assert x.total == 17
 
-    def test_size_gives_the_rows_of_single_draws(self):
+    def test_size_gives_checked_rows_of_one_batch(self):
         probs = Composition([0.1, 0.2, 0.3, 0.4])
         rows = multinomial_sample(25, probs, np.random.default_rng(44), size=300)
+        assert rows.shape == (300, 4) and rows.dtype == np.int64 and not rows.flags.writeable
+        assert (rows >= 0).all() and (rows.sum(axis=1) == 25).all()
+        again = multinomial_sample(25, probs, np.random.default_rng(44), size=300)
+        assert rows.tobytes() == again.tobytes()
         rng = np.random.default_rng(44)
-        singles = [multinomial_sample(25, probs, rng).counts for _ in range(300)]
-        assert rows.dtype == np.int64 and not rows.flags.writeable
-        np.testing.assert_array_equal(rows, singles)
         assert multinomial_sample(25, probs, rng, size=0).shape == (0, 4)
 
     def test_matches_pmf(self):
@@ -190,9 +257,8 @@ class TestMultinomialSampler:
         cells = list(enumerate_compositions(3, m))
         index = {tuple(c.counts.tolist()): i for i, c in enumerate(cells)}
         observed = np.zeros(len(cells))
-        for _ in range(N):
-            x = multinomial_sample(m, probs, rng)
-            observed[index[tuple(x.counts.tolist())]] += 1
+        for row in multinomial_sample(m, probs, rng, size=N).tolist():
+            observed[index[tuple(row)]] += 1
         expected = N * np.exp([multinomial_log_pmf(m, probs, c) for c in cells])
         _, p = _chi_square_gof(observed, expected)
         assert p > 0.001
@@ -221,29 +287,41 @@ class TestDirichletSampler:
         se = draws.std(axis=0, ddof=1) / math.sqrt(N)
         assert np.all(np.abs(draws.mean(axis=0) - target) < 3.0 * se)
 
-    def test_size_gives_the_rows_of_single_draws(self):
+    def test_size_gives_checked_rows_of_one_batch(self):
+        # One Gamma batch per column, each row normalized and checked.
         params = DirichletParams([0.5, 1.0, 2.0, 3.0, 0.7, 1.1, 2.2, 0.9, 4.0, 1.5])
         rows = dirichlet_sample(params, np.random.default_rng(60), size=300)
         rng = np.random.default_rng(60)
-        singles = [dirichlet_sample(params, rng).entries for _ in range(300)]
+        gammas = np.column_stack([gamma_sample(a, 1.0, rng, size=300) for a in params.alpha])
         assert rows.shape == (300, 10) and not rows.flags.writeable
-        assert rows.tobytes() == np.array(singles).tobytes()
+        want = composition_rows(gammas / gammas.sum(axis=1, keepdims=True))
+        assert rows.tobytes() == want.tobytes()
 
     def test_size_checks_every_row_and_names_the_first_bad_one(self):
-        # Gamma(0.01) draws underflow to 0, so some rows are not compositions.
+        # Gamma(0.01) draws underflow, so some rows are not compositions.
         params = DirichletParams([0.01, 0.01, 0.01])
-        rng = np.random.default_rng(3)
-        first_bad = None
-        for i in range(5000):
-            try:
-                dirichlet_sample(params, rng)
-            except ValueError:
-                first_bad = i
-                break
-        assert first_bad is not None
         with pytest.raises(RowError) as info:
             dirichlet_sample(params, np.random.default_rng(3), size=5000)
+        rng = np.random.default_rng(3)
+        gammas = np.column_stack([gamma_sample(0.01, 1.0, rng, size=5000) for _ in range(3)])
+        with np.errstate(invalid="ignore"):
+            x = gammas / gammas.sum(axis=1, keepdims=True)
+        first_bad = int(np.flatnonzero(~(x >= sys.float_info.min).all(axis=1))[0])
         assert info.value.row == first_bad
+
+    def test_all_zero_row_is_a_floor_error_without_warnings(self):
+        # At seed 9 both Gamma(1e-3) draws of the first row underflow to 0:
+        # the floor error of any sub-normal row, not a 0/0.
+        params = DirichletParams([1e-3, 1e-3])
+        rng = np.random.default_rng(9)
+        assert [gamma_sample(1e-3, 1.0, rng) for _ in range(2)] == [0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="normal floats"):
+                dirichlet_sample(params, np.random.default_rng(9))
+            with pytest.raises(RowError, match="normal floats") as info:
+                dirichlet_sample(params, np.random.default_rng(9), size=200)
+        assert info.value.row == 0
 
     def test_returns_valid_composition(self):
         rng = np.random.default_rng(61)
