@@ -28,52 +28,16 @@ __all__ = [
     "log_sum_exp_rows",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients.  Gives ~15 significant
-# digits for Gamma on the right half-plane; combined with the reflection
-# formula below, the worst mixed relative error of log_gamma over
-# [1e-6, 1e6] measures at ~3e-15 (budget: 1e-13).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
-
-
-def _log_gamma_lanczos(a, log=math.log):
-    """Lanczos series, accurate for a >= 0.5.
-
-    ``a`` is a float, or a float array with ``log=_log_each``: the same
-    operations in the same order give the same bits entry by entry.
-    """
-    x = a - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (x + 0.5) * log(t) - t + log(acc)
-
-
-def _log_gamma_reflected(a, log=math.log, sin=math.sin):
-    """Reflection formula ``Gamma(a) Gamma(1-a) = pi / sin(pi a)``, for
-    a < 1/2; arrays as in ``_log_gamma_lanczos``."""
-    return _LOG_PI - log(sin(math.pi * a)) - _log_gamma_lanczos(1.0 - a, log)
-
 
 def log_gamma(a: float) -> float:
     """Return log Gamma(a) for a > 0.
 
-    Uses the Lanczos approximation directly for a >= 1/2 and the
-    reflection formula ``Gamma(a) Gamma(1-a) = pi / sin(pi a)`` below
-    that, where the direct series loses accuracy.
+    Computed by CPython's ``math.lgamma``.  Against 50-digit mpmath the
+    worst mixed relative error measures at 1.3e-15 over [1e-6, 1e18],
+    near 1 and 2 and at the integers 1..3000; it agrees to the last bit
+    at the subnormal arguments tested; log Gamma(1) and log Gamma(2) are
+    exactly 0.0.  Above about 2.56e305, where log Gamma exceeds the
+    largest float, the result is ``+inf``.
 
     Parameters
     ----------
@@ -88,22 +52,20 @@ def log_gamma(a: float) -> float:
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
         raise ValueError(f"log_gamma requires a finite argument > 0, got {a!r}")
-    if a == 1.0 or a == 2.0:
-        return 0.0  # exact zeros of log Gamma, matching reference libraries
-    if a < 0.5:
-        return _log_gamma_reflected(a)
-    return _log_gamma_lanczos(a)
+    try:
+        return math.lgamma(a)
+    except OverflowError:
+        return math.inf
 
 
 def _log_gamma_each(*args) -> list[np.ndarray]:
     """``log_gamma`` of every entry of each argument, in one batch.
 
     Each argument is a float or a float array; one float array comes
-    back per argument, in its shape.  Every entry equals the scalar
-    ``log_gamma`` of it bit for bit: the branches, constants and order of
-    operations are the scalar's, and logs and sines go through ``math``
-    per entry.  Worth it from tens of entries; a single value is cheaper
-    through ``log_gamma``.
+    back per argument, in its shape.  Every entry is ``math.lgamma`` of
+    it, or ``+inf`` where that overflows, so it equals the scalar
+    ``log_gamma`` bit for bit.  The domain is checked once for all
+    arguments together.
 
     Raises
     ------
@@ -114,14 +76,11 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     a = np.concatenate([part.ravel() for part in parts])
     if a.size and not (a.min() > 0.0 and a.max() < math.inf):  # NaN fails both
         raise ValueError("log_gamma requires finite arguments > 0")
-    small = a < 0.5
-    if small.any():
-        out = np.empty_like(a)
-        out[~small] = _log_gamma_lanczos(a[~small], _log_each)
-        out[small] = _log_gamma_reflected(a[small], _log_each, _sin_each)
-    else:
-        out = _log_gamma_lanczos(a, _log_each)
-    out[(a == 1.0) | (a == 2.0)] = 0.0
+    values = a.tolist()
+    try:
+        out = np.fromiter(map(math.lgamma, values), float, a.size)
+    except OverflowError:
+        out = np.fromiter(map(log_gamma, values), float, a.size)
     split, start = [], 0
     for part in parts:
         split.append(out[start:start + part.size].reshape(part.shape))
@@ -289,7 +248,3 @@ def _log_each(values: np.ndarray) -> np.ndarray:
     """
     return np.fromiter(map(math.log, values.tolist()), float, values.size)
 
-
-def _sin_each(values: np.ndarray) -> np.ndarray:
-    """Elementwise sine by ``math.sin``, for the batch ``log_gamma``."""
-    return np.fromiter(map(math.sin, values.tolist()), float, values.size)

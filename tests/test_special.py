@@ -1,7 +1,10 @@
 """Tests for the log-domain special functions."""
 
 import math
+import sys
 import warnings
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -24,9 +27,23 @@ from countcomp.special import _log_gamma_each, log_sum_exp_rows
 LOG_BETA_2P5_3P5 = -3.3018352699620523
 
 
+def _mpmath_log_gamma(a):
+    with mpmath.workdps(50):
+        return float(mpmath.loggamma(mpmath.mpf(a)))
+
+
+# 2.5e305 is below the overflow threshold (about 2.56e305) of float64
+# log Gamma; the others are above it.
+BELOW_OVERFLOW = 2.5e305
+LOG_GAMMA_BELOW_OVERFLOW = 1.7555118602376454e308
+ABOVE_OVERFLOW = [2.6e305, 1e306, 1e308, sys.float_info.max]
+SUBNORMALS = [5e-324, 1e-322, 1e-320, 1e-315]
+
+
 class TestLogGamma:
     def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
+        assert log_gamma(1.0) == 0.0
+        assert log_gamma(2.0) == 0.0
         assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
         assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
 
@@ -37,6 +54,30 @@ class TestLogGamma:
         )
         got = np.array([log_gamma(a) for a in grid])
         np.testing.assert_allclose(got, gammaln(grid), rtol=1e-13, atol=1e-13)
+
+    def test_accuracy_against_mpmath(self):
+        # Mixed relative error <= 1e-14 against 50-digit mpmath: a log
+        # grid over 24 decades, points near the zeros at 1 and 2, and the
+        # integers 1..3000.
+        grid = np.concatenate([
+            np.logspace(-6, 18, 1201),
+            1.0 + np.linspace(-1e-3, 1e-3, 101),
+            2.0 + np.linspace(-1e-3, 1e-3, 101),
+            np.arange(1.0, 3001.0),
+        ])
+        for a in grid.tolist():
+            want = _mpmath_log_gamma(a)
+            assert abs(log_gamma(a) - want) <= 1e-14 * max(1.0, abs(want)), a
+
+    @pytest.mark.parametrize("a", SUBNORMALS)
+    def test_subnormal_arguments(self, a):
+        want = _mpmath_log_gamma(a)
+        assert abs(log_gamma(a) - want) <= 1e-15 * abs(want)
+
+    def test_overflow_returns_inf(self):
+        assert log_gamma(BELOW_OVERFLOW) == LOG_GAMMA_BELOW_OVERFLOW
+        for a in ABOVE_OVERFLOW:
+            assert log_gamma(a) == math.inf
 
     def test_recurrence(self):
         # log G(a+1) = log G(a) + log a on 10^4 random points in (0, 100].
@@ -64,6 +105,22 @@ class TestLogGammaBatch:
         (got,) = _log_gamma_each(args)
         want = np.array([log_gamma(a) for a in args.tolist()])
         assert np.count_nonzero(got != want) == 0
+
+    def test_exact_zeros(self):
+        (got,) = _log_gamma_each([1.0, 2.0])
+        assert got.tolist() == [0.0, 0.0]
+
+    def test_subnormal_arguments(self):
+        (got,) = _log_gamma_each(SUBNORMALS)
+        for a, value in zip(SUBNORMALS, got.tolist()):
+            want = _mpmath_log_gamma(a)
+            assert abs(value - want) <= 1e-15 * abs(want), a
+
+    def test_overflow_returns_inf(self):
+        args = [BELOW_OVERFLOW, *ABOVE_OVERFLOW, 3.5]
+        (got,) = _log_gamma_each(args)
+        assert got.tolist() == [log_gamma(a) for a in args]
+        assert got.tolist() == [LOG_GAMMA_BELOW_OVERFLOW] + [math.inf] * 4 + [log_gamma(3.5)]
 
     def test_arguments_keep_their_shapes(self):
         grid = np.array([[0.25, 1.0], [2.0, 7.5]])
