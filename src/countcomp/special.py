@@ -247,4 +247,3 @@ def _log_each(values: np.ndarray) -> np.ndarray:
     pinned to ``math.log``'s bits.
     """
     return np.fromiter(map(math.log, values.tolist()), float, values.size)
-

@@ -5,7 +5,6 @@ import sys
 import warnings
 
 import mpmath
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
