@@ -54,6 +54,7 @@ from .special import (
     _log_each,
     _log_gamma_each,
     _log_gamma_map,
+    _overflow_guard,
     log_multivariate_beta,
     log_multivariate_beta_rows,
     log_sum_exp,
@@ -577,11 +578,13 @@ def _count_array(values, what: str) -> np.ndarray:
 # k and m (integral floats); both give the same bits for the same pair.
 
 
+@_overflow_guard("negative_binomial_log_pmf")
 def _nb_log_terms(lgs, R: float, p: float, m):
     lg_m_r, lg_r, lg_m1 = lgs(m + R, R, m + 1.0)
     return lg_m_r - lg_r - lg_m1 + R * math.log1p(-p) + m * math.log(p)
 
 
+@_overflow_guard("beta_binomial_log_pmf")
 def _bb_log_terms(lgs, a: float, b: float, k, m):
     # Grouped so that the a == b case is exactly symmetric in k <-> m-k;
     # each log B(x, y) is (log G(x) + log G(y)) - log G(x + y).
@@ -637,6 +640,7 @@ def _multinomial_log_terms(lgs, m, counts, x, log_p):
     return _log_multinomial_coefficient(lgs, m, counts) + (x * log_p).sum(axis=-1)
 
 
+@_overflow_guard("dirichlet_multinomial_log_pmf")
 def _dm_log_terms(lgs, fsum, m, counts, r):
     n, big_r = len(r), math.fsum(r)
     lg_m1, lg_big_r, lg_m_big_r, *lg = lgs(

@@ -399,43 +399,44 @@ def log_ratio_inverse_rows(y) -> tuple[np.ndarray, np.ndarray]:
 def finite_difference_jacobian(func, point, step: float = _FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of ``func: R^d -> R^d`` at ``point``.
 
+    ``point`` is one point (d,) or rows (N, d), which ``func`` maps to
+    rows; the result is (d, d) or the (N, d, d) stack of the Jacobians at
+    each row.
+
     The default step of 1e-6 balances truncation against round-off for
     the 1e-6 relative tolerances used when comparing against the closed
     forms.
     """
-    p = np.asarray(point, dtype=float)
-    d = p.size
-    jac = np.empty((d, d), dtype=float)
+    p = np.array(point, dtype=float, ndmin=1)
+    d = p.shape[-1]
+    jac = np.empty(p.shape + (d,), dtype=float)
     for j in range(d):
         bump = np.zeros(d)
         bump[j] = step
         hi = np.asarray(func(p + bump), dtype=float)
         lo = np.asarray(func(p - bump), dtype=float)
-        jac[:, j] = (hi - lo) / (2.0 * step)
+        jac[..., j] = (hi - lo) / (2.0 * step)
     return jac
 
 
-def _signed_log_det(jac: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(jac)
-    if sign <= 0.0:
-        raise ValueError("finite-difference Jacobian has non-positive determinant")
-    return float(logdet)
+def _fd_log_det_rows(inverse_rows, y, step: float = _FD_STEP) -> np.ndarray:
+    """log |det J| of an implemented inverse map at each row of an
+    (N, n-1) array ``y``, as an (N,) array: central differences of the
+    first n-1 output coordinates of ``inverse_rows`` (``ratio_inverse_rows``
+    or ``log_ratio_inverse_rows``) and one stacked LU determinant.  A
+    RowError names the first row whose determinant is not positive."""
+    jac = finite_difference_jacobian(lambda rows: inverse_rows(rows)[0][:, :-1], y, step)
+    sign, log_det = np.linalg.slogdet(jac)
+    _reject_rows((sign <= 0.0, "finite-difference Jacobian has non-positive determinant"))
+    return log_det
 
 
 def finite_difference_log_det_ratio_inverse(y_entries, step: float = _FD_STEP) -> float:
     """log |det J| of the implemented ratio inverse, by central differences
     of the first n-1 output coordinates and an LU determinant."""
-
-    def chart(vec):
-        return ratio_inverse(RatioVector(vec)).entries[:-1]
-
-    return _signed_log_det(finite_difference_jacobian(chart, y_entries, step))
+    return float(_fd_log_det_rows(ratio_inverse_rows, [y_entries], step)[0])
 
 
 def finite_difference_log_det_log_ratio_inverse(y_entries, step: float = _FD_STEP) -> float:
     """log |det J| of the implemented log-ratio inverse, same route."""
-
-    def chart(vec):
-        return log_ratio_inverse(LogRatioVector(vec)).entries[:-1]
-
-    return _signed_log_det(finite_difference_jacobian(chart, y_entries, step))
+    return float(_fd_log_det_rows(log_ratio_inverse_rows, [y_entries], step)[0])

@@ -14,6 +14,7 @@ finite-difference ones.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -101,6 +102,29 @@ def _fsum_columns(columns) -> np.ndarray:
     return np.fromiter(map(math.fsum, rows.tolist()), float, rows.shape[0])
 
 
+def _overflow_guard(name: str):
+    """Make a log-domain formula helper raise ValueError where float64
+    overflows: an OverflowError (``math.fsum`` of huge shapes) or a NaN
+    result (``inf - inf`` of log-gammas past about 2.56e305).  Its
+    one-point and batch forms both run through the helper."""
+    message = f"{name}: a log-gamma term overflows float64 at these arguments"
+
+    def decorate(terms):
+        @functools.wraps(terms)
+        def guarded(*args):
+            try:
+                out = terms(*args)
+            except OverflowError:
+                out = math.nan
+            if out != out if isinstance(out, float) else np.isnan(out).any():
+                raise ValueError(message)
+            return out
+
+        return guarded
+
+    return decorate
+
+
 _BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
 
 
@@ -144,6 +168,7 @@ def log_multivariate_beta_rows(alpha) -> np.ndarray:
     return _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, arr.T)
 
 
+@_overflow_guard("log_multivariate_beta")
 def _log_multivariate_beta_terms(lgs, fsum, alpha):
     # ``alpha`` holds one value per component: floats for one vector
     # (lgs = _log_gamma_map, fsum = math.fsum), or columns for a batch of
@@ -154,15 +179,9 @@ def _log_multivariate_beta_terms(lgs, fsum, alpha):
 
 
 def log_beta(a: float, b: float) -> float:
-    """Return log B(a, b), the log of the Beta function.
-
-    The same value as ``log_multivariate_beta((a, b))`` (``fsum`` of two
-    floats is their rounded sum), without building a vector.
-    """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
-        raise ValueError(_BETA_DOMAIN)
-    return (log_gamma(a) + log_gamma(b)) - log_gamma(a + b)
+    """Return log B(a, b), the log of the Beta function:
+    ``log_multivariate_beta((a, b))``."""
+    return log_multivariate_beta((a, b))
 
 
 def rank_one_update_det(diag, u, v) -> float:

@@ -307,13 +307,23 @@ class TestRunAll:
 # Each row perturbs one library function, as seen from inside
 # countcomp.checks, by 1e-6: above every tolerance involved (1e-12 for
 # the pointwise and round-trip checks, 1e-10 for DM normalization, 1e-9
-# for the normalized-NB mass).  The check that relies on it must fail,
-# so the acceptance criteria that call these checks cannot pass vacuously.
+# for the normalized-NB mass).  The finite-difference check allows a
+# relative determinant error of 1e-6, so its closed-form log-det is
+# shifted by 1e-5.  The check that relies on it must fail, so the
+# acceptance criteria that call these checks cannot pass vacuously.
 # A function is perturbed in both its forms, the scalar entry point and
 # its batch form ``<name>_rows``, so the row follows its check to
 # whichever form the check calls.
 def _shift_log(fn):
     return lambda *args: fn(*args) + 1e-6
+
+
+def _shift_log_det(fn):
+    def shifted(y):
+        x, log_det = fn(y)
+        return x, log_det + 1e-5
+
+    return shifted
 
 
 def _shift_alr_point(fn):
@@ -338,6 +348,10 @@ def _shift_alr_point(fn):
          lambda rng: checks._check_normalized_nb_mass((1.0, 1.0), 1.0)),
         ("log_ratio_inverse", _shift_alr_point,
          lambda rng: checks._check_round_trips(5, rng, 0)),
+        ("ratio_inverse", _shift_log_det,
+         lambda rng: checks._check_jacobian_fd("ratio", 20, rng, 0)),
+        ("log_ratio_inverse", _shift_log_det,
+         lambda rng: checks._check_jacobian_fd("alr", 20, rng, 0)),
     ],
 )
 def test_perturbed_library_function_fails_its_check(monkeypatch, target, perturb, run):

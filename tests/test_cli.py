@@ -117,6 +117,14 @@ class TestEval:
         )
         assert res.returncode == 1
 
+    def test_overflowing_shapes_exit_1_with_an_error_line(self):
+        res = run_cli(
+            "eval", "--dist", "dirichlet", "--params", '{"alpha": [1e308, 1e308]}',
+            "--point", "0.5,0.5",
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     def test_missing_params_exits_2(self):
         res = run_cli("eval", "--dist", "dirichlet", "--point", "0.5,0.5")
         assert res.returncode == 2

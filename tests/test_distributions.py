@@ -527,3 +527,47 @@ class TestValueEquality:
     def test_signed_zeros_are_equal_and_hash_alike(self):
         a, b = LogRatioVector([0.0, 1.0]), LogRatioVector([-0.0, 1.0])
         assert a == b and hash(a) == hash(b)
+
+
+# Shapes whose log-gamma terms overflow float64: 1e308 + 1e308 overflows
+# in math.fsum, and log Gamma(1e306) is +inf, so the formulas would take
+# inf - inf.  Each form, one point and a batch, must raise ValueError.
+HUGE = (1e308, 1e306)
+OVERFLOWING_CALLS = {
+    "log_multivariate_beta": lambda s: distributions.log_multivariate_beta([s, s]),
+    "log_multivariate_beta_rows": lambda s: distributions.log_multivariate_beta_rows([[s, s]]),
+    "dirichlet_log_pdf": lambda s: dirichlet_log_pdf(
+        DirichletParams([s, s]), Composition([0.5, 0.5])),
+    "dirichlet_log_pdf_rows": lambda s: distributions.dirichlet_log_pdf_rows(
+        [s, s], [[0.5, 0.5]]),
+    "inverted_dirichlet_log_pdf": lambda s: inverted_dirichlet_log_pdf(
+        DirichletParams([s, s]), RatioVector([1.0])),
+    "alr_dirichlet_log_pdf_rows": lambda s: distributions.alr_dirichlet_log_pdf_rows(
+        [s, s], [[0.0]]),
+    "dirichlet_multinomial_log_pmf": lambda s: dirichlet_multinomial_log_pmf(
+        [s, s], 2, CountVector([1, 1])),
+    "dirichlet_multinomial_log_pmf_rows": lambda s: distributions.dirichlet_multinomial_log_pmf_rows(
+        [s, s], 2, [[1, 1]]),
+    "negative_binomial_log_pmf": lambda s: negative_binomial_log_pmf(s, 0.5, 3),
+    "negative_binomial_log_pmf_rows": lambda s: distributions.negative_binomial_log_pmf_rows(
+        s, 0.5, [0, 3]),
+    "normalized_nb_log_pmf": lambda s: normalized_nb_log_pmf(
+        GammaMixtureParams([s / 2, s / 2], 1.0), 0, 1, 3),
+    "beta_binomial_log_pmf": lambda s: beta_binomial_log_pmf(
+        BetaBinomialParams(s / 2, s / 2, 3), 1),
+}
+
+
+class TestOverflowingShapes:
+    # numpy warns of the inf - inf in a batch before the guard raises.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("shape", HUGE)
+    @pytest.mark.parametrize("name", OVERFLOWING_CALLS)
+    def test_raises_value_error(self, name, shape):
+        with pytest.raises(ValueError, match="overflows float64"):
+            OVERFLOWING_CALLS[name](shape)
+
+    def test_largest_finite_values_unchanged(self):
+        # Just below the log-gamma overflow the formulas still return numbers.
+        assert math.isfinite(distributions.log_multivariate_beta([1e300, 1e300]))
+        assert math.isfinite(negative_binomial_log_pmf(1e300, 0.5, 3))

@@ -1,15 +1,20 @@
 """Import hygiene: the core library and the eval/sample/transform CLI do
 not load scipy, which only the verification suite (``countcomp.checks``)
-uses as its oracle; the suite's names still resolve from the package."""
+uses as its oracle; the suite's names still resolve from the package;
+and no module keeps an import from the package that it never uses."""
 
+import ast
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 import countcomp
 from countcomp import checks
+
+MODULES = sorted(Path(countcomp.__file__).parent.glob("*.py"))
 
 # The package's public names, as listed before the suite was made lazy.
 PUBLIC_NAMES = [
@@ -87,3 +92,33 @@ def test_unknown_attribute_raises():
         countcomp.no_such_name
     with pytest.raises(ImportError):
         from countcomp import no_such_name  # noqa: F401
+
+
+def _package_imports(tree: ast.Module) -> list[str]:
+    """The local names bound by imports from the package itself."""
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "countcomp")
+        for alias in node.names
+    ]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_package_imports_are_used_or_exported(path):
+    # A name imported from the package and never read is a dead import;
+    # the package's __init__ re-exports through __all__ instead.
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    dead = [name for name in _package_imports(tree) if name not in read | _exported(tree)]
+    assert not dead, f"{path.name} imports names it never uses: {dead}"

@@ -21,7 +21,17 @@ from countcomp import (
     ratio_forward,
     ratio_inverse,
 )
-from countcomp.simplex import RowError, composition_rows, log_ratio_rows, ratio_rows
+from countcomp import simplex
+from countcomp.simplex import (
+    RowError,
+    _fd_log_det_rows,
+    composition_rows,
+    finite_difference_jacobian,
+    log_ratio_inverse_rows,
+    log_ratio_rows,
+    ratio_inverse_rows,
+    ratio_rows,
+)
 
 
 def random_composition(rng, n):
@@ -243,3 +253,51 @@ class TestJacobians:
         lhs = log_det_jacobian_log_ratio_inverse(alr, n)
         rhs = log_det_jacobian_ratio_inverse(ratio, n) + sum(entries)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+FD_ROUTES = [
+    (finite_difference_log_det_ratio_inverse, ratio_inverse_rows),
+    (finite_difference_log_det_log_ratio_inverse, log_ratio_inverse_rows),
+]
+
+
+def _reversed_on(bad):
+    """``ratio_inverse_rows`` with the first two output coordinates
+    swapped on the rows ``bad``: the chart's orientation reverses there."""
+
+    def inverse_rows(y):
+        x, log_det = ratio_inverse_rows(y)
+        x = x.copy()
+        x[bad, :2] = x[bad, 1::-1]
+        return x, log_det
+
+    return inverse_rows
+
+
+class TestFiniteDifferenceRows:
+    @pytest.mark.parametrize("scalar, inverse_rows", FD_ROUTES)
+    def test_batch_jacobian_equals_stacked_points(self, scalar, inverse_rows):
+        y = np.random.default_rng(31).uniform(0.1, 3.0, size=(40, 3))
+        rows = finite_difference_jacobian(lambda v: inverse_rows(v)[0][:, :-1], y)
+        points = [finite_difference_jacobian(lambda v: inverse_rows([v])[0][0, :-1], p) for p in y]
+        assert rows.shape == (40, 3, 3)
+        np.testing.assert_array_equal(rows, np.stack(points))
+
+    @pytest.mark.parametrize("scalar, inverse_rows", FD_ROUTES)
+    def test_scalar_log_dets_equal_their_rows(self, scalar, inverse_rows):
+        rng = np.random.default_rng(37)
+        for n in range(2, 7):
+            y = rng.uniform(0.1, 3.0, size=(20, n - 1))
+            assert _fd_log_det_rows(inverse_rows, y).tolist() == [scalar(v) for v in y]
+
+    def test_reversed_orientation_names_the_first_such_row(self):
+        y = np.random.default_rng(41).uniform(0.1, 3.0, size=(6, 2))
+        with pytest.raises(RowError, match="non-positive determinant") as info:
+            _fd_log_det_rows(_reversed_on([2, 4]), y)
+        assert info.value.row == 2
+        assert np.isfinite(_fd_log_det_rows(_reversed_on([]), y)).all()
+
+    def test_scalar_wrapper_raises_value_error(self, monkeypatch):
+        monkeypatch.setattr(simplex, "ratio_inverse_rows", _reversed_on([0]))
+        with pytest.raises(ValueError, match="non-positive determinant"):
+            finite_difference_log_det_ratio_inverse([0.5, 1.5])

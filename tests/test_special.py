@@ -187,6 +187,14 @@ class TestLogBeta:
         for a, b in np.exp(rng.uniform(math.log(1e-6), math.log(1e6), (2000, 2))).tolist():
             assert log_beta(a, b) == log_multivariate_beta((a, b))
 
+    @pytest.mark.parametrize("a", [1e308, 1e306])
+    def test_overflow_error_shared_with_multivariate_form(self, a):
+        with pytest.raises(ValueError, match="overflows float64") as beta:
+            log_beta(a, a)
+        with pytest.raises(ValueError) as multivariate:
+            log_multivariate_beta((a, a))
+        assert str(beta.value) == str(multivariate.value)
+
     @pytest.mark.parametrize(
         "a, b", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)]
     )
