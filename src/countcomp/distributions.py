@@ -57,7 +57,7 @@ from .special import (
     _overflow_guard,
     log_multivariate_beta,
     log_multivariate_beta_rows,
-    log_sum_exp,
+    log_sum_exp_rows,
 )
 
 __all__ = [
@@ -103,6 +103,9 @@ def _positive_vector(values, what: str, min_len: int) -> np.ndarray:
         raise ValueError(f"{what} requires a vector of length >= {min_len}")
     if not (np.isfinite(arr).all() and (arr > 0.0).all()):
         raise ValueError(f"{what} entries must be strictly positive and finite")
+    # A Python sum: numpy's would warn as it overflows.
+    if not math.isfinite(sum(arr.tolist())):
+        raise ValueError(f"{what}: the sum of the entries overflows float64")
     arr.flags.writeable = False
     return arr
 
@@ -224,6 +227,8 @@ class BetaBinomialParams:
         a, b = float(a), float(b)
         if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
             raise ValueError("BetaBinomialParams requires a > 0 and b > 0")
+        if not math.isfinite(a + b):
+            raise ValueError("BetaBinomialParams: a + b overflows float64")
         m = _as_count(m, "m")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -855,13 +860,27 @@ def normalized_nb_value_pmf(
         frac = Fraction(_as_count(k, "value numerator"), int(m))
     if frac < 0 or frac > 1:
         raise ValueError(f"value must lie in [0, 1], got {frac}")
+    value = np.array([[frac.numerator, frac.denominator]])
+    log_mass, bound = _value_pmf_rows(params, component, value[:, 0], value[:, 1], tail_mass)
+    return AggregatedValueMass(float(log_mass[0]), bound)
+
+
+def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, denominators,
+                    tail_mass: float) -> tuple[np.ndarray, int]:
+    """Batch form of ``normalized_nb_value_pmf`` over reduced values k/m
+    in [0, 1], given as arrays of k and m: the log masses, and the bound
+    M they share.  The pair masses of the values with the same number of
+    multiples are summed as the rows of one ``log_sum_exp_rows``, never
+    padded, so each entry equals the scalar value bit for bit."""
     a, b = _merged_shapes(params, component)
     big_r, p = params.total_shape, params.success_prob
     bound = nb_truncation_bound(big_r, p, tail_mass)
-    # The pairs (j num, j den), j = 1 .. bound // den, in one batch.
-    j = np.arange(1, bound // frac.denominator + 1, dtype=float)
-    if not j.size:
-        return AggregatedValueMass(-math.inf, bound)
-    k, m = j * frac.numerator, j * frac.denominator
-    terms = _nb_log_terms(_log_gamma_each, big_r, p, m) + _bb_log_terms(_log_gamma_each, a, b, k, m)
-    return AggregatedValueMass(log_sum_exp(terms), bound)
+    count = bound // denominators
+    out = np.full(count.shape, -math.inf)
+    for c in set(count.tolist()) - {0}:
+        (rows,) = np.nonzero(count == c)
+        j = np.arange(1.0, c + 1.0)
+        k, m = numerators[rows, None] * j, denominators[rows, None] * j
+        terms = _nb_log_terms(_log_gamma_each, big_r, p, m) + _bb_log_terms(_log_gamma_each, a, b, k, m)
+        out[rows] = log_sum_exp_rows(terms)
+    return out, bound

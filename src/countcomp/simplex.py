@@ -396,47 +396,46 @@ def log_ratio_inverse_rows(y) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def finite_difference_jacobian(func, point, step: float = _FD_STEP) -> np.ndarray:
+def finite_difference_jacobian(func, point) -> np.ndarray:
     """Central-difference Jacobian of ``func: R^d -> R^d`` at ``point``.
 
     ``point`` is one point (d,) or rows (N, d), which ``func`` maps to
     rows; the result is (d, d) or the (N, d, d) stack of the Jacobians at
     each row.
 
-    The default step of 1e-6 balances truncation against round-off for
-    the 1e-6 relative tolerances used when comparing against the closed
-    forms.
+    The step of 1e-6 balances truncation against round-off for the 1e-6
+    relative tolerances used when comparing against the closed forms.
     """
     p = np.array(point, dtype=float, ndmin=1)
     d = p.shape[-1]
     jac = np.empty(p.shape + (d,), dtype=float)
     for j in range(d):
         bump = np.zeros(d)
-        bump[j] = step
+        bump[j] = _FD_STEP
         hi = np.asarray(func(p + bump), dtype=float)
         lo = np.asarray(func(p - bump), dtype=float)
-        jac[..., j] = (hi - lo) / (2.0 * step)
+        jac[..., j] = (hi - lo) / (2.0 * _FD_STEP)
     return jac
 
 
-def _fd_log_det_rows(inverse_rows, y, step: float = _FD_STEP) -> np.ndarray:
+def _fd_log_det_rows(inverse_rows, y) -> np.ndarray:
     """log |det J| of an implemented inverse map at each row of an
     (N, n-1) array ``y``, as an (N,) array: central differences of the
     first n-1 output coordinates of ``inverse_rows`` (``ratio_inverse_rows``
     or ``log_ratio_inverse_rows``) and one stacked LU determinant.  A
     RowError names the first row whose determinant is not positive."""
-    jac = finite_difference_jacobian(lambda rows: inverse_rows(rows)[0][:, :-1], y, step)
+    jac = finite_difference_jacobian(lambda rows: inverse_rows(rows)[0][:, :-1], y)
     sign, log_det = np.linalg.slogdet(jac)
     _reject_rows((sign <= 0.0, "finite-difference Jacobian has non-positive determinant"))
     return log_det
 
 
-def finite_difference_log_det_ratio_inverse(y_entries, step: float = _FD_STEP) -> float:
+def finite_difference_log_det_ratio_inverse(y_entries) -> float:
     """log |det J| of the implemented ratio inverse, by central differences
     of the first n-1 output coordinates and an LU determinant."""
-    return float(_fd_log_det_rows(ratio_inverse_rows, [y_entries], step)[0])
+    return float(_fd_log_det_rows(ratio_inverse_rows, [y_entries])[0])
 
 
-def finite_difference_log_det_log_ratio_inverse(y_entries, step: float = _FD_STEP) -> float:
+def finite_difference_log_det_log_ratio_inverse(y_entries) -> float:
     """log |det J| of the implemented log-ratio inverse, same route."""
-    return float(_fd_log_det_rows(log_ratio_inverse_rows, [y_entries], step)[0])
+    return float(_fd_log_det_rows(log_ratio_inverse_rows, [y_entries])[0])

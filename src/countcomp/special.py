@@ -184,9 +184,12 @@ def log_beta(a: float, b: float) -> float:
     return log_multivariate_beta((a, b))
 
 
-def rank_one_update_det(diag, u, v) -> float:
+def rank_one_update_det(diag, u, v):
     """Determinant of ``D + u v^T`` with ``D = diag(diag)``, via the matrix
-    determinant lemma: ``(1 + v^T D^{-1} u) * prod(diag)``.
+    determinant lemma: ``(1 + v^T D^{-1} u) * prod(diag)``.  A float for
+    one set of vectors (d,); for a stack (..., d), the array of its
+    leading shape, each entry equal to the call on its vectors bit for
+    bit.
 
     Linear-domain on purpose: the sign of the determinant matters when
     this is compared against finite-difference Jacobians.
@@ -196,7 +199,7 @@ def rank_one_update_det(diag, u, v) -> float:
     diag : array_like
         Nonzero diagonal entries of D.
     u, v : array_like
-        Column vectors of the rank-one update, same length as ``diag``.
+        Column vectors of the rank-one update, in the shape of ``diag``.
 
     Raises
     ------
@@ -206,7 +209,7 @@ def rank_one_update_det(diag, u, v) -> float:
     d = np.asarray(diag, dtype=float)
     uu = np.asarray(u, dtype=float)
     vv = np.asarray(v, dtype=float)
-    if d.ndim != 1 or d.size == 0:
+    if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("diag must be a non-empty vector")
     if uu.shape != d.shape or vv.shape != d.shape:
         raise ValueError(
@@ -216,7 +219,9 @@ def rank_one_update_det(diag, u, v) -> float:
         raise ValueError("rank_one_update_det requires finite inputs")
     if np.any(d == 0.0):
         raise ValueError("diag entries must be nonzero")
-    return float((1.0 + vv @ (uu / d)) * np.prod(d))
+    # vecdot takes each row's dot product as ``@`` does on one vector.
+    det = (1.0 + np.vecdot(vv, uu / d)) * np.prod(d, axis=-1)
+    return float(det) if d.ndim == 1 else det
 
 
 def log_sum_exp(values) -> float:

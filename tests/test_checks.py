@@ -160,13 +160,6 @@ class TestBetaBinomialMerge:
         assert rep.passed
         assert rep.statistic <= 1e-10
 
-    def test_corrupted_tolerance_fails(self):
-        # Negative control: an impossible tolerance must produce a failure,
-        # and the suite-level verdict must catch it.
-        rep = check_beta_binomial_merge((2.0, 1.5, 1.5), 7, seed=0, tol=0.0)
-        assert not rep.passed and not rep.inconclusive
-        assert not all_passed([rep])
-
 
 class TestTransformDensity:
     def test_pointwise_both_transforms(self):
@@ -306,11 +299,13 @@ class TestRunAll:
 
 # Each row perturbs one library function, as seen from inside
 # countcomp.checks, by 1e-6: above every tolerance involved (1e-12 for
-# the pointwise and round-trip checks, 1e-10 for DM normalization, 1e-9
-# for the normalized-NB mass).  The finite-difference check allows a
-# relative determinant error of 1e-6, so its closed-form log-det is
-# shifted by 1e-5.  The check that relies on it must fail, so the
-# acceptance criteria that call these checks cannot pass vacuously.
+# the pointwise and round-trip checks, 1e-10 for DM normalization, the
+# Beta-Binomial merge and the determinant lemma, 1e-9 for the
+# normalized-NB mass and the value partition).  The finite-difference
+# check allows a relative determinant error of 1e-6, so its closed-form
+# log-det is shifted by 1e-5.  The check that relies on it must fail, so
+# the acceptance criteria that call these checks cannot pass vacuously,
+# and the suite-level verdict must catch it.
 # A function is perturbed in both its forms, the scalar entry point and
 # its batch form ``<name>_rows``, so the row follows its check to
 # whichever form the check calls.
@@ -322,6 +317,18 @@ def _shift_log_det(fn):
     def shifted(y):
         x, log_det = fn(y)
         return x, log_det + 1e-5
+
+    return shifted
+
+
+def _scale(fn):
+    return lambda *args: fn(*args) * (1.0 + 1e-6)
+
+
+def _shift_value_log_masses(fn):
+    def shifted(*args):
+        log_mass, bound = fn(*args)
+        return log_mass + 1e-6, bound
 
     return shifted
 
@@ -352,6 +359,14 @@ def _shift_alr_point(fn):
          lambda rng: checks._check_jacobian_fd("ratio", 20, rng, 0)),
         ("log_ratio_inverse", _shift_log_det,
          lambda rng: checks._check_jacobian_fd("alr", 20, rng, 0)),
+        ("beta_binomial_log_pmf", _shift_log,
+         lambda rng: check_beta_binomial_merge((2.0, 1.5, 1.5), 7, seed=0)),
+        ("_value_pmf_rows", _shift_value_log_masses,
+         lambda rng: checks._check_value_pmf_partition()),
+        ("rank_one_update_det", _scale,
+         lambda rng: checks._check_lemma_substitution("ratio", 20, rng, 0)),
+        ("rank_one_update_det", _scale,
+         lambda rng: checks._check_lemma_substitution("alr", 20, rng, 0)),
     ],
 )
 def test_perturbed_library_function_fails_its_check(monkeypatch, target, perturb, run):
@@ -363,6 +378,7 @@ def test_perturbed_library_function_fails_its_check(monkeypatch, target, perturb
     rep = run(rng)
     assert not rep.passed and not rep.inconclusive
     assert rep.statistic > rep.threshold
+    assert not all_passed([rep])
 
 
 class TestAllPassed:

@@ -1,6 +1,7 @@
 """Tests for the density and mass functions (exact values and identities)."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -487,6 +488,29 @@ class TestNormalizedNbValuePmf:
             )
             assert out.log_mass == log_sum_exp(pairs)
 
+    def test_batch_equals_scalar_bitwise(self):
+        # Every rational with denominator <= 11, 0/1 and 1/1 included, at
+        # random parameters and at a small bound that leaves some values
+        # with no multiple below it (mass -inf).
+        rationals = sorted({Fraction(k, m) for m in range(1, 12) for k in range(m + 1)})
+        k = np.array([q.numerator for q in rationals])
+        m = np.array([q.denominator for q in rationals])
+        rng = np.random.default_rng(29)
+        settings = [(GammaMixtureParams([0.05, 0.05], 0.01), 0, 1e-12)]
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            params = GammaMixtureParams(np.exp(rng.uniform(-3.0, 4.0, n)), np.exp(rng.uniform(-2.5, 1.0)))
+            settings.append((params, int(rng.integers(0, n)), float(rng.choice([1e-9, 1e-12, 1e-14]))))
+        empty = 0
+        for params, component, tail_mass in settings:
+            log_mass, bound = distributions._value_pmf_rows(params, component, k, m, tail_mass)
+            scalar = [normalized_nb_value_pmf(params, component, q, tail_mass) for q in rationals]
+            assert [out.log_mass for out in scalar] == log_mass.tolist()
+            assert {out.truncation_bound for out in scalar} == {bound}
+            empty += int((log_mass == -math.inf).sum())
+            assert ((log_mass == -math.inf) == (m > bound)).all()
+        assert empty > 0
+
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
             normalized_nb_value_pmf(self.params, 0, (0, 0))
@@ -571,3 +595,28 @@ class TestOverflowingShapes:
         # Just below the log-gamma overflow the formulas still return numbers.
         assert math.isfinite(distributions.log_multivariate_beta([1e300, 1e300]))
         assert math.isfinite(negative_binomial_log_pmf(1e300, 0.5, 3))
+
+
+# Finite shapes whose sum overflows float64: the parameters are rejected
+# when they are built, without a RuntimeWarning from the sum.
+OVERFLOWING_SUMS = {
+    "GammaMixtureParams": lambda: GammaMixtureParams([1e308, 1e308], 1.0),
+    "DirichletParams": lambda: DirichletParams([1e308, 1e308]),
+    "BetaBinomialParams": lambda: BetaBinomialParams(1e308, 1e308, 3),
+    "shape vector": lambda: dirichlet_multinomial_log_pmf(
+        [1e308, 1e308], 2, CountVector([1, 1])),
+}
+
+
+class TestOverflowingShapeSums:
+    @pytest.mark.parametrize("name", OVERFLOWING_SUMS)
+    def test_rejected_when_built(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                OVERFLOWING_SUMS[name]()
+
+    def test_largest_finite_sums_accepted(self):
+        assert GammaMixtureParams([8e307, 8e307], 1.0).total_shape == 1.6e308
+        assert DirichletParams([8e307, 8e307]).total == 1.6e308
+        assert BetaBinomialParams(8e307, 8e307, 3).a == 8e307

@@ -238,6 +238,37 @@ class TestRankOneUpdateDet:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rank_one_update_det([1.0, 2.0], [1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            rank_one_update_det(np.ones((3, 2)), np.ones((3, 1)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_stack_equals_each_row_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        d = rng.uniform(0.2, 3.0, size=(4, 50, dim)) * rng.choice([-1.0, 1.0], size=(4, 50, dim))
+        u = rng.normal(size=d.shape)
+        v = rng.normal(size=d.shape)
+        got = rank_one_update_det(d, u, v)
+        assert got.shape == (4, 50)
+        for index in np.ndindex(4, 50):
+            one = rank_one_update_det(d[index], u[index], v[index])
+            assert isinstance(one, float) and one == got[index]
+            # The lemma as written with ``@`` on one vector.
+            assert one == (1.0 + v[index] @ (u[index] / d[index])) * np.prod(d[index])
+
+    @pytest.mark.parametrize(
+        "d, u, v, row",
+        [
+            ([[1.0, 2.0], [3.0, 0.0]], [[1.0, 1.0]] * 2, [[1.0, 1.0]] * 2, 1),
+            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0], [math.inf, 1.0]], [[1.0, 1.0]] * 2, 1),
+            (np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), 0),
+        ],
+    )
+    def test_stack_raises_as_its_bad_row_does(self, d, u, v, row):
+        with pytest.raises(ValueError) as one:
+            rank_one_update_det(d[row], u[row], v[row])
+        with pytest.raises(ValueError) as stack:
+            rank_one_update_det(d, u, v)
+        assert str(stack.value) == str(one.value)
 
     def test_zero_diagonal(self):
         with pytest.raises(ValueError):
