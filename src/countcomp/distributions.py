@@ -101,10 +101,12 @@ def _positive_vector(values, what: str, min_len: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < min_len:
         raise ValueError(f"{what} requires a vector of length >= {min_len}")
-    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
-        raise ValueError(f"{what} entries must be strictly positive and finite")
-    # A Python sum: numpy's would warn as it overflows.
-    if not math.isfinite(sum(arr.tolist())):
+    # The accept test.  min() skips a NaN that is not first, but the sum
+    # is NaN then; a Python sum, as numpy's would warn as it overflows.
+    values = arr.tolist()
+    if not (min(values) > 0.0 and math.isfinite(sum(values))):
+        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
+            raise ValueError(f"{what} entries must be strictly positive and finite")
         raise ValueError(f"{what}: the sum of the entries overflows float64")
     arr.flags.writeable = False
     return arr
@@ -182,17 +184,23 @@ def count_rows(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise RowError(0, "CountVector requires a vector of length >= 1")
-    if arr.dtype.kind in "iu":
-        non_integer = np.zeros(arr.shape[0], dtype=bool)
-    else:
+    integer = arr.dtype.kind in "iu"
+    if not integer:
         arr = arr.astype(float)
-        non_integer = ~(np.isfinite(arr) & (arr == np.floor(arr))).all(axis=1)
-    _reject_rows(
-        (non_integer, "CountVector entries must be integers"),
-        ((arr < 0).any(axis=1), "CountVector entries must be non-negative"),
-        ((arr >= 2**63).any(axis=1), "CountVector entries must be below 2**63 (int64)"),
-    )
-    ints = arr.astype(np.int64)
+    # The accept test; NaN fails both comparisons.  In [0, 2**63) the
+    # cast to int64 keeps an integral float and changes any other.
+    in_range = arr.min(initial=0) >= 0 and arr.max(initial=0) < 2**63
+    ints = arr.astype(np.int64) if in_range else None
+    if not (in_range and (integer or (ints == arr).all())):
+        if integer:
+            non_integer = np.zeros(arr.shape[0], dtype=bool)
+        else:
+            non_integer = ~(np.isfinite(arr) & (arr == np.floor(arr))).all(axis=1)
+        _reject_rows(
+            (non_integer, "CountVector entries must be integers"),
+            ((arr < 0).any(axis=1), "CountVector entries must be non-negative"),
+            ((arr >= 2**63).any(axis=1), "CountVector entries must be below 2**63 (int64)"),
+        )
     ints.flags.writeable = False
     return ints
 
@@ -246,10 +254,19 @@ def _as_count(value, what: str) -> int:
 
 
 def _as_shapes(params) -> np.ndarray:
-    """Accept a GammaMixtureParams (scale unused) or a bare shape vector."""
+    """Accept a GammaMixtureParams (scale unused), a DirichletParams (its
+    alpha) or a bare shape vector."""
     if isinstance(params, GammaMixtureParams):
         return params.shapes
-    return _positive_vector(params, "shape vector", 1)
+    if isinstance(params, DirichletParams):
+        return params.alpha
+    try:
+        return _positive_vector(params, "shape vector", 1)
+    except TypeError as exc:
+        raise ValueError(
+            "shapes must be a GammaMixtureParams, a DirichletParams or a vector of "
+            f"numbers, got {type(params).__name__}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

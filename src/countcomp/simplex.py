@@ -134,9 +134,16 @@ def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``values`` as a new float array, checked by the
     Composition rules but not renormalized, and the sum of each row."""
     arr = _float_rows(values, "Composition", 2)
+    # The accept test.  NaN fails both comparisons, and an entry above
+    # 1 + slack fails the sum rule, so no sum here can overflow.
+    if arr.min(initial=math.inf) >= _POSITIVE_FLOOR and arr.max(initial=0.0) <= 1.0 + _SUM_SLACK:
+        totals = arr.sum(axis=1)
+        if np.abs(totals - 1.0).max(initial=0.0) <= _SUM_SLACK:
+            return arr, totals
     # Clipping at 0 changes no row that passes the rules before the sum
     # rule, and keeps +inf and -inf from meeting (and warning) in a sum.
-    totals = np.maximum(arr, 0.0).sum(axis=1)
+    with np.errstate(over="ignore"):
+        totals = np.maximum(arr, 0.0).sum(axis=1)
     _reject_rows(
         (~np.isfinite(arr).all(axis=1), "Composition entries must be finite"),
         (
@@ -160,14 +167,25 @@ def ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     of each row.  A RowError names the first row that fails.
     """
     arr = _float_rows(values, "RatioVector", 1)
-    _reject_rows(
-        (
-            ~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
-            "RatioVector entries must be strictly positive and finite",
-        ),
-    )
+    # The accept test: NaN fails both comparisons, and under this bound
+    # no sum of a row can overflow.
+    if (
+        arr.min(initial=math.inf) > 0.0
+        and arr.max(initial=0.0) <= sys.float_info.max / (arr.shape[1] + 1)
+    ):
+        z = 1.0 + arr.sum(axis=1)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = 1.0 + arr.sum(axis=1)
+        _reject_rows(
+            (
+                ~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
+                "RatioVector entries must be strictly positive and finite",
+            ),
+            (~np.isfinite(z), "RatioVector: the sum of the entries overflows float64"),
+        )
     arr.flags.writeable = False
-    return arr, 1.0 + arr.sum(axis=1)
+    return arr, z
 
 
 def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +196,9 @@ def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     names the first row that fails.
     """
     arr = _float_rows(values, "LogRatioVector", 1)
-    _reject_rows((~np.isfinite(arr).all(axis=1), "LogRatioVector entries must be finite"))
+    # The accept test; NaN fails both comparisons.
+    if not (arr.min(initial=0.0) > -math.inf and arr.max(initial=0.0) < math.inf):
+        _reject_rows((~np.isfinite(arr).all(axis=1), "LogRatioVector entries must be finite"))
     arr.flags.writeable = False
     return arr, log_sum_exp_rows(_append_column(arr, 0.0))
 

@@ -89,10 +89,22 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     return split
 
 
-def _log_gamma_map(*args):
-    """``log_gamma`` of each argument; the one-point twin of
-    ``_log_gamma_each``, with no batch cost."""
-    return map(log_gamma, args)
+def _log_gamma_map(*args) -> list[float]:
+    """``log_gamma`` of each argument, as a list: the one-point twin of
+    ``_log_gamma_each``, with no batch cost.
+
+    The domain is checked once for all arguments together; where that
+    check fails, or ``math.lgamma`` overflows, each argument goes through
+    ``log_gamma``, which raises its message for the first bad one and
+    gives ``+inf`` on overflow.
+    """
+    try:
+        # min() skips a NaN that is not first, but the sum is NaN then.
+        if min(args) > 0.0 and math.isfinite(sum(args)):
+            return list(map(math.lgamma, args))
+    except OverflowError:
+        pass
+    return list(map(log_gamma, args))
 
 
 def _fsum_columns(columns) -> np.ndarray:
@@ -125,9 +137,6 @@ def _overflow_guard(name: str):
     return decorate
 
 
-_BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
-
-
 def log_multivariate_beta(alpha) -> float:
     """Return log B(alpha) = sum_i log Gamma(alpha_i) - log Gamma(sum_i alpha_i).
 
@@ -144,8 +153,7 @@ def log_multivariate_beta(alpha) -> float:
     arr = np.asarray(alpha, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("log_multivariate_beta requires a vector of length >= 2")
-    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
-        raise ValueError(_BETA_DOMAIN)
+    _check_beta_domain(arr)
     return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, arr.tolist())
 
 
@@ -163,9 +171,14 @@ def log_multivariate_beta_rows(alpha) -> np.ndarray:
     arr = np.asarray(alpha, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("log_multivariate_beta requires a vector of length >= 2")
-    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
-        raise ValueError(_BETA_DOMAIN)
+    _check_beta_domain(arr)
     return _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, arr.T)
+
+
+def _check_beta_domain(arr: np.ndarray) -> None:
+    # NaN fails both comparisons.
+    if not (arr.min(initial=math.inf) > 0.0 and arr.max(initial=0.0) < math.inf):
+        raise ValueError("log_multivariate_beta requires strictly positive finite entries")
 
 
 @_overflow_guard("log_multivariate_beta")
@@ -260,7 +273,10 @@ def log_sum_exp_rows(values) -> np.ndarray:
             raise ValueError("log_sum_exp input contains NaN")
         m[finite] = log_sum_exp_rows(arr[finite])
         return m
-    return m + _log_each(np.exp(arr - m[:, None]).sum(axis=1))
+    # A difference past -float max is -inf, whose exp is the 0 it stands for.
+    with np.errstate(over="ignore"):
+        shifted = arr - m[:, None]
+    return m + _log_each(np.exp(shifted).sum(axis=1))
 
 
 def _log_each(values: np.ndarray) -> np.ndarray:
