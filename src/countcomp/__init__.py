@@ -7,9 +7,11 @@ Dirichlet-multinomial and beta-binomial marginals), the mass function of
 a normalized count, and a verification suite that mechanically checks
 every identity connecting them.
 
-The suite lives in ``countcomp.checks`` and uses scipy as its oracle.
-Its names are loaded on first access, so importing the package does not
-import scipy.
+The suite lives in ``countcomp.checks`` and takes its p-values from
+``scipy.special``; ``scipy.stats`` is loaded only in the rare KS branches
+(a sample of at most 140, n D <= 1, or the Durbin-matrix region). The
+suite's names are loaded on first access, so importing the package does
+not import scipy.
 """
 
 from .distributions import (

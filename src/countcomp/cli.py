@@ -334,7 +334,7 @@ def _cmd_transform(args, stream_in, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    from . import checks  # the suite imports scipy; only verify pays for it
+    from . import checks  # the suite imports scipy.special; only verify pays for it
 
     reports = checks.run_all(args.seed, args.level)
     for report in reports:

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy import stats
+from scipy.special import betainc, gammainc
 
 from countcomp import (
     CheckReport,
@@ -233,6 +234,95 @@ class TestTransformDensity:
         rep = check_transform_density(alpha, 2, 10_000, rng, transform=transform, variant="ks")
         assert not rep.passed and not rep.inconclusive
         assert rep.statistic < checks.P_FLOOR
+
+    @pytest.mark.parametrize("transform", ["ratio", "alr"])
+    def test_ks_small_sample_matches_exact_kstest(self, monkeypatch, transform):
+        # At 50 trials the p-value comes from scipy's own kstwo branches.
+        seen = []
+        ks_test = checks._ks_test
+        monkeypatch.setattr(checks, "_ks_test", lambda cdf: seen.append(cdf) or ks_test(cdf))
+        rng = np.random.default_rng(137)
+        rep = check_transform_density((2.0, 3.0), 2, 50, rng, transform=transform, variant="ks")
+        want = stats.kstest(seen[0], "uniform", method="exact")
+        assert rep.statistic == float(want.pvalue)
+        assert rep.detail.startswith(f"KS D={float(want.statistic):.6g};")
+
+
+# Each branch cut of the KS p-value as a function of n: n D = 0.5, 1 and
+# n - 1; D = 0.5; n D^2 = 0.754693, 2.2, 4, 18 and 370; n D^1.5 = 1.4.
+KS_CUTS = (
+    lambda n: 0.5 / n, lambda n: 1 / n, lambda n: (n - 1) / n, lambda n: 0.5,
+    *(lambda n, c=c: math.sqrt(c / n) for c in (0.754693, 2.2, 4.0, 18.0, 370.0)),
+    lambda n: (1.4 / n) ** (2 / 3),
+)
+
+
+def _uniform_cdf_with_d(n, d, sign):
+    """Sorted CDF values of n points whose KS distance from the uniform law
+    is d, up to rounding: the midpoints (i + 1/2) / n shifted by
+    sign * (d - 1/2n), so D- (sign +1) or D+ (sign -1) attains it."""
+    return np.clip((np.arange(n) + 0.5) / n + sign * (d - 0.5 / n), 0.0, 1.0)
+
+
+def _assert_ks_matches_kstest(n, targets):
+    got, want = [], []
+    for i, d in enumerate(targets):
+        cdf = _uniform_cdf_with_d(n, d, (-1) ** i)
+        got.append(checks._ks_test(cdf))
+        res = stats.kstest(cdf, "uniform", method="exact")
+        want.append((float(res.statistic), float(res.pvalue)))
+    assert got == want
+
+
+class TestScipyParity:
+    """The suite's p-values equal the scipy.stats oracle bit for bit."""
+
+    def test_chi_square_gof_matches_chi2_sf(self):
+        rng = np.random.default_rng(139)
+        for cells in (2, 3, 10, 60):
+            expected = rng.uniform(5.0, 200.0, size=cells)
+            observed = rng.poisson(expected).astype(float)
+            stat, p = checks._chi_square_gof(observed, expected)
+            assert p == float(stats.chi2.sf(stat, cells - 1))
+
+    def test_contingency_matches_chi2_contingency(self):
+        rng = np.random.default_rng(149)
+        tables = [rng.poisson(rng.uniform(1.0, 40.0), size=shape).astype(float)
+                  for shape in ((2, 2), (2, 7), (3, 5), (6, 4), (2, 40))]
+        for table in tables:
+            want = stats.chi2_contingency(table, correction=False).pvalue
+            assert checks._contingency_p(table) == float(want)
+        # An empty row and column are dropped before the test.
+        padded = np.zeros((4, 6))
+        padded[np.ix_([0, 1, 3], [0, 2, 3, 4, 5])] = tables[2]
+        assert checks._contingency_p(padded) == checks._contingency_p(tables[2])
+        # One nontrivial row: no degrees of freedom, scipy's p = 1.
+        single = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 9.0]])
+        assert checks._contingency_p(single) == 1.0
+        assert stats.chi2_contingency(single[1:, [0, 2]], correction=False).pvalue == 1.0
+        with pytest.raises(ValueError, match="No data"):
+            checks._contingency_p(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="No data"):
+            stats.chi2_contingency(np.zeros((0, 0)), correction=False)
+
+    @pytest.mark.parametrize("n", [50, 141, 1000, 10_000])
+    def test_ks_matches_kstest_across_branch_cuts(self, n):
+        targets = [cut(n) * side for cut in KS_CUTS for side in (1 - 1e-9, 1.0, 1 + 1e-9)]
+        _assert_ks_matches_kstest(n, [d for d in targets if 0.0 < d < 1.0])
+
+    def test_ks_matches_kstest_at_1e5(self):
+        # A few points only: scipy's smirnov costs about 0.2 s a call here.
+        n = 100_000
+        durbin, pelz_good = (1.4 / n) ** (2 / 3), math.sqrt(2.2 / n)
+        _assert_ks_matches_kstest(n, [1 / n * 1.01, durbin * (1 - 1e-9), durbin * (1 + 1e-9),
+                                      pelz_good * (1 - 1e-9)])
+
+    def test_gamma_ks_matches_kstest_on_the_gamma_law(self):
+        rng = np.random.default_rng(151)
+        draws = checks.gamma_sample(2.5, 1.3, rng, size=20_000)
+        d, p = checks._ks_test(gammainc(2.5, np.sort(draws) / 1.3))
+        want = stats.kstest(draws, stats.gamma(a=2.5, scale=1.3).cdf)
+        assert (d, p) == (float(want.statistic), float(want.pvalue))
 
 
 QUICK_REPORT_NAMES = (

@@ -1,7 +1,8 @@
 """Import hygiene: the core library and the eval/sample/transform CLI do
 not load scipy, which only the verification suite (``countcomp.checks``)
-uses as its oracle; the suite's names still resolve from the package;
-and no module keeps an import from the package that it never uses."""
+uses for its p-values; the suite itself loads ``scipy.special`` but not
+``scipy.stats``; the suite's names still resolve from the package; and no
+module keeps an import from the package that it never uses."""
 
 import ast
 import subprocess
@@ -70,6 +71,19 @@ def test_scipy_not_imported(body):
     script = "import sys\n" + textwrap.dedent(body) + (
         "\nassert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:3]\n"
     )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_verify_does_not_import_scipy_stats():
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from countcomp import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0
+        assert 'scipy.stats' not in sys.modules
+    """)
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr
