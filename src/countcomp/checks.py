@@ -7,12 +7,15 @@ determinants, samplers against analytic laws via chi-square and
 Kolmogorov-Smirnov tests, integrals against Monte Carlo, and infinite
 sums against truncated enumeration with explicit tail bounds.
 
-Statistical checks use a significance floor of p > 0.001 each, keeping
+Every verdict comes from one of two rules, each with its own report
+builder: a p-value must exceed the floor of 0.001 (``_p_value_report``)
+or an error must stay within a fixed bound (``_error_report``).  Only
+the negative control (its p-value must fall below the floor) and a
+check too starved of data to decide report otherwise.  The floor keeps
 the false-failure probability of the whole suite under ~5% per run; a
 failing statistical check is retried once at 10x the sample size (on a
-fresh substream) before being declared failed.  Exact checks use fixed
-relative tolerances.  Chi-square cells with expected count below 5 are
-pooled into a tail cell.
+fresh substream) before being declared failed.  Chi-square cells with
+expected count below 5 are pooled into a tail cell.
 
 P-values come from ``scipy.special`` (``chdtrc``, ``smirnov``,
 ``gammainc``) by the arithmetic of ``scipy.stats`` (``chi2.sf``,
@@ -129,6 +132,23 @@ class CheckReport:
             "seed": int(self.seed),
             "detail": str(self.detail),
         }
+
+
+def _p_value_report(name: str, p, size: int, seed: int, note: str = "") -> CheckReport:
+    """A report under the p-value rule: ``p`` must exceed ``P_FLOOR``."""
+    rule = "p-value must exceed threshold"
+    return CheckReport(
+        name=name, statistic=p, threshold=P_FLOOR, passed=p > P_FLOOR,
+        size=size, seed=seed, detail=f"{note}; {rule}" if note else rule,
+    )
+
+
+def _error_report(name: str, error, tol: float, size: int, seed: int, detail: str) -> CheckReport:
+    """A report under the bound rule: ``error`` must stay within ``tol``."""
+    return CheckReport(
+        name=name, statistic=error, threshold=tol, passed=error <= tol,
+        size=size, seed=seed, detail=detail,
+    )
 
 
 def all_passed(reports) -> bool:
@@ -375,10 +395,7 @@ def check_conditional_multinomial(rates, m: int, trials: int, rng: np.random.Gen
         )
     expected = accepted * np.exp(cell_logp)
     _, p = _chi_square_gof(observed, expected)
-    return CheckReport(
-        name=name, statistic=p, threshold=P_FLOOR, passed=p > P_FLOOR,
-        size=accepted, seed=seed, detail="p-value must exceed threshold",
-    )
+    return _p_value_report(name, p, accepted, seed)
 
 
 def check_pi_independent_of_s(params: GammaMixtureParams, trials: int, rng: np.random.Generator,
@@ -416,11 +433,7 @@ def check_pi_independent_of_s(params: GammaMixtureParams, trials: int, rng: np.r
             size=trials, seed=seed,
             detail="constructed dependence: p-value must FALL BELOW threshold",
         )
-    name = f"pi-independence-r{r1:g}-{r2:g}-theta{theta:g}"
-    return CheckReport(
-        name=name, statistic=p, threshold=P_FLOOR, passed=p > P_FLOOR,
-        size=trials, seed=seed, detail="p-value must exceed threshold",
-    )
+    return _p_value_report(f"pi-independence-r{r1:g}-{r2:g}-theta{theta:g}", p, trials, seed)
 
 
 def check_dm_integral(params, m: int, trials: int, rng: np.random.Generator, *,
@@ -446,13 +459,8 @@ def check_dm_integral(params, m: int, trials: int, rng: np.random.Generator, *,
     stderr = mass.std(axis=1, ddof=1) / math.sqrt(trials)
     target = dirichlet_multinomial_log_pmf_rows(shapes, m, cells)
     z = np.abs(estimate - np.exp(target)) / np.maximum(stderr, 1e-300)
-    statistic = float(z.max())
-    name = f"dm-integral-n{n}-m{m}"
-    return CheckReport(
-        name=name, statistic=statistic, threshold=4.0,
-        passed=statistic <= 4.0, size=trials, seed=seed,
-        detail="max |z| across cells must stay below threshold",
-    )
+    return _error_report(f"dm-integral-n{n}-m{m}", float(z.max()), 4.0, trials, seed,
+                         "max |z| across cells must stay below threshold")
 
 
 def check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
@@ -473,11 +481,8 @@ def check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
     for k in range(m + 1):
         merged = log_sum_exp(log_mass[cells[:, 0] == k])
         worst = max(worst, float(_mixed_rel_err(merged, beta_binomial_log_pmf(bb, k))))
-    name = f"beta-binomial-merge-n{n}-m{m}"
-    return CheckReport(
-        name=name, statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
-        size=len(cells), seed=seed, detail="max log-mass rel. error across k",
-    )
+    return _error_report(f"beta-binomial-merge-n{n}-m{m}", worst, 1e-10, len(cells), seed,
+                         "max log-mass rel. error across k")
 
 
 def check_transform_density(alpha, n: int, trials: int, rng: np.random.Generator, *,
@@ -540,11 +545,8 @@ def _transform_pointwise(transform: str, trials_per_n: int, rng, seed,
         name, span = f"change-of-variables-{transform}-n{dims[0]}", f"n={dims[0]}"
     else:
         name, span = f"change-of-variables-{transform}", f"n={dims[0]}..{dims[-1]}"
-    return CheckReport(
-        name=name, statistic=worst, threshold=1e-12, passed=worst <= 1e-12,
-        size=trials_per_n * len(dims), seed=seed,
-        detail=f"max log-density rel. error over {trials_per_n} points per {span}",
-    )
+    return _error_report(name, worst, 1e-12, trials_per_n * len(dims), seed,
+                         f"max log-density rel. error over {trials_per_n} points per {span}")
 
 
 def _transform_ks(alpha, trials, rng, seed, transform):
@@ -561,11 +563,8 @@ def _transform_ks(alpha, trials, rng, seed, transform):
     # Under the law, the CDF values at the sample are uniform on (0, 1).
     cdf = _push_forward_cdf(params.alpha, transform, knots)
     d, p = _ks_test(np.clip(np.sort(cdf), 0.0, 1.0))
-    return CheckReport(
-        name=f"transform-ks-{transform}-alpha{params.alpha[0]:g}-{params.alpha[1]:g}",
-        statistic=p, threshold=P_FLOOR, passed=p > P_FLOOR,
-        size=trials, seed=seed, detail=f"KS D={d:.6g}; p-value must exceed threshold",
-    )
+    name = f"transform-ks-{transform}-alpha{params.alpha[0]:g}-{params.alpha[1]:g}"
+    return _p_value_report(name, p, trials, seed, note=f"KS D={d:.6g}")
 
 
 def _push_forward_cdf(alpha, transform: str, knots: np.ndarray) -> np.ndarray:
@@ -606,12 +605,8 @@ def _check_jacobian_fd(transform: str, trials_per_n: int, rng, seed) -> CheckRep
         gap = _fd_log_det_rows(inverse_rows, y) - inverse_rows(y)[1]
         # math.exp, not np.exp, which can differ from it in the last ulp.
         worst = max([worst] + [abs(math.exp(g) - 1.0) for g in gap.tolist()])
-    return CheckReport(
-        name=f"jacobian-finite-difference-{transform}",
-        statistic=worst, threshold=1e-6, passed=worst <= 1e-6,
-        size=5 * trials_per_n, seed=seed,
-        detail="max determinant rel. error vs central differences, n=2..6",
-    )
+    return _error_report(f"jacobian-finite-difference-{transform}", worst, 1e-6, 5 * trials_per_n,
+                         seed, "max determinant rel. error vs central differences, n=2..6")
 
 
 def _check_lemma_substitution(transform: str, trials_per_n: int, rng, seed) -> CheckReport:
@@ -641,12 +636,8 @@ def _check_lemma_substitution(transform: str, trials_per_n: int, rng, seed) -> C
         exp_closed = np.fromiter(map(math.exp, closed.tolist()), float, closed.size)
         gaps = np.abs(np.concatenate([lemma / exp_closed, lemma / dense]) - 1.0)
         worst = max(worst, float(gaps.max(initial=0.0)))
-    return CheckReport(
-        name=f"determinant-lemma-{transform}",
-        statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
-        size=5 * trials_per_n, seed=seed,
-        detail="lemma route vs closed form and LU determinant, n=2..6",
-    )
+    return _error_report(f"determinant-lemma-{transform}", worst, 1e-10, 5 * trials_per_n, seed,
+                         "lemma route vs closed form and LU determinant, n=2..6")
 
 
 def _check_round_trips(trials_per_n: int, rng, seed) -> CheckReport:
@@ -658,12 +649,8 @@ def _check_round_trips(trials_per_n: int, rng, seed) -> CheckReport:
         x = composition_rows(raw / raw.sum(axis=1, keepdims=True))
         for back, _ in (ratio_inverse_rows(_ratios(x)), log_ratio_inverse_rows(_log_ratios(x))):
             worst = max(worst, float(np.abs(back / x - 1.0).max(initial=0.0)))
-    return CheckReport(
-        name="transform-round-trips",
-        statistic=worst, threshold=1e-12, passed=worst <= 1e-12,
-        size=7 * trials_per_n, seed=seed,
-        detail="max componentwise rel. error, both transforms, n=2..8",
-    )
+    return _error_report("transform-round-trips", worst, 1e-12, 7 * trials_per_n, seed,
+                         "max componentwise rel. error, both transforms, n=2..8")
 
 
 def _check_conditional_scale_invariance(trials, rng, seed) -> CheckReport:
@@ -696,12 +683,8 @@ def _check_multinomial_normalization(m_max: int, trials, rng, seed) -> CheckRepo
             for per_m in np.split(terms, starts):
                 worst = max(worst, abs(log_sum_exp(per_m)))
             count += len(terms)
-    return CheckReport(
-        name="multinomial-normalization",
-        statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
-        size=count, seed=seed,
-        detail=f"max |log total mass| over n<=4, m<={m_max}, {trials} random prob vectors",
-    )
+    detail = f"max |log total mass| over n<=4, m<={m_max}, {trials} random prob vectors"
+    return _error_report("multinomial-normalization", worst, 1e-10, count, seed, detail)
 
 
 def _check_dm_normalization(m_max: int, trials, rng, seed) -> CheckReport:
@@ -715,12 +698,8 @@ def _check_dm_normalization(m_max: int, trials, rng, seed) -> CheckReport:
             for per_m in np.split(terms, starts):
                 worst = max(worst, abs(log_sum_exp(per_m)))
             count += len(terms)
-    return CheckReport(
-        name="dirichlet-multinomial-normalization",
-        statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
-        size=count, seed=seed,
-        detail=f"max |log total mass| over n<=4, m<={m_max}, {trials} random shape vectors",
-    )
+    detail = f"max |log total mass| over n<=4, m<={m_max}, {trials} random shape vectors"
+    return _error_report("dirichlet-multinomial-normalization", worst, 1e-10, count, seed, detail)
 
 
 def _check_dm_symmetry(trials, rng, seed) -> CheckReport:
@@ -734,12 +713,8 @@ def _check_dm_symmetry(trials, rng, seed) -> CheckReport:
         base = dirichlet_multinomial_log_pmf(shapes, m, CountVector(x))
         permuted = dirichlet_multinomial_log_pmf(shapes[perm], m, CountVector(x[perm]))
         worst = max(worst, abs(base - permuted))
-    return CheckReport(
-        name="dirichlet-multinomial-symmetry",
-        statistic=worst, threshold=0.0, passed=worst <= 0.0,
-        size=trials, seed=seed,
-        detail="joint permutation of shapes and counts leaves the mass unchanged exactly",
-    )
+    return _error_report("dirichlet-multinomial-symmetry", worst, 0.0, trials, seed,
+                         "joint permutation of shapes and counts leaves the mass unchanged exactly")
 
 
 def _check_nb_normalization(trials=0, rng=None, seed=-1) -> CheckReport:
@@ -750,26 +725,17 @@ def _check_nb_normalization(trials=0, rng=None, seed=-1) -> CheckReport:
         terms = negative_binomial_log_pmf_rows(big_r, p, np.arange(bound + 1))
         worst = max(worst, abs(math.expm1(log_sum_exp(terms))))
         size = max(size, bound)
-    return CheckReport(
-        name="negative-binomial-normalization",
-        statistic=worst, threshold=1e-10, passed=worst <= 1e-10,
-        size=size, seed=seed,
-        detail="|truncated total mass - 1| with tail below 1e-14",
-    )
+    return _error_report("negative-binomial-normalization", worst, 1e-10, size, seed,
+                         "|truncated total mass - 1| with tail below 1e-14")
 
 
 def _check_normalized_nb_mass(shapes, theta, trials=0, rng=None, seed=-1) -> CheckReport:
     params = GammaMixtureParams(shapes, theta)
     bound = nb_truncation_bound(params.total_shape, params.success_prob, 1e-12)
     total = math.exp(log_sum_exp(normalized_nb_log_pmf_rows(params, 0, *_pairs(0, bound))))
-    statistic = abs(total - 1.0)
     label = "-".join(f"{s:g}" for s in params.shapes)
-    return CheckReport(
-        name=f"normalized-nb-mass-r{label}-theta{theta:g}",
-        statistic=statistic, threshold=1e-9, passed=statistic <= 1e-9,
-        size=bound, seed=seed,
-        detail="pair masses for k<=m<=M must sum to 1 (NB tail below 1e-12)",
-    )
+    return _error_report(f"normalized-nb-mass-r{label}-theta{theta:g}", abs(total - 1.0), 1e-9,
+                         bound, seed, "pair masses for k<=m<=M must sum to 1 (NB tail below 1e-12)")
 
 
 def _pairs(first: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -793,13 +759,9 @@ def _check_value_pmf_partition(trials=0, rng=None, seed=-1) -> CheckReport:
     pair_total = math.exp(log_sum_exp(np.append(normalized_nb_log_pmf_rows(params, 0, k, m), atom)))
     value_logs, _ = _value_pmf_rows(params, 0, values[:, 0], values[:, 1], 1e-12)
     value_total = math.exp(log_sum_exp(np.append(value_logs, atom)))
-    statistic = abs(value_total - pair_total)
-    return CheckReport(
-        name="normalized-nb-value-partition",
-        statistic=statistic, threshold=1e-9, passed=statistic <= 1e-9,
-        size=len(values), seed=seed,
-        detail="aggregated rational masses plus the m=0 atom equal the pair total",
-    )
+    return _error_report("normalized-nb-value-partition", abs(value_total - pair_total), 1e-9,
+                         len(values), seed,
+                         "aggregated rational masses plus the m=0 atom equal the pair total")
 
 
 def _check_alr_normalization_quadrature(trials=0, rng=None, seed=-1) -> CheckReport:
@@ -810,13 +772,8 @@ def _check_alr_normalization_quadrature(trials=0, rng=None, seed=-1) -> CheckRep
     # math.exp, not np.exp, which can differ from it in the last ulp.
     vals = np.fromiter(map(math.exp, log_density.tolist()), float, grid.size)
     mass = float(np.trapezoid(vals, grid))
-    statistic = abs(mass - 1.0)
-    return CheckReport(
-        name="alr-density-normalization-quadrature",
-        statistic=statistic, threshold=1e-8, passed=statistic <= 1e-8,
-        size=grid.size, seed=seed,
-        detail="trapezoid mass of the alpha=(1,1) log-ratio density over [-40, 40]",
-    )
+    return _error_report("alr-density-normalization-quadrature", abs(mass - 1.0), 1e-8, grid.size,
+                         seed, "trapezoid mass of the alpha=(1,1) log-ratio density over [-40, 40]")
 
 
 def _check_nb_mixture(big_r, theta, trials, rng, seed) -> CheckReport:
@@ -828,21 +785,14 @@ def _check_nb_mixture(big_r, theta, trials, rng, seed) -> CheckReport:
     pmf = np.exp(negative_binomial_log_pmf_rows(big_r, p, np.arange(top + 1)))
     expected = trials * np.append(pmf, max(0.0, 1.0 - pmf.sum()))
     _, pval = _chi_square_gof(observed, expected)
-    return CheckReport(
-        name=f"nb-mixture-chisq-R{big_r:g}-theta{theta:g}",
-        statistic=pval, threshold=P_FLOOR, passed=pval > P_FLOOR,
-        size=trials, seed=seed, detail="p-value must exceed threshold",
-    )
+    return _p_value_report(f"nb-mixture-chisq-R{big_r:g}-theta{theta:g}", pval, trials, seed)
 
 
 def _check_gamma_common_scale_sum(r1, r2, theta, trials, rng, seed) -> CheckReport:
     draws = gamma_sample(r1, theta, rng, size=trials) + gamma_sample(r2, theta, rng, size=trials)
     d, pval = _ks_test(sc.gammainc(r1 + r2, np.sort(draws) / theta))
-    return CheckReport(
-        name=f"gamma-common-scale-sum-ks-r{r1:g}+{r2:g}-theta{theta:g}",
-        statistic=pval, threshold=P_FLOOR, passed=pval > P_FLOOR,
-        size=trials, seed=seed, detail=f"KS D={d:.6g}; p-value must exceed threshold",
-    )
+    return _p_value_report(f"gamma-common-scale-sum-ks-r{r1:g}+{r2:g}-theta{theta:g}", pval,
+                           trials, seed, note=f"KS D={d:.6g}")
 
 
 def _check_poisson_superposition(a, b, trials, rng, seed) -> CheckReport:
@@ -860,11 +810,7 @@ def _check_poisson_superposition(a, b, trials, rng, seed) -> CheckReport:
     if tail.sum() > 0:
         pooled = np.concatenate([pooled, tail], axis=1)
     pval = _contingency_p(pooled)
-    return CheckReport(
-        name=f"poisson-superposition-chisq-{a:g}+{b:g}",
-        statistic=pval, threshold=P_FLOOR, passed=pval > P_FLOOR,
-        size=trials, seed=seed, detail="p-value must exceed threshold",
-    )
+    return _p_value_report(f"poisson-superposition-chisq-{a:g}+{b:g}", pval, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -375,11 +375,14 @@ def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
             f"dimension mismatch: alpha must be ({n},) or ({rows}, {n}), "
             f"got shape {np.shape(alpha)}"
         )
-    _reject_rows((
-        ~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
-        "DirichletParams entries must be strictly positive and finite",
-    ))
-    return arr, log_multivariate_beta_rows(arr), arr.sum(axis=1)
+    with np.errstate(over="ignore"):
+        total = arr.sum(axis=1)
+    _reject_rows(
+        (~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
+         "DirichletParams entries must be strictly positive and finite"),
+        (~np.isfinite(total), "DirichletParams: the sum of the entries overflows float64"),
+    )
+    return arr, log_multivariate_beta_rows(arr), total
 
 
 def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=None):
@@ -756,11 +759,15 @@ def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m)
     (k, m), broadcast together; each entry equals the scalar value bit for
     bit."""
     a, b = _merged_shapes(params, component)
-    k, m = np.broadcast_arrays(_count_array(k, "k"), _count_array(m, "m"))
-    over = np.flatnonzero(k > m)
-    if over.size:
-        i = np.unravel_index(over[0], k.shape)
-        raise ValueError(f"k={k[i]:g} exceeds the total m={m[i]:g}")
+    k_in, m_in = np.broadcast_arrays(np.asarray(k), np.asarray(m))
+    k, m = _count_array(k_in, "k"), _count_array(m_in, "m")
+    # Rounding to float is monotone and exact below 2**53, so a pair past
+    # its total stays k > m or ties at or above 2**53; the suspects are
+    # compared exactly.
+    for i in np.flatnonzero((k > m) | ((k == m) & (k >= 2.0**53))):
+        k_i, m_i = int(k_in.flat[i]), int(m_in.flat[i])
+        if k_i > m_i:
+            raise ValueError(f"k={k_i} exceeds the total m={m_i}")
     out = negative_binomial_log_pmf_rows(params.total_shape, params.success_prob, m)
     some = m > 0
     out[some] += _bb_log_terms(_log_gamma_each, a, b, k[some], m[some])

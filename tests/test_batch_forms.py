@@ -213,3 +213,13 @@ class TestChecks:
             normalized_nb_log_pmf_rows(params, 0, [0, 3], [1, 2])
         with pytest.raises(ValueError, match="non-negative integers"):
             negative_binomial_log_pmf_rows(2.0, 0.5, [1, 2.5])
+
+    def test_pair_past_its_total_compared_exactly(self):
+        # As floats, 2**53 + 1 rounds to 2**53 and the first pair ties.
+        params = GammaMixtureParams([1.0, 1.0], 1.0)
+        for k, m in ((2**53 + 1, 2**53), (2**62, 2**61)):
+            with pytest.raises(ValueError) as scalar:
+                normalized_nb_log_pmf(params, 0, k, m)
+            with pytest.raises(ValueError) as batch:
+                normalized_nb_log_pmf_rows(params, 0, [0, k], [1, m])
+            assert str(batch.value) == str(scalar.value) == f"k={k} exceeds the total m={m}"

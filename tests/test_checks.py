@@ -377,6 +377,20 @@ class TestRunAll:
             line = json.dumps(rep.to_json_dict())
             assert json.loads(line)["name"] == rep.name
 
+    def test_every_verdict_agrees_with_its_threshold(self):
+        rules = {"p-value": 0, "negative control": 0, "bound": 0}
+        for r in run_all(0, "quick"):
+            if r.name == "pi-independence-negative-control":
+                rules["negative control"] += 1
+                assert r.passed == (r.statistic < r.threshold)
+            elif "p-value must exceed threshold" in r.detail:
+                rules["p-value"] += 1
+                assert r.passed == (r.statistic > r.threshold), r.name
+            elif not r.inconclusive:
+                rules["bound"] += 1
+                assert r.passed == (r.statistic <= r.threshold), r.name
+        assert rules == {"p-value": 14, "negative control": 1, "bound": 21}
+
     def test_different_seeds_differ(self):
         a = run_all(1, "quick")
         b = run_all(2, "quick")

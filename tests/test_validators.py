@@ -23,7 +23,13 @@ from countcomp import (
     dirichlet_multinomial_log_pmf,
     log_gamma,
 )
-from countcomp.distributions import _positive_vector, count_rows, inverted_dirichlet_log_pdf_rows
+from countcomp.distributions import (
+    _positive_vector,
+    alr_dirichlet_log_pdf_rows,
+    count_rows,
+    dirichlet_log_pdf_rows,
+    inverted_dirichlet_log_pdf_rows,
+)
 from countcomp.simplex import (
     RowError,
     _checked_compositions,
@@ -52,6 +58,7 @@ COUNT_INTEGER = "CountVector entries must be integers"
 COUNT_SIGN = "CountVector entries must be non-negative"
 COUNT_INT64 = "CountVector entries must be below 2**63 (int64)"
 DIRICHLET_ENTRIES = "DirichletParams entries must be strictly positive and finite"
+DIRICHLET_SUM = "DirichletParams: the sum of the entries overflows float64"
 BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
 
 
@@ -158,7 +165,7 @@ VECTOR_CASES = {
         ([1e308, 1e308, NAN], DIRICHLET_ENTRIES),
         ([TINY, 1.0], None),
         ([FLOAT_MAX, 1.0], None),
-        ([1e308, 1e308], "DirichletParams: the sum of the entries overflows float64"),
+        ([1e308, 1e308], DIRICHLET_SUM),
         ([1.0], "DirichletParams requires a vector of length >= 2"),
         ([[1.0, 2.0]], "DirichletParams requires a vector of length >= 2"),
     ]),
@@ -277,6 +284,22 @@ class TestRatioSumOverflow:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr == f"error: row 3: {RATIO_SUM}\n"
+
+
+class TestAlphaSumOverflow:
+    """A concentration row whose entries sum past float64 is refused by
+    the batch densities as DirichletParams refuses it, naming the row."""
+
+    def test_batch(self):
+        alpha = [[1.0, 1.0], [1e308, 1e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for batch, points in ((dirichlet_log_pdf_rows, [0.5, 0.5]),
+                                  (inverted_dirichlet_log_pdf_rows, [1.0]),
+                                  (alr_dirichlet_log_pdf_rows, [0.0])):
+                with pytest.raises(RowError) as info:
+                    batch(alpha, [points, points])
+                assert (info.value.row, str(info.value)) == (1, DIRICHLET_SUM)
 
 
 class TestShapesArgument:
