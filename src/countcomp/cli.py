@@ -79,23 +79,27 @@ def _require_keys(params: dict, required: set[str], dist_name: str) -> None:
         raise UsageError(f"{dist_name} params has unknown keys: {sorted(unknown)}")
 
 
+# JSON values arrive as exact int, float and bool; ``type`` is compared,
+# not ``isinstance``, because a bool is an int in Python.
+
+
 def _vector(params: dict, key: str):
     value = params[key]
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+    if type(value) is not list or not all(type(v) in (int, float) for v in value):
         raise UsageError(f"param '{key}' must be a JSON array of numbers")
     return [float(v) for v in value]
 
 
 def _number(params: dict, key: str) -> float:
     value = params[key]
-    if not isinstance(value, (int, float)):
+    if type(value) not in (int, float):
         raise UsageError(f"param '{key}' must be a number")
     return float(value)
 
 
 def _integer(params: dict, key: str) -> int:
     value = params[key]
-    if not isinstance(value, int):
+    if type(value) is not int:
         raise UsageError(f"param '{key}' must be an integer")
     return value
 
@@ -217,6 +221,8 @@ def _cmd_sample(args, out) -> int:
     count = args.count
     if count < 0:
         raise UsageError("--count must be non-negative")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     name = args.dist
     if name == "dirichlet":
@@ -334,6 +340,8 @@ def _cmd_transform(args, stream_in, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     from . import checks  # the suite imports scipy.special; only verify pays for it
 
     reports = checks.run_all(args.seed, args.level)

@@ -43,6 +43,7 @@ from .simplex import (
     Composition,
     RowError,
     _checked_compositions,
+    _float_rows,
     _reject_rows,
     _ValueObject,
     composition_rows,
@@ -97,17 +98,24 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _positive_vector(values, what: str, min_len: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size < min_len:
-        raise ValueError(f"{what} requires a vector of length >= {min_len}")
-    # The accept test.  min() skips a NaN that is not first, but the sum
-    # is NaN then; a Python sum, as numpy's would warn as it overflows.
-    values = arr.tolist()
-    if not (min(values) > 0.0 and math.isfinite(sum(values))):
-        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
-            raise ValueError(f"{what} entries must be strictly positive and finite")
-        raise ValueError(f"{what}: the sum of the entries overflows float64")
+def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
+    """Check every row of an (N, n) array, n >= min_len, for positive
+    finite entries with a finite sum; return the rows as a new read-only
+    float array.  A RowError names the first bad row."""
+    arr = _float_rows(values, what, min_len)
+    # The accept test, over all rows at once.  min() skips a NaN that is
+    # not first, but the sum is NaN then; a Python sum, as numpy's would
+    # warn as it overflows.  The entries are positive, so no row's sum
+    # exceeds the sum of them all.
+    flat = arr.ravel().tolist()
+    if flat and not (min(flat) > 0.0 and math.isfinite(sum(flat))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum(axis=1)
+        _reject_rows(
+            (~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
+             f"{what} entries must be strictly positive and finite"),
+            (~np.isfinite(total), f"{what}: the sum of the entries overflows float64"),
+        )
     arr.flags.writeable = False
     return arr
 
@@ -119,7 +127,7 @@ class DirichletParams(_ValueObject):
     alpha: np.ndarray
 
     def __init__(self, alpha):
-        object.__setattr__(self, "alpha", _positive_vector(alpha, "DirichletParams", 2))
+        object.__setattr__(self, "alpha", _positive_rows([alpha], "DirichletParams", 2)[0])
 
     @property
     def n(self) -> int:
@@ -151,7 +159,8 @@ class GammaMixtureParams(_ValueObject):
     scale: float
 
     def __init__(self, shapes, scale):
-        object.__setattr__(self, "shapes", _positive_vector(shapes, "GammaMixtureParams shapes", 1))
+        object.__setattr__(
+            self, "shapes", _positive_rows([shapes], "GammaMixtureParams shapes", 1)[0])
         scale = float(scale)
         if not math.isfinite(scale) or scale <= 0.0:
             raise ValueError("GammaMixtureParams scale must be strictly positive and finite")
@@ -179,11 +188,17 @@ def count_rows(values) -> np.ndarray:
     of the CountVector constructor, which calls this on its single row; a
     RowError names the first row that breaks one.  Integer input is
     checked exactly; other input must hold integral values.  Every entry
-    must fit in int64.
+    must fit in int64; text is refused.
     """
+    return _count_rows(values, "CountVector")
+
+
+def _count_rows(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < 1:
-        raise RowError(0, "CountVector requires a vector of length >= 1")
+        raise RowError(0, f"{what} requires a vector of length >= 1")
+    if arr.dtype.kind in "SU":  # numeric text would pass the cast to float
+        raise RowError(0, f"{what} entries must be integers")
     integer = arr.dtype.kind in "iu"
     if not integer:
         arr = arr.astype(float)
@@ -197,9 +212,9 @@ def count_rows(values) -> np.ndarray:
         else:
             non_integer = ~(np.isfinite(arr) & (arr == np.floor(arr))).all(axis=1)
         _reject_rows(
-            (non_integer, "CountVector entries must be integers"),
-            ((arr < 0).any(axis=1), "CountVector entries must be non-negative"),
-            ((arr >= 2**63).any(axis=1), "CountVector entries must be below 2**63 (int64)"),
+            (non_integer, f"{what} entries must be integers"),
+            ((arr < 0).any(axis=1), f"{what} entries must be non-negative"),
+            ((arr >= 2**63).any(axis=1), f"{what} entries must be below 2**63 (int64)"),
         )
     ints.flags.writeable = False
     return ints
@@ -261,7 +276,7 @@ def _as_shapes(params) -> np.ndarray:
     if isinstance(params, DirichletParams):
         return params.alpha
     try:
-        return _positive_vector(params, "shape vector", 1)
+        return _positive_rows([params], "shape vector", 1)[0]
     except TypeError as exc:
         raise ValueError(
             "shapes must be a GammaMixtureParams, a DirichletParams or a vector of "
@@ -367,22 +382,14 @@ def alr_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
 def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The concentrations for ``rows`` points of dimension n: a (1, n) or
     (rows, n) array, with log B and the sum of each of its rows."""
-    arr = np.array(alpha, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None]
-    if arr.ndim != 2 or arr.shape[0] not in (1, rows) or arr.shape[1] != n:
+    arr = np.asarray(alpha, dtype=float)
+    if arr.shape[-1:] != (n,) or arr.shape[:-1] not in ((), (1,), (rows,)):
         raise ValueError(
             f"dimension mismatch: alpha must be ({n},) or ({rows}, {n}), "
             f"got shape {np.shape(alpha)}"
         )
-    with np.errstate(over="ignore"):
-        total = arr.sum(axis=1)
-    _reject_rows(
-        (~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
-         "DirichletParams entries must be strictly positive and finite"),
-        (~np.isfinite(total), "DirichletParams: the sum of the entries overflows float64"),
-    )
-    return arr, log_multivariate_beta_rows(arr), total
+    arr = _positive_rows(arr.reshape(-1, n), "DirichletParams", 2)
+    return arr, log_multivariate_beta_rows(arr), arr.sum(axis=1)
 
 
 def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=None):
@@ -572,11 +579,12 @@ def negative_binomial_log_pmf(R: float, p: float, m: int) -> float:
 
 
 def negative_binomial_log_pmf_rows(R: float, p: float, m) -> np.ndarray:
-    """Batch form of ``negative_binomial_log_pmf`` over an array of
-    totals ``m``, in its shape; each entry equals the scalar value bit for
-    bit."""
+    """Batch form of ``negative_binomial_log_pmf`` over an array of totals
+    ``m`` checked by the CountVector rule, as an array in its shape (0-d
+    included); each entry equals the scalar value bit for bit."""
     R, p = _nb_params(R, p)
-    return _nb_log_terms(_log_gamma_each, R, p, _count_array(m, "m"))
+    m = np.asarray(m)
+    return _nb_log_terms(_log_gamma_each, R, p, _count_entries(m, "m")).reshape(m.shape)
 
 
 def _nb_params(R, p) -> tuple[float, float]:
@@ -589,18 +597,16 @@ def _nb_params(R, p) -> tuple[float, float]:
     return R, p
 
 
-def _count_array(values, what: str) -> np.ndarray:
-    """Non-negative integers as a float array: the batch twin of
-    ``_as_count``."""
-    arr = np.asarray(values, dtype=float)
-    if not (np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr))).all():
-        raise ValueError(f"{what} must hold non-negative integers")
-    return arr
+def _count_entries(values: np.ndarray, what: str) -> np.ndarray:
+    """The entries of an array checked by the CountVector rule, as a flat
+    int64 array; ``what`` names them in a RowError."""
+    return _count_rows(values.reshape(-1, 1), what)[:, 0]
 
 
 # The NB and Beta-Binomial log masses, written once.  ``lgs`` is
 # ``_log_gamma_map`` for one (k, m) or ``_log_gamma_each`` for arrays of
-# k and m (integral floats); both give the same bits for the same pair.
+# k and m (int64, or floats holding integers below 2**53); both give the
+# same bits for the same pair.
 
 
 @_overflow_guard("negative_binomial_log_pmf")
@@ -624,11 +630,7 @@ def _bb_log_terms(lgs, a: float, b: float, k, m):
 def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
     """log Multinomial(m, probs) mass at counts x:
     ``log m! - sum log x_i! + sum x_i log p_i``."""
-    m = _as_count(m, "m")
-    if x.n != probs.n:
-        raise ValueError(f"dimension mismatch: probs has {probs.n} entries, x has {x.n}")
-    if x.total != m:
-        raise ValueError(f"counts sum to {x.total}, expected total m={m}")
+    m = _checked_point_total(x, m, probs.n, "probs")
     return float(_multinomial_log_terms(
         _log_gamma_map, m, x.counts.tolist(), x.counts, np.log(probs.entries)
     ))
@@ -687,11 +689,7 @@ def dirichlet_multinomial_log_pmf(params, m: int, x: CountVector) -> float:
     here) or a bare positive shape vector.
     """
     r = _as_shapes(params)
-    m = _as_count(m, "m")
-    if x.n != r.size:
-        raise ValueError(f"dimension mismatch: shapes has {r.size} entries, x has {x.n}")
-    if x.total != m:
-        raise ValueError(f"counts sum to {x.total}, expected total m={m}")
+    m = _checked_point_total(x, m, r.size, "shapes")
     return _dm_log_terms(_log_gamma_map, math.fsum, m, x.counts.tolist(), r.tolist())
 
 
@@ -705,6 +703,16 @@ def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
     x = count_rows(x)
     m = _checked_totals(x, m, r.size, "shapes")
     return _dm_log_terms(_log_gamma_each, _fsum_columns, m, x.T, r)
+
+
+def _checked_point_total(x: CountVector, m, n: int, what: str) -> int:
+    """``_checked_totals`` for one CountVector; returns m as an int."""
+    m = _as_count(m, "m")
+    if x.n != n:
+        raise ValueError(f"dimension mismatch: {what} has {n} entries, x has {x.n}")
+    if x.total != m:
+        raise ValueError(f"counts sum to {x.total}, expected total m={m}")
+    return m
 
 
 def _checked_totals(x: np.ndarray, m, n: int, what: str) -> np.ndarray:
@@ -755,23 +763,18 @@ def normalized_nb_log_pmf(
 
 
 def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m) -> np.ndarray:
-    """Batch form of ``normalized_nb_log_pmf`` over arrays of pairs
-    (k, m), broadcast together; each entry equals the scalar value bit for
-    bit."""
+    """Batch form of ``normalized_nb_log_pmf`` over arrays of pairs (k, m),
+    broadcast together and checked as the NB batch form checks m, as an
+    array in their shape; each entry equals the scalar value bit for bit."""
     a, b = _merged_shapes(params, component)
-    k_in, m_in = np.broadcast_arrays(np.asarray(k), np.asarray(m))
-    k, m = _count_array(k_in, "k"), _count_array(m_in, "m")
-    # Rounding to float is monotone and exact below 2**53, so a pair past
-    # its total stays k > m or ties at or above 2**53; the suspects are
-    # compared exactly.
-    for i in np.flatnonzero((k > m) | ((k == m) & (k >= 2.0**53))):
-        k_i, m_i = int(k_in.flat[i]), int(m_in.flat[i])
-        if k_i > m_i:
-            raise ValueError(f"k={k_i} exceeds the total m={m_i}")
+    k, m = np.broadcast_arrays(np.asarray(k), np.asarray(m))
+    shape = k.shape
+    k, m = _count_entries(k, "k"), _count_entries(m, "m")
+    _reject_rows((k > m, lambda i: f"k={k[i]} exceeds the total m={m[i]}"))
     out = negative_binomial_log_pmf_rows(params.total_shape, params.success_prob, m)
     some = m > 0
     out[some] += _bb_log_terms(_log_gamma_each, a, b, k[some], m[some])
-    return out
+    return out.reshape(shape)
 
 
 def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, float]:

@@ -211,8 +211,34 @@ class TestChecks:
         params = GammaMixtureParams([1.0, 1.0], 1.0)
         with pytest.raises(ValueError, match="k=3 exceeds the total m=2"):
             normalized_nb_log_pmf_rows(params, 0, [0, 3], [1, 2])
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(RowError, match="^m entries must be integers$"):
             negative_binomial_log_pmf_rows(2.0, 0.5, [1, 2.5])
+
+    @pytest.mark.parametrize("k, m", [
+        (1, 3),
+        ([[1], [2]], [3, 4, 5]),
+        (np.zeros((0, 2), dtype=int), 4),
+    ])
+    def test_counts_in_the_broadcast_shape(self, k, m):
+        # 0-d counts included: an ndarray of shape (), not a numpy scalar.
+        params = GammaMixtureParams([1.0, 1.0], 1.0)
+        got = negative_binomial_log_pmf_rows(2.0, 0.5, m)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(m)
+        assert got.ravel().tolist() == [negative_binomial_log_pmf(2.0, 0.5, int(m_i))
+                                        for m_i in np.ravel(m)]
+        pairs = np.broadcast_arrays(np.asarray(k), np.asarray(m))
+        got = normalized_nb_log_pmf_rows(params, 0, k, m)
+        assert isinstance(got, np.ndarray) and got.shape == pairs[0].shape
+        assert got.ravel().tolist() == [normalized_nb_log_pmf(params, 0, int(k_i), int(m_i))
+                                        for k_i, m_i in zip(*(a.ravel() for a in pairs))]
+
+    def test_huge_totals_refused(self):
+        # The batch forms hold counts in int64, as the CountVector does.
+        params = GammaMixtureParams([1.0, 1.0], 1.0)
+        with pytest.raises(RowError, match=r"^m entries must be below 2\*\*63 \(int64\)$"):
+            negative_binomial_log_pmf_rows(2.0, 0.5, [3, 2**63])
+        with pytest.raises(RowError, match=r"^k entries must be below 2\*\*63 \(int64\)$"):
+            normalized_nb_log_pmf_rows(params, 0, [2**64], [2**64])
 
     def test_pair_past_its_total_compared_exactly(self):
         # As floats, 2**53 + 1 rounds to 2**53 and the first pair ties.

@@ -129,6 +129,17 @@ class TestEval:
         res = run_cli("eval", "--dist", "dirichlet", "--point", "0.5,0.5")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("dist, params, point, message", [
+        ("beta-binomial", '{"a": 1, "b": 1, "m": true}', "1", "param 'm' must be an integer"),
+        ("negative-binomial", '{"R": true, "p": 0.5}', "1", "param 'R' must be a number"),
+        ("dirichlet", '{"alpha": [true, 2]}', "0.5,0.5",
+         "param 'alpha' must be a JSON array of numbers"),
+    ])
+    def test_json_booleans_are_not_numbers(self, capsys, dist, params, point, message):
+        argv = ["eval", "--dist", dist, "--params", params, "--point", point]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSample:
     def test_dirichlet_rows_sum_to_one(self):
@@ -199,6 +210,16 @@ class TestSample:
         assert res.stdout == ""
         assert res.stderr.startswith(
             f"error: row {info.value.row + 1}: Composition entries must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--dist", "poisson", "--params", '{"rate": 4}', "--count", "2", "--seed", "-1"],
+    ["verify", "--level", "quick", "--seed", "-1"],
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: --seed must be non-negative\n")
 
 
 class TestTransform:

@@ -24,11 +24,14 @@ from countcomp import (
     log_gamma,
 )
 from countcomp.distributions import (
-    _positive_vector,
+    _count_entries,
+    _positive_rows,
     alr_dirichlet_log_pdf_rows,
     count_rows,
     dirichlet_log_pdf_rows,
     inverted_dirichlet_log_pdf_rows,
+    negative_binomial_log_pmf_rows,
+    normalized_nb_log_pmf_rows,
 )
 from countcomp.simplex import (
     RowError,
@@ -59,6 +62,8 @@ COUNT_SIGN = "CountVector entries must be non-negative"
 COUNT_INT64 = "CountVector entries must be below 2**63 (int64)"
 DIRICHLET_ENTRIES = "DirichletParams entries must be strictly positive and finite"
 DIRICHLET_SUM = "DirichletParams: the sum of the entries overflows float64"
+DIRICHLET_LENGTH = "DirichletParams requires a vector of length >= 2"
+M_INTEGER = "m entries must be integers"
 BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
 
 
@@ -148,27 +153,58 @@ ROW_CASES = {
         ([[1, 2], [0.5, -1], [-1, 1]], (1, COUNT_INTEGER)),
         ([[1, 2], [2.0**64, 1], [0.5, 1]], (1, COUNT_INT64)),
         ([[1, 2], [2**64, 1], [-1, 1]], (1, COUNT_INT64)),
+        ([["3", "1"]], (0, COUNT_INTEGER)),
+        (np.array([[b"3"]]), (0, COUNT_INTEGER)),
+        (np.array([[2**64, 1]], dtype=object), (0, COUNT_INT64)),
+    ]),
+    # The parameter vectors, as DirichletParams checks its one row.
+    "positive": (lambda v: _positive_rows(v, "DirichletParams", 2), [
+        ([[1.0, NAN]], (0, DIRICHLET_ENTRIES)),
+        ([[NAN, 1.0]], (0, DIRICHLET_ENTRIES)),
+        ([[1.0, INF]], (0, DIRICHLET_ENTRIES)),
+        ([[1.0, -INF]], (0, DIRICHLET_ENTRIES)),
+        ([[INF, -INF]], (0, DIRICHLET_ENTRIES)),
+        ([[-0.0, 1.0]], (0, DIRICHLET_ENTRIES)),
+        ([[0.0, 1.0]], (0, DIRICHLET_ENTRIES)),
+        ([[-1.0, 1.0]], (0, DIRICHLET_ENTRIES)),
+        ([[1e308, 1e308, NAN]], (0, DIRICHLET_ENTRIES)),
+        ([[TINY, 1.0]], None),
+        ([[FLOAT_MAX, 1.0]], None),
+        ([[1e308, 1e308]], (0, DIRICHLET_SUM)),
+        ([[1.0]], (0, DIRICHLET_LENGTH)),
+        ([1.0, 2.0], (0, DIRICHLET_LENGTH)),
+        ([[[1.0, 2.0]]], (0, DIRICHLET_LENGTH)),
+        # The first bad row breaks a later rule than a later bad row.
+        ([[1.0, 2.0], [1e308, 1e308], [NAN, 1.0]], (1, DIRICHLET_SUM)),
+        ([[1.0, 2.0], [1.0, 0.0], [1e308, 1e308]], (1, DIRICHLET_ENTRIES)),
+        ([[1.0, 2.0], [3.0, 4.0], [INF, -INF]], (2, DIRICHLET_ENTRIES)),
+        # All rows together sum past float64; no one row does.
+        ([[1e308, 1.0], [1e308, 1.0]], None),
+    ]),
+    # The totals of the batch NB and normalized-NB forms: the CountVector
+    # rule on one column, named by the argument, a RowError naming the
+    # first bad entry in flat order.
+    "batch_count": (lambda v: _count_entries(np.asarray(v), "m"), [
+        (3, None),
+        (2.5, (0, M_INTEGER)),
+        (-1, (0, "m entries must be non-negative")),
+        (2**63, (0, "m entries must be below 2**63 (int64)")),
+        ("3", (0, M_INTEGER)),
+        ([0, 2**53 + 1, 2**63 - 1], None),
+        ([0.0, 2.0**53 + 2], None),
+        ([1, 2.5], (1, M_INTEGER)),
+        ([3, -1], (1, "m entries must be non-negative")),
+        ([1, 2**63], (1, "m entries must be below 2**63 (int64)")),
+        (["3"], (0, M_INTEGER)),
+        ([[1, 2], [3, 4]], None),
+        ([[1, 2], [-3, 0.5]], (2, "m entries must be non-negative")),
     ]),
 }
 
+COUNT_CHECKS = ("count", "batch_count")
+
 # Vector validators raise a plain ValueError: (input, message or None).
 VECTOR_CASES = {
-    "positive_vector": (lambda v: _positive_vector(v, "DirichletParams", 2), [
-        ([1.0, NAN], DIRICHLET_ENTRIES),
-        ([NAN, 1.0], DIRICHLET_ENTRIES),
-        ([1.0, INF], DIRICHLET_ENTRIES),
-        ([1.0, -INF], DIRICHLET_ENTRIES),
-        ([INF, -INF], DIRICHLET_ENTRIES),
-        ([-0.0, 1.0], DIRICHLET_ENTRIES),
-        ([0.0, 1.0], DIRICHLET_ENTRIES),
-        ([-1.0, 1.0], DIRICHLET_ENTRIES),
-        ([1e308, 1e308, NAN], DIRICHLET_ENTRIES),
-        ([TINY, 1.0], None),
-        ([FLOAT_MAX, 1.0], None),
-        ([1e308, 1e308], DIRICHLET_SUM),
-        ([1.0], "DirichletParams requires a vector of length >= 2"),
-        ([[1.0, 2.0]], "DirichletParams requires a vector of length >= 2"),
-    ]),
     "log_multivariate_beta": (log_multivariate_beta, [
         ([1.0, NAN], BETA_DOMAIN),
         ([NAN, 1.0], BETA_DOMAIN),
@@ -203,14 +239,14 @@ class TestValidatorAgreement:
                 return
             out = check(values)
         rows = out[0] if isinstance(out, tuple) else out
-        given = np.asarray(values, dtype=float if name != "count" else None)
+        given = np.asarray(values, dtype=None if name in COUNT_CHECKS else float)
         if name == "composition":
             unchanged, totals = _checked_compositions(values)
             np.testing.assert_array_equal(unchanged, given)
             np.testing.assert_array_equal(rows, given / totals[:, None])
         else:
-            assert rows.dtype == (np.int64 if name == "count" else float)
-            np.testing.assert_array_equal(rows, given)
+            assert rows.dtype == (np.int64 if name in COUNT_CHECKS else float)
+            np.testing.assert_array_equal(rows, given.reshape(rows.shape))
         assert not rows.flags.writeable
 
     @pytest.mark.parametrize(
@@ -227,15 +263,12 @@ class TestValidatorAgreement:
                 assert str(info.value) == message
                 return
             out = check(values)
-        if name == "positive_vector":
-            np.testing.assert_array_equal(out, values)
-            assert not out.flags.writeable
-        else:
-            lgs = [math.lgamma(a) for a in values]
-            assert out == math.fsum(lgs) - math.lgamma(math.fsum(values))
+        lgs = [math.lgamma(a) for a in values]
+        assert out == math.fsum(lgs) - math.lgamma(math.fsum(values))
 
     @pytest.mark.parametrize("check, n", [
         (composition_rows, 3), (ratio_rows, 2), (log_ratio_rows, 2), (count_rows, 2),
+        (lambda v: _positive_rows(v, "DirichletParams", 2), 2),
     ])
     @pytest.mark.parametrize("dtype", [float, np.int64])
     def test_empty_batches(self, check, n, dtype):
@@ -248,6 +281,25 @@ class TestValidatorAgreement:
             CountVector(np.array([2**63, 0], dtype=np.uint64))
         assert info.value.row == 0
         assert CountVector(np.array([2**63 - 1, 1], dtype=np.uint64)).total == 2**63
+
+
+# Numeric text, which the scalar forms refuse ("m must be a non-negative
+# integer, got '3'"), is refused by every count validator.
+TEXT_COUNTS = {
+    "CountVector": lambda: CountVector(["3", "1"]),
+    "CountVector bytes": lambda: CountVector(np.array([b"3", b"1"])),
+    "count_rows": lambda: count_rows([[1, 2], ["3", "4"]]),
+    "negative_binomial_log_pmf_rows": lambda: negative_binomial_log_pmf_rows(2.0, 0.5, ["3"]),
+    "normalized_nb_log_pmf_rows": lambda: normalized_nb_log_pmf_rows(
+        GammaMixtureParams([1, 1], 1), 0, ["1"], ["2"]),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_COUNTS)
+def test_numeric_text_counts_refused(name):
+    with pytest.raises(RowError, match="entries must be integers$") as info:
+        TEXT_COUNTS[name]()
+    assert info.value.row == 0
 
 
 class TestRatioSumOverflow:
