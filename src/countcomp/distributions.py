@@ -32,7 +32,9 @@ give identical streams.  Concurrent sampling needs distinct generators.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -43,14 +45,16 @@ from .simplex import (
     Composition,
     RowError,
     _checked_compositions,
-    _float_rows,
+    _positive_rows,
     _reject_rows,
+    _text_row,
     _ValueObject,
     composition_rows,
     log_ratio_rows,
     ratio_rows,
 )
 from .special import (
+    _extremes,
     _fsum_columns,
     _log_each,
     _log_gamma_each,
@@ -98,28 +102,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
-    """Check every row of an (N, n) array, n >= min_len, for positive
-    finite entries with a finite sum; return the rows as a new read-only
-    float array.  A RowError names the first bad row."""
-    arr = _float_rows(values, what, min_len)
-    # The accept test, over all rows at once.  min() skips a NaN that is
-    # not first, but the sum is NaN then; a Python sum, as numpy's would
-    # warn as it overflows.  The entries are positive, so no row's sum
-    # exceeds the sum of them all.
-    flat = arr.ravel().tolist()
-    if flat and not (min(flat) > 0.0 and math.isfinite(sum(flat))):
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = arr.sum(axis=1)
-        _reject_rows(
-            (~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
-             f"{what} entries must be strictly positive and finite"),
-            (~np.isfinite(total), f"{what}: the sum of the entries overflows float64"),
-        )
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class DirichletParams(_ValueObject):
     """Concentration vector alpha of a Dirichlet law, length n >= 2."""
@@ -135,7 +117,7 @@ class DirichletParams(_ValueObject):
 
     @property
     def total(self) -> float:
-        return float(self.alpha.sum())
+        return float(np.add.reduce(self.alpha))
 
     def log_normalizer(self) -> float:
         """log B(alpha), computed on first use and kept."""
@@ -161,7 +143,7 @@ class GammaMixtureParams(_ValueObject):
     def __init__(self, shapes, scale):
         object.__setattr__(
             self, "shapes", _positive_rows([shapes], "GammaMixtureParams shapes", 1)[0])
-        scale = float(scale)
+        scale = _as_float(scale, "GammaMixtureParams scale")
         if not math.isfinite(scale) or scale <= 0.0:
             raise ValueError("GammaMixtureParams scale must be strictly positive and finite")
         object.__setattr__(self, "scale", scale)
@@ -173,7 +155,7 @@ class GammaMixtureParams(_ValueObject):
     @property
     def total_shape(self) -> float:
         """R = sum of the shapes."""
-        return float(self.shapes.sum())
+        return float(np.add.reduce(self.shapes))
 
     @property
     def success_prob(self) -> float:
@@ -197,15 +179,19 @@ def _count_rows(values, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise RowError(0, f"{what} requires a vector of length >= 1")
-    if arr.dtype.kind in "SU":  # numeric text would pass the cast to float
-        raise RowError(0, f"{what} entries must be integers")
     integer = arr.dtype.kind in "iu"
     if not integer:
+        row = _text_row(arr)
+        if row is not None:  # numeric text would pass the cast to float
+            raise RowError(row, f"{what} entries must be integers")
         arr = arr.astype(float)
-    # The accept test; NaN fails both comparisons.  In [0, 2**63) the
-    # cast to int64 keeps an integral float and changes any other.
-    in_range = arr.min(initial=0) >= 0 and arr.max(initial=0) < 2**63
-    ints = arr.astype(np.int64) if in_range else None
+    # The accept test; a NaN or an infinity makes the sum not finite.  In
+    # [0, 2**63) the cast to int64 keeps an integral float and changes any
+    # other.
+    lo, hi, finite_sum = _extremes(arr)
+    in_range = finite_sum and lo >= 0 and hi < 2**63
+    # A list made a new array, which needs no copy.
+    ints = arr.astype(np.int64, copy=type(values) is not list) if in_range else None
     if not (in_range and (integer or (ints == arr).all())):
         if integer:
             non_integer = np.zeros(arr.shape[0], dtype=bool)
@@ -216,7 +202,7 @@ def _count_rows(values, what: str) -> np.ndarray:
             ((arr < 0).any(axis=1), f"{what} entries must be non-negative"),
             ((arr >= 2**63).any(axis=1), f"{what} entries must be below 2**63 (int64)"),
         )
-    ints.flags.writeable = False
+    ints.setflags(write=False)
     return ints
 
 
@@ -247,7 +233,7 @@ class BetaBinomialParams:
     m: int
 
     def __init__(self, a, b, m):
-        a, b = float(a), float(b)
+        a, b = _as_float(a, "BetaBinomialParams a"), _as_float(b, "BetaBinomialParams b")
         if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
             raise ValueError("BetaBinomialParams requires a > 0 and b > 0")
         if not math.isfinite(a + b):
@@ -256,6 +242,16 @@ class BetaBinomialParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
+
+
+def _as_float(value, what: str) -> float:
+    """``value`` as a float; text, which ``float()`` would parse, is refused."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, (int, float)):
+        if _text_row(np.asarray(value).reshape(1, -1)) is not None:
+            raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _as_count(value, what: str) -> int:
@@ -326,18 +322,20 @@ def alr_dirichlet_log_pdf(params: DirichletParams, y) -> float:
 # The three log densities, written once.  Each takes one point (alpha and
 # the point as vectors, log B, sum(alpha) and log z or log k as floats)
 # or a batch (the same as row-aligned arrays, alpha with one row or N).
+# ``np.add.reduce`` is ``ndarray.sum`` without its Python wrapper, which
+# for one point costs a tenth of the sum.
 
 
 def _dirichlet_log_terms(log_b, alpha, x):
-    return -log_b + ((alpha - 1.0) * np.log(x)).sum(axis=-1)
+    return -log_b + np.add.reduce((alpha - 1.0) * np.log(x), axis=-1)
 
 
 def _inverted_dirichlet_log_terms(log_b, alpha, total, y, log_z):
-    return -log_b + ((alpha[..., :-1] - 1.0) * np.log(y)).sum(axis=-1) - total * log_z
+    return -log_b + np.add.reduce((alpha[..., :-1] - 1.0) * np.log(y), axis=-1) - total * log_z
 
 
 def _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
-    return -log_b + (alpha[..., :-1] * y).sum(axis=-1) - total * log_k
+    return -log_b + np.add.reduce(alpha[..., :-1] * y, axis=-1) - total * log_k
 
 
 def dirichlet_log_pdf_rows(alpha, x) -> np.ndarray:
@@ -382,7 +380,7 @@ def alr_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
 def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The concentrations for ``rows`` points of dimension n: a (1, n) or
     (rows, n) array, with log B and the sum of each of its rows."""
-    arr = np.asarray(alpha, dtype=float)
+    arr = np.asarray(alpha)
     if arr.shape[-1:] != (n,) or arr.shape[:-1] not in ((), (1,), (rows,)):
         raise ValueError(
             f"dimension mismatch: alpha must be ({n},) or ({rows}, {n}), "
@@ -451,7 +449,7 @@ def gamma_sample(shape: float, scale: float, rng: np.random.Generator, size=None
     Rejection sampling for any shape > 0: Marsaglia-Tsang for
     shape >= 1, boosted by ``U^(1/shape)`` below 1.
     """
-    shape, scale = float(shape), float(scale)
+    shape, scale = _as_float(shape, "shape"), _as_float(scale, "scale")
     if not (math.isfinite(shape) and shape > 0.0 and math.isfinite(scale) and scale > 0.0):
         raise ValueError("gamma_sample requires shape > 0 and scale > 0")
     rows = 1 if size is None else _as_count(size, "size")
@@ -520,7 +518,7 @@ def _poisson_ptrs(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def poisson_sample(rate: float, rng: np.random.Generator, size=None):
     """Draw from Poisson(rate): one int, or a (size,) int64 array.  CDF
     inversion for rate <= 30, transformed rejection above."""
-    rate = float(rate)
+    rate = _as_float(rate, "rate")
     if not math.isfinite(rate) or rate <= 0.0:
         raise ValueError("poisson_sample requires a finite rate > 0")
     rows = 1 if size is None else _as_count(size, "size")
@@ -588,8 +586,8 @@ def negative_binomial_log_pmf_rows(R: float, p: float, m) -> np.ndarray:
 
 
 def _nb_params(R, p) -> tuple[float, float]:
-    R = float(R)
-    p = float(p)
+    R = _as_float(R, "R")
+    p = _as_float(p, "p")
     if not math.isfinite(R) or R <= 0.0:
         raise ValueError("negative_binomial_log_pmf requires R > 0")
     if not math.isfinite(p) or not 0.0 < p < 1.0:
@@ -659,12 +657,14 @@ def multinomial_log_pmf_rows(m, probs: Composition, x) -> np.ndarray:
 def _log_multinomial_coefficient(lgs, m, counts):
     """``log m! - sum log c_i!``, the sum taken in component order."""
     lg_m1, *lg_c1 = lgs(m + 1.0, *[c + 1.0 for c in counts])
-    return lg_m1 - sum(lg_c1)
+    # A left fold, for floats as for columns: from Python 3.12 on, sum()
+    # compensates a sum of floats but not one of arrays.
+    return lg_m1 - functools.reduce(operator.add, lg_c1)
 
 
 def _multinomial_log_terms(lgs, m, counts, x, log_p):
     # x: the same counts as an (n,) or (N, n) array.
-    return _log_multinomial_coefficient(lgs, m, counts) + (x * log_p).sum(axis=-1)
+    return _log_multinomial_coefficient(lgs, m, counts) + np.add.reduce(x * log_p, axis=-1)
 
 
 @_overflow_guard("dirichlet_multinomial_log_pmf")
@@ -751,12 +751,12 @@ def normalized_nb_log_pmf(
     Defined on pairs including m = 0 (k must then be 0; the
     Beta-Binomial factor is log 1 = 0), so the pair masses sum to 1.
     """
-    a, b = _merged_shapes(params, component)
+    a, b, big_r = _merged_shapes(params, component)
     k = _as_count(k, "k")
     m = _as_count(m, "m")
     if k > m:
         raise ValueError(f"k={k} exceeds the total m={m}")
-    out = negative_binomial_log_pmf(params.total_shape, params.success_prob, m)
+    out = negative_binomial_log_pmf(big_r, params.success_prob, m)
     if m > 0:
         out += _bb_log_terms(_log_gamma_map, a, b, k, m)
     return out
@@ -766,27 +766,28 @@ def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m)
     """Batch form of ``normalized_nb_log_pmf`` over arrays of pairs (k, m),
     broadcast together and checked as the NB batch form checks m, as an
     array in their shape; each entry equals the scalar value bit for bit."""
-    a, b = _merged_shapes(params, component)
+    a, b, big_r = _merged_shapes(params, component)
     k, m = np.broadcast_arrays(np.asarray(k), np.asarray(m))
     shape = k.shape
     k, m = _count_entries(k, "k"), _count_entries(m, "m")
     _reject_rows((k > m, lambda i: f"k={k[i]} exceeds the total m={m[i]}"))
-    out = negative_binomial_log_pmf_rows(params.total_shape, params.success_prob, m)
+    out = negative_binomial_log_pmf_rows(big_r, params.success_prob, m)
     some = m > 0
     out[some] += _bb_log_terms(_log_gamma_each, a, b, k[some], m[some])
     return out.reshape(shape)
 
 
-def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, float]:
+def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, float, float]:
     """Beta-Binomial shapes (r_c, R - r_c) of one component against the
-    rest merged."""
+    rest merged, and R."""
     if not 0 <= component < params.n:
         raise ValueError(f"component {component} out of range for n={params.n}")
     a = float(params.shapes[component])
-    b = params.total_shape - a
+    big_r = params.total_shape
+    b = big_r - a
     if b <= 0.0:
         raise ValueError("normalized_nb_log_pmf needs at least two components to merge")
-    return a, b
+    return a, b, big_r
 
 
 class AggregatedValueMass(NamedTuple):
@@ -899,8 +900,8 @@ def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, deno
     M they share.  The pair masses of the values with the same number of
     multiples are summed as the rows of one ``log_sum_exp_rows``, never
     padded, so each entry equals the scalar value bit for bit."""
-    a, b = _merged_shapes(params, component)
-    big_r, p = params.total_shape, params.success_prob
+    a, b, big_r = _merged_shapes(params, component)
+    p = params.success_prob
     bound = nb_truncation_bound(big_r, p, tail_mass)
     count = bound // denominators
     out = np.full(count.shape, -math.inf)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .special import _log_each, log_sum_exp_rows
+from .special import _extremes, _log_each, log_sum_exp_rows
 
 __all__ = [
     "Composition",
@@ -98,16 +98,41 @@ def _reject_rows(*rules) -> None:
         raise RowError(row, message(row) if callable(message) else message)
 
 
+# float() parses these; the validators refuse them.
+_TEXT = (str, bytes, bytearray)
+
+
+def _text_row(arr: np.ndarray) -> int | None:
+    """The index of the first row of a 2-D array that holds text, or None.
+
+    A text dtype is text throughout; only an object array has its entries
+    scanned, so numeric arrays pay one dtype test.
+    """
+    if arr.dtype.kind in "SU":
+        return 0
+    if arr.dtype.kind == "O":
+        for row, entries in enumerate(arr.tolist()):
+            if any(isinstance(v, _TEXT) for v in entries):
+                return row
+    return None
+
+
 def _float_rows(values, what: str, min_len: int) -> np.ndarray:
     """``values`` as a new (N, n) float array with n >= min_len.
 
     A value object passes ``[entries]``, so an entries argument that is
-    not a vector has the wrong number of dimensions here.
+    not a vector has the wrong number of dimensions here.  Text is
+    refused, naming its first row, before any rule on the values.
     """
-    arr = np.array(values, dtype=float)
+    arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < min_len:
         raise RowError(0, f"{what} requires a vector of length >= {min_len}")
-    return arr
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=type(values) is not list)  # a list made a new array
+    row = _text_row(arr)
+    if row is not None:
+        raise RowError(row, f"{what} entries must be real numbers")
+    return np.array(arr.tolist(), dtype=float)  # as a list of these entries would convert
 
 
 def _append_column(rows: np.ndarray, value: float) -> np.ndarray:
@@ -126,7 +151,7 @@ def composition_rows(values) -> np.ndarray:
     """
     arr, totals = _checked_compositions(values)
     arr /= totals[:, None]
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -134,11 +159,15 @@ def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``values`` as a new float array, checked by the
     Composition rules but not renormalized, and the sum of each row."""
     arr = _float_rows(values, "Composition", 2)
-    # The accept test.  NaN fails both comparisons, and an entry above
-    # 1 + slack fails the sum rule, so no sum here can overflow.
-    if arr.min(initial=math.inf) >= _POSITIVE_FLOOR and arr.max(initial=0.0) <= 1.0 + _SUM_SLACK:
-        totals = arr.sum(axis=1)
-        if np.abs(totals - 1.0).max(initial=0.0) <= _SUM_SLACK:
+    # The accept test.  A NaN or an infinity makes the sum not finite, and
+    # an entry above 1 + slack fails the sum rule, so no row sum here can
+    # overflow.
+    lo, hi, finite_sum = _extremes(arr)
+    if finite_sum and lo >= _POSITIVE_FLOOR and hi <= 1.0 + _SUM_SLACK:
+        totals = np.add.reduce(arr, axis=1)
+        # total - 1 is exact for totals near 1, so this is |total - 1| <= slack.
+        lo, hi, _ = _extremes(totals)
+        if -_SUM_SLACK <= lo - 1.0 and hi - 1.0 <= _SUM_SLACK:
             return arr, totals
     # Clipping at 0 changes no row that passes the rules before the sum
     # rule, and keeps +inf and -inf from meeting (and warning) in a sum.
@@ -160,32 +189,34 @@ def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
     return arr, totals
 
 
+def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
+    """Check every row of an (N, n) array, n >= min_len, for positive
+    finite entries with a finite sum; return the rows as a new read-only
+    float array.  A RowError names the first bad row."""
+    arr = _float_rows(values, what, min_len)
+    # The accept test, over all rows at once.  The entries are positive,
+    # so no row's sum exceeds the sum of them all.
+    lo, _, finite_sum = _extremes(arr)
+    if not (finite_sum and lo > 0.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum(axis=1)
+        _reject_rows(
+            (~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
+             f"{what} entries must be strictly positive and finite"),
+            (~np.isfinite(total), f"{what}: the sum of the entries overflows float64"),
+        )
+    arr.setflags(write=False)
+    return arr
+
+
 def ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     """Check every row of an (N, n-1) array as a RatioVector.
 
     Returns the rows as a new read-only float array and ``z = 1 + sum``
     of each row.  A RowError names the first row that fails.
     """
-    arr = _float_rows(values, "RatioVector", 1)
-    # The accept test: NaN fails both comparisons, and under this bound
-    # no sum of a row can overflow.
-    if (
-        arr.min(initial=math.inf) > 0.0
-        and arr.max(initial=0.0) <= sys.float_info.max / (arr.shape[1] + 1)
-    ):
-        z = 1.0 + arr.sum(axis=1)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = 1.0 + arr.sum(axis=1)
-        _reject_rows(
-            (
-                ~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
-                "RatioVector entries must be strictly positive and finite",
-            ),
-            (~np.isfinite(z), "RatioVector: the sum of the entries overflows float64"),
-        )
-    arr.flags.writeable = False
-    return arr, z
+    arr = _positive_rows(values, "RatioVector", 1)
+    return arr, 1.0 + np.add.reduce(arr, axis=1)
 
 
 def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
@@ -196,10 +227,11 @@ def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     names the first row that fails.
     """
     arr = _float_rows(values, "LogRatioVector", 1)
-    # The accept test; NaN fails both comparisons.
-    if not (arr.min(initial=0.0) > -math.inf and arr.max(initial=0.0) < math.inf):
+    # The accept test.  A NaN or an infinity makes the sum not finite; so
+    # can finite entries, which the mask then passes.
+    if not _extremes(arr)[2]:
         _reject_rows((~np.isfinite(arr).all(axis=1), "LogRatioVector entries must be finite"))
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr, log_sum_exp_rows(_append_column(arr, 0.0))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -28,6 +29,48 @@ __all__ = [
     "log_sum_exp",
     "log_sum_exp_rows",
 ]
+
+
+# Arrays of at most this many entries are scanned by Python builtins over
+# ``tolist()``, which for a few entries costs less than one numpy
+# reduction; larger ones by whole-array reductions, whose cost grows far
+# more slowly with the size.
+_PYTHON_SCAN_MAX = 64
+# While size * max |entry| stays below this, no partial sum of the entries
+# can round past the largest float.
+_SUM_SAFE = sys.float_info.max / 2
+
+
+def _extremes(arr: np.ndarray) -> tuple[float, float, bool]:
+    """``(least, greatest, finite_sum)`` over all entries of ``arr``, as
+    Python numbers: the accept test of the row validators.
+
+    ``finite_sum`` says whether the sum of all the entries is finite, so
+    it is false where one is NaN or infinite; the extremes mean nothing
+    then (a Python ``min`` skips a NaN that is not first).  An empty
+    array gives ``(inf, -inf, True)``.  Small arrays take Python
+    builtins, large ones numpy reductions; both reach the same decision,
+    except that a Python and a numpy sum can round differently within a
+    few ulps of float64 overflow.  No sum here reaches an output.
+    """
+    if arr.size <= _PYTHON_SCAN_MAX:
+        flat = arr.ravel().tolist()
+        if not flat:
+            return math.inf, -math.inf, True
+        return min(flat), max(flat), math.isfinite(sum(flat))
+    lo, hi = arr.min().item(), arr.max().item()  # NaN in both if in one
+    if max(-lo, hi) * arr.size < _SUM_SAFE:
+        return lo, hi, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lo, hi, bool(np.isfinite(arr.sum()))
+
+
+def _all_positive_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite and > 0 (NaN is not).
+    Finite entries whose sum overflows fail the accept test; the masks
+    then pass them."""
+    lo, _, finite_sum = _extremes(arr)
+    return (finite_sum and lo > 0.0) or bool((np.isfinite(arr) & (arr > 0.0)).all())
 
 
 def log_gamma(a: float) -> float:
@@ -75,7 +118,7 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     """
     parts = [np.asarray(a, dtype=float) for a in args]
     a = np.concatenate([part.ravel() for part in parts])
-    if a.size and not (a.min() > 0.0 and a.max() < math.inf):  # NaN fails both
+    if not _all_positive_finite(a):
         raise ValueError("log_gamma requires finite arguments > 0")
     values = a.tolist()
     try:
@@ -176,8 +219,7 @@ def log_multivariate_beta_rows(alpha) -> np.ndarray:
 
 
 def _check_beta_domain(arr: np.ndarray) -> None:
-    # NaN fails both comparisons.
-    if not (arr.min(initial=math.inf) > 0.0 and arr.max(initial=0.0) < math.inf):
+    if not _all_positive_finite(arr):
         raise ValueError("log_multivariate_beta requires strictly positive finite entries")
 
 
@@ -266,17 +308,24 @@ def log_sum_exp_rows(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("log_sum_exp requires a non-empty vector")
-    m = arr.max(axis=1)  # NaN wherever a row holds one
-    finite = np.isfinite(m)
-    if not finite.all():
-        if np.isnan(m).any():
-            raise ValueError("log_sum_exp input contains NaN")
-        m[finite] = log_sum_exp_rows(arr[finite])
-        return m
-    # A difference past -float max is -inf, whose exp is the 0 it stands for.
-    with np.errstate(over="ignore"):
+    lo, hi, finite_sum = _extremes(arr)
+    m = np.maximum.reduce(arr, axis=1)  # NaN wherever a row holds one
+    if not finite_sum:
+        finite = np.isfinite(m)
+        if not finite.all():
+            if np.isnan(m).any():
+                raise ValueError("log_sum_exp input contains NaN")
+            m[finite] = log_sum_exp_rows(arr[finite])
+            return m
+    # No entry lies farther than hi - lo below its row's maximum.
+    if hi - lo < math.inf:
         shifted = arr - m[:, None]
-    return m + _log_each(np.exp(shifted).sum(axis=1))
+    else:
+        # A difference past -float max is -inf, whose exp is the 0 it
+        # stands for.
+        with np.errstate(over="ignore"):
+            shifted = arr - m[:, None]
+    return m + _log_each(np.add.reduce(np.exp(shifted), axis=1))
 
 
 def _log_each(values: np.ndarray) -> np.ndarray:
