@@ -47,19 +47,19 @@ from .simplex import (
     _checked_compositions,
     _positive_rows,
     _reject_rows,
-    _text_row,
     _ValueObject,
     composition_rows,
     log_ratio_rows,
     ratio_rows,
 )
 from .special import (
+    _as_float,
     _extremes,
     _fsum_columns,
     _log_each,
     _log_gamma_each,
     _log_gamma_map,
-    _overflow_guard,
+    _text_row,
     log_multivariate_beta,
     log_multivariate_beta_rows,
     log_sum_exp_rows,
@@ -244,23 +244,16 @@ class BetaBinomialParams:
         object.__setattr__(self, "m", m)
 
 
-def _as_float(value, what: str) -> float:
-    """``value`` as a float; text, which ``float()`` would parse, is refused."""
-    if type(value) is float:
-        return value
-    if not isinstance(value, (int, float)):
-        if _text_row(np.asarray(value).reshape(1, -1)) is not None:
-            raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
-
-
 def _as_count(value, what: str) -> int:
+    """One count by the CountVector rule: a non-negative integer below 2**63."""
     try:
         i = int(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}") from exc
     if i != value or i < 0:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    if i >= 2**63:
+        raise ValueError(f"{what} must be below 2**63 (int64), got {value!r}")
     return i
 
 
@@ -532,6 +525,7 @@ def negative_binomial_sample_via_mixture(
     """Draw the count total by its mixture construction: Lambda ~
     Gamma(R, theta), then X ~ Poisson(Lambda).  Marginally
     NB(R, p = theta/(1+theta)).  One int, or a (size,) int64 array."""
+    R, theta = _as_float(R, "R"), _as_float(theta, "theta")
     lam = gamma_sample(R, theta, rng, size=1 if size is None else size)
     draws = _poisson(lam, rng)  # a Lambda that underflows to 0 gives 0
     return int(draws[0]) if size is None else draws
@@ -607,13 +601,11 @@ def _count_entries(values: np.ndarray, what: str) -> np.ndarray:
 # same bits for the same pair.
 
 
-@_overflow_guard("negative_binomial_log_pmf")
 def _nb_log_terms(lgs, R: float, p: float, m):
     lg_m_r, lg_r, lg_m1 = lgs(m + R, R, m + 1.0)
     return lg_m_r - lg_r - lg_m1 + R * math.log1p(-p) + m * math.log(p)
 
 
-@_overflow_guard("beta_binomial_log_pmf")
 def _bb_log_terms(lgs, a: float, b: float, k, m):
     # Grouped so that the a == b case is exactly symmetric in k <-> m-k;
     # each log B(x, y) is (log G(x) + log G(y)) - log G(x + y).
@@ -667,7 +659,6 @@ def _multinomial_log_terms(lgs, m, counts, x, log_p):
     return _log_multinomial_coefficient(lgs, m, counts) + np.add.reduce(x * log_p, axis=-1)
 
 
-@_overflow_guard("dirichlet_multinomial_log_pmf")
 def _dm_log_terms(lgs, fsum, m, counts, r):
     n, big_r = len(r), math.fsum(r)
     lg_m1, lg_big_r, lg_m_big_r, *lg = lgs(
@@ -706,13 +697,12 @@ def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
 
 
 def _checked_point_total(x: CountVector, m, n: int, what: str) -> int:
-    """``_checked_totals`` for one CountVector; returns m as an int."""
-    m = _as_count(m, "m")
+    """``_checked_totals`` for one CountVector: m must equal its exact total."""
     if x.n != n:
         raise ValueError(f"dimension mismatch: {what} has {n} entries, x has {x.n}")
-    if x.total != m:
-        raise ValueError(f"counts sum to {x.total}, expected total m={m}")
-    return m
+    if m != x.total:
+        raise ValueError(f"counts sum to {x.total}, expected total m={m!r}")
+    return x.total
 
 
 def _checked_totals(x: np.ndarray, m, n: int, what: str) -> np.ndarray:
@@ -822,6 +812,7 @@ def nb_truncation_bound(R: float, p: float, tail_mass: float = 1e-12) -> int:
         On invalid R, p or tail_mass, or if the PMF window needed exceeds
         10^6 totals.
     """
+    tail_mass = _as_float(tail_mass, "tail_mass")
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
     R, p = _nb_params(R, p)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .special import _extremes, _log_each, log_sum_exp_rows
+from .special import _extremes, _float_array, _log_each, _positive_faults, _text_row, log_sum_exp_rows
 
 __all__ = [
     "Composition",
@@ -96,25 +96,6 @@ def _reject_rows(*rules) -> None:
         row = int(rows[0])
         message = next(message for mask, message in rules if mask[row])
         raise RowError(row, message(row) if callable(message) else message)
-
-
-# float() parses these; the validators refuse them.
-_TEXT = (str, bytes, bytearray)
-
-
-def _text_row(arr: np.ndarray) -> int | None:
-    """The index of the first row of a 2-D array that holds text, or None.
-
-    A text dtype is text throughout; only an object array has its entries
-    scanned, so numeric arrays pay one dtype test.
-    """
-    if arr.dtype.kind in "SU":
-        return 0
-    if arr.dtype.kind == "O":
-        for row, entries in enumerate(arr.tolist()):
-            if any(isinstance(v, _TEXT) for v in entries):
-                return row
-    return None
 
 
 def _float_rows(values, what: str, min_len: int) -> np.ndarray:
@@ -194,16 +175,11 @@ def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
     finite entries with a finite sum; return the rows as a new read-only
     float array.  A RowError names the first bad row."""
     arr = _float_rows(values, what, min_len)
-    # The accept test, over all rows at once.  The entries are positive,
-    # so no row's sum exceeds the sum of them all.
-    lo, _, finite_sum = _extremes(arr)
-    if not (finite_sum and lo > 0.0):
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = arr.sum(axis=1)
+    faults = _positive_faults(arr)
+    if faults is not None:
         _reject_rows(
-            (~(np.isfinite(arr) & (arr > 0.0)).all(axis=1),
-             f"{what} entries must be strictly positive and finite"),
-            (~np.isfinite(total), f"{what}: the sum of the entries overflows float64"),
+            (faults[0], f"{what} entries must be strictly positive and finite"),
+            (faults[1], f"{what}: the sum of the entries overflows float64"),
         )
     arr.setflags(write=False)
     return arr
@@ -458,7 +434,7 @@ def finite_difference_jacobian(func, point) -> np.ndarray:
     The step of 1e-6 balances truncation against round-off for the 1e-6
     relative tolerances used when comparing against the closed forms.
     """
-    p = np.array(point, dtype=float, ndmin=1)
+    p = np.atleast_1d(_float_array(point, "finite_difference_jacobian point"))
     d = p.shape[-1]
     jac = np.empty(p.shape + (d,), dtype=float)
     for j in range(d):

@@ -14,7 +14,6 @@ finite-difference ones.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -65,6 +64,63 @@ def _extremes(arr: np.ndarray) -> tuple[float, float, bool]:
         return lo, hi, bool(np.isfinite(arr.sum()))
 
 
+# float() parses these; the validators refuse them.
+_TEXT = (str, bytes, bytearray)
+
+
+def _text_row(arr: np.ndarray) -> int | None:
+    """The index of the first row of a 2-D array that holds text, or None.
+
+    A text dtype is text throughout; only an object array has its entries
+    scanned, so numeric arrays pay one dtype test.
+    """
+    if arr.dtype.kind in "SU":
+        return 0
+    if arr.dtype.kind == "O":
+        for row, entries in enumerate(arr.tolist()):
+            if any(isinstance(v, _TEXT) for v in entries):
+                return row
+    return None
+
+
+def _as_float(value, what: str) -> float:
+    """``value`` as a float; text, which ``float()`` would parse, is refused."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, (int, float)):
+        if _text_row(np.asarray(value).reshape(1, -1)) is not None:
+            raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; text is refused, as by ``_as_float``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf" and _text_row(arr.reshape(1, -1)) is not None:
+        raise ValueError(f"{what} entries must be real numbers")
+    return arr.astype(float, copy=False)
+
+
+def _positive_faults(arr: np.ndarray):
+    """None where every row (last axis) of ``arr`` has finite entries > 0
+    whose numpy sum and ``math.fsum`` (either can overflow alone) are
+    finite; else the masks of the rows that break each half of the rule."""
+    lo, hi, finite_sum = _extremes(arr)
+    # Below _SUM_SAFE no row can sum near the largest float.
+    if finite_sum and lo > 0.0 and hi * arr.shape[-1] < _SUM_SAFE:
+        return None
+    rows = arr.reshape(-1, arr.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflows = ~np.isfinite(rows.sum(axis=1))
+    bad = ~(np.isfinite(rows) & (rows > 0.0)).all(axis=1)
+    for row in np.flatnonzero(~(bad | overflows)).tolist():
+        try:
+            math.fsum(rows[row].tolist())
+        except OverflowError:
+            overflows[row] = True
+    return bad, overflows
+
+
 def _all_positive_finite(arr: np.ndarray) -> bool:
     """Whether every entry of ``arr`` is finite and > 0 (NaN is not).
     Finite entries whose sum overflows fail the accept test; the masks
@@ -93,7 +149,7 @@ def log_gamma(a: float) -> float:
     ValueError
         If ``a`` is not a strictly positive finite number.
     """
-    a = float(a)
+    a = _as_float(a, "log_gamma argument")
     if not math.isfinite(a) or a <= 0.0:
         raise ValueError(f"log_gamma requires a finite argument > 0, got {a!r}")
     try:
@@ -107,14 +163,14 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
 
     Each argument is a float or a float array; one float array comes
     back per argument, in its shape.  Every entry is ``math.lgamma`` of
-    it, or ``+inf`` where that overflows, so it equals the scalar
-    ``log_gamma`` bit for bit.  The domain is checked once for all
-    arguments together.
+    it, so it equals the scalar ``log_gamma`` bit for bit wherever that
+    is finite.  The domain is checked once for all arguments together.
 
     Raises
     ------
     ValueError
-        If an entry is not a strictly positive finite number.
+        If an entry is not a strictly positive finite number, or its log
+        Gamma overflows float64 (past about 2.56e305).
     """
     parts = [np.asarray(a, dtype=float) for a in args]
     a = np.concatenate([part.ravel() for part in parts])
@@ -124,7 +180,7 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     try:
         out = np.fromiter(map(math.lgamma, values), float, a.size)
     except OverflowError:
-        out = np.fromiter(map(log_gamma, values), float, a.size)
+        raise ValueError(f"log_gamma({max(values)!r}) overflows float64") from None
     split, start = [], 0
     for part in parts:
         split.append(out[start:start + part.size].reshape(part.shape))
@@ -134,20 +190,19 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
 
 def _log_gamma_map(*args) -> list[float]:
     """``log_gamma`` of each argument, as a list: the one-point twin of
-    ``_log_gamma_each``, with no batch cost.
+    ``_log_gamma_each``, with no batch cost, raising as it does.
 
     The domain is checked once for all arguments together; where that
-    check fails, or ``math.lgamma`` overflows, each argument goes through
-    ``log_gamma``, which raises its message for the first bad one and
-    gives ``+inf`` on overflow.
+    check fails, ``log_gamma`` raises its message for the first bad one.
     """
+    # min() skips a NaN that is not first, but the sum is NaN then.
+    if not (min(args) > 0.0 and math.isfinite(sum(args))):
+        for a in args:
+            log_gamma(a)  # raises for a bad argument
     try:
-        # min() skips a NaN that is not first, but the sum is NaN then.
-        if min(args) > 0.0 and math.isfinite(sum(args)):
-            return list(map(math.lgamma, args))
+        return list(map(math.lgamma, args))
     except OverflowError:
-        pass
-    return list(map(log_gamma, args))
+        raise ValueError(f"log_gamma({max(args)!r}) overflows float64") from None
 
 
 def _fsum_columns(columns) -> np.ndarray:
@@ -155,29 +210,6 @@ def _fsum_columns(columns) -> np.ndarray:
     twin of ``math.fsum`` over one value per component."""
     rows = np.column_stack(columns)
     return np.fromiter(map(math.fsum, rows.tolist()), float, rows.shape[0])
-
-
-def _overflow_guard(name: str):
-    """Make a log-domain formula helper raise ValueError where float64
-    overflows: an OverflowError (``math.fsum`` of huge shapes) or a NaN
-    result (``inf - inf`` of log-gammas past about 2.56e305).  Its
-    one-point and batch forms both run through the helper."""
-    message = f"{name}: a log-gamma term overflows float64 at these arguments"
-
-    def decorate(terms):
-        @functools.wraps(terms)
-        def guarded(*args):
-            try:
-                out = terms(*args)
-            except OverflowError:
-                out = math.nan
-            if out != out if isinstance(out, float) else np.isnan(out).any():
-                raise ValueError(message)
-            return out
-
-        return guarded
-
-    return decorate
 
 
 def log_multivariate_beta(alpha) -> float:
@@ -191,13 +223,10 @@ def log_multivariate_beta(alpha) -> float:
     Raises
     ------
     ValueError
-        If fewer than two entries, or any entry is not positive and finite.
+        If fewer than two entries, any entry is not positive and finite,
+        or their sum or a log-gamma term overflows float64.
     """
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("log_multivariate_beta requires a vector of length >= 2")
-    _check_beta_domain(arr)
-    return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, arr.tolist())
+    return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, _beta_argument(alpha, 1).tolist())
 
 
 def log_multivariate_beta_rows(alpha) -> np.ndarray:
@@ -208,22 +237,24 @@ def log_multivariate_beta_rows(alpha) -> np.ndarray:
     Raises
     ------
     ValueError
-        If rows have fewer than two entries, or any entry is not positive
-        and finite.
+        As ``log_multivariate_beta`` does for any one row.
     """
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 2:
+    return _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, _beta_argument(alpha, 2).T)
+
+
+def _beta_argument(alpha, ndim: int) -> np.ndarray:
+    """``alpha`` as a float array of ``ndim`` dimensions, its rows checked."""
+    arr = _float_array(alpha, "log_multivariate_beta")
+    if arr.ndim != ndim or arr.shape[-1] < 2:
         raise ValueError("log_multivariate_beta requires a vector of length >= 2")
-    _check_beta_domain(arr)
-    return _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, arr.T)
-
-
-def _check_beta_domain(arr: np.ndarray) -> None:
-    if not _all_positive_finite(arr):
+    faults = _positive_faults(arr)
+    if faults is not None and faults[0].any():
         raise ValueError("log_multivariate_beta requires strictly positive finite entries")
+    if faults is not None and faults[1].any():
+        raise ValueError("log_multivariate_beta: the sum of the entries overflows float64")
+    return arr
 
 
-@_overflow_guard("log_multivariate_beta")
 def _log_multivariate_beta_terms(lgs, fsum, alpha):
     # ``alpha`` holds one value per component: floats for one vector
     # (lgs = _log_gamma_map, fsum = math.fsum), or columns for a batch of
@@ -259,11 +290,9 @@ def rank_one_update_det(diag, u, v):
     Raises
     ------
     ValueError
-        On length mismatch, zero diagonal entries, or non-finite input.
+        On length mismatch, zero diagonal entries, or non-finite or text input.
     """
-    d = np.asarray(diag, dtype=float)
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
+    d, uu, vv = (_float_array(a, "rank_one_update_det") for a in (diag, u, v))
     if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("diag must be a non-empty vector")
     if uu.shape != d.shape or vv.shape != d.shape:
@@ -289,7 +318,7 @@ def log_sum_exp(values) -> float:
     Raises
     ------
     ValueError
-        If the input is empty or contains NaN.
+        If the input is empty or contains NaN or text.
     """
     return float(log_sum_exp_rows([values])[0])
 
@@ -303,9 +332,9 @@ def log_sum_exp_rows(values) -> np.ndarray:
     Raises
     ------
     ValueError
-        If a row is empty or the input contains NaN.
+        If a row is empty or the input contains NaN or text.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = _float_array(values, "log_sum_exp")
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("log_sum_exp requires a non-empty vector")
     lo, hi, finite_sum = _extremes(arr)

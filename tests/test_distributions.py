@@ -1,6 +1,7 @@
 """Tests for the density and mass functions (exact values and identities)."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -553,10 +554,10 @@ class TestValueEquality:
         assert a == b and hash(a) == hash(b)
 
 
-# Shapes whose log-gamma terms overflow float64: 1e308 + 1e308 overflows
-# in math.fsum, and log Gamma(1e306) is +inf, so the formulas would take
-# inf - inf.  Each form, one point and a batch, must raise ValueError.
-HUGE = (1e308, 1e306)
+# Shapes whose log-gamma terms overflow float64: log Gamma is past the
+# largest float from about 2.56e305 on, and 1e308 + 1e308 overflows.  Each
+# form, one point and a batch, must raise ValueError, with no warning.
+HUGE = (1e308, 1e306, 2.6e305, sys.float_info.max)
 OVERFLOWING_CALLS = {
     "log_multivariate_beta": lambda s: distributions.log_multivariate_beta([s, s]),
     "log_multivariate_beta_rows": lambda s: distributions.log_multivariate_beta_rows([[s, s]]),
@@ -582,14 +583,28 @@ OVERFLOWING_CALLS = {
 }
 
 
+# Batch forms that once warned of inf - inf before they raised.
+OVERFLOWING_BATCHES = {
+    "log_multivariate_beta_rows": lambda: distributions.log_multivariate_beta_rows(
+        [[sys.float_info.max, 1.0]]),
+    "negative_binomial_log_pmf_rows": lambda: distributions.negative_binomial_log_pmf_rows(
+        2.6e305, 0.5, [1]),
+    "dirichlet_multinomial_log_pmf_rows": lambda: distributions.dirichlet_multinomial_log_pmf_rows(
+        [2.6e305, 1.0], 1, [[1, 0]]),
+}
+
+
 class TestOverflowingShapes:
-    # numpy warns of the inf - inf in a batch before the guard raises.
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("shape", HUGE)
     @pytest.mark.parametrize("name", OVERFLOWING_CALLS)
     def test_raises_value_error(self, name, shape):
         with pytest.raises(ValueError, match="overflows float64"):
             OVERFLOWING_CALLS[name](shape)
+
+    @pytest.mark.parametrize("name", OVERFLOWING_BATCHES)
+    def test_batch_raises_without_warning(self, name):
+        with pytest.raises(ValueError, match=r"^log_gamma\(.*\) overflows float64$"):
+            OVERFLOWING_BATCHES[name]()
 
     def test_largest_finite_values_unchanged(self):
         # Just below the log-gamma overflow the formulas still return numbers.

@@ -19,7 +19,7 @@ from countcomp import (
     log_sum_exp,
     rank_one_update_det,
 )
-from countcomp.special import _log_gamma_each, log_sum_exp_rows
+from countcomp.special import _log_gamma_each, log_multivariate_beta_rows, log_sum_exp_rows
 
 # log B(2.5, 3.5), frozen from adaptive quadrature of the integral
 # definition int_0^1 t^1.5 (1-t)^2.5 dt (value 0.03681553890925537).
@@ -115,11 +115,13 @@ class TestLogGammaBatch:
             want = _mpmath_log_gamma(a)
             assert abs(value - want) <= 1e-15 * abs(want), a
 
-    def test_overflow_returns_inf(self):
-        args = [BELOW_OVERFLOW, *ABOVE_OVERFLOW, 3.5]
-        (got,) = _log_gamma_each(args)
-        assert got.tolist() == [log_gamma(a) for a in args]
-        assert got.tolist() == [LOG_GAMMA_BELOW_OVERFLOW] + [math.inf] * 4 + [log_gamma(3.5)]
+    def test_overflow_raises_naming_the_argument(self):
+        (got,) = _log_gamma_each([BELOW_OVERFLOW, 3.5])
+        assert got.tolist() == [LOG_GAMMA_BELOW_OVERFLOW, log_gamma(3.5)]
+        for a in ABOVE_OVERFLOW:
+            with pytest.raises(ValueError) as info:
+                _log_gamma_each([BELOW_OVERFLOW, 3.5], a)
+            assert str(info.value) == f"log_gamma({a!r}) overflows float64"
 
     def test_arguments_keep_their_shapes(self):
         grid = np.array([[0.25, 1.0], [2.0, 7.5]])
@@ -194,6 +196,12 @@ class TestLogBeta:
         with pytest.raises(ValueError) as multivariate:
             log_multivariate_beta((a, a))
         assert str(beta.value) == str(multivariate.value)
+
+    def test_rows_summing_past_float64_together(self):
+        # Each row and its log-gammas are in range; all rows together sum
+        # past the largest float.
+        got = log_multivariate_beta_rows(np.full((1000, 2), 1e305))
+        assert got.tolist() == [log_multivariate_beta([1e305, 1e305])] * 1000
 
     @pytest.mark.parametrize(
         "a, b", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)]

@@ -25,11 +25,19 @@ from countcomp import (
     DirichletParams,
     GammaMixtureParams,
     RatioVector,
+    beta_binomial_log_pmf,
     dirichlet_multinomial_log_pmf,
+    finite_difference_jacobian,
     gamma_sample,
+    log_beta,
     log_gamma,
+    log_sum_exp,
+    nb_truncation_bound,
     negative_binomial_log_pmf,
+    negative_binomial_sample_via_mixture,
+    normalized_nb_log_pmf,
     poisson_sample,
+    rank_one_update_det,
 )
 from countcomp.distributions import (
     _count_entries,
@@ -98,6 +106,7 @@ DIRICHLET_SUM = "DirichletParams: the sum of the entries overflows float64"
 DIRICHLET_LENGTH = "DirichletParams requires a vector of length >= 2"
 M_INTEGER = "m entries must be integers"
 BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
+BETA_SUM = "log_multivariate_beta: the sum of the entries overflows float64"
 
 
 def _uint64(*rows):
@@ -266,6 +275,9 @@ MORE_ROW_CASES = {
     "positive": [
         ([[HALF_MAX, HALF_MAX]], None),
         ([[HALF_MAX, PAST_HALF_MAX]], (0, DIRICHLET_SUM)),
+        # The numpy sum is the largest float, math.fsum overflows.
+        ([[FLOAT_MAX, 2.0**969, 2.0**969]], (0, DIRICHLET_SUM)),
+        ([[1.0, 2.0, 3.0], [FLOAT_MAX, 2.0**969, 2.0**969]], (1, DIRICHLET_SUM)),
         ([["2", "3"]], (0, "DirichletParams entries must be real numbers")),
         (np.array([[1.0, 2.0], [1.0, "2"]], dtype=object),
          (1, "DirichletParams entries must be real numbers")),
@@ -287,9 +299,12 @@ VECTOR_CASES = {
         ([-1.0, 1.0], BETA_DOMAIN),
         ([TINY, 1.0], None),
         ([1e300, 1e300], None),
-        ([1e308, 1e308],
-         "log_multivariate_beta: a log-gamma term overflows float64 at these arguments"),
+        ([1e308, 1e308], BETA_SUM),
         ([1.0], "log_multivariate_beta requires a vector of length >= 2"),
+        ([1e306, 1.0], "log_gamma(1e+306) overflows float64"),
+        # A left-to-right sum rounds down to the largest float; math.fsum,
+        # which the formula takes, rounds past it.
+        ([FLOAT_MAX, 2.0**969, 2.0**969], BETA_SUM),
     ]),
 }
 
@@ -398,6 +413,24 @@ TEXT_PARAMETERS = {
                            "^scale must be a real number, got b'1'$"),
     "dirichlet_log_pdf_rows": (lambda: dirichlet_log_pdf_rows(["1", "2"], [[0.5, 0.5]]),
                                "^DirichletParams entries must be real numbers$"),
+    "log_gamma": (lambda: log_gamma("3"), "^log_gamma argument must be a real number, got '3'$"),
+    "log_beta": (lambda: log_beta("1", "2"), "^log_multivariate_beta entries must be real numbers$"),
+    "log_multivariate_beta": (lambda: log_multivariate_beta(["1", "2"]),
+                              "^log_multivariate_beta entries must be real numbers$"),
+    "log_sum_exp": (lambda: log_sum_exp(["1", "2"]), "^log_sum_exp entries must be real numbers$"),
+    "rank_one_update_det": (lambda: rank_one_update_det(["1", "2"], [1, 1], [1, 1]),
+                            "^rank_one_update_det entries must be real numbers$"),
+    "finite_difference_jacobian": (
+        lambda: finite_difference_jacobian(lambda p: p, ["1", "2"]),
+        "^finite_difference_jacobian point entries must be real numbers$"),
+    "nb_truncation_bound": (lambda: nb_truncation_bound(2.0, 0.5, "1e-12"),
+                            "^tail_mass must be a real number, got '1e-12'$"),
+    "negative_binomial_sample_via_mixture R": (
+        lambda: negative_binomial_sample_via_mixture("3", 1.0, np.random.default_rng(0)),
+        "^R must be a real number, got '3'$"),
+    "negative_binomial_sample_via_mixture theta": (
+        lambda: negative_binomial_sample_via_mixture(3.0, "1", np.random.default_rng(0)),
+        "^theta must be a real number, got '1'$"),
 }
 
 
@@ -406,6 +439,33 @@ def test_numeric_text_parameters_refused(name):
     call, message = TEXT_PARAMETERS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# The scalar count arguments follow the CountVector rule: below 2**63.
+MIX = GammaMixtureParams([1.0, 1.0], 1.0)
+BIG_COUNTS = {
+    "negative_binomial_log_pmf m": (lambda big: negative_binomial_log_pmf(2.0, 0.5, big), "m"),
+    "BetaBinomialParams m": (lambda big: BetaBinomialParams(1.0, 1.0, big), "m"),
+    "beta_binomial_log_pmf k": (
+        lambda big: beta_binomial_log_pmf(BetaBinomialParams(1.0, 1.0, 3), big), "k"),
+    "normalized_nb_log_pmf k": (lambda big: normalized_nb_log_pmf(MIX, 0, big, 3), "k"),
+    "normalized_nb_log_pmf m": (lambda big: normalized_nb_log_pmf(MIX, 0, 1, big), "m"),
+}
+
+
+@pytest.mark.parametrize("big", [2**63, 2.0**63, 10**30])
+@pytest.mark.parametrize("name", BIG_COUNTS)
+def test_scalar_counts_past_int64_refused(name, big):
+    call, what = BIG_COUNTS[name]
+    with pytest.raises(ValueError) as info:
+        call(big)
+    assert str(info.value) == f"{what} must be below 2**63 (int64), got {big!r}"
+
+
+def test_scalar_counts_below_int64_accepted():
+    top = 2**63 - 1
+    assert math.isfinite(negative_binomial_log_pmf(2.0, 0.5, top))
+    assert BetaBinomialParams(1.0, 1.0, top).m == top
 
 
 # The accept test takes Python builtins up to _PYTHON_SCAN_MAX entries and
@@ -459,19 +519,9 @@ def _outcome(check, rows):
     return tuple(np.asarray(a) for a in (out if isinstance(out, tuple) else (out,)))
 
 
-# A known defect: where a log-gamma term overflows, a batch form takes
-# inf - inf in numpy, which warns before the guard raises the one-point
-# form's ValueError (TestOverflowingShapes in test_distributions.py
-# filters that warning).
-KNOWN_BATCH_WARNINGS = {("log_multivariate_beta", (FLOAT_MAX, 1.0))}
-
-
 class TestAcceptRoutes:
     @pytest.mark.parametrize("name, index", [
-        pytest.param(name, i, marks=pytest.mark.xfail(
-            raises=RuntimeWarning, strict=True, reason="the batch form warns of inf - inf"))
-        if (name, tuple(np.asarray(rows[i]).tolist())) in KNOWN_BATCH_WARNINGS else (name, i)
-        for name, (_, _, rows) in EDGE_ROWS.items() for i in range(len(rows))
+        (name, i) for name, (_, _, rows) in EDGE_ROWS.items() for i in range(len(rows))
     ])
     def test_edge_row_alone_and_in_a_batch(self, name, index):
         check, good, edges = EDGE_ROWS[name]
@@ -572,6 +622,19 @@ def _log_gamma_outcome(a):
         return str(exc)
 
 
+def _map_outcome(*args):
+    """``_log_gamma_map(*args)``, or the message it raises."""
+    try:
+        return _log_gamma_map(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _overflow_message(args):
+    # Where log_gamma is +inf, the map raises, naming the largest argument.
+    return f"log_gamma({max(args)!r}) overflows float64"
+
+
 class TestLogGammaMap:
     @pytest.mark.parametrize("args", [
         (1, 2.0, 3),
@@ -585,8 +648,11 @@ class TestLogGammaMap:
     def test_equals_log_gamma_bitwise(self, args):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = list(_log_gamma_map(*args))
+            got = _map_outcome(*args)
         want = [log_gamma(a) for a in args]
+        if math.inf in want:
+            assert got == _overflow_message(args)
+            return
         assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, w) for w in want]
         assert got == want
 
@@ -603,10 +669,8 @@ class TestLogGammaMap:
 
     def test_every_argument_alone(self):
         for a in GOOD_ARGS + BAD_ARGS:
-            try:
-                got = list(_log_gamma_map(a))
-            except ValueError as exc:
-                got = str(exc)
+            got, want = _map_outcome(a), _log_gamma_outcome(a)
+            if want == math.inf:
+                assert got == _overflow_message([a])
             else:
-                (got,) = got
-            assert got == _log_gamma_outcome(a)
+                assert got == (want if isinstance(want, str) else [want])
