@@ -41,6 +41,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import special as sc
 
+from ._rules import _as_count, _float_array, _positive_rows
 from .distributions import (
     BetaBinomialParams,
     CountVector,
@@ -164,7 +165,7 @@ def all_passed(reports) -> bool:
 def enumerate_compositions(n: int, m: int) -> Iterator[CountVector]:
     """Yield every non-negative integer vector of length n summing to m,
     exactly once (C(m+n-1, n-1) of them), in lexicographic order."""
-    for row in _composition_matrix(n, m):
+    for row in _composition_matrix(_as_count(n, "n"), _as_count(m, "m")):
         yield CountVector(row)
 
 
@@ -177,8 +178,6 @@ def _composition_matrix(n: int, m: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("enumerate_compositions requires n >= 1")
-    if m < 0:
-        raise ValueError("enumerate_compositions requires m >= 0")
     rows = math.comb(m + n - 1, n - 1)
     bars = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(m + n - 1), n - 1)),
@@ -373,7 +372,8 @@ def check_conditional_multinomial(rates, m: int, trials: int, rng: np.random.Gen
     Fewer than 10 accepted vectors per outcome cell makes the check
     inconclusive rather than failed.
     """
-    rates = np.asarray(rates, dtype=float)
+    rates = _positive_rows([rates], "rates", 1)[0]
+    m = _as_count(m, "m")
     n = rates.size
     cells = _composition_matrix(n, m)
     probs = Composition(rates / rates.sum())
@@ -471,7 +471,8 @@ def check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
 
     The identity is exact, so ``trials`` and ``rng`` are unused; they
     keep the calling convention ``run_all`` uses for every check."""
-    r = np.asarray(r, dtype=float)
+    r = _as_shapes(r)
+    m = _as_count(m, "m")
     n = r.size
     big_r = float(r.sum())
     bb = BetaBinomialParams(r[0], big_r - r[0], m)
@@ -504,7 +505,8 @@ def check_transform_density(alpha, n: int, trials: int, rng: np.random.Generator
     """
     if transform not in ("ratio", "alr"):
         raise ValueError("transform must be 'ratio' or 'alr'")
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _float_array(alpha, "alpha")
+    n = _as_count(n, "n")
     if alpha.size not in (0, n):
         raise ValueError(
             f"alpha has {alpha.size} entries but n = {n}; "

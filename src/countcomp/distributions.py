@@ -41,25 +41,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import (
-    Composition,
+from ._rules import (
     RowError,
-    _checked_compositions,
+    _as_count,
+    _as_float,
+    _count_rows,
+    _positive_float,
     _positive_rows,
     _reject_rows,
+)
+from .simplex import (
+    Composition,
+    _checked_compositions,
     _ValueObject,
     composition_rows,
     log_ratio_rows,
     ratio_rows,
 )
 from .special import (
-    _as_float,
-    _extremes,
     _fsum_columns,
     _log_each,
     _log_gamma_each,
     _log_gamma_map,
-    _text_row,
     log_multivariate_beta,
     log_multivariate_beta_rows,
     log_sum_exp_rows,
@@ -143,10 +146,7 @@ class GammaMixtureParams(_ValueObject):
     def __init__(self, shapes, scale):
         object.__setattr__(
             self, "shapes", _positive_rows([shapes], "GammaMixtureParams shapes", 1)[0])
-        scale = _as_float(scale, "GammaMixtureParams scale")
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise ValueError("GammaMixtureParams scale must be strictly positive and finite")
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale", _positive_float(scale, "GammaMixtureParams scale"))
 
     @property
     def n(self) -> int:
@@ -170,40 +170,9 @@ def count_rows(values) -> np.ndarray:
     of the CountVector constructor, which calls this on its single row; a
     RowError names the first row that breaks one.  Integer input is
     checked exactly; other input must hold integral values.  Every entry
-    must fit in int64; text is refused.
+    must fit in int64; text and bools are refused.
     """
     return _count_rows(values, "CountVector")
-
-
-def _count_rows(values, what: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise RowError(0, f"{what} requires a vector of length >= 1")
-    integer = arr.dtype.kind in "iu"
-    if not integer:
-        row = _text_row(arr)
-        if row is not None:  # numeric text would pass the cast to float
-            raise RowError(row, f"{what} entries must be integers")
-        arr = arr.astype(float)
-    # The accept test; a NaN or an infinity makes the sum not finite.  In
-    # [0, 2**63) the cast to int64 keeps an integral float and changes any
-    # other.
-    lo, hi, finite_sum = _extremes(arr)
-    in_range = finite_sum and lo >= 0 and hi < 2**63
-    # A list made a new array, which needs no copy.
-    ints = arr.astype(np.int64, copy=type(values) is not list) if in_range else None
-    if not (in_range and (integer or (ints == arr).all())):
-        if integer:
-            non_integer = np.zeros(arr.shape[0], dtype=bool)
-        else:
-            non_integer = ~(np.isfinite(arr) & (arr == np.floor(arr))).all(axis=1)
-        _reject_rows(
-            (non_integer, f"{what} entries must be integers"),
-            ((arr < 0).any(axis=1), f"{what} entries must be non-negative"),
-            ((arr >= 2**63).any(axis=1), f"{what} entries must be below 2**63 (int64)"),
-        )
-    ints.setflags(write=False)
-    return ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,28 +202,14 @@ class BetaBinomialParams:
     m: int
 
     def __init__(self, a, b, m):
-        a, b = _as_float(a, "BetaBinomialParams a"), _as_float(b, "BetaBinomialParams b")
-        if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
-            raise ValueError("BetaBinomialParams requires a > 0 and b > 0")
+        a = _positive_float(a, "BetaBinomialParams a")
+        b = _positive_float(b, "BetaBinomialParams b")
         if not math.isfinite(a + b):
             raise ValueError("BetaBinomialParams: a + b overflows float64")
         m = _as_count(m, "m")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
-
-
-def _as_count(value, what: str) -> int:
-    """One count by the CountVector rule: a non-negative integer below 2**63."""
-    try:
-        i = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}") from exc
-    if i != value or i < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    if i >= 2**63:
-        raise ValueError(f"{what} must be below 2**63 (int64), got {value!r}")
-    return i
 
 
 def _as_shapes(params) -> np.ndarray:
@@ -442,9 +397,7 @@ def gamma_sample(shape: float, scale: float, rng: np.random.Generator, size=None
     Rejection sampling for any shape > 0: Marsaglia-Tsang for
     shape >= 1, boosted by ``U^(1/shape)`` below 1.
     """
-    shape, scale = _as_float(shape, "shape"), _as_float(scale, "scale")
-    if not (math.isfinite(shape) and shape > 0.0 and math.isfinite(scale) and scale > 0.0):
-        raise ValueError("gamma_sample requires shape > 0 and scale > 0")
+    shape, scale = _positive_float(shape, "shape"), _positive_float(scale, "scale")
     rows = 1 if size is None else _as_count(size, "size")
     if shape < 1.0:
         u = 1.0 - rng.random(rows)  # in (0, 1]
@@ -511,9 +464,7 @@ def _poisson_ptrs(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def poisson_sample(rate: float, rng: np.random.Generator, size=None):
     """Draw from Poisson(rate): one int, or a (size,) int64 array.  CDF
     inversion for rate <= 30, transformed rejection above."""
-    rate = _as_float(rate, "rate")
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise ValueError("poisson_sample requires a finite rate > 0")
+    rate = _positive_float(rate, "rate")
     rows = 1 if size is None else _as_count(size, "size")
     draws = _poisson(np.full(rows, rate), rng)
     return int(draws[0]) if size is None else draws
@@ -525,7 +476,7 @@ def negative_binomial_sample_via_mixture(
     """Draw the count total by its mixture construction: Lambda ~
     Gamma(R, theta), then X ~ Poisson(Lambda).  Marginally
     NB(R, p = theta/(1+theta)).  One int, or a (size,) int64 array."""
-    R, theta = _as_float(R, "R"), _as_float(theta, "theta")
+    R, theta = _positive_float(R, "R"), _positive_float(theta, "theta")
     lam = gamma_sample(R, theta, rng, size=1 if size is None else size)
     draws = _poisson(lam, rng)  # a Lambda that underflows to 0 gives 0
     return int(draws[0]) if size is None else draws
@@ -580,10 +531,8 @@ def negative_binomial_log_pmf_rows(R: float, p: float, m) -> np.ndarray:
 
 
 def _nb_params(R, p) -> tuple[float, float]:
-    R = _as_float(R, "R")
+    R = _positive_float(R, "R")
     p = _as_float(p, "p")
-    if not math.isfinite(R) or R <= 0.0:
-        raise ValueError("negative_binomial_log_pmf requires R > 0")
     if not math.isfinite(p) or not 0.0 < p < 1.0:
         raise ValueError(f"negative_binomial_log_pmf requires p in (0, 1), got {p!r}")
     return R, p

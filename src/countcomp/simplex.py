@@ -20,7 +20,8 @@ Each map, closed-form Jacobian and validity rule is written once,
 row-wise over (N, n) arrays.  The value objects and scalar maps apply
 it to one row; ``composition_rows``, ``ratio_rows``, ``log_ratio_rows``
 and the ``*_rows`` maps apply it to a batch, with a RowError naming the
-first row that fails.
+first row that fails.  The rules shared with the rest of the library
+(real rows, positive rows, RowError) live in ``countcomp._rules``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .special import _extremes, _float_array, _log_each, _positive_faults, _text_row, log_sum_exp_rows
+from ._rules import RowError, _extremes, _float_array, _float_rows, _positive_rows, _reject_rows
+from .special import _log_each, log_sum_exp_rows
 
 __all__ = [
     "Composition",
@@ -65,55 +67,6 @@ _SUM_SLACK = 1e-9
 _POSITIVE_FLOOR = sys.float_info.min
 
 _FD_STEP = 1e-6
-
-
-class RowError(ValueError):
-    """A ValueError about one row of a batch; ``row`` is its 0-based index.
-
-    The message is the one a single value object raises for that row, so
-    a caller that numbers rows its own way (input lines, draws) can add
-    the prefix it needs.
-    """
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def _reject_rows(*rules) -> None:
-    """Raise a RowError for the first row that breaks a rule.
-
-    Each rule is a ``(bad, message)`` pair: a boolean mask over the rows
-    and the message, or a function of the row index that builds it.
-    Rules come in the order one row is checked in, so a row that breaks
-    several of them is reported with the first.
-    """
-    bad = rules[0][0]
-    for mask, _ in rules[1:]:
-        bad = bad | mask
-    rows = bad.nonzero()[0]
-    if rows.size:
-        row = int(rows[0])
-        message = next(message for mask, message in rules if mask[row])
-        raise RowError(row, message(row) if callable(message) else message)
-
-
-def _float_rows(values, what: str, min_len: int) -> np.ndarray:
-    """``values`` as a new (N, n) float array with n >= min_len.
-
-    A value object passes ``[entries]``, so an entries argument that is
-    not a vector has the wrong number of dimensions here.  Text is
-    refused, naming its first row, before any rule on the values.
-    """
-    arr = np.asarray(values)
-    if arr.ndim != 2 or arr.shape[1] < min_len:
-        raise RowError(0, f"{what} requires a vector of length >= {min_len}")
-    if arr.dtype.kind in "biuf":
-        return arr.astype(float, copy=type(values) is not list)  # a list made a new array
-    row = _text_row(arr)
-    if row is not None:
-        raise RowError(row, f"{what} entries must be real numbers")
-    return np.array(arr.tolist(), dtype=float)  # as a list of these entries would convert
 
 
 def _append_column(rows: np.ndarray, value: float) -> np.ndarray:
@@ -168,21 +121,6 @@ def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
         ),
     )
     return arr, totals
-
-
-def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
-    """Check every row of an (N, n) array, n >= min_len, for positive
-    finite entries with a finite sum; return the rows as a new read-only
-    float array.  A RowError names the first bad row."""
-    arr = _float_rows(values, what, min_len)
-    faults = _positive_faults(arr)
-    if faults is not None:
-        _reject_rows(
-            (faults[0], f"{what} entries must be strictly positive and finite"),
-            (faults[1], f"{what}: the sum of the entries overflows float64"),
-        )
-    arr.setflags(write=False)
-    return arr
 
 
 def ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:

@@ -10,14 +10,17 @@ for totals beyond ~170.
 The determinant helper works in the linear domain on purpose: its sign
 is needed when cross-checking closed-form Jacobians against
 finite-difference ones.
+
+Arguments are read by the rules of ``countcomp._rules``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
+
+from ._rules import _extremes, _float_array, _positive_float, _positive_rows
 
 __all__ = [
     "log_gamma",
@@ -28,105 +31,6 @@ __all__ = [
     "log_sum_exp",
     "log_sum_exp_rows",
 ]
-
-
-# Arrays of at most this many entries are scanned by Python builtins over
-# ``tolist()``, which for a few entries costs less than one numpy
-# reduction; larger ones by whole-array reductions, whose cost grows far
-# more slowly with the size.
-_PYTHON_SCAN_MAX = 64
-# While size * max |entry| stays below this, no partial sum of the entries
-# can round past the largest float.
-_SUM_SAFE = sys.float_info.max / 2
-
-
-def _extremes(arr: np.ndarray) -> tuple[float, float, bool]:
-    """``(least, greatest, finite_sum)`` over all entries of ``arr``, as
-    Python numbers: the accept test of the row validators.
-
-    ``finite_sum`` says whether the sum of all the entries is finite, so
-    it is false where one is NaN or infinite; the extremes mean nothing
-    then (a Python ``min`` skips a NaN that is not first).  An empty
-    array gives ``(inf, -inf, True)``.  Small arrays take Python
-    builtins, large ones numpy reductions; both reach the same decision,
-    except that a Python and a numpy sum can round differently within a
-    few ulps of float64 overflow.  No sum here reaches an output.
-    """
-    if arr.size <= _PYTHON_SCAN_MAX:
-        flat = arr.ravel().tolist()
-        if not flat:
-            return math.inf, -math.inf, True
-        return min(flat), max(flat), math.isfinite(sum(flat))
-    lo, hi = arr.min().item(), arr.max().item()  # NaN in both if in one
-    if max(-lo, hi) * arr.size < _SUM_SAFE:
-        return lo, hi, True
-    with np.errstate(over="ignore", invalid="ignore"):
-        return lo, hi, bool(np.isfinite(arr.sum()))
-
-
-# float() parses these; the validators refuse them.
-_TEXT = (str, bytes, bytearray)
-
-
-def _text_row(arr: np.ndarray) -> int | None:
-    """The index of the first row of a 2-D array that holds text, or None.
-
-    A text dtype is text throughout; only an object array has its entries
-    scanned, so numeric arrays pay one dtype test.
-    """
-    if arr.dtype.kind in "SU":
-        return 0
-    if arr.dtype.kind == "O":
-        for row, entries in enumerate(arr.tolist()):
-            if any(isinstance(v, _TEXT) for v in entries):
-                return row
-    return None
-
-
-def _as_float(value, what: str) -> float:
-    """``value`` as a float; text, which ``float()`` would parse, is refused."""
-    if type(value) is float:
-        return value
-    if not isinstance(value, (int, float)):
-        if _text_row(np.asarray(value).reshape(1, -1)) is not None:
-            raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; text is refused, as by ``_as_float``."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf" and _text_row(arr.reshape(1, -1)) is not None:
-        raise ValueError(f"{what} entries must be real numbers")
-    return arr.astype(float, copy=False)
-
-
-def _positive_faults(arr: np.ndarray):
-    """None where every row (last axis) of ``arr`` has finite entries > 0
-    whose numpy sum and ``math.fsum`` (either can overflow alone) are
-    finite; else the masks of the rows that break each half of the rule."""
-    lo, hi, finite_sum = _extremes(arr)
-    # Below _SUM_SAFE no row can sum near the largest float.
-    if finite_sum and lo > 0.0 and hi * arr.shape[-1] < _SUM_SAFE:
-        return None
-    rows = arr.reshape(-1, arr.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        overflows = ~np.isfinite(rows.sum(axis=1))
-    bad = ~(np.isfinite(rows) & (rows > 0.0)).all(axis=1)
-    for row in np.flatnonzero(~(bad | overflows)).tolist():
-        try:
-            math.fsum(rows[row].tolist())
-        except OverflowError:
-            overflows[row] = True
-    return bad, overflows
-
-
-def _all_positive_finite(arr: np.ndarray) -> bool:
-    """Whether every entry of ``arr`` is finite and > 0 (NaN is not).
-    Finite entries whose sum overflows fail the accept test; the masks
-    then pass them."""
-    lo, _, finite_sum = _extremes(arr)
-    return (finite_sum and lo > 0.0) or bool((np.isfinite(arr) & (arr > 0.0)).all())
 
 
 def log_gamma(a: float) -> float:
@@ -149,9 +53,7 @@ def log_gamma(a: float) -> float:
     ValueError
         If ``a`` is not a strictly positive finite number.
     """
-    a = _as_float(a, "log_gamma argument")
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"log_gamma requires a finite argument > 0, got {a!r}")
+    a = _positive_float(a, "log_gamma argument")
     try:
         return math.lgamma(a)
     except OverflowError:
@@ -174,7 +76,10 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     """
     parts = [np.asarray(a, dtype=float) for a in args]
     a = np.concatenate([part.ravel() for part in parts])
-    if not _all_positive_finite(a):
+    lo, _, finite_sum = _extremes(a)
+    # Finite entries whose sum overflows fail the accept test; the mask
+    # then passes them.
+    if not (finite_sum and lo > 0.0) and not (np.isfinite(a) & (a > 0.0)).all():
         raise ValueError("log_gamma requires finite arguments > 0")
     values = a.tolist()
     try:
@@ -226,7 +131,8 @@ def log_multivariate_beta(alpha) -> float:
         If fewer than two entries, any entry is not positive and finite,
         or their sum or a log-gamma term overflows float64.
     """
-    return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, _beta_argument(alpha, 1).tolist())
+    alpha = _positive_rows([alpha], "log_multivariate_beta", 2)[0]
+    return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, alpha.tolist())
 
 
 def log_multivariate_beta_rows(alpha) -> np.ndarray:
@@ -237,22 +143,11 @@ def log_multivariate_beta_rows(alpha) -> np.ndarray:
     Raises
     ------
     ValueError
-        As ``log_multivariate_beta`` does for any one row.
+        As ``log_multivariate_beta`` does for any one row; a RowError
+        names the first row whose entries break its rule.
     """
-    return _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, _beta_argument(alpha, 2).T)
-
-
-def _beta_argument(alpha, ndim: int) -> np.ndarray:
-    """``alpha`` as a float array of ``ndim`` dimensions, its rows checked."""
-    arr = _float_array(alpha, "log_multivariate_beta")
-    if arr.ndim != ndim or arr.shape[-1] < 2:
-        raise ValueError("log_multivariate_beta requires a vector of length >= 2")
-    faults = _positive_faults(arr)
-    if faults is not None and faults[0].any():
-        raise ValueError("log_multivariate_beta requires strictly positive finite entries")
-    if faults is not None and faults[1].any():
-        raise ValueError("log_multivariate_beta: the sum of the entries overflows float64")
-    return arr
+    alpha = _positive_rows(alpha, "log_multivariate_beta", 2)
+    return _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, alpha.T)
 
 
 def _log_multivariate_beta_terms(lgs, fsum, alpha):

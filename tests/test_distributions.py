@@ -408,7 +408,7 @@ class TestNbTruncationBound:
     def test_errors(self):
         with pytest.raises(ValueError, match="tail_mass"):
             nb_truncation_bound(2.0, 0.5, 0.0)
-        with pytest.raises(ValueError, match="requires R > 0"):
+        with pytest.raises(ValueError, match=r"^R must be a finite number > 0, got -1\.0$"):
             nb_truncation_bound(-1.0, 0.5)
         with pytest.raises(ValueError, match="p in"):
             nb_truncation_bound(2.0, 1.0)

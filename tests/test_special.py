@@ -207,7 +207,7 @@ class TestLogBeta:
         "a, b", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)]
     )
     def test_domain_error_message_unchanged(self, a, b):
-        message = "log_multivariate_beta requires strictly positive finite entries"
+        message = "log_multivariate_beta entries must be strictly positive and finite"
         with pytest.raises(ValueError, match=message):
             log_beta(a, b)
         with pytest.raises(ValueError, match=message):

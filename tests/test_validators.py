@@ -1,7 +1,7 @@
 """The row validators and the one-point log-gamma map at the edges of
 their domains.
 
-Each validator first runs an accept test (``special._extremes``: Python
+Each validator first runs an accept test (``_rules._extremes``: Python
 builtins for a few entries, numpy reductions for many) and builds its
 ordered per-rule masks only when that test fails.  The table below pins,
 for inputs on both sides of every rule, the row and message each
@@ -39,6 +39,7 @@ from countcomp import (
     poisson_sample,
     rank_one_update_det,
 )
+from countcomp._rules import _PYTHON_SCAN_MAX
 from countcomp.distributions import (
     _count_entries,
     alr_dirichlet_log_pdf_rows,
@@ -58,7 +59,6 @@ from countcomp.simplex import (
     ratio_rows,
 )
 from countcomp.special import (
-    _PYTHON_SCAN_MAX,
     _log_gamma_each,
     _log_gamma_map,
     log_multivariate_beta,
@@ -105,7 +105,7 @@ DIRICHLET_ENTRIES = "DirichletParams entries must be strictly positive and finit
 DIRICHLET_SUM = "DirichletParams: the sum of the entries overflows float64"
 DIRICHLET_LENGTH = "DirichletParams requires a vector of length >= 2"
 M_INTEGER = "m entries must be integers"
-BETA_DOMAIN = "log_multivariate_beta requires strictly positive finite entries"
+BETA_DOMAIN = "log_multivariate_beta entries must be strictly positive and finite"
 BETA_SUM = "log_multivariate_beta: the sum of the entries overflows float64"
 
 
@@ -514,7 +514,7 @@ def _outcome(check, rows):
         out = check(rows)
     except RowError as exc:
         return exc.row, str(exc)
-    except ValueError as exc:  # the two special functions number no rows
+    except ValueError as exc:  # log-gamma overflow numbers no row
         return None, str(exc)
     return tuple(np.asarray(a) for a in (out if isinstance(out, tuple) else (out,)))
 
@@ -665,7 +665,7 @@ class TestLogGammaMap:
         with pytest.raises(ValueError) as info:
             list(_log_gamma_map(*args))
         assert str(info.value) == _log_gamma_outcome(bad)
-        assert str(info.value).startswith("log_gamma requires a finite argument > 0")
+        assert str(info.value).startswith("log_gamma argument must be a finite number > 0")
 
     def test_every_argument_alone(self):
         for a in GOOD_ARGS + BAD_ARGS:
