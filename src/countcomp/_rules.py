@@ -2,14 +2,16 @@
 argument (a real, a positive real, a count, a float array, or rows of
 them) and returns it as the formulas take it, or raises ValueError whose
 message starts with the argument's name; a batch rule raises a RowError
-naming the first bad row.  Text and bools are not numbers here, as the
-CLI refuses JSON strings and booleans.
+naming the first bad row.  Only real numbers are numbers here: text and
+bools are not, as the CLI refuses JSON strings and booleans, and nor
+are complex numbers, dates and times.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from numbers import Real
 
 import numpy as np
 
@@ -78,35 +80,52 @@ def _extremes(arr: np.ndarray) -> tuple[float, float, bool]:
         return lo, hi, bool(np.isfinite(arr.sum()))
 
 
-# float() parses text, and a bool is an int; the rules refuse both.
-_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
+def _non_real_row(arr: np.ndarray) -> int | None:
+    """The index of the first row of a 2-D array that holds an entry that
+    is not a real number, or None.
 
-
-def _text_row(arr: np.ndarray) -> int | None:
-    """The index of the first row of a 2-D array that holds text or a
-    bool, or None.
-
-    A text or bool dtype is refused throughout; only an object array has
-    its entries scanned, so numeric arrays pay one dtype test.
+    An array whose dtype is not integer, float or object is refused
+    throughout; only an object array has its entries scanned, so numeric
+    arrays pay one dtype test.  float() parses text, and a bool is an
+    int; neither is a real number here.
     """
-    if arr.dtype.kind in "SUb":
-        return 0
     if arr.dtype.kind == "O":
         for row, entries in enumerate(arr.tolist()):
-            if any(isinstance(v, _NOT_NUMBERS) for v in entries):
+            if any(type(v) is bool or not isinstance(v, Real) for v in entries):
                 return row
-    return None
+        return None
+    return None if arr.dtype.kind in "iuf" else 0
+
+
+def _object_floats(arr: np.ndarray, what: str) -> np.ndarray:
+    """A 2-D object array of real numbers as a new float array, converted
+    as a list of its entries would be; a RowError names the first row
+    with an entry past the float64 range."""
+    rows = arr.tolist()
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:  # an int or a Fraction past the largest float
+        for row, entries in enumerate(rows):
+            try:
+                np.array(entries, dtype=float)
+            except OverflowError:
+                raise RowError(row, f"{what} entries must lie within the float64 range") from None
+        raise
 
 
 def _as_float(value, what: str) -> float:
-    """``value`` as a float; text and bools are refused."""
+    """``value`` as a float; anything but a real number within the
+    float64 range is refused."""
     if type(value) is float:
         return value
     if isinstance(value, bool) or (
             not isinstance(value, (int, float))
-            and _text_row(np.asarray(value).reshape(1, -1)) is not None):
+            and _non_real_row(np.asarray(value).reshape(1, -1)) is not None):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction past the largest float
+        raise ValueError(f"{what} must be a real number within the float64 range") from None
 
 
 def _positive_float(value, what: str) -> float:
@@ -124,7 +143,7 @@ def _as_count(value, what: str) -> int:
         i = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}") from exc
-    if i != value or i < 0 or type(value) in _NOT_NUMBERS:
+    if i != value or i < 0 or type(value) in (bool, np.bool_):
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
     if i >= 2**63:
         raise ValueError(f"{what} must be below 2**63 (int64), got {value!r}")
@@ -132,31 +151,33 @@ def _as_count(value, what: str) -> int:
 
 
 def _float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; text and bools are refused, as by
-    ``_as_float``."""
+    """``values`` as a float array; entries are read as by ``_as_float``."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" and _text_row(arr.reshape(1, -1)) is not None:
+    if arr.dtype.kind in "iuf":
+        return arr.astype(float, copy=False)
+    flat = arr.reshape(1, -1)
+    if _non_real_row(flat) is not None:
         raise ValueError(f"{what} entries must be real numbers")
-    return arr.astype(float, copy=False)
+    return _object_floats(flat, what).reshape(arr.shape)
 
 
 def _float_rows(values, what: str, min_len: int) -> np.ndarray:
     """``values`` as a new (N, n) float array with n >= min_len.
 
     A value object passes ``[entries]``, so an entries argument that is
-    not a vector has the wrong number of dimensions here.  Text and bools
-    are refused, naming the first row with one, before any rule on the
-    values.
+    not a vector has the wrong number of dimensions here.  Entries are
+    read as by ``_as_float``, naming the first row with a refused one,
+    before any rule on the values.
     """
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < min_len:
         raise RowError(0, f"{what} requires a vector of length >= {min_len}")
     if arr.dtype.kind in "iuf":
         return arr.astype(float, copy=type(values) is not list)  # a list made a new array
-    row = _text_row(arr)
+    row = _non_real_row(arr)
     if row is not None:
         raise RowError(row, f"{what} entries must be real numbers")
-    return np.array(arr.tolist(), dtype=float)  # as a list of these entries would convert
+    return _object_floats(arr, what)
 
 
 def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
@@ -191,10 +212,10 @@ def _count_rows(values, what: str) -> np.ndarray:
         raise RowError(0, f"{what} requires a vector of length >= 1")
     integer = arr.dtype.kind in "iu"
     if not integer:
-        row = _text_row(arr)
+        row = _non_real_row(arr)
         if row is not None:  # numeric text and bools would pass the cast to float
             raise RowError(row, f"{what} entries must be integers")
-        arr = arr.astype(float)
+        arr = _object_floats(arr, what) if arr.dtype.kind == "O" else arr.astype(float)
     # The accept test; a NaN or an infinity makes the sum not finite.  In
     # [0, 2**63) the cast to int64 keeps an integral float and changes any
     # other.

@@ -120,74 +120,58 @@ def _parse_point(text: str, want: str):
 # eval
 # ---------------------------------------------------------------------------
 
-_EVAL_DISTS = (
-    "dirichlet",
-    "inverted-dirichlet",
-    "alr-dirichlet",
-    "negative-binomial",
-    "multinomial",
-    "dirichlet-multinomial",
-    "beta-binomial",
-    "normalized-nb",
-)
+
+def _dirichlet(params: dict) -> dist.DirichletParams:
+    return dist.DirichletParams(_vector(params, "alpha"))
+
+
+def _gamma_mixture(params: dict) -> dist.GammaMixtureParams:
+    return dist.GammaMixtureParams(_vector(params, "shapes"), _number(params, "scale"))
+
+
+# The counts are checked before the parameters are read.
+def _multinomial(params: dict, point: list) -> float:
+    x = dist.CountVector(point)
+    return dist.multinomial_log_pmf(x.total, Composition(_vector(params, "probs")), x)
+
+
+def _dirichlet_multinomial(params: dict, point: list) -> float:
+    x = dist.CountVector(point)
+    return dist.dirichlet_multinomial_log_pmf(_vector(params, "shapes"), x.total, x)
+
+
+# name: (parameter keys, "floats" or "ints" point, None or the point's
+# length and the words a usage error gives it, (params, point) -> log value).
+# A new distribution is one entry; the order is that of the error messages.
+_EVAL = {
+    "dirichlet": ({"alpha"}, "floats", None, lambda p, x: (
+        dist.dirichlet_log_pdf(_dirichlet(p), Composition(x)))),
+    "inverted-dirichlet": ({"alpha"}, "floats", None, lambda p, y: (
+        dist.inverted_dirichlet_log_pdf(_dirichlet(p), RatioVector(y)))),
+    "alr-dirichlet": ({"alpha"}, "floats", None, lambda p, y: (
+        dist.alr_dirichlet_log_pdf(_dirichlet(p), LogRatioVector(y)))),
+    "negative-binomial": ({"R", "p"}, "ints", (1, "a single integer point m"), lambda p, m: (
+        dist.negative_binomial_log_pmf(_number(p, "R"), _number(p, "p"), m[0]))),
+    "multinomial": ({"probs"}, "ints", None, _multinomial),
+    "dirichlet-multinomial": ({"shapes"}, "ints", None, _dirichlet_multinomial),
+    "beta-binomial": ({"a", "b", "m"}, "ints", (1, "a single integer point k"), lambda p, k: (
+        dist.beta_binomial_log_pmf(
+            dist.BetaBinomialParams(_number(p, "a"), _number(p, "b"), _integer(p, "m")), k[0]))),
+    "normalized-nb": ({"shapes", "scale", "component"}, "ints", (2, "an integer pair point k,m"),
+                      lambda p, km: dist.normalized_nb_log_pmf(
+                          _gamma_mixture(p), _integer(p, "component"), *km)),
+}
 
 
 def _eval_log_value(name: str, params: dict, point_text: str) -> tuple[float, list]:
-    if name == "dirichlet":
-        _require_keys(params, {"alpha"}, name)
-        point = _parse_point(point_text, "floats")
-        value = dist.dirichlet_log_pdf(
-            dist.DirichletParams(_vector(params, "alpha")), Composition(point)
-        )
-    elif name == "inverted-dirichlet":
-        _require_keys(params, {"alpha"}, name)
-        point = _parse_point(point_text, "floats")
-        value = dist.inverted_dirichlet_log_pdf(
-            dist.DirichletParams(_vector(params, "alpha")), RatioVector(point)
-        )
-    elif name == "alr-dirichlet":
-        _require_keys(params, {"alpha"}, name)
-        point = _parse_point(point_text, "floats")
-        value = dist.alr_dirichlet_log_pdf(
-            dist.DirichletParams(_vector(params, "alpha")), LogRatioVector(point)
-        )
-    elif name == "negative-binomial":
-        _require_keys(params, {"R", "p"}, name)
-        point = _parse_point(point_text, "ints")
-        if len(point) != 1:
-            raise UsageError("negative-binomial expects a single integer point m")
-        value = dist.negative_binomial_log_pmf(
-            _number(params, "R"), _number(params, "p"), point[0]
-        )
-    elif name == "multinomial":
-        _require_keys(params, {"probs"}, name)
-        point = _parse_point(point_text, "ints")
-        x = dist.CountVector(point)
-        value = dist.multinomial_log_pmf(x.total, Composition(_vector(params, "probs")), x)
-    elif name == "dirichlet-multinomial":
-        _require_keys(params, {"shapes"}, name)
-        point = _parse_point(point_text, "ints")
-        x = dist.CountVector(point)
-        value = dist.dirichlet_multinomial_log_pmf(_vector(params, "shapes"), x.total, x)
-    elif name == "beta-binomial":
-        _require_keys(params, {"a", "b", "m"}, name)
-        point = _parse_point(point_text, "ints")
-        if len(point) != 1:
-            raise UsageError("beta-binomial expects a single integer point k")
-        bb = dist.BetaBinomialParams(
-            _number(params, "a"), _number(params, "b"), _integer(params, "m")
-        )
-        value = dist.beta_binomial_log_pmf(bb, point[0])
-    elif name == "normalized-nb":
-        _require_keys(params, {"shapes", "scale", "component"}, name)
-        point = _parse_point(point_text, "ints")
-        if len(point) != 2:
-            raise UsageError("normalized-nb expects an integer pair point k,m")
-        gm = dist.GammaMixtureParams(_vector(params, "shapes"), _number(params, "scale"))
-        value = dist.normalized_nb_log_pmf(gm, _integer(params, "component"), point[0], point[1])
-    else:
-        raise UsageError(f"unknown distribution {name!r}; choose from {', '.join(_EVAL_DISTS)}")
-    return value, point
+    if name not in _EVAL:
+        raise UsageError(f"unknown distribution {name!r}; choose from {', '.join(_EVAL)}")
+    keys, want, length, log_value = _EVAL[name]
+    _require_keys(params, keys, name)
+    point = _parse_point(point_text, want)
+    if length is not None and len(point) != length[0]:
+        raise UsageError(f"{name} expects {length[1]}")
+    return log_value(params, point), point
 
 
 def _cmd_eval(args, out) -> int:
@@ -227,37 +211,30 @@ def _cmd_sample(args, out) -> int:
     name = args.dist
     if name == "dirichlet":
         _require_keys(params, {"alpha"}, name)
-        dp = dist.DirichletParams(_vector(params, "alpha"))
-        header = [f"x{i + 1}" for i in range(dp.n)]
+        dp = _dirichlet(params)
         draw = lambda: dist.dirichlet_sample(dp, rng, size=count)
     elif name == "gamma":
         _require_keys(params, {"shape", "scale"}, name)
         shape, scale = _number(params, "shape"), _number(params, "scale")
-        header = ["value"]
-        draw = lambda: dist.gamma_sample(shape, scale, rng, size=count)[:, None]
+        draw = lambda: dist.gamma_sample(shape, scale, rng, size=count)
     elif name == "poisson":
         _require_keys(params, {"rate"}, name)
         rate = _number(params, "rate")
-        header = ["value"]
-        draw = lambda: dist.poisson_sample(rate, rng, size=count)[:, None]
+        draw = lambda: dist.poisson_sample(rate, rng, size=count)
     elif name == "negative-binomial":
         if set(params) == {"R", "theta"}:
             big_r, theta = _number(params, "R"), _number(params, "theta")
         else:
             _require_keys(params, {"shapes", "scale"}, name)
-            gm = dist.GammaMixtureParams(_vector(params, "shapes"), _number(params, "scale"))
+            gm = _gamma_mixture(params)
             big_r, theta = gm.total_shape, gm.scale
-        header = ["value"]
-        draw = lambda: dist.negative_binomial_sample_via_mixture(
-            big_r, theta, rng, size=count
-        )[:, None]
+        draw = lambda: dist.negative_binomial_sample_via_mixture(big_r, theta, rng, size=count)
     elif name == "multinomial":
         _require_keys(params, {"probs", "m"}, name)
         probs = Composition(_vector(params, "probs"))
         m = _integer(params, "m")
-        header = [f"x{i + 1}" for i in range(probs.n)]
         draw = lambda: dist.multinomial_sample(m, probs, rng, size=count)
-    elif name in _EVAL_DISTS:
+    elif name in _EVAL:
         raise ValueError(f"no sampler for {name!r}; samplers exist for {', '.join(_SAMPLE_DISTS)}")
     else:
         raise UsageError(
@@ -268,7 +245,9 @@ def _cmd_sample(args, out) -> int:
         rows = draw()
     except RowError as exc:
         raise ValueError(f"row {exc.row + 1}: {exc}") from exc
-    _write_csv(out, header, rows)
+    # A scalar law draws a 1-D array, a vector law (count, n) rows.
+    header = [f"x{i + 1}" for i in range(rows.shape[1])] if rows.ndim == 2 else ["value"]
+    _write_csv(out, header, rows.reshape(len(rows), len(header)))
     return EXIT_OK
 
 

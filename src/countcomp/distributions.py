@@ -46,6 +46,7 @@ from ._rules import (
     _as_count,
     _as_float,
     _count_rows,
+    _non_real_row,
     _positive_float,
     _positive_rows,
     _reject_rows,
@@ -219,13 +220,7 @@ def _as_shapes(params) -> np.ndarray:
         return params.shapes
     if isinstance(params, DirichletParams):
         return params.alpha
-    try:
-        return _positive_rows([params], "shape vector", 1)[0]
-    except TypeError as exc:
-        raise ValueError(
-            "shapes must be a GammaMixtureParams, a DirichletParams or a vector of "
-            f"numbers, got {type(params).__name__}"
-        ) from exc
+    return _positive_rows([params], "shape vector", 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +644,11 @@ def _checked_point_total(x: CountVector, m, n: int, what: str) -> int:
     """``_checked_totals`` for one CountVector: m must equal its exact total."""
     if x.n != n:
         raise ValueError(f"dimension mismatch: {what} has {n} entries, x has {x.n}")
-    if m != x.total:
+    # A total may pass 2**63, so m is compared first; the count rule then
+    # names an m that is not a count.
+    if m != x.total or type(m) in (bool, np.bool_):
+        if type(m) is not int:
+            m = _as_count(m, "m")
         raise ValueError(f"counts sum to {x.total}, expected total m={m!r}")
     return x.total
 
@@ -663,7 +662,13 @@ def _checked_totals(x: np.ndarray, m, n: int, what: str) -> np.ndarray:
         totals = x.sum(axis=1)
     else:  # an int64 sum could wrap; the exact one, as for CountVector
         totals = np.array([sum(row) for row in x.tolist()], dtype=object)
-    m = np.broadcast_to(np.asarray(m), totals.shape)
+    m = np.asarray(m)
+    if m.shape not in ((), totals.shape):
+        raise ValueError(f"m must be one total or {totals.size} totals, got shape {m.shape}")
+    row = _non_real_row(m.reshape(-1, 1))
+    if row is not None:
+        raise RowError(row, "m entries must be integers")
+    m = np.broadcast_to(m, totals.shape)
     wrong = np.flatnonzero(totals != m)
     if wrong.size:
         row = int(wrong[0])
@@ -719,7 +724,8 @@ def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m)
 def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, float, float]:
     """Beta-Binomial shapes (r_c, R - r_c) of one component against the
     rest merged, and R."""
-    if not 0 <= component < params.n:
+    component = _as_count(component, "component")
+    if component >= params.n:
         raise ValueError(f"component {component} out of range for n={params.n}")
     a = float(params.shapes[component])
     big_r = params.total_shape

@@ -163,7 +163,8 @@ def test_criterion_09_normalized_nb_total_mass():
 def test_criterion_10_round_trips_and_determinism():
     round_trips = _check_round_trips(200, np.random.default_rng(20260810), 20260810)
 
-    cmd = [sys.executable, "-m", "countcomp.cli", "verify", "--seed", "7", "--level", "quick"]
+    cmd = [sys.executable, "-W", "error", "-m", "countcomp.cli",
+           "verify", "--seed", "7", "--level", "quick"]
     start = time.perf_counter()
     first = subprocess.run(cmd, capture_output=True, timeout=600)
     mid = time.perf_counter()

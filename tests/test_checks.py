@@ -400,6 +400,38 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all(0, "paranoid")
 
+    def test_only_a_failing_statistical_row_is_retried(self, monkeypatch):
+        # Fake rows: (outcome, statistical); a statistical row that fails
+        # on its first run is rerun once, at 10x the trials, on the stage-1
+        # substream.  Exact and inconclusive rows are not rerun.
+        calls = []
+
+        def check(name, passed, inconclusive, trials, rng, seed):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+            calls.append((name, trials, seed))
+            return CheckReport(name, 0.5, 0.001, passed and trials > 100, trials, seed,
+                               inconclusive, f"{trials} trials")
+
+        rows = [
+            (check, ("statistical", True, False), True, 100),
+            (check, ("exact", False, False), False, 100),
+            (check, ("inconclusive", False, True), True, 100),
+            (check, ("passes", True, False), True, 1000),
+        ]
+        monkeypatch.setattr(checks, "_suite", lambda level: rows)
+        reports = run_all(7, "quick")
+        seed = [checks._child_seed(7, i) for i in range(4)]
+        retry_seed = checks._child_seed(7, 0, stage=1)
+        assert calls == [("statistical", 100, seed[0]), ("statistical", 1000, retry_seed),
+                         ("exact", 100, seed[1]), ("inconclusive", 100, seed[2]),
+                         ("passes", 1000, seed[3])]
+        assert [(r.passed, r.size, r.seed, r.detail) for r in reports] == [
+            (True, 1000, retry_seed, "1000 trials; retried at 10x samples"),
+            (False, 100, seed[1], "100 trials"),
+            (False, 100, seed[2], "100 trials"),
+            (True, 1000, seed[3], "1000 trials"),
+        ]
+
 
 # Each row perturbs one library function, as seen from inside
 # countcomp.checks, by 1e-6: above every tolerance involved (1e-12 for

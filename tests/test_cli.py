@@ -11,23 +11,34 @@ import numpy as np
 import pytest
 
 from countcomp import (
+    BetaBinomialParams,
     Composition,
+    CountVector,
     DirichletParams,
+    GammaMixtureParams,
     LogRatioVector,
     RatioVector,
+    alr_dirichlet_log_pdf,
+    beta_binomial_log_pmf,
     cli,
+    dirichlet_log_pdf,
+    dirichlet_multinomial_log_pmf,
     dirichlet_sample,
+    inverted_dirichlet_log_pdf,
     log_det_jacobian_log_ratio_inverse,
     log_det_jacobian_ratio_inverse,
     log_ratio_forward,
     log_ratio_inverse,
+    multinomial_log_pmf,
     multinomial_sample,
+    negative_binomial_log_pmf,
+    normalized_nb_log_pmf,
     ratio_forward,
     ratio_inverse,
 )
 from countcomp.simplex import RowError
 
-CLI = [sys.executable, "-m", "countcomp.cli"]
+CLI = [sys.executable, "-W", "error", "-m", "countcomp.cli"]
 
 
 def run_cli(*args, stdin=""):
@@ -36,7 +47,54 @@ def run_cli(*args, stdin=""):
     )
 
 
+ALPHA = [1.5, 2.0, 0.7]
+SHAPES = [0.5, 1.5, 2.0]
+# One case per eval distribution: (params, point, the library's value).
+EVAL_CASES = {
+    "dirichlet": ({"alpha": ALPHA}, "0.2,0.3,0.5", lambda: dirichlet_log_pdf(
+        DirichletParams(ALPHA), Composition([0.2, 0.3, 0.5]))),
+    "inverted-dirichlet": ({"alpha": ALPHA}, "0.4,2.5", lambda: inverted_dirichlet_log_pdf(
+        DirichletParams(ALPHA), RatioVector([0.4, 2.5]))),
+    "alr-dirichlet": ({"alpha": ALPHA}, "-0.3,1.2", lambda: alr_dirichlet_log_pdf(
+        DirichletParams(ALPHA), LogRatioVector([-0.3, 1.2]))),
+    "negative-binomial": ({"R": 2.5, "p": 0.3}, "4",
+                          lambda: negative_binomial_log_pmf(2.5, 0.3, 4)),
+    "multinomial": ({"probs": [0.2, 0.3, 0.5]}, "1,2,3", lambda: multinomial_log_pmf(
+        6, Composition([0.2, 0.3, 0.5]), CountVector([1, 2, 3]))),
+    "dirichlet-multinomial": ({"shapes": SHAPES}, "1,2,3", lambda: dirichlet_multinomial_log_pmf(
+        SHAPES, 6, CountVector([1, 2, 3]))),
+    "beta-binomial": ({"a": 1.5, "b": 2.5, "m": 7}, "3",
+                      lambda: beta_binomial_log_pmf(BetaBinomialParams(1.5, 2.5, 7), 3)),
+    "normalized-nb": ({"shapes": SHAPES, "scale": 0.8, "component": 1}, "2,5",
+                      lambda: normalized_nb_log_pmf(GammaMixtureParams(SHAPES, 0.8), 1, 2, 5)),
+}
+
+
 class TestEval:
+    def test_every_distribution_has_a_case(self):
+        assert list(EVAL_CASES) == list(cli._EVAL)
+
+    @pytest.mark.parametrize("dist", EVAL_CASES)
+    def test_log_value_is_the_library_value(self, capsys, dist):
+        params, point, library = EVAL_CASES[dist]
+        # "--point=..." keeps a leading minus sign from reading as an option.
+        argv = ["eval", "--dist", dist, "--params", json.dumps(params), f"--point={point}"]
+        assert cli.main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["logValue"] == library()
+        assert (record["dist"], record["params"]) == (dist, params)
+        assert record["value"] == math.exp(record["logValue"])
+
+    @pytest.mark.parametrize("dist, params, point, message", [
+        ("negative-binomial", '{"R": 1, "p": 0.5}', "1,2", "a single integer point m"),
+        ("beta-binomial", '{"a": 1, "b": 1, "m": 3}', "1,2", "a single integer point k"),
+        ("normalized-nb", '{"shapes": [1, 2], "scale": 1, "component": 0}', "1",
+         "an integer pair point k,m"),
+    ])
+    def test_point_length_is_a_usage_error(self, capsys, dist, params, point, message):
+        assert cli.main(["eval", "--dist", dist, "--params", params, "--point", point]) == 2
+        assert capsys.readouterr().err == f"error: {dist} expects {message}\n"
+
     def test_dirichlet_uniform(self):
         res = run_cli(
             "eval", "--dist", "dirichlet", "--params", '{"alpha": [1, 1, 1]}',
@@ -194,6 +252,18 @@ class TestSample:
     def test_unknown_dist_exits_2(self):
         res = run_cli("sample", "--dist", "wat", "--params", "{}", "--count", "1", "--seed", "0")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("dist, params, header", [
+        ("dirichlet", '{"alpha": [1, 2, 3]}', "x1,x2,x3"),
+        ("gamma", '{"shape": 2, "scale": 1}', "value"),
+        ("poisson", '{"rate": 4}', "value"),
+        ("negative-binomial", '{"shapes": [1, 2], "scale": 1}', "value"),
+        ("multinomial", '{"probs": [0.5, 0.5], "m": 4}', "x1,x2"),
+    ])
+    def test_zero_draws_write_the_header(self, capsys, dist, params, header):
+        argv = ["sample", "--dist", dist, "--params", params, "--count", "0", "--seed", "0"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == header + "\n"
 
     def test_domain_error_writes_nothing_and_names_row(self):
         # Gamma(0.01) draws underflow; the library batch of this seed names

@@ -19,7 +19,8 @@ def test_demos_are_found():
 def test_demo_runs_and_prints(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

@@ -538,6 +538,38 @@ VALUE_OBJECTS = {
 }
 
 
+# A point of another dimension than the parameters is refused: one point
+# and a batch, for each family.  (call, start of the message)
+DIMENSION_MISMATCHES = {
+    "inverted_dirichlet_log_pdf": (
+        lambda: inverted_dirichlet_log_pdf(DirichletParams([1.0, 1.0]), RatioVector([0.5, 2.0])),
+        "dimension mismatch: alpha has 2 entries, y has "),
+    "alr_dirichlet_log_pdf": (
+        lambda: alr_dirichlet_log_pdf(DirichletParams([1.0, 1.0]), LogRatioVector([0.5, 2.0])),
+        "dimension mismatch: alpha has 2 entries, y has "),
+    "multinomial_log_pmf": (
+        lambda: multinomial_log_pmf(3, Composition([0.5, 0.5]), CountVector([1, 1, 1])),
+        "dimension mismatch: probs has 2 entries, x has 3"),
+    "dirichlet_multinomial_log_pmf": (
+        lambda: dirichlet_multinomial_log_pmf([1.0, 1.0], 3, CountVector([1, 1, 1])),
+        "dimension mismatch: shapes has 2 entries, x has 3"),
+    "multinomial_log_pmf_rows": (
+        lambda: distributions.multinomial_log_pmf_rows(3, Composition([0.5, 0.5]), [[1, 1, 1]]),
+        "dimension mismatch: probs has 2 entries, x has 3"),
+    "dirichlet_multinomial_log_pmf_rows": (
+        lambda: distributions.dirichlet_multinomial_log_pmf_rows([1.0, 1.0], 3, [[1, 1, 1]]),
+        "dimension mismatch: shapes has 2 entries, x has 3"),
+}
+
+
+@pytest.mark.parametrize("name", DIMENSION_MISMATCHES)
+def test_dimension_mismatch_refused(name):
+    call, message = DIMENSION_MISMATCHES[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 class TestValueEquality:
     @pytest.mark.parametrize("name", VALUE_OBJECTS)
     def test_equal_by_value_and_hash_agrees(self, name):

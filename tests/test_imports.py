@@ -71,8 +71,8 @@ def test_scipy_not_imported(body):
     script = "import sys\n" + textwrap.dedent(body) + (
         "\nassert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:3]\n"
     )
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         timeout=120)
+    res = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
 
 
@@ -84,8 +84,8 @@ def test_verify_does_not_import_scipy_stats():
             assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0
         assert 'scipy.stats' not in sys.modules
     """)
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         timeout=120)
+    res = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
 
 

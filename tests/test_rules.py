@@ -2,28 +2,37 @@
 
 Every scalar argument that must be a finite real > 0 is read by one
 rule, so each (call, argument) row below meets every bad value with a
-``ValueError`` whose message starts with the argument's name.  Bools
-are not numbers anywhere, and the public checks read their arguments by
-the same rules.
+``ValueError`` whose message starts with the argument's name.  Only real
+numbers are numbers: bools, text, complex numbers and dates are refused
+everywhere, as are ints past the float64 range where a float is read.
+The public checks read their arguments by the same rules.
 """
 
+import datetime
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from countcomp import (
     BetaBinomialParams,
+    Composition,
     CountVector,
     DirichletParams,
     GammaMixtureParams,
+    dirichlet_multinomial_log_pmf,
     gamma_sample,
     log_gamma,
     log_sum_exp,
+    multinomial_log_pmf,
     nb_truncation_bound,
     negative_binomial_log_pmf,
     negative_binomial_sample_via_mixture,
+    normalized_nb_log_pmf,
+    normalized_nb_value_pmf,
     poisson_sample,
+    rank_one_update_det,
 )
 from countcomp.checks import (
     check_beta_binomial_merge,
@@ -31,7 +40,14 @@ from countcomp.checks import (
     check_transform_density,
     enumerate_compositions,
 )
-from countcomp.distributions import negative_binomial_log_pmf_rows
+from countcomp._rules import RowError
+from countcomp.distributions import (
+    count_rows,
+    dirichlet_multinomial_log_pmf_rows,
+    multinomial_log_pmf_rows,
+    negative_binomial_log_pmf_rows,
+    normalized_nb_log_pmf_rows,
+)
 
 
 def _rng():
@@ -54,7 +70,8 @@ POSITIVE_REALS = {
     "nb_sample R": (lambda v: negative_binomial_sample_via_mixture(v, 1.0, _rng()), "R"),
     "nb_sample theta": (lambda v: negative_binomial_sample_via_mixture(1.0, v, _rng()), "theta"),
 }
-BAD_REALS = ["3", True, math.nan, math.inf, -math.inf, 0.0, -1.0]
+BAD_REALS = ["3", True, 1 + 0j, np.datetime64("2020-01-01"), math.nan, math.inf, -math.inf,
+             0.0, -1.0]
 
 
 @pytest.mark.parametrize("value", BAD_REALS, ids=repr)
@@ -67,11 +84,20 @@ def test_positive_real_refused_by_name(row, value):
 
 
 @pytest.mark.parametrize("row", POSITIVE_REALS)
+def test_positive_real_past_the_float_range_refused_by_name(row):
+    call, name = POSITIVE_REALS[row]
+    with pytest.raises(ValueError) as info:
+        call(10**400)
+    assert str(info.value) == f"{name} must be a real number within the float64 range"
+
+
+@pytest.mark.parametrize("row", POSITIVE_REALS)
 def test_positive_real_accepted(row):
     call, _ = POSITIVE_REALS[row]
     call(2.5)
     call(np.float64(2.5))
     call(2)
+    call(Fraction(5, 2))
 
 
 # Bools, Python's and numpy's, alone and in arrays: (call, message).
@@ -103,6 +129,103 @@ def test_bools_are_not_numbers(row):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# Complex numbers and dates, in arrays of their own dtype and as entries
+# of object arrays, and ints past the float64 range: (call, message).
+NOT_REALS = {
+    "CountVector complex": (lambda: CountVector([1 + 1j, 2]),
+                            "CountVector entries must be integers"),
+    "log_sum_exp complex": (lambda: log_sum_exp([1 + 5j, 2]),
+                            "log_sum_exp entries must be real numbers"),
+    "rank_one_update_det complex": (lambda: rank_one_update_det([1 + 3j, 2], [1, 1], [1, 1]),
+                                    "rank_one_update_det entries must be real numbers"),
+    "DirichletParams complex": (lambda: DirichletParams([1 + 2j, 1]),
+                                "DirichletParams entries must be real numbers"),
+    "DirichletParams object complex": (
+        lambda: DirichletParams(np.array([1.0, 1 + 1j], dtype=object)),
+        "DirichletParams entries must be real numbers"),
+    "Composition complex": (lambda: Composition([0.5 + 0j, 0.5]),
+                            "Composition entries must be real numbers"),
+    "Composition datetime64": (lambda: Composition(np.array(["2020-01-01", "2020-01-02"],
+                                                            dtype="datetime64[D]")),
+                               "Composition entries must be real numbers"),
+    "Composition object date": (lambda: Composition([0.5, datetime.date(2020, 1, 1)]),
+                                "Composition entries must be real numbers"),
+    "log_sum_exp timedelta64": (lambda: log_sum_exp(np.array([1, 2], dtype="m8[s]")),
+                                "log_sum_exp entries must be real numbers"),
+    "log_gamma complex": (lambda: log_gamma(1 + 0j),
+                          "log_gamma argument must be a real number, got (1+0j)"),
+    "DirichletParams past float64": (lambda: DirichletParams([10**400, 1]),
+                                     "DirichletParams entries must lie within the float64 range"),
+    "CountVector past float64": (lambda: CountVector([1, 10**400]),
+                                 "CountVector entries must lie within the float64 range"),
+    "log_sum_exp past float64": (lambda: log_sum_exp([-10**400, 1]),
+                                 "log_sum_exp entries must lie within the float64 range"),
+}
+
+
+@pytest.mark.parametrize("row", NOT_REALS)
+def test_complex_numbers_dates_and_huge_ints_refused(row):
+    call, message = NOT_REALS[row]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_row_past_the_float_range_named():
+    with pytest.raises(RowError) as info:
+        count_rows([[1, 2], [3, 4], [5, 10**400]])
+    assert (info.value.row, str(info.value)) == (
+        2, "CountVector entries must lie within the float64 range")
+
+
+# A component and a total m are counts; the totals of a batch are one m or
+# one per row.  (call, message)
+HALF = Composition([0.5, 0.5])
+MIX = GammaMixtureParams([1.0, 2.0], 1.0)
+COUNT_ARGUMENTS = {
+    "normalized_nb_log_pmf component": (lambda: normalized_nb_log_pmf(MIX, 0.5, 1, 2),
+                                        "component must be a non-negative integer, got 0.5"),
+    "normalized_nb_log_pmf component bool": (lambda: normalized_nb_log_pmf(MIX, True, 1, 2),
+                                             "component must be a non-negative integer, got True"),
+    "normalized_nb_log_pmf_rows component": (
+        lambda: normalized_nb_log_pmf_rows(MIX, True, [1], [2]),
+        "component must be a non-negative integer, got True"),
+    "normalized_nb_value_pmf component": (lambda: normalized_nb_value_pmf(MIX, 0.5, (1, 2)),
+                                          "component must be a non-negative integer, got 0.5"),
+    "multinomial_log_pmf m bool": (lambda: multinomial_log_pmf(True, HALF, CountVector([1, 0])),
+                                   "m must be a non-negative integer, got True"),
+    "multinomial_log_pmf m text": (lambda: multinomial_log_pmf("2", HALF, CountVector([1, 1])),
+                                   "m must be a non-negative integer, got '2'"),
+    "dirichlet_multinomial_log_pmf m bool": (
+        lambda: dirichlet_multinomial_log_pmf([1, 1], True, CountVector([1, 0])),
+        "m must be a non-negative integer, got True"),
+    "multinomial_log_pmf_rows m bool": (lambda: multinomial_log_pmf_rows(True, HALF, [[1, 0]]),
+                                        "m entries must be integers"),
+    "dirichlet_multinomial_log_pmf_rows m text": (
+        lambda: dirichlet_multinomial_log_pmf_rows([1, 1], ["2"], [[1, 1]]),
+        "m entries must be integers"),
+    "multinomial_log_pmf_rows m shape": (
+        lambda: multinomial_log_pmf_rows([2, 2, 2], HALF, [[1, 1], [2, 0]]),
+        "m must be one total or 2 totals, got shape (3,)"),
+}
+
+
+@pytest.mark.parametrize("row", COUNT_ARGUMENTS)
+def test_components_and_totals_read_as_counts(row):
+    call, message = COUNT_ARGUMENTS[row]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_totals_past_int64_still_compared_exactly():
+    x = CountVector([2**62, 2**62])
+    with pytest.raises(ValueError, match=f"^counts sum to {2**63}, expected total m={2**63 + 1}$"):
+        multinomial_log_pmf(2**63 + 1, HALF, x)
+    batch = multinomial_log_pmf_rows([2**63], HALF, [[2**62, 2**62]])
+    assert multinomial_log_pmf(2**63, HALF, x) == batch[0]
 
 
 # The public checks: text is refused by the argument's rule, and an
