@@ -115,13 +115,19 @@ def _object_floats(arr: np.ndarray, what: str) -> np.ndarray:
 
 def _as_float(value, what: str) -> float:
     """``value`` as a float; anything but a real number within the
-    float64 range is refused."""
+    float64 range is refused: a sequence or an array of one or more
+    dimensions by a TypeError, any other value by a ValueError."""
     if type(value) is float:
         return value
-    if isinstance(value, bool) or (
-            not isinstance(value, (int, float))
-            and _non_real_row(np.asarray(value).reshape(1, -1)) is not None):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged sequence
+            arr = None
+        if arr is None or arr.ndim:
+            raise TypeError(f"{what} must be a real number (float), not {type(value).__name__}")
+        if _non_real_row(arr.reshape(1, 1)) is not None:
+            raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an int or a Fraction past the largest float
@@ -142,12 +148,29 @@ def _as_count(value, what: str) -> int:
     try:
         i = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}") from exc
+        raise ValueError(f"{what} must be a non-negative integer, got {_shown(value)}") from exc
     if i != value or i < 0 or type(value) in (bool, np.bool_):
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{what} must be a non-negative integer, got {_shown(value)}")
     if i >= 2**63:
-        raise ValueError(f"{what} must be below 2**63 (int64), got {value!r}")
+        raise ValueError(f"{what} must be below 2**63 (int64), got {_shown(value)}")
     return i
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or for a number too long for Python to print (an
+    int past ``sys.get_int_max_str_digits()``, or a Fraction of one), its
+    sign and the number of digits of its integer part."""
+    try:
+        return repr(value)
+    except ValueError:
+        i = int(value)
+        size = abs(i)
+        digits = int(math.log10(size)) + 1  # may be one off near a power of 10
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        if type(value) is int:
+            return f"{'a negative' if i < 0 else 'an'} integer of {digits} digits"
+        sign = "negative " if i < 0 else ""
+        return f"a {sign}{type(value).__name__} of {digits} digits before the point"
 
 
 def _float_array(values, what: str) -> np.ndarray:

@@ -64,8 +64,7 @@ from .special import (
     _log_each,
     _log_gamma_each,
     _log_gamma_map,
-    log_multivariate_beta,
-    log_multivariate_beta_rows,
+    _log_multivariate_beta_terms,
     log_sum_exp_rows,
 )
 
@@ -124,11 +123,13 @@ class DirichletParams(_ValueObject):
         return float(np.add.reduce(self.alpha))
 
     def log_normalizer(self) -> float:
-        """log B(alpha), computed on first use and kept."""
+        """log B(alpha), computed on first use and kept.  The constructor
+        has checked alpha, so the formula is taken without the public
+        ``log_multivariate_beta``'s second check."""
         try:
             return self._log_normalizer
         except AttributeError:
-            value = log_multivariate_beta(self.alpha)
+            value = _log_multivariate_beta_terms(_log_gamma_map, math.fsum, self.alpha.tolist())
             object.__setattr__(self, "_log_normalizer", value)
             return value
 
@@ -240,10 +241,7 @@ def inverted_dirichlet_log_pdf(params: DirichletParams, y) -> float:
     """log density of the ratio push-forward of Dir(alpha):
     ``-log B(alpha) + sum_{i<n} (alpha_i - 1) log y_i - sum(alpha) log z``.
     """
-    if y.n != params.n:
-        raise ValueError(
-            f"dimension mismatch: alpha has {params.n} entries, y has {y.entries.size}"
-        )
+    _check_coordinates(params, y)
     return float(_inverted_dirichlet_log_terms(
         params.log_normalizer(), params.alpha, params.total, y.entries, math.log(y.z)
     ))
@@ -253,13 +251,20 @@ def alr_dirichlet_log_pdf(params: DirichletParams, y) -> float:
     """log density of the log-ratio push-forward of Dir(alpha):
     ``-log B(alpha) + sum_{i<n} alpha_i y_i - sum(alpha) log k``.
     """
-    if y.n != params.n:
-        raise ValueError(
-            f"dimension mismatch: alpha has {params.n} entries, y has {y.entries.size}"
-        )
+    _check_coordinates(params, y)
     return float(_alr_dirichlet_log_terms(
         params.log_normalizer(), params.alpha, params.total, y.entries, y.log_k
     ))
+
+
+def _check_coordinates(params: DirichletParams, y) -> None:
+    """Refuse ratio or log-ratio coordinates y of another dimension than
+    alpha: n entries of alpha need n - 1 coordinates."""
+    if y.n != params.n:
+        raise ValueError(
+            f"dimension mismatch: alpha has {params.n} entries, so y needs "
+            f"{params.n - 1}, got {y.entries.size}"
+        )
 
 
 # The three log densities, written once.  Each takes one point (alpha and
@@ -330,7 +335,8 @@ def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
             f"got shape {np.shape(alpha)}"
         )
     arr = _positive_rows(arr.reshape(-1, n), "DirichletParams", 2)
-    return arr, log_multivariate_beta_rows(arr), arr.sum(axis=1)
+    log_b = _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, arr.T)
+    return arr, log_b, arr.sum(axis=1)
 
 
 def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=None):
@@ -700,7 +706,7 @@ def normalized_nb_log_pmf(
     m = _as_count(m, "m")
     if k > m:
         raise ValueError(f"k={k} exceeds the total m={m}")
-    out = negative_binomial_log_pmf(big_r, params.success_prob, m)
+    out = _nb_log_terms(_log_gamma_map, big_r, _success_prob(params), m)
     if m > 0:
         out += _bb_log_terms(_log_gamma_map, a, b, k, m)
     return out
@@ -715,7 +721,7 @@ def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m)
     shape = k.shape
     k, m = _count_entries(k, "k"), _count_entries(m, "m")
     _reject_rows((k > m, lambda i: f"k={k[i]} exceeds the total m={m[i]}"))
-    out = negative_binomial_log_pmf_rows(big_r, params.success_prob, m)
+    out = _nb_log_terms(_log_gamma_each, big_r, _success_prob(params), m)
     some = m > 0
     out[some] += _bb_log_terms(_log_gamma_each, a, b, k[some], m[some])
     return out.reshape(shape)
@@ -733,6 +739,18 @@ def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, f
     if b <= 0.0:
         raise ValueError("normalized_nb_log_pmf needs at least two components to merge")
     return a, b, big_r
+
+
+def _success_prob(params: GammaMixtureParams) -> float:
+    """p = theta / (1 + theta) of the NB total, which must be below 1: a
+    scale past about 2**53 rounds it to 1."""
+    p = params.success_prob
+    if not p < 1.0:
+        raise ValueError(
+            f"GammaMixtureParams scale {params.scale!r} is too large: "
+            f"p = scale / (1 + scale) rounds to {p!r}, and the NB total needs p < 1"
+        )
+    return p
 
 
 class AggregatedValueMass(NamedTuple):
@@ -767,10 +785,22 @@ def nb_truncation_bound(R: float, p: float, tail_mass: float = 1e-12) -> int:
         On invalid R, p or tail_mass, or if the PMF window needed exceeds
         10^6 totals.
     """
+    tail_mass = _tail_mass(tail_mass)
+    R, p = _nb_params(R, p)
+    return _nb_window(R, p, tail_mass)[0]
+
+
+def _tail_mass(tail_mass) -> float:
     tail_mass = _as_float(tail_mass, "tail_mass")
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
-    R, p = _nb_params(R, p)
+    return tail_mass
+
+
+def _nb_window(R: float, p: float, tail_mass: float) -> tuple[int, int, np.ndarray]:
+    """``nb_truncation_bound`` on checked arguments, with the window of
+    totals it summed: ``(bound, lo, log_terms)``, where ``log_terms[i]``
+    is the NB log mass at ``lo + i`` and the window reaches past bound."""
     lo = max(0, math.ceil((R - 1.0) * p / (1.0 - p)))  # at or just past the mode
     hi = lo + 16 + math.ceil(10.0 * math.sqrt(R * p) / (1.0 - p))
     _check_window(R, p, lo, hi)
@@ -783,11 +813,11 @@ def nb_truncation_bound(R: float, p: float, tail_mass: float = 1e-12) -> int:
         log_beyond_hi, r = _nb_tail_bound(R, p, hi)
     beyond_hi = math.exp(log_beyond_hi)
     while True:
-        pmf = np.exp(_nb_log_terms(_log_gamma_each, R, p, np.arange(lo, hi + 1, dtype=float)))
-        from_m = np.cumsum(pmf[::-1])[::-1] + beyond_hi  # mass at lo + i and beyond
+        log_terms = _nb_log_terms(_log_gamma_each, R, p, np.arange(lo, hi + 1, dtype=float))
+        from_m = np.cumsum(np.exp(log_terms)[::-1])[::-1] + beyond_hi  # mass at lo + i and beyond
         beyond = np.append(from_m[1:], beyond_hi)  # mass beyond lo + i
         if lo == 0 or from_m[0] >= tail_mass:
-            return lo + int(np.argmax(beyond < tail_mass))
+            return lo + int(np.argmax(beyond < tail_mass)), lo, log_terms
         # The bound lies below the mode, as for tail_mass near 1.
         lo = 0
         _check_window(R, p, lo, hi)
@@ -845,16 +875,26 @@ def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, deno
     in [0, 1], given as arrays of k and m: the log masses, and the bound
     M they share.  The pair masses of the values with the same number of
     multiples are summed as the rows of one ``log_sum_exp_rows``, never
-    padded, so each entry equals the scalar value bit for bit."""
+    padded, so each entry equals the scalar value bit for bit.
+
+    The NB log masses at totals the bound's window covers are read from
+    it; only the totals below its start are computed again, by the same
+    elementwise formula, so they carry the same bits either way."""
     a, b, big_r = _merged_shapes(params, component)
-    p = params.success_prob
-    bound = nb_truncation_bound(big_r, p, tail_mass)
+    tail_mass = _tail_mass(tail_mass)
+    p = _success_prob(params)
+    bound, lo, window = _nb_window(big_r, p, tail_mass)
     count = bound // denominators
     out = np.full(count.shape, -math.inf)
     for c in set(count.tolist()) - {0}:
         (rows,) = np.nonzero(count == c)
         j = np.arange(1.0, c + 1.0)
         k, m = numerators[rows, None] * j, denominators[rows, None] * j
-        terms = _nb_log_terms(_log_gamma_each, big_r, p, m) + _bb_log_terms(_log_gamma_each, a, b, k, m)
-        out[rows] = log_sum_exp_rows(terms)
+        log_nb = window.take((m - lo).astype(np.intp), mode="clip")  # right where m >= lo
+        # Every denominator with c multiples up to the bound exceeds
+        # bound // (c + 1), so only a lo past that leaves multiples below it.
+        if lo > bound // (c + 1) + 1:
+            below = m < lo
+            log_nb[below] = _nb_log_terms(_log_gamma_each, big_r, p, m[below])
+        out[rows] = log_sum_exp_rows(log_nb + _bb_log_terms(_log_gamma_each, a, b, k, m))
     return out, bound

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
-from countcomp import distributions
+from countcomp import distributions, special
 from countcomp import (
     BetaBinomialParams,
     Composition,
@@ -123,14 +123,14 @@ class TestDirichletPdf:
 
     def test_log_normalizer_computed_once(self, monkeypatch):
         params = DirichletParams([2.0, 3.0, 5.0])
-        want = distributions.log_multivariate_beta(params.alpha)
+        want = special.log_multivariate_beta(params.alpha)
         calls = []
 
-        def counted(alpha):
+        def counted(lgs, fsum, alpha):
             calls.append(alpha)
             return want
 
-        monkeypatch.setattr(distributions, "log_multivariate_beta", counted)
+        monkeypatch.setattr(distributions, "_log_multivariate_beta_terms", counted)
         x = Composition([0.2, 0.3, 0.5])
         first = dirichlet_log_pdf(params, x)
         assert dirichlet_log_pdf(params, x) == first
@@ -416,6 +416,48 @@ class TestNbTruncationBound:
             nb_truncation_bound(1e15, 0.5)
 
 
+# (R, p, tail_mass) for each place the bound's window can start: at 0,
+# where the mode is 0; past 0, at the mode; and back at 0, where the bound
+# lies below the mode (tail_mass near 1).
+WINDOW_STARTS = {
+    "at zero": (0.5, 0.4, 1e-12),
+    "past zero": (40.0, 0.5, 1e-12),
+    "dropped back to zero": (40.0, 0.5, 0.999),
+}
+
+
+@pytest.mark.parametrize("start", WINDOW_STARTS)
+def test_bound_window_matches_the_public_bound_and_pmf(start):
+    big_r, p, tail_mass = WINDOW_STARTS[start]
+    bound, lo, log_terms = distributions._nb_window(big_r, p, tail_mass)
+    mode = max(0, math.ceil((big_r - 1.0) * p / (1.0 - p)))
+    assert {"at zero": mode == lo == 0, "past zero": lo == mode > 0,
+            "dropped back to zero": mode > lo == 0}[start]
+    assert bound == nb_truncation_bound(big_r, p, tail_mass)
+    assert lo <= bound < lo + log_terms.size
+    totals = range(lo, lo + log_terms.size)
+    assert log_terms.tolist() == [negative_binomial_log_pmf(big_r, p, m) for m in totals]
+
+
+# A scale past about 2**53 rounds p = scale / (1 + scale) to 1.0.
+P_ROUNDS_TO_ONE = {
+    "normalized_nb_log_pmf": lambda params: normalized_nb_log_pmf(params, 0, 1, 2),
+    "normalized_nb_log_pmf_rows": lambda params: distributions.normalized_nb_log_pmf_rows(
+        params, 0, [1], [2]),
+    "normalized_nb_value_pmf": lambda params: normalized_nb_value_pmf(params, 0, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e300, 2.0**60])
+@pytest.mark.parametrize("name", P_ROUNDS_TO_ONE)
+def test_success_prob_rounding_to_one_names_the_scale(name, scale):
+    with pytest.raises(ValueError) as info:
+        P_ROUNDS_TO_ONE[name](GammaMixtureParams([1.0, 1.0], scale))
+    assert str(info.value) == (
+        f"GammaMixtureParams scale {scale!r} is too large: p = scale / (1 + scale) "
+        "rounds to 1.0, and the NB total needs p < 1")
+
+
 class TestNormalizedNbValuePmf:
     def setup_method(self):
         self.params = GammaMixtureParams([1.0, 1.0], 1.0)
@@ -512,6 +554,33 @@ class TestNormalizedNbValuePmf:
             assert ((log_mass == -math.inf) == (m > bound)).all()
         assert empty > 0
 
+    def test_window_reads_equal_the_nb_at_each_multiple_bitwise(self):
+        # The NB log masses are read from the bound's window where it
+        # covers a multiple and computed below its start; either way they
+        # carry the bits of the NB evaluated at that multiple on its own.
+        rng = np.random.default_rng(21)
+        seen = set()
+        for _ in range(300):
+            params = GammaMixtureParams(np.exp(rng.uniform(-2.0, 3.0, 2)), np.exp(rng.uniform(-2.5, 1.0)))
+            tail_mass = float(rng.choice([1e-12, 0.5, 0.999]))
+            den = int(rng.integers(1, 9))
+            q = Fraction(int(rng.integers(0, den + 1)), den)
+            out = normalized_nb_value_pmf(params, 0, q, tail_mass)
+            log_mass, bound = distributions._value_pmf_rows(
+                params, 0, np.array([q.numerator]), np.array([q.denominator]), tail_mass)
+            assert (out.log_mass, out.truncation_bound) == (log_mass[0], bound)
+            a, b, big_r = distributions._merged_shapes(params, 0)
+            p = params.success_prob
+            j = np.arange(1.0, bound // q.denominator + 1.0)
+            k, m = q.numerator * j, q.denominator * j
+            terms = (distributions._nb_log_terms(distributions._log_gamma_each, big_r, p, m)
+                     + distributions._bb_log_terms(distributions._log_gamma_each, a, b, k, m))
+            assert out.log_mass == (log_sum_exp(terms.tolist()) if j.size else -math.inf)
+            _, lo, _ = distributions._nb_window(big_r, p, tail_mass)
+            seen.add((lo > 0, bool(j.size) and q.denominator < lo))
+        # Windows at 0 and past it, with and without multiples below it.
+        assert {(False, False), (True, True), (True, False)} <= seen
+
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
             normalized_nb_value_pmf(self.params, 0, (0, 0))
@@ -543,10 +612,10 @@ VALUE_OBJECTS = {
 DIMENSION_MISMATCHES = {
     "inverted_dirichlet_log_pdf": (
         lambda: inverted_dirichlet_log_pdf(DirichletParams([1.0, 1.0]), RatioVector([0.5, 2.0])),
-        "dimension mismatch: alpha has 2 entries, y has "),
+        "dimension mismatch: alpha has 2 entries, so y needs 1, got 2"),
     "alr_dirichlet_log_pdf": (
         lambda: alr_dirichlet_log_pdf(DirichletParams([1.0, 1.0]), LogRatioVector([0.5, 2.0])),
-        "dimension mismatch: alpha has 2 entries, y has "),
+        "dimension mismatch: alpha has 2 entries, so y needs 1, got 2"),
     "multinomial_log_pmf": (
         lambda: multinomial_log_pmf(3, Composition([0.5, 0.5]), CountVector([1, 1, 1])),
         "dimension mismatch: probs has 2 entries, x has 3"),
@@ -591,8 +660,8 @@ class TestValueEquality:
 # form, one point and a batch, must raise ValueError, with no warning.
 HUGE = (1e308, 1e306, 2.6e305, sys.float_info.max)
 OVERFLOWING_CALLS = {
-    "log_multivariate_beta": lambda s: distributions.log_multivariate_beta([s, s]),
-    "log_multivariate_beta_rows": lambda s: distributions.log_multivariate_beta_rows([[s, s]]),
+    "log_multivariate_beta": lambda s: special.log_multivariate_beta([s, s]),
+    "log_multivariate_beta_rows": lambda s: special.log_multivariate_beta_rows([[s, s]]),
     "dirichlet_log_pdf": lambda s: dirichlet_log_pdf(
         DirichletParams([s, s]), Composition([0.5, 0.5])),
     "dirichlet_log_pdf_rows": lambda s: distributions.dirichlet_log_pdf_rows(
@@ -617,7 +686,7 @@ OVERFLOWING_CALLS = {
 
 # Batch forms that once warned of inf - inf before they raised.
 OVERFLOWING_BATCHES = {
-    "log_multivariate_beta_rows": lambda: distributions.log_multivariate_beta_rows(
+    "log_multivariate_beta_rows": lambda: special.log_multivariate_beta_rows(
         [[sys.float_info.max, 1.0]]),
     "negative_binomial_log_pmf_rows": lambda: distributions.negative_binomial_log_pmf_rows(
         2.6e305, 0.5, [1]),
@@ -640,7 +709,7 @@ class TestOverflowingShapes:
 
     def test_largest_finite_values_unchanged(self):
         # Just below the log-gamma overflow the formulas still return numbers.
-        assert math.isfinite(distributions.log_multivariate_beta([1e300, 1e300]))
+        assert math.isfinite(special.log_multivariate_beta([1e300, 1e300]))
         assert math.isfinite(negative_binomial_log_pmf(1e300, 0.5, 3))
 
 

@@ -100,6 +100,18 @@ def test_positive_real_accepted(row):
     call(Fraction(5, 2))
 
 
+@pytest.mark.parametrize("value", [[1.0, 2.0], (2.5,), np.array([2.5]), [1.0, [2.0, 3.0]]],
+                         ids=["list", "tuple", "array", "ragged"])
+@pytest.mark.parametrize("row", POSITIVE_REALS)
+def test_positive_real_sequence_refused_by_class(row, value):
+    # A sequence is the wrong class for a scalar argument: a TypeError that
+    # names the argument and the class it needs, not float()'s own.
+    call, name = POSITIVE_REALS[row]
+    with pytest.raises(TypeError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a real number (float), not {type(value).__name__}"
+
+
 # Bools, Python's and numpy's, alone and in arrays: (call, message).
 BOOLS = {
     "nb_pmf R": (lambda: negative_binomial_log_pmf(True, 0.5, 3),

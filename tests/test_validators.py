@@ -462,6 +462,21 @@ def test_scalar_counts_past_int64_refused(name, big):
     assert str(info.value) == f"{what} must be below 2**63 (int64), got {big!r}"
 
 
+@pytest.mark.parametrize("big", [10**5000, -10**5000], ids=["10**5000", "-10**5000"])
+@pytest.mark.parametrize("name", BIG_COUNTS)
+def test_scalar_counts_too_long_to_print_named_by_digit_count(name, big):
+    # Python refuses to print an int of more than 4300 digits; the message
+    # gives its digit count instead, and still names the argument.
+    call, what = BIG_COUNTS[name]
+    with pytest.raises(ValueError) as info:
+        call(big)
+    if big > 0:
+        assert str(info.value) == f"{what} must be below 2**63 (int64), got an integer of 5001 digits"
+    else:
+        assert str(info.value) == (
+            f"{what} must be a non-negative integer, got a negative integer of 5001 digits")
+
+
 def test_scalar_counts_below_int64_accepted():
     top = 2**63 - 1
     assert math.isfinite(negative_binomial_log_pmf(2.0, 0.5, top))
