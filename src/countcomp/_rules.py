@@ -80,21 +80,45 @@ def _extremes(arr: np.ndarray) -> tuple[float, float, bool]:
         return lo, hi, bool(np.isfinite(arr.sum()))
 
 
-def _non_real_row(arr: np.ndarray) -> int | None:
+def _non_real_row(arr: np.ndarray, values=None) -> int | None:
     """The index of the first row of a 2-D array that holds an entry that
-    is not a real number, or None.
+    is not a real number, or None; ``values`` is what the array was made
+    from.
 
     An array whose dtype is not integer, float or object is refused
     throughout; only an object array has its entries scanned, so numeric
-    arrays pay one dtype test.  float() parses text, and a bool is an
-    int; neither is a real number here.
+    arrays pay one dtype test, except that one made from a list has its
+    rows scanned for bools (``_bool_row``).  float() parses text, and a
+    bool is an int; neither is a real number here.
     """
     if arr.dtype.kind == "O":
         for row, entries in enumerate(arr.tolist()):
             if any(type(v) is bool or not isinstance(v, Real) for v in entries):
                 return row
         return None
-    return None if arr.dtype.kind in "iuf" else 0
+    if arr.dtype.kind not in "iuf":
+        return 0
+    return _bool_row(values) if type(values) is list else None
+
+
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _bool_row(values: list) -> int | None:
+    """The index of the first entry of a list that is a bool, Python's or
+    numpy's, or a row that holds one, or None.
+
+    numpy reads a list that mixes bools with numbers as numbers, so only
+    the list still shows them; a numeric array cannot hold a bool.
+    """
+    for row, entries in enumerate(values):
+        if isinstance(entries, np.ndarray):
+            entries = entries.ravel().tolist() if entries.dtype.kind == "b" else ()
+        elif not isinstance(entries, (list, tuple)):
+            entries = (entries,)
+        if not _BOOL_TYPES.isdisjoint(map(type, entries)):
+            return row
+    return None
 
 
 def _object_floats(arr: np.ndarray, what: str) -> np.ndarray:
@@ -173,14 +197,37 @@ def _shown(value) -> str:
         return f"a {sign}{type(value).__name__} of {digits} digits before the point"
 
 
+_FLOAT = frozenset((float,))
+_INT = frozenset((int,))
+
+
+def _row_entries(entries, types: frozenset) -> list | None:
+    """The entries of one row as a list of Python numbers whose types are
+    all in ``types``, when given as a list or as a 1-D array read through
+    ``tolist()``; None for anything else.
+
+    This is the scan of a one-row rule (``_positive_row``, ``_count_row``
+    and those of ``simplex``): it accepts the common case on builtins and
+    leaves everything else, every refusal included, to the batch rule on
+    ``[entries]``.
+    """
+    if type(entries) is np.ndarray:
+        if entries.ndim != 1:
+            return None
+        entries = entries.tolist()
+    elif type(entries) is not list:
+        return None
+    return entries if types.issuperset(map(type, entries)) else None
+
+
 def _float_array(values, what: str) -> np.ndarray:
     """``values`` as a float array; entries are read as by ``_as_float``."""
     arr = np.asarray(values)
+    flat = arr.reshape(1, -1)
+    if _non_real_row(flat, values) is not None:
+        raise ValueError(f"{what} entries must be real numbers")
     if arr.dtype.kind in "iuf":
         return arr.astype(float, copy=False)
-    flat = arr.reshape(1, -1)
-    if _non_real_row(flat) is not None:
-        raise ValueError(f"{what} entries must be real numbers")
     return _object_floats(flat, what).reshape(arr.shape)
 
 
@@ -195,11 +242,11 @@ def _float_rows(values, what: str, min_len: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < min_len:
         raise RowError(0, f"{what} requires a vector of length >= {min_len}")
-    if arr.dtype.kind in "iuf":
-        return arr.astype(float, copy=type(values) is not list)  # a list made a new array
-    row = _non_real_row(arr)
+    row = _non_real_row(arr, values)
     if row is not None:
         raise RowError(row, f"{what} entries must be real numbers")
+    if arr.dtype.kind in "iuf":
+        return arr.astype(float, copy=type(values) is not list)  # a list made a new array
     return _object_floats(arr, what)
 
 
@@ -228,16 +275,52 @@ def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
     return arr
 
 
+def _positive_row(entries, what: str, min_len: int) -> np.ndarray:
+    """One row by the ``_positive_rows`` rule, as a read-only float vector.
+
+    A list of floats, or a 1-D float array, that passes the accept test
+    is built here at once; anything else goes to ``_positive_rows`` on
+    ``[entries]``.  The Python sum only decides that the entries are
+    finite: below ``_SUM_SAFE`` neither it nor a numpy sum can overflow.
+    """
+    flat = _row_entries(entries, _FLOAT)
+    if (flat is not None and len(flat) >= min_len and min(flat) > 0.0
+            and max(flat) * len(flat) < _SUM_SAFE and math.isfinite(sum(flat))):
+        arr = np.array(flat)
+        arr.setflags(write=False)
+        return arr
+    return _positive_rows([entries], what, min_len)[0]
+
+
+def _count_row(entries, what: str) -> tuple[np.ndarray, int]:
+    """One row by the ``_count_rows`` rule, as a read-only int64 vector,
+    and its exact total as a Python int.
+
+    A list of ints (not bools), or a 1-D integer array, that passes the
+    accept test is built here at once; anything else goes to
+    ``_count_rows`` on ``[entries]``.
+    """
+    flat = _row_entries(entries, _INT)
+    if flat and min(flat) >= 0 and max(flat) < 2**63:
+        ints = np.array(flat, dtype=np.int64)
+        ints.setflags(write=False)
+    else:
+        ints = _count_rows([entries], what)[0]
+        flat = ints.tolist()
+    # A Python sum: the exact total, where an int64 sum could wrap.
+    return ints, sum(flat)
+
+
 def _count_rows(values, what: str) -> np.ndarray:
     """``count_rows``, with ``what`` naming the entries in a RowError."""
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise RowError(0, f"{what} requires a vector of length >= 1")
+    row = _non_real_row(arr, values)
+    if row is not None:  # numeric text and bools would pass the cast to float
+        raise RowError(row, f"{what} entries must be integers")
     integer = arr.dtype.kind in "iu"
     if not integer:
-        row = _non_real_row(arr)
-        if row is not None:  # numeric text and bools would pass the cast to float
-            raise RowError(row, f"{what} entries must be integers")
         arr = _object_floats(arr, what) if arr.dtype.kind == "O" else arr.astype(float)
     # The accept test; a NaN or an infinity makes the sum not finite.  In
     # [0, 2**63) the cast to int64 keeps an integral float and changes any

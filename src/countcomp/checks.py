@@ -882,6 +882,7 @@ def run_all(seed: int, level: str = "full") -> list[CheckReport]:
     Failing statistical checks are retried once at 10x the sample size
     before being declared failed.  Reports come back in a fixed order.
     """
+    seed = _as_count(seed, "seed")
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     reports: list[CheckReport] = []

@@ -45,9 +45,11 @@ from ._rules import (
     RowError,
     _as_count,
     _as_float,
+    _count_row,
     _count_rows,
     _non_real_row,
     _positive_float,
+    _positive_row,
     _positive_rows,
     _reject_rows,
 )
@@ -112,7 +114,7 @@ class DirichletParams(_ValueObject):
     alpha: np.ndarray
 
     def __init__(self, alpha):
-        object.__setattr__(self, "alpha", _positive_rows([alpha], "DirichletParams", 2)[0])
+        object.__setattr__(self, "alpha", _positive_row(alpha, "DirichletParams", 2))
 
     @property
     def n(self) -> int:
@@ -146,8 +148,7 @@ class GammaMixtureParams(_ValueObject):
     scale: float
 
     def __init__(self, shapes, scale):
-        object.__setattr__(
-            self, "shapes", _positive_rows([shapes], "GammaMixtureParams shapes", 1)[0])
+        object.__setattr__(self, "shapes", _positive_row(shapes, "GammaMixtureParams shapes", 1))
         object.__setattr__(self, "scale", _positive_float(scale, "GammaMixtureParams scale"))
 
     @property
@@ -169,8 +170,9 @@ def count_rows(values) -> np.ndarray:
     """Check every row of an (N, n) array as a CountVector.
 
     Returns the rows as a new read-only int64 array.  The rules are those
-    of the CountVector constructor, which calls this on its single row; a
-    RowError names the first row that breaks one.  Integer input is
+    of the CountVector constructor, which calls this on any row its
+    one-row entry does not accept; a RowError names the first row that
+    breaks one.  Integer input is
     checked exactly; other input must hold integral values.  Every entry
     must fit in int64; text and bools are refused.
     """
@@ -185,10 +187,9 @@ class CountVector(_ValueObject):
     total: int = field(init=False)
 
     def __init__(self, counts):
-        ints = count_rows([counts])[0]
+        ints, total = _count_row(counts, "CountVector")
         object.__setattr__(self, "counts", ints)
-        # A Python sum: the exact total, where an int64 sum could wrap.
-        object.__setattr__(self, "total", sum(ints.tolist()))
+        object.__setattr__(self, "total", total)
 
     @property
     def n(self) -> int:
@@ -221,7 +222,7 @@ def _as_shapes(params) -> np.ndarray:
         return params.shapes
     if isinstance(params, DirichletParams):
         return params.alpha
-    return _positive_rows([params], "shape vector", 1)[0]
+    return _positive_row(params, "shape vector", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +536,7 @@ def _nb_params(R, p) -> tuple[float, float]:
     R = _positive_float(R, "R")
     p = _as_float(p, "p")
     if not math.isfinite(p) or not 0.0 < p < 1.0:
-        raise ValueError(f"negative_binomial_log_pmf requires p in (0, 1), got {p!r}")
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
     return R, p
 
 

@@ -17,10 +17,12 @@ the finite-difference machinery at the bottom of the module uses the
 same chart, so the two routes are directly comparable.
 
 Each map, closed-form Jacobian and validity rule is written once,
-row-wise over (N, n) arrays.  The value objects and scalar maps apply
-it to one row; ``composition_rows``, ``ratio_rows``, ``log_ratio_rows``
-and the ``*_rows`` maps apply it to a batch, with a RowError naming the
-first row that fails.  The rules shared with the rest of the library
+row-wise over (N, n) arrays.  The scalar maps apply it to one row;
+``composition_rows``, ``ratio_rows``, ``log_ratio_rows`` and the
+``*_rows`` maps apply it to a batch, with a RowError naming the first
+row that fails.  A value object builds a valid row of Python floats
+through a one-row entry with the same bits, and leaves any other row to
+its batch rule.  The rules shared with the rest of the library
 (real rows, positive rows, RowError) live in ``countcomp._rules``.
 """
 
@@ -32,8 +34,19 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._rules import RowError, _extremes, _float_array, _float_rows, _positive_rows, _reject_rows
-from .special import _log_each, log_sum_exp_rows
+from ._rules import (
+    _FLOAT,
+    RowError,
+    _as_count,
+    _extremes,
+    _float_array,
+    _float_rows,
+    _positive_row,
+    _positive_rows,
+    _reject_rows,
+    _row_entries,
+)
+from .special import _log_each, _log_sum_exp_shifted, log_sum_exp_rows
 
 __all__ = [
     "Composition",
@@ -81,12 +94,35 @@ def composition_rows(values) -> np.ndarray:
 
     Returns the rows renormalized, as a new read-only float array.  The
     rules are those of the Composition constructor, which calls this on
-    its single row; a RowError names the first row that breaks one.
+    any row its one-row entry does not accept; a RowError names the first
+    row that breaks one.
     """
     arr, totals = _checked_compositions(values)
     arr /= totals[:, None]
     arr.setflags(write=False)
     return arr
+
+
+def _composition_row(entries) -> np.ndarray:
+    """One row by the ``composition_rows`` rule, renormalized, as a
+    read-only float vector.
+
+    A list of floats, or a 1-D float array, that passes the accept test
+    of ``_checked_compositions`` is built here at once; anything else
+    goes to ``composition_rows`` on ``[entries]``.  The total comes from
+    the same numpy reduction; the Python sum only decides that the
+    entries are finite.
+    """
+    flat = _row_entries(entries, _FLOAT)
+    if (flat is not None and len(flat) >= 2 and min(flat) >= _POSITIVE_FLOOR
+            and max(flat) <= 1.0 + _SUM_SLACK and math.isfinite(sum(flat))):
+        arr = np.array(flat)
+        total = np.add.reduce(arr)
+        if abs(total - 1.0) <= _SUM_SLACK:
+            arr /= total
+            arr.setflags(write=False)
+            return arr
+    return composition_rows([entries])[0]
 
 
 def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +185,25 @@ def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     return arr, log_sum_exp_rows(_append_column(arr, 0.0))
 
 
+def _log_ratio_row(entries) -> tuple[np.ndarray, float]:
+    """One row by the ``log_ratio_rows`` rule, as a read-only float vector,
+    and its ``log k``.
+
+    A list of floats, or a 1-D float array, whose Python sum is finite is
+    built here at once; anything else goes to ``log_ratio_rows`` on
+    ``[entries]``.  ``log k`` comes from the arithmetic of
+    ``log_sum_exp_rows`` on the row with the reference 0 appended.
+    """
+    flat = _row_entries(entries, _FLOAT)
+    if flat and math.isfinite(sum(flat)):
+        row = flat + [0.0]
+        padded = np.array([row])
+        padded.setflags(write=False)
+        return padded[0, :-1], float(_log_sum_exp_shifted(padded, max(row) - min(row))[0])
+    rows, log_k = log_ratio_rows([entries])
+    return rows[0], float(log_k[0])
+
+
 class _ValueObject:
     """Value equality and hashing for a frozen dataclass with read-only
     ndarray fields.
@@ -193,7 +248,7 @@ class Composition(_ValueObject):
     entries: np.ndarray
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", composition_rows([entries])[0])
+        object.__setattr__(self, "entries", _composition_row(entries))
 
     @property
     def n(self) -> int:
@@ -209,9 +264,9 @@ class RatioVector(_ValueObject):
     z: float = field(init=False)
 
     def __init__(self, entries):
-        rows, z = ratio_rows([entries])
-        object.__setattr__(self, "entries", rows[0])
-        object.__setattr__(self, "z", float(z[0]))
+        entries = _positive_row(entries, "RatioVector", 1)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "z", float(1.0 + np.add.reduce(entries)))
 
     @property
     def n(self) -> int:
@@ -233,9 +288,9 @@ class LogRatioVector(_ValueObject):
     log_k: float = field(init=False)
 
     def __init__(self, entries):
-        rows, log_k = log_ratio_rows([entries])
-        object.__setattr__(self, "entries", rows[0])
-        object.__setattr__(self, "log_k", float(log_k[0]))
+        entries, log_k = _log_ratio_row(entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "log_k", log_k)
 
     @property
     def k(self) -> float:
@@ -308,6 +363,7 @@ def log_ratio_inverse(y: LogRatioVector) -> Composition:
 def log_det_jacobian_ratio_inverse(y: RatioVector, n: int) -> float:
     """log |det J| of the ratio inverse map into the first n-1 simplex
     coordinates; the closed form is ``-n * log(z)``."""
+    n = _as_count(n, "n")
     if n != y.n:
         raise ValueError(f"expected {n - 1} ratio entries for n={n}, got {y.entries.size}")
     return float(_ratio_log_det(np.array([y.z]), n)[0])
@@ -316,6 +372,7 @@ def log_det_jacobian_ratio_inverse(y: RatioVector, n: int) -> float:
 def log_det_jacobian_log_ratio_inverse(y: LogRatioVector, n: int) -> float:
     """log |det J| of the log-ratio inverse map into the first n-1 simplex
     coordinates; the closed form is ``sum(y) - n * log(k)``."""
+    n = _as_count(n, "n")
     if n != y.n:
         raise ValueError(f"expected {n - 1} log-ratio entries for n={n}, got {y.entries.size}")
     return float(_log_ratio_log_det(y.entries[None], np.array([y.log_k]))[0])

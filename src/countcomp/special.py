@@ -233,16 +233,24 @@ def log_sum_exp_rows(values) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("log_sum_exp requires a non-empty vector")
     lo, hi, finite_sum = _extremes(arr)
-    m = np.maximum.reduce(arr, axis=1)  # NaN wherever a row holds one
     if not finite_sum:
+        m = np.maximum.reduce(arr, axis=1)  # NaN wherever a row holds one
         finite = np.isfinite(m)
         if not finite.all():
             if np.isnan(m).any():
                 raise ValueError("log_sum_exp input contains NaN")
             m[finite] = log_sum_exp_rows(arr[finite])
             return m
-    # No entry lies farther than hi - lo below its row's maximum.
-    if hi - lo < math.inf:
+    return _log_sum_exp_shifted(arr, hi - lo)
+
+
+def _log_sum_exp_shifted(arr: np.ndarray, spread: float) -> np.ndarray:
+    """The arithmetic of ``log_sum_exp_rows``: the row-wise log-sum-exp of
+    an (N, n) float array whose row maxima are finite.  No entry lies
+    farther than ``spread`` (which may be inf) below its row's maximum.
+    """
+    m = np.maximum.reduce(arr, axis=1)
+    if spread < math.inf:
         shifted = arr - m[:, None]
     else:
         # A difference past -float max is -inf, whose exp is the 0 it

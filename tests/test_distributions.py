@@ -410,7 +410,7 @@ class TestNbTruncationBound:
             nb_truncation_bound(2.0, 0.5, 0.0)
         with pytest.raises(ValueError, match=r"^R must be a finite number > 0, got -1\.0$"):
             nb_truncation_bound(-1.0, 0.5)
-        with pytest.raises(ValueError, match="p in"):
+        with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\), got 1\.0$"):
             nb_truncation_bound(2.0, 1.0)
         with pytest.raises(ValueError, match="more than 1000000"):
             nb_truncation_bound(1e15, 0.5)

@@ -41,6 +41,16 @@ from countcomp.checks import (
     enumerate_compositions,
 )
 from countcomp._rules import RowError
+from countcomp.checks import run_all
+from countcomp.simplex import (
+    LogRatioVector,
+    RatioVector,
+    composition_rows,
+    log_det_jacobian_log_ratio_inverse,
+    log_det_jacobian_ratio_inverse,
+    log_ratio_rows,
+    ratio_rows,
+)
 from countcomp.distributions import (
     count_rows,
     dirichlet_multinomial_log_pmf_rows,
@@ -132,6 +142,21 @@ BOOLS = {
     "DirichletParams object": (lambda: DirichletParams(np.array([1.0, np.True_], dtype=object)),
                                "DirichletParams entries must be real numbers"),
     "log_sum_exp": (lambda: log_sum_exp([True, False]), "log_sum_exp entries must be real numbers"),
+    # A list that mixes bools with numbers would make a numeric array.
+    "CountVector mixed": (lambda: CountVector([True, 2]), "CountVector entries must be integers"),
+    "CountVector numpy mixed": (lambda: CountVector([2, np.False_]),
+                                "CountVector entries must be integers"),
+    "DirichletParams mixed": (lambda: DirichletParams([True, 2.0]),
+                              "DirichletParams entries must be real numbers"),
+    "Composition mixed": (lambda: Composition([0.5, 0.5, False]),
+                          "Composition entries must be real numbers"),
+    "RatioVector mixed": (lambda: RatioVector([np.True_, 1.0]),
+                          "RatioVector entries must be real numbers"),
+    "LogRatioVector mixed": (lambda: LogRatioVector([1.0, True]),
+                             "LogRatioVector entries must be real numbers"),
+    "shape vector mixed": (lambda: dirichlet_multinomial_log_pmf([True, 2.0], 1, CountVector([1, 0])),
+                           "shape vector entries must be real numbers"),
+    "log_sum_exp mixed": (lambda: log_sum_exp([True, 1.0]), "log_sum_exp entries must be real numbers"),
 }
 
 
@@ -141,6 +166,29 @@ def test_bools_are_not_numbers(row):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# The batch rules scan a list input for bools, and name the first row
+# that holds one: (call, row, message).
+BOOL_ROWS = {
+    "count_rows": (lambda: count_rows([[1, 2], [True, 2]]), 1, "CountVector entries must be integers"),
+    "count_rows floats": (lambda: count_rows([[1.0, 2.0], [3.0, 4.0], [1.0, np.True_]]), 2,
+                          "CountVector entries must be integers"),
+    "composition_rows": (lambda: composition_rows([[0.5, 0.5], [1.0, False]]),
+                         1, "Composition entries must be real numbers"),
+    "ratio_rows array row": (lambda: ratio_rows([np.array([True, False]), [1, 2]]), 0,
+                             "RatioVector entries must be real numbers"),
+    "log_ratio_rows": (lambda: log_ratio_rows([[1.0], [2.0], [False]]), 2,
+                       "LogRatioVector entries must be real numbers"),
+}
+
+
+@pytest.mark.parametrize("row", BOOL_ROWS)
+def test_batch_rules_name_the_first_row_with_a_bool(row):
+    call, index, message = BOOL_ROWS[row]
+    with pytest.raises(RowError) as info:
+        call()
+    assert (info.value.row, str(info.value)) == (index, message)
 
 
 # Complex numbers and dates, in arrays of their own dtype and as entries
@@ -275,3 +323,52 @@ def test_checks_take_integral_float_counts():
 def test_infinite_count_refused_by_name():
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got inf$"):
         negative_binomial_log_pmf(2.0, 0.5, math.inf)
+
+
+# p of the negative binomial is named as every other argument is, not by
+# the function that first read it: (call, message).
+NB_P = {
+    "nb_truncation_bound": (lambda: nb_truncation_bound(2.0, 1.0), "p must lie in (0, 1), got 1.0"),
+    "nb_pmf": (lambda: negative_binomial_log_pmf(2.0, 1.5, 3), "p must lie in (0, 1), got 1.5"),
+    "nb_pmf_rows nan": (lambda: negative_binomial_log_pmf_rows(2.0, math.nan, [3]),
+                        "p must lie in (0, 1), got nan"),
+    "nb_pmf zero": (lambda: negative_binomial_log_pmf(2.0, 0, 3), "p must lie in (0, 1), got 0.0"),
+}
+
+
+@pytest.mark.parametrize("row", NB_P)
+def test_nb_p_refused_by_name(row):
+    call, message = NB_P[row]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Arguments read by the count rule, which once failed in unrelated ways:
+# (call, message).
+COUNTS_READ = {
+    "ratio log-det n text": (lambda: log_det_jacobian_ratio_inverse(RatioVector([1.0]), "3"),
+                             "n must be a non-negative integer, got '3'"),
+    "log-ratio log-det n": (lambda: log_det_jacobian_log_ratio_inverse(LogRatioVector([1.0]), 2.5),
+                            "n must be a non-negative integer, got 2.5"),
+    "ratio log-det n bool": (lambda: log_det_jacobian_ratio_inverse(RatioVector([1.0]), True),
+                             "n must be a non-negative integer, got True"),
+    "run_all seed": (lambda: run_all(2.5, "quick"), "seed must be a non-negative integer, got 2.5"),
+    "run_all negative seed": (lambda: run_all(-1, "quick"),
+                              "seed must be a non-negative integer, got -1"),
+}
+
+
+@pytest.mark.parametrize("row", COUNTS_READ)
+def test_counts_read_by_the_count_rule(row):
+    call, message = COUNTS_READ[row]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integral_float_n_is_read_as_the_count():
+    y = RatioVector([0.4, 0.6])
+    assert log_det_jacobian_ratio_inverse(y, 3.0) == log_det_jacobian_ratio_inverse(y, 3)
+    w = LogRatioVector([0.4, 0.6])
+    assert log_det_jacobian_log_ratio_inverse(w, 3.0) == log_det_jacobian_log_ratio_inverse(w, 3)
