@@ -11,6 +11,7 @@ Independent Poisson counts with common-scale Gamma intensities:
 This script walks the chain numerically at small scale.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from countcomp import (
     GammaMixtureParams,
     beta_binomial_log_pmf,
     dirichlet_multinomial_log_pmf,
-    enumerate_compositions,
     log_sum_exp,
     negative_binomial_log_pmf,
     negative_binomial_sample_via_mixture,
@@ -53,8 +53,10 @@ vecs = np.column_stack([
 kept = vecs[vecs.sum(axis=1) == m]
 print(f"\ncounts given S={m}: accepted {len(kept)} of 200000 simulations")
 print("  cell: empirical vs Dirichlet-multinomial mass")
-for cell in enumerate_compositions(3, m):
-    key = tuple(cell.counts.tolist())
+# Every count vector of 3 categories summing to m, in lexicographic order.
+cells = [c for c in itertools.product(range(m + 1), repeat=3) if sum(c) == m]
+for key in cells:
+    cell = CountVector(list(key))
     emp = (kept == cell.counts).all(axis=1).mean()
     dm = math.exp(dirichlet_multinomial_log_pmf(params, m, cell))
     print(f"  {key}: {emp:.4f} vs {dm:.4f}")

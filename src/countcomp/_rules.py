@@ -4,7 +4,9 @@ them) and returns it as the formulas take it, or raises ValueError whose
 message starts with the argument's name; a batch rule raises a RowError
 naming the first bad row.  Only real numbers are numbers here: text and
 bools are not, as the CLI refuses JSON strings and booleans, and nor
-are complex numbers, dates and times.
+are complex numbers, dates and times.  An argument that must be a value
+object (a Composition, a CountVector, a DirichletParams, ...) is never
+built from its entries: anything else is refused by a TypeError.
 """
 
 from __future__ import annotations
@@ -164,6 +166,15 @@ def _positive_float(value, what: str) -> float:
     if not 0.0 < x < math.inf:  # NaN fails too
         raise ValueError(f"{what} must be a finite number > 0, got {x!r}")
     return x
+
+
+def _require(value, cls: type, what: str):
+    """``value``, which must be an instance of the value-object class
+    ``cls``; anything else, the entries it would be built from included,
+    is refused by a TypeError that names ``what`` and the class."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} must be a {cls.__name__}, not {type(value).__name__}")
+    return value
 
 
 def _as_count(value, what: str) -> int:

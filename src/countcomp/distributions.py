@@ -42,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rules import (
+    _SUM_SAFE,
     RowError,
     _as_count,
     _as_float,
@@ -52,9 +53,12 @@ from ._rules import (
     _positive_row,
     _positive_rows,
     _reject_rows,
+    _require,
 )
 from .simplex import (
     Composition,
+    LogRatioVector,
+    RatioVector,
     _checked_compositions,
     _ValueObject,
     composition_rows,
@@ -233,35 +237,40 @@ def _as_shapes(params) -> np.ndarray:
 def dirichlet_log_pdf(params: DirichletParams, x: Composition) -> float:
     """log density of Dir(alpha) at a composition:
     ``-log B(alpha) + sum (alpha_i - 1) log x_i``."""
-    if x.n != params.n:
+    _require(params, DirichletParams, "params")
+    if _require(x, Composition, "x").n != params.n:
         raise ValueError(f"dimension mismatch: alpha has {params.n} entries, x has {x.n}")
     return float(_dirichlet_log_terms(params.log_normalizer(), params.alpha, x.entries))
 
 
-def inverted_dirichlet_log_pdf(params: DirichletParams, y) -> float:
+def inverted_dirichlet_log_pdf(params: DirichletParams, y: RatioVector) -> float:
     """log density of the ratio push-forward of Dir(alpha):
     ``-log B(alpha) + sum_{i<n} (alpha_i - 1) log y_i - sum(alpha) log z``.
     """
-    _check_coordinates(params, y)
+    _check_coordinates(params, y, RatioVector)
     return float(_inverted_dirichlet_log_terms(
         params.log_normalizer(), params.alpha, params.total, y.entries, math.log(y.z)
     ))
 
 
-def alr_dirichlet_log_pdf(params: DirichletParams, y) -> float:
+def alr_dirichlet_log_pdf(params: DirichletParams, y: LogRatioVector) -> float:
     """log density of the log-ratio push-forward of Dir(alpha):
     ``-log B(alpha) + sum_{i<n} alpha_i y_i - sum(alpha) log k``.
     """
-    _check_coordinates(params, y)
-    return float(_alr_dirichlet_log_terms(
-        params.log_normalizer(), params.alpha, params.total, y.entries, y.log_k
-    ))
+    _check_coordinates(params, y, LogRatioVector)
+    log_b, total = params.log_normalizer(), params.total
+    # max(y) <= log k, so under this bound no partial sum can overflow.
+    small = abs(log_b) + total * max(y.log_k, -min(y.entries.tolist())) < _SUM_SAFE
+    terms = _alr_dirichlet_log_terms if small else _guarded_alr_dirichlet_log_terms
+    return float(terms(log_b, params.alpha, total, y.entries, y.log_k))
 
 
-def _check_coordinates(params: DirichletParams, y) -> None:
-    """Refuse ratio or log-ratio coordinates y of another dimension than
-    alpha: n entries of alpha need n - 1 coordinates."""
-    if y.n != params.n:
+def _check_coordinates(params: DirichletParams, y, cls: type) -> None:
+    """Refuse ratio or log-ratio coordinates y (of class ``cls``) of
+    another dimension than alpha: n entries of alpha need n - 1
+    coordinates."""
+    _require(params, DirichletParams, "params")
+    if _require(y, cls, "y").n != params.n:
         raise ValueError(
             f"dimension mismatch: alpha has {params.n} entries, so y needs "
             f"{params.n - 1}, got {y.entries.size}"
@@ -285,6 +294,24 @@ def _inverted_dirichlet_log_terms(log_b, alpha, total, y, log_z):
 
 def _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
     return -log_b + np.add.reduce(alpha[..., :-1] * y, axis=-1) - total * log_k
+
+
+def _guarded_alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
+    """``_alr_dirichlet_log_terms`` without warnings, kept wherever it is
+    finite.  Elsewhere alpha . y or sum(alpha) log k overflowed, though
+    the density may not: there it is taken as the same density
+    ``-log B + sum_{i<n} alpha_i (y_i - log k) - alpha_n log k``, whose
+    terms are all <= 0 (log k >= max(y)), so no partial sum overflows
+    unless the result does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            log_k = np.asarray(log_k)[..., None]
+            safe = (-log_b + np.add.reduce(alpha[..., :-1] * (y - log_k), axis=-1)
+                    - alpha[..., -1] * log_k[..., 0])
+            out = np.where(bad, safe, out)
+    return out
 
 
 def dirichlet_log_pdf_rows(alpha, x) -> np.ndarray:
@@ -323,7 +350,7 @@ def alr_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
     ``LogRatioVector(y[i])`` bit for bit."""
     y, log_k = log_ratio_rows(y)
     alpha, log_b, total = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
-    return _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
+    return _guarded_alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
 
 
 def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,6 +380,7 @@ def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=Non
     whose Gammas all underflow to 0 breaks the normal-float floor rule,
     as a row with one such entry does.
     """
+    _require(params, DirichletParams, "params")
     rows = 1 if size is None else _as_count(size, "size")
     draws = np.column_stack([gamma_sample(a, 1.0, rng, size=rows) for a in params.alpha])
     totals = draws.sum(axis=1, keepdims=True)
@@ -493,6 +521,7 @@ def multinomial_sample(m: int, probs: Composition, rng: np.random.Generator, siz
     across all rows and checked by ``count_rows``.
     """
     m = _as_count(m, "m")
+    _require(probs, Composition, "probs")
     rows = 1 if size is None else _as_count(size, "size")
     # Suffix sums keep the conditional probabilities well scaled.
     suffix = np.cumsum(probs.entries[::-1])[::-1]
@@ -571,7 +600,7 @@ def _bb_log_terms(lgs, a: float, b: float, k, m):
 def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
     """log Multinomial(m, probs) mass at counts x:
     ``log m! - sum log x_i! + sum x_i log p_i``."""
-    m = _checked_point_total(x, m, probs.n, "probs")
+    m = _checked_point_total(x, m, _require(probs, Composition, "probs").n, "probs")
     return float(_multinomial_log_terms(
         _log_gamma_map, m, x.counts.tolist(), x.counts, np.log(probs.entries)
     ))
@@ -584,6 +613,7 @@ def multinomial_log_pmf_rows(m, probs: Composition, x) -> np.ndarray:
     of them.  Entry i equals ``multinomial_log_pmf(m_i, probs,
     CountVector(x[i]))`` bit for bit; a RowError names the first row
     that fails a check."""
+    _require(probs, Composition, "probs")
     x = count_rows(x)
     m = _checked_totals(x, m, probs.n, "probs")
     return _multinomial_log_terms(_log_gamma_each, m, x.T, x, np.log(probs.entries))
@@ -649,7 +679,7 @@ def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
 
 def _checked_point_total(x: CountVector, m, n: int, what: str) -> int:
     """``_checked_totals`` for one CountVector: m must equal its exact total."""
-    if x.n != n:
+    if _require(x, CountVector, "x").n != n:
         raise ValueError(f"dimension mismatch: {what} has {n} entries, x has {x.n}")
     # A total may pass 2**63, so m is compared first; the count rule then
     # names an m that is not a count.
@@ -686,6 +716,7 @@ def _checked_totals(x: np.ndarray, m, n: int, what: str) -> np.ndarray:
 def beta_binomial_log_pmf(params: BetaBinomialParams, k: int) -> float:
     """log Beta-Binomial mass at k:
     ``log C(m, k) + log B(k+a, m-k+b) - log B(a, b)``."""
+    _require(params, BetaBinomialParams, "params")
     k = _as_count(k, "k")
     m = params.m
     if k > m:
@@ -731,6 +762,7 @@ def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m)
 def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, float, float]:
     """Beta-Binomial shapes (r_c, R - r_c) of one component against the
     rest merged, and R."""
+    _require(params, GammaMixtureParams, "params")
     component = _as_count(component, "component")
     if component >= params.n:
         raise ValueError(f"component {component} out of range for n={params.n}")

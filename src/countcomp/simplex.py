@@ -12,9 +12,8 @@ coordinate systems built on the last component as reference:
 Both inverses carry closed-form Jacobian determinants (``z^{-n}`` and
 ``k^{-n} prod(e^{y_i})``), obtained from the matrix determinant lemma
 after dropping the redundant n-th simplex coordinate.  All Jacobians
-here are therefore for the chart that keeps the first n-1 coordinates;
-the finite-difference machinery at the bottom of the module uses the
-same chart, so the two routes are directly comparable.
+here are therefore for the chart that keeps the first n-1 coordinates,
+the chart the verification suite takes its central differences in.
 
 Each map, closed-form Jacobian and validity rule is written once,
 row-wise over (N, n) arrays.  The scalar maps apply it to one row;
@@ -39,11 +38,11 @@ from ._rules import (
     RowError,
     _as_count,
     _extremes,
-    _float_array,
     _float_rows,
     _positive_row,
     _positive_rows,
     _reject_rows,
+    _require,
     _row_entries,
 )
 from .special import _log_each, _log_sum_exp_shifted, log_sum_exp_rows
@@ -66,9 +65,6 @@ __all__ = [
     "ratio_inverse_rows",
     "log_ratio_forward_rows",
     "log_ratio_inverse_rows",
-    "finite_difference_jacobian",
-    "finite_difference_log_det_ratio_inverse",
-    "finite_difference_log_det_log_ratio_inverse",
 ]
 
 # Raw sums farther than this from 1 are contract violations, not float noise.
@@ -78,8 +74,6 @@ _SUM_SLACK = 1e-9
 # on the open simplex.  (The floor sits at the subnormal threshold so the
 # shift-stable inverse can still return entries like exp(-700)/2.)
 _POSITIVE_FLOOR = sys.float_info.min
-
-_FD_STEP = 1e-6
 
 
 def _append_column(rows: np.ndarray, value: float) -> np.ndarray:
@@ -337,17 +331,18 @@ def _log_ratio_log_det(y: np.ndarray, log_k: np.ndarray) -> np.ndarray:
 
 def ratio_forward(x: Composition) -> RatioVector:
     """Map a composition to its ratio coordinates y_i = x_i / x_n."""
-    return RatioVector(_ratios(x.entries[None])[0])
+    return RatioVector(_ratios(_require(x, Composition, "x").entries[None])[0])
 
 
 def ratio_inverse(y: RatioVector) -> Composition:
     """Map ratio coordinates back to the simplex: x_i = y_i / z, x_n = 1 / z."""
+    _require(y, RatioVector, "y")
     return Composition(_from_ratios(y.entries[None], np.array([y.z]))[0])
 
 
 def log_ratio_forward(x: Composition) -> LogRatioVector:
     """Map a composition to additive log-ratio coordinates log(x_i / x_n)."""
-    return LogRatioVector(_log_ratios(x.entries[None])[0])
+    return LogRatioVector(_log_ratios(_require(x, Composition, "x").entries[None])[0])
 
 
 def log_ratio_inverse(y: LogRatioVector) -> Composition:
@@ -357,12 +352,13 @@ def log_ratio_inverse(y: LogRatioVector) -> Composition:
     shift-stably: max(0, max(y)) is subtracted before exponentiating, so
     large entries do not overflow.
     """
-    return Composition(_from_log_ratios(y.entries[None])[0])
+    return Composition(_from_log_ratios(_require(y, LogRatioVector, "y").entries[None])[0])
 
 
 def log_det_jacobian_ratio_inverse(y: RatioVector, n: int) -> float:
     """log |det J| of the ratio inverse map into the first n-1 simplex
     coordinates; the closed form is ``-n * log(z)``."""
+    _require(y, RatioVector, "y")
     n = _as_count(n, "n")
     if n != y.n:
         raise ValueError(f"expected {n - 1} ratio entries for n={n}, got {y.entries.size}")
@@ -372,6 +368,7 @@ def log_det_jacobian_ratio_inverse(y: RatioVector, n: int) -> float:
 def log_det_jacobian_log_ratio_inverse(y: LogRatioVector, n: int) -> float:
     """log |det J| of the log-ratio inverse map into the first n-1 simplex
     coordinates; the closed form is ``sum(y) - n * log(k)``."""
+    _require(y, LogRatioVector, "y")
     n = _as_count(n, "n")
     if n != y.n:
         raise ValueError(f"expected {n - 1} log-ratio entries for n={n}, got {y.entries.size}")
@@ -412,53 +409,3 @@ def log_ratio_inverse_rows(y) -> tuple[np.ndarray, np.ndarray]:
     those on the outputs, each naming the first row that fails."""
     y, log_k = log_ratio_rows(y)
     return composition_rows(_from_log_ratios(y)), _log_ratio_log_det(y, log_k)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference route: an independent check of the closed forms above.
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_jacobian(func, point) -> np.ndarray:
-    """Central-difference Jacobian of ``func: R^d -> R^d`` at ``point``.
-
-    ``point`` is one point (d,) or rows (N, d), which ``func`` maps to
-    rows; the result is (d, d) or the (N, d, d) stack of the Jacobians at
-    each row.
-
-    The step of 1e-6 balances truncation against round-off for the 1e-6
-    relative tolerances used when comparing against the closed forms.
-    """
-    p = np.atleast_1d(_float_array(point, "finite_difference_jacobian point"))
-    d = p.shape[-1]
-    jac = np.empty(p.shape + (d,), dtype=float)
-    for j in range(d):
-        bump = np.zeros(d)
-        bump[j] = _FD_STEP
-        hi = np.asarray(func(p + bump), dtype=float)
-        lo = np.asarray(func(p - bump), dtype=float)
-        jac[..., j] = (hi - lo) / (2.0 * _FD_STEP)
-    return jac
-
-
-def _fd_log_det_rows(inverse_rows, y) -> np.ndarray:
-    """log |det J| of an implemented inverse map at each row of an
-    (N, n-1) array ``y``, as an (N,) array: central differences of the
-    first n-1 output coordinates of ``inverse_rows`` (``ratio_inverse_rows``
-    or ``log_ratio_inverse_rows``) and one stacked LU determinant.  A
-    RowError names the first row whose determinant is not positive."""
-    jac = finite_difference_jacobian(lambda rows: inverse_rows(rows)[0][:, :-1], y)
-    sign, log_det = np.linalg.slogdet(jac)
-    _reject_rows((sign <= 0.0, "finite-difference Jacobian has non-positive determinant"))
-    return log_det
-
-
-def finite_difference_log_det_ratio_inverse(y_entries) -> float:
-    """log |det J| of the implemented ratio inverse, by central differences
-    of the first n-1 output coordinates and an LU determinant."""
-    return float(_fd_log_det_rows(ratio_inverse_rows, [y_entries])[0])
-
-
-def finite_difference_log_det_log_ratio_inverse(y_entries) -> float:
-    """log |det J| of the implemented log-ratio inverse, same route."""
-    return float(_fd_log_det_rows(log_ratio_inverse_rows, [y_entries])[0])

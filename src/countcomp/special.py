@@ -1,4 +1,4 @@
-"""Log-domain special functions and small linear-algebra helpers.
+"""Log-domain special functions.
 
 Every density and mass function in this library is evaluated in log
 domain: a plain ``float`` carries the log of a positive quantity, with
@@ -6,10 +6,6 @@ domain: a plain ``float`` carries the log of a positive quantity, with
 values are obtained by exponentiating, never computed directly, because
 the Gamma-function ratios in the count distributions overflow float64
 for totals beyond ~170.
-
-The determinant helper works in the linear domain on purpose: its sign
-is needed when cross-checking closed-form Jacobians against
-finite-difference ones.
 
 Arguments are read by the rules of ``countcomp._rules``.
 """
@@ -27,7 +23,6 @@ __all__ = [
     "log_multivariate_beta",
     "log_multivariate_beta_rows",
     "log_beta",
-    "rank_one_update_det",
     "log_sum_exp",
     "log_sum_exp_rows",
 ]
@@ -40,8 +35,7 @@ def log_gamma(a: float) -> float:
     worst mixed relative error measures at 1.3e-15 over [1e-6, 1e18],
     near 1 and 2 and at the integers 1..3000; it agrees to the last bit
     at the subnormal arguments tested; log Gamma(1) and log Gamma(2) are
-    exactly 0.0.  Above about 2.56e305, where log Gamma exceeds the
-    largest float, the result is ``+inf``.
+    exactly 0.0.
 
     Parameters
     ----------
@@ -51,13 +45,14 @@ def log_gamma(a: float) -> float:
     Raises
     ------
     ValueError
-        If ``a`` is not a strictly positive finite number.
+        If ``a`` is not a strictly positive finite number, or its log
+        Gamma overflows float64 (past about 2.56e305).
     """
     a = _positive_float(a, "log_gamma argument")
     try:
         return math.lgamma(a)
     except OverflowError:
-        return math.inf
+        raise ValueError(f"log_gamma({a!r}) overflows float64") from None
 
 
 def _log_gamma_each(*args) -> list[np.ndarray]:
@@ -98,12 +93,12 @@ def _log_gamma_map(*args) -> list[float]:
     ``_log_gamma_each``, with no batch cost, raising as it does.
 
     The domain is checked once for all arguments together; where that
-    check fails, ``log_gamma`` raises its message for the first bad one.
+    check fails, the first bad one is named as ``log_gamma`` names it.
     """
     # min() skips a NaN that is not first, but the sum is NaN then.
     if not (min(args) > 0.0 and math.isfinite(sum(args))):
         for a in args:
-            log_gamma(a)  # raises for a bad argument
+            _positive_float(a, "log_gamma argument")
     try:
         return list(map(math.lgamma, args))
     except OverflowError:
@@ -163,44 +158,6 @@ def log_beta(a: float, b: float) -> float:
     """Return log B(a, b), the log of the Beta function:
     ``log_multivariate_beta((a, b))``."""
     return log_multivariate_beta((a, b))
-
-
-def rank_one_update_det(diag, u, v):
-    """Determinant of ``D + u v^T`` with ``D = diag(diag)``, via the matrix
-    determinant lemma: ``(1 + v^T D^{-1} u) * prod(diag)``.  A float for
-    one set of vectors (d,); for a stack (..., d), the array of its
-    leading shape, each entry equal to the call on its vectors bit for
-    bit.
-
-    Linear-domain on purpose: the sign of the determinant matters when
-    this is compared against finite-difference Jacobians.
-
-    Parameters
-    ----------
-    diag : array_like
-        Nonzero diagonal entries of D.
-    u, v : array_like
-        Column vectors of the rank-one update, in the shape of ``diag``.
-
-    Raises
-    ------
-    ValueError
-        On length mismatch, zero diagonal entries, or non-finite or text input.
-    """
-    d, uu, vv = (_float_array(a, "rank_one_update_det") for a in (diag, u, v))
-    if d.ndim == 0 or d.shape[-1] == 0:
-        raise ValueError("diag must be a non-empty vector")
-    if uu.shape != d.shape or vv.shape != d.shape:
-        raise ValueError(
-            f"length mismatch: diag has {d.size} entries, u has {uu.size}, v has {vv.size}"
-        )
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(uu)) and np.all(np.isfinite(vv))):
-        raise ValueError("rank_one_update_det requires finite inputs")
-    if np.any(d == 0.0):
-        raise ValueError("diag entries must be nonzero")
-    # vecdot takes each row's dot product as ``@`` does on one vector.
-    det = (1.0 + np.vecdot(vv, uu / d)) * np.prod(d, axis=-1)
-    return float(det) if d.ndim == 1 else det
 
 
 def log_sum_exp(values) -> float:

@@ -15,13 +15,13 @@ import numpy as np
 
 from countcomp import GammaMixtureParams
 from countcomp.checks import (
-    check_beta_binomial_merge,
-    check_conditional_multinomial,
-    check_pi_independent_of_s,
+    _check_beta_binomial_merge,
+    _check_conditional_multinomial,
     _check_dm_normalization,
     _check_jacobian_fd,
     _check_nb_mixture,
     _check_normalized_nb_mass,
+    _check_pi_independent_of_s,
     _check_round_trips,
     _transform_pointwise,
 )
@@ -88,7 +88,7 @@ def test_criterion_05_beta_binomial_is_merged_dm():
     for n in (2, 3, 4, 5):
         shapes = rng.uniform(0.3, 4.0, size=n)
         for m in range(0, 13):
-            rep = check_beta_binomial_merge(shapes, m)
+            rep = _check_beta_binomial_merge(shapes, m)
             worst = max(worst, rep.statistic)
     elapsed = time.perf_counter() - start
     _verdict(
@@ -118,8 +118,8 @@ def test_criterion_06_poisson_gamma_mixture_is_nb():
 def test_criterion_07_conditional_poisson_is_multinomial():
     start = time.perf_counter()
     rng = np.random.default_rng(20260807)
-    rep1 = check_conditional_multinomial((1.0, 1.0), 2, 100_000, rng, seed=20260807)
-    rep2 = check_conditional_multinomial((2.0, 1.0, 1.0), 3, 100_000, rng, seed=20260807)
+    rep1 = _check_conditional_multinomial((1.0, 1.0), 2, 100_000, rng, seed=20260807)
+    rep2 = _check_conditional_multinomial((2.0, 1.0, 1.0), 3, 100_000, rng, seed=20260807)
     elapsed = time.perf_counter() - start
     ok = rep1.passed and rep2.passed and not (rep1.inconclusive or rep2.inconclusive)
     _verdict(
@@ -133,8 +133,8 @@ def test_criterion_08_pi_independent_of_total():
     start = time.perf_counter()
     rng = np.random.default_rng(20260808)
     params = GammaMixtureParams((1.0, 1.0), 1.0)
-    rep = check_pi_independent_of_s(params, 100_000, rng, seed=20260808)
-    control = check_pi_independent_of_s(
+    rep = _check_pi_independent_of_s(params, 100_000, rng, seed=20260808)
+    control = _check_pi_independent_of_s(
         params, 10_000, rng, seed=20260808, negative_control=True
     )
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from countcomp import (
     beta_binomial_log_pmf,
     dirichlet_log_pdf,
     dirichlet_multinomial_log_pmf,
-    enumerate_compositions,
     inverted_dirichlet_log_pdf,
     log_det_jacobian_log_ratio_inverse,
     log_det_jacobian_ratio_inverse,
@@ -37,8 +37,22 @@ from countcomp import (
     normalized_nb_value_pmf,
     ratio_inverse,
 )
-from countcomp.distributions import count_rows
+from countcomp.checks import _composition_matrix
+from countcomp.distributions import alr_dirichlet_log_pdf_rows, count_rows
 from countcomp.simplex import RowError
+
+
+def _count_vectors(n, m):
+    return [CountVector(row) for row in _composition_matrix(n, m)]
+
+
+def _mpmath_alr_log_pdf(alpha, y):
+    """The ALR-Dirichlet log density at 50 digits, rounded to a float."""
+    with mpmath.workdps(50):
+        a, y = [mpmath.mpf(v) for v in alpha], [mpmath.mpf(v) for v in y]
+        log_b = mpmath.fsum(mpmath.loggamma(v) for v in a) - mpmath.loggamma(mpmath.fsum(a))
+        log_k = mpmath.log(1 + mpmath.fsum(mpmath.exp(v) for v in y))
+        return float(-log_b + mpmath.fsum(ai * yi for ai, yi in zip(a, y)) - mpmath.fsum(a) * log_k)
 
 
 class TestParamValidation:
@@ -191,6 +205,35 @@ class TestAlrDirichletPdf:
                 assert direct == pytest.approx(pulled, rel=1e-12, abs=1e-12)
 
 
+# Log-ratio points whose terms alpha . y or sum(alpha) log k overflow,
+# though the log density is finite (or below -FLOAT_MAX: -inf).
+ALR_OVERFLOW = [
+    ([1.0, 1.0, 1.0], [1e308, 1e308]),
+    ([3.0, 1.5], [1e308]),
+    ([0.5, 2.0, 1.0], [1e308, 1.5e308]),
+    ([1.0, 1.0, 1.0], [1.7e308, -1.7e308]),
+    ([1.0, 1.0, 1.0], [-1e308, -1e308]),
+]
+
+
+class TestAlrOverflow:
+    @pytest.mark.parametrize("alpha, y", ALR_OVERFLOW)
+    def test_matches_mpmath(self, alpha, y):
+        got = alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(y))
+        want = _mpmath_alr_log_pdf(alpha, y)
+        assert got == want or abs(got - want) <= 1e-15 * abs(want)
+
+    def test_batch_form_equals_scalar(self):
+        # Rows that overflow beside rows that do not, which keep their bits.
+        rng = np.random.default_rng(43)
+        alpha = [1.0, 1.0, 1.0]
+        y = np.vstack([[row for a, row in ALR_OVERFLOW if a == alpha],
+                       rng.normal(0.0, 2.0, size=(4, 2))])
+        got = alr_dirichlet_log_pdf_rows(alpha, y)
+        want = [alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(row)) for row in y]
+        assert got.tolist() == want
+
+
 class TestNegativeBinomialPmf:
     def test_geometric_cases(self):
         assert negative_binomial_log_pmf(1.0, 0.5, 0) == pytest.approx(math.log(0.5), rel=1e-14)
@@ -228,7 +271,7 @@ class TestMultinomialPmf:
 
     def test_enumeration_normalizes(self):
         probs = Composition([0.2, 0.3, 0.5])
-        terms = [multinomial_log_pmf(3, probs, x) for x in enumerate_compositions(3, 3)]
+        terms = [multinomial_log_pmf(3, probs, x) for x in _count_vectors(3, 3)]
         assert math.exp(log_sum_exp(terms)) == pytest.approx(1.0, abs=1e-12)
 
     def test_total_mismatch(self):
@@ -239,7 +282,7 @@ class TestMultinomialPmf:
 class TestDirichletMultinomialPmf:
     def test_uniform_shapes_n3(self):
         # r = (1,1,1), m = 2: uniform over the C(4,2) = 6 compositions.
-        for x in enumerate_compositions(3, 2):
+        for x in _count_vectors(3, 2):
             assert dirichlet_multinomial_log_pmf([1.0, 1.0, 1.0], 2, x) == pytest.approx(
                 math.log(1.0 / 6.0), rel=1e-13
             )
@@ -252,7 +295,7 @@ class TestDirichletMultinomialPmf:
     def test_enumeration_normalizes_fractional_shapes(self):
         terms = [
             dirichlet_multinomial_log_pmf([2.0, 1.0, 0.5], 6, x)
-            for x in enumerate_compositions(3, 6)
+            for x in _count_vectors(3, 6)
         ]
         assert math.exp(log_sum_exp(terms)) == pytest.approx(1.0, abs=1e-10)
 

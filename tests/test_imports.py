@@ -1,10 +1,13 @@
 """Import hygiene: the core library and the eval/sample/transform CLI do
 not load scipy, which only the verification suite (``countcomp.checks``)
 uses for its p-values; the suite itself loads ``scipy.special`` but not
-``scipy.stats``; the suite's names still resolve from the package; and no
-module keeps an import from the package that it never uses."""
+``scipy.stats``; the suite's names still resolve from the package; the
+suite's helpers are not public; the demos use only public names; no
+module keeps an import from the package that it never uses; and every
+source file parses as Python 3.10."""
 
 import ast
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,29 +18,31 @@ import pytest
 import countcomp
 from countcomp import checks
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(Path(countcomp.__file__).parent.glob("*.py"))
 
-# The package's public names, as listed before the suite was made lazy.
+# The package's public names: the two chains, their samplers and value
+# objects, the log-domain special functions, and the suite's entry.
 PUBLIC_NAMES = [
     "AggregatedValueMass", "BetaBinomialParams", "CheckReport", "Composition", "CountVector",
     "DirichletParams", "GammaMixtureParams", "LogRatioVector", "RatioVector",
-    "adaptive_simpson", "all_passed", "alr_dirichlet_log_pdf", "beta_binomial_log_pmf",
-    "check_beta_binomial_merge", "check_conditional_multinomial", "check_dm_integral",
-    "check_pi_independent_of_s", "check_transform_density", "dirichlet_log_pdf",
-    "dirichlet_multinomial_log_pmf", "dirichlet_sample", "enumerate_compositions",
-    "finite_difference_jacobian", "finite_difference_log_det_log_ratio_inverse",
-    "finite_difference_log_det_ratio_inverse", "gamma_sample", "inverted_dirichlet_log_pdf",
-    "log_beta", "log_det_jacobian_log_ratio_inverse", "log_det_jacobian_ratio_inverse",
-    "log_gamma", "log_multivariate_beta", "log_ratio_forward", "log_ratio_inverse",
-    "log_sum_exp", "multinomial_log_pmf", "multinomial_sample", "nb_truncation_bound",
-    "negative_binomial_log_pmf", "negative_binomial_sample_via_mixture",
-    "normalized_nb_log_pmf", "normalized_nb_value_pmf", "poisson_sample",
-    "rank_one_update_det", "ratio_forward", "ratio_inverse", "run_all",
+    "all_passed", "alr_dirichlet_log_pdf", "beta_binomial_log_pmf", "dirichlet_log_pdf",
+    "dirichlet_multinomial_log_pmf", "dirichlet_sample", "gamma_sample",
+    "inverted_dirichlet_log_pdf", "log_beta", "log_det_jacobian_log_ratio_inverse",
+    "log_det_jacobian_ratio_inverse", "log_gamma", "log_multivariate_beta",
+    "log_ratio_forward", "log_ratio_inverse", "log_sum_exp", "multinomial_log_pmf",
+    "multinomial_sample", "nb_truncation_bound", "negative_binomial_log_pmf",
+    "negative_binomial_sample_via_mixture", "normalized_nb_log_pmf", "normalized_nb_value_pmf",
+    "poisson_sample", "ratio_forward", "ratio_inverse", "run_all",
 ]
-CHECKS_NAMES = [
-    "CheckReport", "adaptive_simpson", "all_passed", "check_beta_binomial_merge",
-    "check_conditional_multinomial", "check_dm_integral", "check_pi_independent_of_s",
-    "check_transform_density", "enumerate_compositions", "run_all",
+CHECKS_NAMES = ["CheckReport", "all_passed", "run_all"]
+# The suite's helpers, public until they were made private to it.
+SUITE_HELPERS = [
+    "adaptive_simpson", "check_beta_binomial_merge", "check_conditional_multinomial",
+    "check_dm_integral", "check_pi_independent_of_s", "check_transform_density",
+    "enumerate_compositions", "finite_difference_jacobian",
+    "finite_difference_log_det_log_ratio_inverse", "finite_difference_log_det_ratio_inverse",
+    "rank_one_update_det",
 ]
 
 SCIPY_FREE = {
@@ -101,6 +106,21 @@ def test_public_names_unchanged_and_resolve():
     assert run_all is checks.run_all
 
 
+@pytest.mark.parametrize("module", ["countcomp", "countcomp.checks", "countcomp.simplex",
+                                    "countcomp.special"])
+def test_suite_helpers_are_not_public(module):
+    mod = sys.modules[module]
+    assert not [name for name in SUITE_HELPERS if hasattr(mod, name)]
+    assert not set(SUITE_HELPERS) & set(getattr(mod, "__all__", []))
+
+
+def test_readme_lists_the_public_names():
+    # The bullet list that opens README's "Public API" section.
+    section = (ROOT / "README.md").read_text().split("### Public API\n", 1)[1]
+    bullets = section[section.index("\n- "):].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", bullets)) == sorted(countcomp.__all__)
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         countcomp.no_such_name
@@ -136,3 +156,20 @@ def test_package_imports_are_used_or_exported(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     dead = [name for name in _package_imports(tree) if name not in read | _exported(tree)]
     assert not dead, f"{path.name} imports names it never uses: {dead}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
+def test_demos_import_only_public_names(path):
+    names = _package_imports(ast.parse(path.read_text()))
+    assert names
+    assert not [name for name in names if name not in countcomp.__all__]
+
+
+SOURCES = sorted(p for d in ("src", "tests", "perfbench", "demos") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    # Only one interpreter may be at hand; the grammar of the oldest
+    # supported one (requires-python >= 3.10) is checked here instead.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

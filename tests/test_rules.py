@@ -5,40 +5,44 @@ rule, so each (call, argument) row below meets every bad value with a
 ``ValueError`` whose message starts with the argument's name.  Only real
 numbers are numbers: bools, text, complex numbers and dates are refused
 everywhere, as are ints past the float64 range where a float is read.
-The public checks read their arguments by the same rules.
 """
 
 import datetime
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import countcomp
 from countcomp import (
     BetaBinomialParams,
     Composition,
     CountVector,
     DirichletParams,
     GammaMixtureParams,
+    alr_dirichlet_log_pdf,
+    beta_binomial_log_pmf,
+    dirichlet_log_pdf,
     dirichlet_multinomial_log_pmf,
+    dirichlet_sample,
     gamma_sample,
+    inverted_dirichlet_log_pdf,
     log_gamma,
+    log_ratio_forward,
+    log_ratio_inverse,
     log_sum_exp,
     multinomial_log_pmf,
+    multinomial_sample,
     nb_truncation_bound,
     negative_binomial_log_pmf,
     negative_binomial_sample_via_mixture,
     normalized_nb_log_pmf,
     normalized_nb_value_pmf,
     poisson_sample,
-    rank_one_update_det,
-)
-from countcomp.checks import (
-    check_beta_binomial_merge,
-    check_conditional_multinomial,
-    check_transform_density,
-    enumerate_compositions,
+    ratio_forward,
+    ratio_inverse,
 )
 from countcomp._rules import RowError
 from countcomp.checks import run_all
@@ -198,8 +202,6 @@ NOT_REALS = {
                             "CountVector entries must be integers"),
     "log_sum_exp complex": (lambda: log_sum_exp([1 + 5j, 2]),
                             "log_sum_exp entries must be real numbers"),
-    "rank_one_update_det complex": (lambda: rank_one_update_det([1 + 3j, 2], [1, 1], [1, 1]),
-                                    "rank_one_update_det entries must be real numbers"),
     "DirichletParams complex": (lambda: DirichletParams([1 + 2j, 1]),
                                 "DirichletParams entries must be real numbers"),
     "DirichletParams object complex": (
@@ -288,38 +290,6 @@ def test_totals_past_int64_still_compared_exactly():
     assert multinomial_log_pmf(2**63, HALF, x) == batch[0]
 
 
-# The public checks: text is refused by the argument's rule, and an
-# integral float count is read as the count.
-CHECKS_REFUSE = {
-    "conditional_multinomial rates": (
-        lambda: check_conditional_multinomial(["1", "1"], 2, 100, _rng()),
-        "rates entries must be real numbers"),
-    "beta_binomial_merge r": (lambda: check_beta_binomial_merge(["1", "1"], 2),
-                              "shape vector entries must be real numbers"),
-    "transform_density alpha": (lambda: check_transform_density(["1", "1"], 2, 10, _rng()),
-                                "alpha entries must be real numbers"),
-    "conditional_multinomial m": (lambda: check_conditional_multinomial((1, 1), 2.5, 100, _rng()),
-                                  "m must be a non-negative integer, got 2.5"),
-    "enumerate_compositions m": (lambda: list(enumerate_compositions(2, 2.5)),
-                                 "m must be a non-negative integer, got 2.5"),
-}
-
-
-@pytest.mark.parametrize("row", CHECKS_REFUSE)
-def test_checks_read_arguments_by_the_rules(row):
-    call, message = CHECKS_REFUSE[row]
-    with pytest.raises(ValueError) as info:
-        call()
-    assert str(info.value) == message
-
-
-def test_checks_take_integral_float_counts():
-    assert len(list(enumerate_compositions(2, 2.0))) == 3
-    as_float = check_conditional_multinomial((1, 1), 2.0, 100, _rng())
-    assert as_float == check_conditional_multinomial((1.0, 1.0), 2, 100, _rng())
-    assert check_beta_binomial_merge((1, 2), 3.0) == check_beta_binomial_merge([1.0, 2.0], 3)
-
-
 def test_infinite_count_refused_by_name():
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got inf$"):
         negative_binomial_log_pmf(2.0, 0.5, math.inf)
@@ -372,3 +342,76 @@ def test_integral_float_n_is_read_as_the_count():
     assert log_det_jacobian_ratio_inverse(y, 3.0) == log_det_jacobian_ratio_inverse(y, 3)
     w = LogRatioVector([0.4, 0.6])
     assert log_det_jacobian_log_ratio_inverse(w, 3.0) == log_det_jacobian_log_ratio_inverse(w, 3)
+
+
+# A value-object argument is never built from entries: given anything
+# else, each public entry raises a TypeError naming the argument and the
+# class it expects.  (call, message), one row per (function, argument).
+_DIR = DirichletParams([1.0, 1.0])
+_HALF = Composition([0.5, 0.5])
+VALUE_OBJECT_ARGS = {
+    "ratio_forward x": (lambda: ratio_forward([0.5, 0.5]), "x must be a Composition, not list"),
+    "ratio_inverse y": (lambda: ratio_inverse(np.array([1.0])),
+                        "y must be a RatioVector, not ndarray"),
+    "log_ratio_forward x": (lambda: log_ratio_forward(RatioVector([1.0])),
+                            "x must be a Composition, not RatioVector"),
+    "log_ratio_inverse y": (lambda: log_ratio_inverse([0.5]),
+                            "y must be a LogRatioVector, not list"),
+    "log_det_jacobian_ratio_inverse y": (lambda: log_det_jacobian_ratio_inverse([0.5], 2),
+                                         "y must be a RatioVector, not list"),
+    "log_det_jacobian_log_ratio_inverse y": (
+        lambda: log_det_jacobian_log_ratio_inverse(RatioVector([0.5]), 2),
+        "y must be a LogRatioVector, not RatioVector"),
+    "dirichlet_log_pdf params": (lambda: dirichlet_log_pdf([1, 1], _HALF),
+                                 "params must be a DirichletParams, not list"),
+    "dirichlet_log_pdf x": (lambda: dirichlet_log_pdf(_DIR, [0.5, 0.5]),
+                            "x must be a Composition, not list"),
+    "inverted_dirichlet_log_pdf params": (
+        lambda: inverted_dirichlet_log_pdf((1, 1), RatioVector([0.5])),
+        "params must be a DirichletParams, not tuple"),
+    "inverted_dirichlet_log_pdf y": (lambda: inverted_dirichlet_log_pdf(_DIR, [0.5]),
+                                     "y must be a RatioVector, not list"),
+    "alr_dirichlet_log_pdf params": (
+        lambda: alr_dirichlet_log_pdf(GammaMixtureParams([1, 1], 1.0), LogRatioVector([0.5])),
+        "params must be a DirichletParams, not GammaMixtureParams"),
+    "alr_dirichlet_log_pdf y": (lambda: alr_dirichlet_log_pdf(_DIR, RatioVector([0.5])),
+                                "y must be a LogRatioVector, not RatioVector"),
+    "dirichlet_sample params": (lambda: dirichlet_sample([1.0, 1.0], _rng()),
+                                "params must be a DirichletParams, not list"),
+    "multinomial_log_pmf probs": (lambda: multinomial_log_pmf(2, [0.5, 0.5], [1, 1]),
+                                  "probs must be a Composition, not list"),
+    "multinomial_log_pmf x": (lambda: multinomial_log_pmf(2, _HALF, [1, 1]),
+                              "x must be a CountVector, not list"),
+    "multinomial_sample probs": (lambda: multinomial_sample(2, [0.5, 0.5], _rng()),
+                                 "probs must be a Composition, not list"),
+    "dirichlet_multinomial_log_pmf x": (lambda: dirichlet_multinomial_log_pmf([1, 1], 2, (1, 1)),
+                                        "x must be a CountVector, not tuple"),
+    "beta_binomial_log_pmf params": (lambda: beta_binomial_log_pmf((1, 1, 2), 1),
+                                     "params must be a BetaBinomialParams, not tuple"),
+    "normalized_nb_log_pmf params": (lambda: normalized_nb_log_pmf(([1, 1], 1.0), 0, 1, 2),
+                                     "params must be a GammaMixtureParams, not tuple"),
+    "normalized_nb_value_pmf params": (lambda: normalized_nb_value_pmf(([1, 1], 1.0), 0, (1, 2)),
+                                       "params must be a GammaMixtureParams, not tuple"),
+}
+VALUE_OBJECTS = ("Composition", "RatioVector", "LogRatioVector", "CountVector",
+                 "DirichletParams", "GammaMixtureParams", "BetaBinomialParams")
+
+
+@pytest.mark.parametrize("row", VALUE_OBJECT_ARGS)
+def test_value_object_arguments_refuse_other_classes(row):
+    call, message = VALUE_OBJECT_ARGS[row]
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_every_value_object_argument_has_a_row():
+    # Each parameter of a public function annotated with a value object.
+    annotated = {
+        f"{name} {param.name}"
+        for name in countcomp.__all__
+        if inspect.isfunction(fn := getattr(countcomp, name))
+        for param in inspect.signature(fn).parameters.values()
+        if param.annotation in VALUE_OBJECTS
+    }
+    assert annotated == set(VALUE_OBJECT_ARGS)

@@ -12,8 +12,6 @@ from countcomp import (
     Composition,
     LogRatioVector,
     RatioVector,
-    finite_difference_log_det_log_ratio_inverse,
-    finite_difference_log_det_ratio_inverse,
     log_det_jacobian_log_ratio_inverse,
     log_det_jacobian_ratio_inverse,
     log_ratio_forward,
@@ -21,12 +19,10 @@ from countcomp import (
     ratio_forward,
     ratio_inverse,
 )
-from countcomp import simplex
+from countcomp.checks import _fd_log_det_rows
 from countcomp.simplex import (
     RowError,
-    _fd_log_det_rows,
     composition_rows,
-    finite_difference_jacobian,
     log_ratio_inverse_rows,
     log_ratio_rows,
     ratio_inverse_rows,
@@ -230,7 +226,7 @@ class TestJacobians:
             for _ in range(20):
                 y = RatioVector(rng.uniform(0.1, 3.0, size=n - 1))
                 closed = log_det_jacobian_ratio_inverse(y, n)
-                fd = finite_difference_log_det_ratio_inverse(y.entries)
+                fd = _fd_log_det_rows(ratio_inverse_rows, y.entries[None])[0]
                 assert math.exp(fd - closed) == pytest.approx(1.0, rel=1e-6)
 
     def test_alr_matches_finite_differences(self):
@@ -239,7 +235,7 @@ class TestJacobians:
             for _ in range(20):
                 y = LogRatioVector(rng.uniform(-2.0, 2.0, size=n - 1))
                 closed = log_det_jacobian_log_ratio_inverse(y, n)
-                fd = finite_difference_log_det_log_ratio_inverse(y.entries)
+                fd = _fd_log_det_rows(log_ratio_inverse_rows, y.entries[None])[0]
                 assert math.exp(fd - closed) == pytest.approx(1.0, rel=1e-6)
 
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
@@ -255,10 +251,7 @@ class TestJacobians:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-FD_ROUTES = [
-    (finite_difference_log_det_ratio_inverse, ratio_inverse_rows),
-    (finite_difference_log_det_log_ratio_inverse, log_ratio_inverse_rows),
-]
+FD_ROUTES = [ratio_inverse_rows, log_ratio_inverse_rows]
 
 
 def _reversed_on(bad):
@@ -275,20 +268,13 @@ def _reversed_on(bad):
 
 
 class TestFiniteDifferenceRows:
-    @pytest.mark.parametrize("scalar, inverse_rows", FD_ROUTES)
-    def test_batch_jacobian_equals_stacked_points(self, scalar, inverse_rows):
-        y = np.random.default_rng(31).uniform(0.1, 3.0, size=(40, 3))
-        rows = finite_difference_jacobian(lambda v: inverse_rows(v)[0][:, :-1], y)
-        points = [finite_difference_jacobian(lambda v: inverse_rows([v])[0][0, :-1], p) for p in y]
-        assert rows.shape == (40, 3, 3)
-        np.testing.assert_array_equal(rows, np.stack(points))
-
-    @pytest.mark.parametrize("scalar, inverse_rows", FD_ROUTES)
-    def test_scalar_log_dets_equal_their_rows(self, scalar, inverse_rows):
+    @pytest.mark.parametrize("inverse_rows", FD_ROUTES)
+    def test_log_dets_of_a_batch_equal_each_row_alone(self, inverse_rows):
         rng = np.random.default_rng(37)
         for n in range(2, 7):
             y = rng.uniform(0.1, 3.0, size=(20, n - 1))
-            assert _fd_log_det_rows(inverse_rows, y).tolist() == [scalar(v) for v in y]
+            alone = [_fd_log_det_rows(inverse_rows, v[None])[0] for v in y]
+            assert _fd_log_det_rows(inverse_rows, y).tolist() == alone
 
     def test_reversed_orientation_names_the_first_such_row(self):
         y = np.random.default_rng(41).uniform(0.1, 3.0, size=(6, 2))
@@ -296,8 +282,3 @@ class TestFiniteDifferenceRows:
             _fd_log_det_rows(_reversed_on([2, 4]), y)
         assert info.value.row == 2
         assert np.isfinite(_fd_log_det_rows(_reversed_on([]), y)).all()
-
-    def test_scalar_wrapper_raises_value_error(self, monkeypatch):
-        monkeypatch.setattr(simplex, "ratio_inverse_rows", _reversed_on([0]))
-        with pytest.raises(ValueError, match="non-positive determinant"):
-            finite_difference_log_det_ratio_inverse([0.5, 1.5])

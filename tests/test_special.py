@@ -17,7 +17,6 @@ from countcomp import (
     log_gamma,
     log_multivariate_beta,
     log_sum_exp,
-    rank_one_update_det,
 )
 from countcomp.special import _log_gamma_each, log_multivariate_beta_rows, log_sum_exp_rows
 
@@ -73,10 +72,15 @@ class TestLogGamma:
         want = _mpmath_log_gamma(a)
         assert abs(log_gamma(a) - want) <= 1e-15 * abs(want)
 
-    def test_overflow_returns_inf(self):
+    def test_overflow_raises_naming_the_argument(self):
+        # As log_beta and the batch form do, not +inf.
         assert log_gamma(BELOW_OVERFLOW) == LOG_GAMMA_BELOW_OVERFLOW
-        for a in ABOVE_OVERFLOW:
-            assert log_gamma(a) == math.inf
+        for a in ABOVE_OVERFLOW + [3e305, 10**306]:
+            with pytest.raises(ValueError) as info:
+                log_gamma(a)
+            assert str(info.value) == f"log_gamma({float(a)!r}) overflows float64"
+        with pytest.raises(ValueError, match=r"^log_gamma\(3e\+305\) overflows float64$"):
+            log_beta(3e305, 1.0)
 
     def test_recurrence(self):
         # log G(a+1) = log G(a) + log a on 10^4 random points in (0, 100].
@@ -212,75 +216,6 @@ class TestLogBeta:
             log_beta(a, b)
         with pytest.raises(ValueError, match=message):
             log_multivariate_beta((a, b))
-
-
-class TestRankOneUpdateDet:
-    def test_lemma_substitution(self):
-        assert rank_one_update_det([2.0, 2.0], [1.0, 1.0], [1.0, 1.0]) == pytest.approx(8.0)
-
-    def test_zero_update(self):
-        diag = [3.0, -1.5, 0.25]
-        expected = 3.0 * -1.5 * 0.25
-        assert rank_one_update_det(diag, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(
-            expected, rel=1e-15
-        )
-
-    def test_random_4x4_against_lu(self):
-        rng = np.random.default_rng(3)
-        d = rng.uniform(0.5, 2.0, size=4)
-        u = rng.normal(size=4)
-        v = rng.normal(size=4)
-        dense = np.linalg.det(np.diag(d) + np.outer(u, v))
-        assert rank_one_update_det(d, u, v) == pytest.approx(dense, rel=1e-12)
-
-    def test_many_random_against_lu(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            dim = int(rng.integers(2, 9))
-            d = rng.uniform(0.2, 3.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
-            u = rng.normal(size=dim)
-            v = rng.normal(size=dim)
-            dense = np.linalg.det(np.diag(d) + np.outer(u, v))
-            assert rank_one_update_det(d, u, v) == pytest.approx(dense, rel=1e-10, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            rank_one_update_det([1.0, 2.0], [1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="length mismatch"):
-            rank_one_update_det(np.ones((3, 2)), np.ones((3, 1)), np.ones((3, 2)))
-
-    @pytest.mark.parametrize("dim", range(1, 9))
-    def test_stack_equals_each_row_bitwise(self, dim):
-        rng = np.random.default_rng(dim)
-        d = rng.uniform(0.2, 3.0, size=(4, 50, dim)) * rng.choice([-1.0, 1.0], size=(4, 50, dim))
-        u = rng.normal(size=d.shape)
-        v = rng.normal(size=d.shape)
-        got = rank_one_update_det(d, u, v)
-        assert got.shape == (4, 50)
-        for index in np.ndindex(4, 50):
-            one = rank_one_update_det(d[index], u[index], v[index])
-            assert isinstance(one, float) and one == got[index]
-            # The lemma as written with ``@`` on one vector.
-            assert one == (1.0 + v[index] @ (u[index] / d[index])) * np.prod(d[index])
-
-    @pytest.mark.parametrize(
-        "d, u, v, row",
-        [
-            ([[1.0, 2.0], [3.0, 0.0]], [[1.0, 1.0]] * 2, [[1.0, 1.0]] * 2, 1),
-            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0], [math.inf, 1.0]], [[1.0, 1.0]] * 2, 1),
-            (np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), 0),
-        ],
-    )
-    def test_stack_raises_as_its_bad_row_does(self, d, u, v, row):
-        with pytest.raises(ValueError) as one:
-            rank_one_update_det(d[row], u[row], v[row])
-        with pytest.raises(ValueError) as stack:
-            rank_one_update_det(d, u, v)
-        assert str(stack.value) == str(one.value)
-
-    def test_zero_diagonal(self):
-        with pytest.raises(ValueError):
-            rank_one_update_det([1.0, 0.0], [1.0, 1.0], [1.0, 1.0])
 
 
 class TestLogSumExp:

@@ -27,7 +27,6 @@ from countcomp import (
     RatioVector,
     beta_binomial_log_pmf,
     dirichlet_multinomial_log_pmf,
-    finite_difference_jacobian,
     gamma_sample,
     log_beta,
     log_gamma,
@@ -37,7 +36,6 @@ from countcomp import (
     negative_binomial_sample_via_mixture,
     normalized_nb_log_pmf,
     poisson_sample,
-    rank_one_update_det,
 )
 from countcomp._rules import _PYTHON_SCAN_MAX
 from countcomp.distributions import (
@@ -418,11 +416,6 @@ TEXT_PARAMETERS = {
     "log_multivariate_beta": (lambda: log_multivariate_beta(["1", "2"]),
                               "^log_multivariate_beta entries must be real numbers$"),
     "log_sum_exp": (lambda: log_sum_exp(["1", "2"]), "^log_sum_exp entries must be real numbers$"),
-    "rank_one_update_det": (lambda: rank_one_update_det(["1", "2"], [1, 1], [1, 1]),
-                            "^rank_one_update_det entries must be real numbers$"),
-    "finite_difference_jacobian": (
-        lambda: finite_difference_jacobian(lambda p: p, ["1", "2"]),
-        "^finite_difference_jacobian point entries must be real numbers$"),
     "nb_truncation_bound": (lambda: nb_truncation_bound(2.0, 0.5, "1e-12"),
                             "^tail_mass must be a real number, got '1e-12'$"),
     "negative_binomial_sample_via_mixture R": (
@@ -646,7 +639,7 @@ def _map_outcome(*args):
 
 
 def _overflow_message(args):
-    # Where log_gamma is +inf, the map raises, naming the largest argument.
+    # Where a log Gamma overflows, the map raises, naming the largest argument.
     return f"log_gamma({max(args)!r}) overflows float64"
 
 
@@ -664,8 +657,8 @@ class TestLogGammaMap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _map_outcome(*args)
-        want = [log_gamma(a) for a in args]
-        if math.inf in want:
+        want = [_log_gamma_outcome(a) for a in args]
+        if any(isinstance(w, str) for w in want):
             assert got == _overflow_message(args)
             return
         assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, w) for w in want]
@@ -685,7 +678,4 @@ class TestLogGammaMap:
     def test_every_argument_alone(self):
         for a in GOOD_ARGS + BAD_ARGS:
             got, want = _map_outcome(a), _log_gamma_outcome(a)
-            if want == math.inf:
-                assert got == _overflow_message([a])
-            else:
-                assert got == (want if isinstance(want, str) else [want])
+            assert got == (want if isinstance(want, str) else [want])
