@@ -42,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rules import (
-    _SUM_SAFE,
     RowError,
     _as_count,
     _as_float,
@@ -258,11 +257,9 @@ def alr_dirichlet_log_pdf(params: DirichletParams, y: LogRatioVector) -> float:
     ``-log B(alpha) + sum_{i<n} alpha_i y_i - sum(alpha) log k``.
     """
     _check_coordinates(params, y, LogRatioVector)
-    log_b, total = params.log_normalizer(), params.total
-    # max(y) <= log k, so under this bound no partial sum can overflow.
-    small = abs(log_b) + total * max(y.log_k, -min(y.entries.tolist())) < _SUM_SAFE
-    terms = _alr_dirichlet_log_terms if small else _guarded_alr_dirichlet_log_terms
-    return float(terms(log_b, params.alpha, total, y.entries, y.log_k))
+    return float(_guarded_alr_dirichlet_log_terms(
+        params.log_normalizer(), params.alpha, params.total, y.entries, y.log_k
+    ))
 
 
 def _check_coordinates(params: DirichletParams, y, cls: type) -> None:
@@ -298,20 +295,26 @@ def _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
 
 def _guarded_alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
     """``_alr_dirichlet_log_terms`` without warnings, kept wherever it is
-    finite.  Elsewhere alpha . y or sum(alpha) log k overflowed, though
-    the density may not: there it is taken as the same density
-    ``-log B + sum_{i<n} alpha_i (y_i - log k) - alpha_n log k``, whose
-    terms are all <= 0 (log k >= max(y)), so no partial sum overflows
-    unless the result does."""
+    finite.  Where alpha . y or sum(alpha) log k overflowed, though the
+    density may not, it is taken at half scale, as
+    ``2 (-log B / 2 + sum_{i<n} alpha_i (y_i / 2 - log k / 2) - alpha_n log k / 2)``.
+    The half differences lie in [-FLOAT_MAX, 0] (log k >= max(y)), so
+    every term after the first is <= 0 and a term, a partial sum or the
+    doubling overflows only where the density is below -FLOAT_MAX."""
+    try:
+        # The inputs are finite, so a result is finite unless numpy flags
+        # an overflow or the inf - inf after one.
+        with np.errstate(over="raise", invalid="raise"):
+            return _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
+    except FloatingPointError:
+        pass
     with np.errstate(over="ignore", invalid="ignore"):
         out = _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            log_k = np.asarray(log_k)[..., None]
-            safe = (-log_b + np.add.reduce(alpha[..., :-1] * (y - log_k), axis=-1)
-                    - alpha[..., -1] * log_k[..., 0])
-            out = np.where(bad, safe, out)
-    return out
+        half_k = 0.5 * np.asarray(log_k)
+        half = (-0.5 * log_b
+                + np.add.reduce(alpha[..., :-1] * (0.5 * y - half_k[..., None]), axis=-1)
+                - alpha[..., -1] * half_k)
+        return np.where(np.isfinite(out), out, 2.0 * half)
 
 
 def dirichlet_log_pdf_rows(alpha, x) -> np.ndarray:

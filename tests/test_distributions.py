@@ -213,6 +213,8 @@ ALR_OVERFLOW = [
     ([0.5, 2.0, 1.0], [1e308, 1.5e308]),
     ([1.0, 1.0, 1.0], [1.7e308, -1.7e308]),
     ([1.0, 1.0, 1.0], [-1e308, -1e308]),
+    # y_2 - log k alone overflows; the density is about -3.7e307.
+    ([2.0, 0.1, 0.1], [1e308, -1.7e308]),
 ]
 
 
@@ -225,12 +227,13 @@ class TestAlrOverflow:
 
     def test_batch_form_equals_scalar(self):
         # Rows that overflow beside rows that do not, which keep their bits.
+        # alpha has one row per point.
         rng = np.random.default_rng(43)
-        alpha = [1.0, 1.0, 1.0]
-        y = np.vstack([[row for a, row in ALR_OVERFLOW if a == alpha],
-                       rng.normal(0.0, 2.0, size=(4, 2))])
+        points = [(a, row) for a, row in ALR_OVERFLOW if len(a) == 3]
+        points += [([1.0, 1.0, 1.0], row) for row in rng.normal(0.0, 2.0, size=(4, 2)).tolist()]
+        alpha, y = (np.array(side) for side in zip(*points))
         got = alr_dirichlet_log_pdf_rows(alpha, y)
-        want = [alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(row)) for row in y]
+        want = [alr_dirichlet_log_pdf(DirichletParams(a), LogRatioVector(row)) for a, row in points]
         assert got.tolist() == want
 
 

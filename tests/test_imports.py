@@ -2,11 +2,13 @@
 not load scipy, which only the verification suite (``countcomp.checks``)
 uses for its p-values; the suite itself loads ``scipy.special`` but not
 ``scipy.stats``; the suite's names still resolve from the package; the
-suite's helpers are not public; the demos use only public names; no
-module keeps an import from the package that it never uses; and every
-source file parses as Python 3.10."""
+suite's helpers are not public; the demos import only names in the
+``__all__`` of the module they import from; no module keeps an import
+from the package that it never uses; and every source file parses as
+Python 3.10."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -160,9 +162,18 @@ def test_package_imports_are_used_or_exported(path):
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
 def test_demos_import_only_public_names(path):
-    names = _package_imports(ast.parse(path.read_text()))
-    assert names
-    assert not [name for name in names if name not in countcomp.__all__]
+    # Public means listed in the __all__ of the module imported from:
+    # the package's names, or a module's batch forms and row rules.
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "countcomp"
+        for alias in node.names
+    ]
+    assert imports
+    private = [f"{module}.{name}" for module, name in imports
+               if name not in importlib.import_module(module).__all__]
+    assert not private
 
 
 SOURCES = sorted(p for d in ("src", "tests", "perfbench", "demos") for p in (ROOT / d).rglob("*.py"))
