@@ -70,6 +70,7 @@ from .special import (
     _log_gamma_each,
     _log_gamma_map,
     _log_multivariate_beta_terms,
+    log_sum_exp,
     log_sum_exp_rows,
 )
 
@@ -799,8 +800,9 @@ class AggregatedValueMass(NamedTuple):
 
 # A tail bound below tail_mass * 2^-53 cannot move a sum near tail_mass.
 _LOG_NEGLIGIBLE = -53.0 * math.log(2.0)
-# Most totals nb_truncation_bound evaluates at once: 10^6 covers ten
-# standard deviations up to an NB variance R p / (1-p)^2 of about 10^10.
+_LOG_TINY = math.log(2.0**-1022)  # below the smallest normal float, values lose bits
+# Most totals nb_truncation_bound walks: 10^6 covers ten standard
+# deviations up to an NB variance R p / (1-p)^2 of about 10^10.
 _MAX_BOUND_WINDOW = 1_000_000
 
 
@@ -808,22 +810,20 @@ def nb_truncation_bound(R: float, p: float, tail_mass: float = 1e-12) -> int:
     """Smallest M such that the NB(R, p) mass beyond M is below
     ``tail_mass``.
 
-    The tail beyond M is a suffix sum of PMF values computed in log
-    space, never 1 - CDF, so it neither cancels nor underflows for large
-    R.  The sum runs up to an M_hi whose remaining tail is provably
-    negligible: past the mode the ratio pmf(m+1)/pmf(m) = p(m+R)/(m+1)
-    moves monotonically toward p, so the tail beyond M_hi is at most
-    pmf(M_hi) r / (1 - r) with r the larger of that ratio at M_hi and p.
+    The tail beyond M is a suffix sum of PMF values relative to
+    ``tail_mass``, never 1 - CDF, so it neither cancels nor underflows.
+    It is summed down from an M_hi past which the tail is at most
+    pmf(M_hi) r / (1 - r), r the larger of p and the ratio pmf(m+1)/pmf(m)
+    = p(m+R)/(m+1) at M_hi (past the mode it moves monotonically toward
+    p), each PMF value from the one above: pmf(m-1) = pmf(m) m / (p (m-1+R)).
 
     Raises
     ------
     ValueError
-        On invalid R, p or tail_mass, or if the PMF window needed exceeds
-        10^6 totals.
+        On invalid R, p or tail_mass, or if the walk spans 10^6 totals.
     """
     tail_mass = _tail_mass(tail_mass)
-    R, p = _nb_params(R, p)
-    return _nb_window(R, p, tail_mass)[0]
+    return _nb_bound(*_nb_params(R, p), tail_mass)
 
 
 def _tail_mass(tail_mass) -> float:
@@ -833,38 +833,40 @@ def _tail_mass(tail_mass) -> float:
     return tail_mass
 
 
-def _nb_window(R: float, p: float, tail_mass: float) -> tuple[int, int, np.ndarray]:
-    """``nb_truncation_bound`` on checked arguments, with the window of
-    totals it summed: ``(bound, lo, log_terms)``, where ``log_terms[i]``
-    is the NB log mass at ``lo + i`` and the window reaches past bound."""
+def _nb_bound(R: float, p: float, tail_mass: float) -> int:
+    """``nb_truncation_bound`` on checked arguments."""
     lo = max(0, math.ceil((R - 1.0) * p / (1.0 - p)))  # at or just past the mode
     hi = lo + 16 + math.ceil(10.0 * math.sqrt(R * p) / (1.0 - p))
     _check_window(R, p, lo, hi)
-    limit = math.log(tail_mass) + _LOG_NEGLIGIBLE
-    log_beyond_hi, r = _nb_tail_bound(R, p, hi)
-    if log_beyond_hi >= limit:
+    log_tail = math.log(tail_mass)
+    log_hi, log_beyond_hi, r = _nb_tail_bound(R, p, hi)
+    if log_beyond_hi >= log_tail + _LOG_NEGLIGIBLE:
         # pmf(hi + i) <= pmf(hi) r^i, and the ratio keeps falling.
-        hi += math.ceil((log_beyond_hi - limit) / -math.log(r)) + 1
+        hi += math.ceil((log_beyond_hi - log_tail - _LOG_NEGLIGIBLE) / -math.log(r)) + 1
         _check_window(R, p, lo, hi)
-        log_beyond_hi, r = _nb_tail_bound(R, p, hi)
-    beyond_hi = math.exp(log_beyond_hi)
-    while True:
-        log_terms = _nb_log_terms(_log_gamma_each, R, p, np.arange(lo, hi + 1, dtype=float))
-        from_m = np.cumsum(np.exp(log_terms)[::-1])[::-1] + beyond_hi  # mass at lo + i and beyond
-        beyond = np.append(from_m[1:], beyond_hi)  # mass beyond lo + i
-        if lo == 0 or from_m[0] >= tail_mass:
-            return lo + int(np.argmax(beyond < tail_mass)), lo, log_terms
-        # The bound lies below the mode, as for tail_mass near 1.
-        lo = 0
-        _check_window(R, p, lo, hi)
+        log_hi, log_beyond_hi, r = _nb_tail_bound(R, p, hi)
+    # Masses relative to tail_mass: the walk stops where their sum reaches 1.
+    beyond, m, log_term = math.exp(log_beyond_hi - log_tail), hi, log_hi - log_tail
+    while log_term < _LOG_TINY:  # ends before the mode, where the terms peak
+        log_term += math.log(m) - math.log(m - 1.0 + R) - math.log(p)
+        m -= 1
+    term, tail, stop = math.exp(log_term), 0.0, max(0, hi - _MAX_BOUND_WINDOW)
+    for m in range(m, stop, -1):
+        tail += term  # the mass from m to hi; with beyond, the mass beyond m - 1
+        if tail + beyond >= 1.0:
+            return m
+        term *= m / (m - 1.0 + R) / p
+    if stop:  # the walk ran out of totals before its tail reached tail_mass
+        _check_window(R, p, stop, hi)
+    return 0
 
 
-def _nb_tail_bound(R: float, p: float, m: int) -> tuple[float, float]:
-    """(log of pmf(m) r / (1 - r), r), for m past the NB mode: an upper
-    bound on the mass beyond m, with r >= every ratio pmf(i+1)/pmf(i) for
-    i >= m."""
+def _nb_tail_bound(R: float, p: float, m: int) -> tuple[float, float, float]:
+    """(log pmf(m), log of pmf(m) r / (1 - r) >= the mass beyond m, r), for
+    m past the NB mode, with r >= every ratio pmf(i+1)/pmf(i) for i >= m."""
     r = p * max(m + R, m + 1.0) / (m + 1.0)
-    return _nb_log_terms(_log_gamma_map, R, p, m) + math.log(r / (1.0 - r)), r
+    log_pmf = _nb_log_terms(_log_gamma_map, R, p, m)
+    return log_pmf, log_pmf + math.log(r / (1.0 - r)), r
 
 
 def _check_window(R: float, p: float, lo: int, hi: int) -> None:
@@ -887,50 +889,49 @@ def normalized_nb_value_pmf(
     masses are summed for all such pairs with total <= M, where M is the
     smallest bound leaving NB tail mass below ``tail_mass``.
 
-    ``value`` may be a ``fractions.Fraction`` or a ``(k, m)`` pair
+    ``value`` may be a ``fractions.Fraction`` or a ``(k, m)`` tuple or list
     (reduced internally).  The m = 0 atom is not a rational value and is
     not included here; its log mass is ``R * log(1-p)``.
     """
-    if isinstance(value, Fraction):
-        frac = value
-    else:
+    if isinstance(value, (tuple, list)):
+        if len(value) != 2:
+            raise ValueError(f"value must be a (k, m) pair, got length {len(value)}")
         k, m = value
         if _as_count(m, "value denominator") < 1:
             raise ValueError("value must have denominator m >= 1")
-        frac = Fraction(_as_count(k, "value numerator"), int(m))
-    if frac < 0 or frac > 1:
-        raise ValueError(f"value must lie in [0, 1], got {frac}")
-    value = np.array([[frac.numerator, frac.denominator]])
-    log_mass, bound = _value_pmf_rows(params, component, value[:, 0], value[:, 1], tail_mass)
-    return AggregatedValueMass(float(log_mass[0]), bound)
+        value = Fraction(_as_count(k, "value numerator"), int(m))
+    elif not isinstance(value, Fraction):
+        raise TypeError(
+            f"value must be a fractions.Fraction or a (k, m) pair, not {type(value).__name__}")
+    if value < 0 or value > 1:
+        raise ValueError(f"value must lie in [0, 1], got {value}")
+    a, b, big_r, p, bound = _value_pmf_setup(params, component, tail_mass)
+    j = np.arange(1.0, bound // value.denominator + 1.0)
+    k, m = value.numerator * j, value.denominator * j
+    terms = _nb_log_terms(_log_gamma_each, big_r, p, m) + _bb_log_terms(_log_gamma_each, a, b, k, m)
+    return AggregatedValueMass(log_sum_exp(terms) if j.size else -math.inf, bound)
 
 
 def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, denominators,
                     tail_mass: float) -> tuple[np.ndarray, int]:
-    """Batch form of ``normalized_nb_value_pmf`` over reduced values k/m
-    in [0, 1], given as arrays of k and m: the log masses, and the bound
-    M they share.  The pair masses of the values with the same number of
-    multiples are summed as the rows of one ``log_sum_exp_rows``, never
-    padded, so each entry equals the scalar value bit for bit.
-
-    The NB log masses at totals the bound's window covers are read from
-    it; only the totals below its start are computed again, by the same
-    elementwise formula, so they carry the same bits either way."""
-    a, b, big_r = _merged_shapes(params, component)
-    tail_mass = _tail_mass(tail_mass)
-    p = _success_prob(params)
-    bound, lo, window = _nb_window(big_r, p, tail_mass)
+    """Batch form of ``normalized_nb_value_pmf`` over reduced values k/m in
+    [0, 1], as arrays of k and m: the log masses, and the bound M they
+    share.  The values with the same number of multiples are the rows of
+    one ``log_sum_exp_rows``, so each entry equals the scalar's bits."""
+    a, b, big_r, p, bound = _value_pmf_setup(params, component, tail_mass)
     count = bound // denominators
     out = np.full(count.shape, -math.inf)
     for c in set(count.tolist()) - {0}:
         (rows,) = np.nonzero(count == c)
         j = np.arange(1.0, c + 1.0)
         k, m = numerators[rows, None] * j, denominators[rows, None] * j
-        log_nb = window.take((m - lo).astype(np.intp), mode="clip")  # right where m >= lo
-        # Every denominator with c multiples up to the bound exceeds
-        # bound // (c + 1), so only a lo past that leaves multiples below it.
-        if lo > bound // (c + 1) + 1:
-            below = m < lo
-            log_nb[below] = _nb_log_terms(_log_gamma_each, big_r, p, m[below])
-        out[rows] = log_sum_exp_rows(log_nb + _bb_log_terms(_log_gamma_each, a, b, k, m))
+        out[rows] = log_sum_exp_rows(_nb_log_terms(_log_gamma_each, big_r, p, m)
+                                     + _bb_log_terms(_log_gamma_each, a, b, k, m))
     return out, bound
+
+
+def _value_pmf_setup(params: GammaMixtureParams, component: int, tail_mass):
+    """The merged shapes (a, b, R), p and the truncation bound of a value PMF."""
+    a, b, big_r = _merged_shapes(params, component)
+    tail_mass, p = _tail_mass(tail_mass), _success_prob(params)
+    return a, b, big_r, p, _nb_bound(big_r, p, tail_mass)

@@ -438,6 +438,19 @@ class TestNbTruncationBound:
         assert nb_truncation_bound(big_r, p, 1e-14) == 902
         assert _nb_tail(891, big_r, p) > 3e-14
 
+    def test_bound_below_the_mode_at_large_shape(self):
+        # The bound's window once widened back to total 0 here and refused:
+        # "needs totals 0..1014158, more than 1000000 at once".
+        for big_r, tail_mass in ((1e6, 0.999), (1e7, 0.9)):
+            bound = nb_truncation_bound(big_r, 0.5, tail_mass)
+            assert _nb_tail(bound, big_r, 0.5) < tail_mass <= _nb_tail(bound - 1, big_r, 0.5)
+
+    def test_steep_tail_far_below_the_smallest_float(self):
+        # p = 1e-30: the mass at the walk's start, total 17, is about
+        # 1e-510 and no float; the bound is 1, whose tail is about 1e-60.
+        assert nb_truncation_bound(1.0, 1e-30, 1e-35) == 1
+        assert nb_truncation_bound(1.0, 1e-30, 1e-25) == 0
+
     def test_tail_mass_near_one_lies_below_the_mode(self):
         for tail_mass in (0.3, 0.5, 0.9, 0.999):
             _assert_smallest_bound(nb_truncation_bound(40.0, 0.5, tail_mass), 40.0, 0.5, tail_mass)
@@ -458,31 +471,54 @@ class TestNbTruncationBound:
             nb_truncation_bound(-1.0, 0.5)
         with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\), got 1\.0$"):
             nb_truncation_bound(2.0, 1.0)
-        with pytest.raises(ValueError, match="more than 1000000"):
+        past_the_mode = r"needs totals 999999999999999\.\.1000000447213611, more than 1000000 at once$"
+        with pytest.raises(ValueError, match=past_the_mode):
             nb_truncation_bound(1e15, 0.5)
+        # The walk down from 10 sd past the mode needs 13 sd = 1.2e6 totals.
+        with pytest.raises(ValueError, match="more than 1000000 at once"):
+            nb_truncation_bound(4e9, 0.5, 0.999)
 
 
-# (R, p, tail_mass) for each place the bound's window can start: at 0,
-# where the mode is 0; past 0, at the mode; and back at 0, where the bound
-# lies below the mode (tail_mass near 1).
-WINDOW_STARTS = {
-    "at zero": (0.5, 0.4, 1e-12),
-    "past zero": (40.0, 0.5, 1e-12),
-    "dropped back to zero": (40.0, 0.5, 0.999),
-}
-
-
-@pytest.mark.parametrize("start", WINDOW_STARTS)
-def test_bound_window_matches_the_public_bound_and_pmf(start):
-    big_r, p, tail_mass = WINDOW_STARTS[start]
-    bound, lo, log_terms = distributions._nb_window(big_r, p, tail_mass)
+def _oracle_tails(big_r, p, tail_mass, bound):
+    """The NB mass beyond ``bound`` and beyond ``bound - 1``, each divided
+    by ``tail_mass``: suffix sums by ``math.fsum`` of the exps of NB log
+    masses (the batch form, bit for bit the scalar's) taken relative to
+    ``tail_mass``, so that no term underflows.  The sum runs past the mode
+    to where a term falls below 2^-80 of ``tail_mass``."""
     mode = max(0, math.ceil((big_r - 1.0) * p / (1.0 - p)))
-    assert {"at zero": mode == lo == 0, "past zero": lo == mode > 0,
-            "dropped back to zero": mode > lo == 0}[start]
-    assert bound == nb_truncation_bound(big_r, p, tail_mass)
-    assert lo <= bound < lo + log_terms.size
-    totals = range(lo, lo + log_terms.size)
-    assert log_terms.tolist() == [negative_binomial_log_pmf(big_r, p, m) for m in totals]
+    step = 64 + math.ceil(4.0 * math.sqrt(big_r * p) / (1.0 - p))
+    terms, start = [], max(0, bound)
+    while True:
+        m = np.arange(start, start + step)
+        logs = distributions.negative_binomial_log_pmf_rows(big_r, p, m) - math.log(tail_mass)
+        terms += np.exp(logs).tolist()
+        start += step
+        if start > mode and logs[-1] < -80.0 * math.log(2.0):
+            break
+    return math.fsum(terms[1:]), math.fsum(terms)
+
+
+def test_bound_equals_a_suffix_sum_oracle():
+    # A seeded grid over R in [1e-2, 1e6], p in [0.02, 0.98] and
+    # tail_mass in [1e-300, 0.999], with a subnormal tail_mass besides:
+    # the bound is the smallest M whose oracle tail is below tail_mass,
+    # wherever that tail at M and at M - 1 lies more than 1e-9 relative
+    # from tail_mass (closer, the oracle's own rounding decides).
+    rng = np.random.default_rng(24)
+    tails = (1e-300, 1e-100, 1e-12, 1e-6, 0.1, 0.5, 0.9, 0.999, 5e-324)
+    starts, compared = set(), 0
+    for i in range(90):
+        big_r, p = 10.0 ** rng.uniform(-2.0, 6.0), rng.uniform(0.02, 0.98)
+        tail_mass = tails[i % len(tails)]
+        bound = nb_truncation_bound(big_r, p, tail_mass)
+        mode = max(0, math.ceil((big_r - 1.0) * p / (1.0 - p)))
+        starts.add("at zero" if mode == 0 else "past zero" if bound >= mode else "below the mode")
+        beyond, from_bound = _oracle_tails(big_r, p, tail_mass, bound)
+        if abs(beyond - 1.0) > 1e-9 and abs(from_bound - 1.0) > 1e-9:
+            assert beyond < 1.0 and (bound == 0 or from_bound >= 1.0), (big_r, p, tail_mass)
+            compared += 1
+    assert starts == {"at zero", "past zero", "below the mode"}
+    assert compared >= 85
 
 
 # A scale past about 2**53 rounds p = scale / (1 + scale) to 1.0.
@@ -600,13 +636,12 @@ class TestNormalizedNbValuePmf:
             assert ((log_mass == -math.inf) == (m > bound)).all()
         assert empty > 0
 
-    def test_window_reads_equal_the_nb_at_each_multiple_bitwise(self):
-        # The NB log masses are read from the bound's window where it
-        # covers a multiple and computed below its start; either way they
-        # carry the bits of the NB evaluated at that multiple on its own.
+    def test_equals_the_pair_rows_at_its_multiples_bitwise(self):
+        # The log mass is log_sum_exp of the pair masses at (j k, j m) for
+        # j up to bound // m, and the value's row of the batch form.
         rng = np.random.default_rng(21)
-        seen = set()
-        for _ in range(300):
+        empty = 0
+        for _ in range(200):
             params = GammaMixtureParams(np.exp(rng.uniform(-2.0, 3.0, 2)), np.exp(rng.uniform(-2.5, 1.0)))
             tail_mass = float(rng.choice([1e-12, 0.5, 0.999]))
             den = int(rng.integers(1, 9))
@@ -615,17 +650,15 @@ class TestNormalizedNbValuePmf:
             log_mass, bound = distributions._value_pmf_rows(
                 params, 0, np.array([q.numerator]), np.array([q.denominator]), tail_mass)
             assert (out.log_mass, out.truncation_bound) == (log_mass[0], bound)
-            a, b, big_r = distributions._merged_shapes(params, 0)
-            p = params.success_prob
-            j = np.arange(1.0, bound // q.denominator + 1.0)
-            k, m = q.numerator * j, q.denominator * j
-            terms = (distributions._nb_log_terms(distributions._log_gamma_each, big_r, p, m)
-                     + distributions._bb_log_terms(distributions._log_gamma_each, a, b, k, m))
-            assert out.log_mass == (log_sum_exp(terms.tolist()) if j.size else -math.inf)
-            _, lo, _ = distributions._nb_window(big_r, p, tail_mass)
-            seen.add((lo > 0, bool(j.size) and q.denominator < lo))
-        # Windows at 0 and past it, with and without multiples below it.
-        assert {(False, False), (True, True), (True, False)} <= seen
+            j = np.arange(1, bound // q.denominator + 1)
+            if j.size:
+                pairs = distributions.normalized_nb_log_pmf_rows(
+                    params, 0, q.numerator * j, q.denominator * j)
+                assert out.log_mass == log_sum_exp(pairs)
+            else:
+                assert out.log_mass == -math.inf
+                empty += 1
+        assert empty > 0
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):

@@ -295,6 +295,33 @@ def test_infinite_count_refused_by_name():
         negative_binomial_log_pmf(2.0, 0.5, math.inf)
 
 
+# The value of normalized_nb_value_pmf is a Fraction or a (k, m) pair
+# of counts, read by one rule: (value, error class, message).
+_PAIR_OR_FRACTION = "value must be a fractions.Fraction or a (k, m) pair, not "
+VALUE_FORMS = {
+    "float": (0.5, TypeError, _PAIR_OR_FRACTION + "float"),
+    "text": ("1/2", TypeError, _PAIR_OR_FRACTION + "str"),
+    "ndarray": (np.array([1, 2]), TypeError, _PAIR_OR_FRACTION + "ndarray"),
+    "None": (None, TypeError, _PAIR_OR_FRACTION + "NoneType"),
+    "three entries": ((1, 2, 3), ValueError, "value must be a (k, m) pair, got length 3"),
+    "one entry": ([1], ValueError, "value must be a (k, m) pair, got length 1"),
+    "text numerator": (("1", 2), ValueError, "value numerator must be a non-negative integer, got '1'"),
+}
+
+
+@pytest.mark.parametrize("row", VALUE_FORMS)
+def test_value_pmf_reads_value_by_one_rule(row):
+    value, error, message = VALUE_FORMS[row]
+    with pytest.raises(error) as info:
+        normalized_nb_value_pmf(MIX, 0, value)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_value_pmf_pair_forms_agree():
+    forms = [(1, 2), [1, 2], Fraction(1, 2), (np.int64(2), 4.0)]
+    assert len({normalized_nb_value_pmf(MIX, 0, value) for value in forms}) == 1
+
+
 # p of the negative binomial is named as every other argument is, not by
 # the function that first read it: (call, message).
 NB_P = {
