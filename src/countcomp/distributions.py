@@ -847,7 +847,7 @@ def _nb_bound(R: float, p: float, tail_mass: float) -> int:
         log_hi, log_beyond_hi, r = _nb_tail_bound(R, p, hi)
     # Masses relative to tail_mass: the walk stops where their sum reaches 1.
     beyond, m, log_term = math.exp(log_beyond_hi - log_tail), hi, log_hi - log_tail
-    while log_term < _LOG_TINY:  # ends before the mode, where the terms peak
+    while log_term < _LOG_TINY and m > 0:  # far out, a value may not be a float
         log_term += math.log(m) - math.log(m - 1.0 + R) - math.log(p)
         m -= 1
     term, tail, stop = math.exp(log_term), 0.0, max(0, hi - _MAX_BOUND_WINDOW)

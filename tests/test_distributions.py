@@ -450,6 +450,9 @@ class TestNbTruncationBound:
         # 1e-510 and no float; the bound is 1, whose tail is about 1e-60.
         assert nb_truncation_bound(1.0, 1e-30, 1e-35) == 1
         assert nb_truncation_bound(1.0, 1e-30, 1e-25) == 0
+        # At R = 1e300 the NB log mass formula cancels to nothing past
+        # total 0 (ROADMAP item 2): the walk stops at 0, never taking log(0).
+        assert nb_truncation_bound(1e300, 1e-300) >= 0
 
     def test_tail_mass_near_one_lies_below_the_mode(self):
         for tail_mass in (0.3, 0.5, 0.9, 0.999):
