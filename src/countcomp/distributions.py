@@ -886,12 +886,12 @@ def normalized_nb_value_pmf(
     """Aggregated log mass of the event Y = value, for a rational value.
 
     A rational value k/m is realized by every pair (j*k, j*m); their
-    masses are summed for all such pairs with total <= M, where M is the
-    smallest bound leaving NB tail mass below ``tail_mass``.
+    ``normalized_nb_log_pmf`` masses are summed by ``log_sum_exp`` for
+    j <= M // m, M being ``nb_truncation_bound`` of the NB total.
 
-    ``value`` may be a ``fractions.Fraction`` or a ``(k, m)`` tuple or list
-    (reduced internally).  The m = 0 atom is not a rational value and is
-    not included here; its log mass is ``R * log(1-p)``.
+    ``value`` is a ``fractions.Fraction`` or a ``(k, m)`` tuple or list
+    (reduced internally).  The m = 0 atom, of log mass ``R * log(1-p)``,
+    is not a rational value and is not included here.
     """
     if isinstance(value, (tuple, list)):
         if len(value) != 2:
