@@ -70,7 +70,6 @@ from .special import (
     _log_gamma_each,
     _log_gamma_map,
     _log_multivariate_beta_terms,
-    log_sum_exp,
     log_sum_exp_rows,
 )
 
@@ -801,6 +800,9 @@ class AggregatedValueMass(NamedTuple):
 # A tail bound below tail_mass * 2^-53 cannot move a sum near tail_mass.
 _LOG_NEGLIGIBLE = -53.0 * math.log(2.0)
 _LOG_TINY = math.log(2.0**-1022)  # below the smallest normal float, values lose bits
+# From this shape on, the walk's one NB mass takes log G(m+R) - log G(R) by Stirling's
+# series (omitted terms below 1e-20), not as a difference of log-gammas near R log R.
+_SERIES_SHAPE = 1e6
 # Most totals nb_truncation_bound walks: 10^6 covers ten standard
 # deviations up to an NB variance R p / (1-p)^2 of about 10^10.
 _MAX_BOUND_WINDOW = 1_000_000
@@ -812,10 +814,9 @@ def nb_truncation_bound(R: float, p: float, tail_mass: float = 1e-12) -> int:
 
     The tail beyond M is a suffix sum of PMF values relative to
     ``tail_mass``, never 1 - CDF, so it neither cancels nor underflows.
-    It is summed down from an M_hi past which the tail is at most
-    pmf(M_hi) r / (1 - r), r the larger of p and the ratio pmf(m+1)/pmf(m)
-    = p(m+R)/(m+1) at M_hi (past the mode it moves monotonically toward
-    p), each PMF value from the one above: pmf(m-1) = pmf(m) m / (p (m-1+R)).
+    It is summed down by pmf(m-1) = pmf(m) m / (p (m-1+R)) from an M_hi
+    past which it is at most pmf(M_hi) r / (1 - r), r the larger of p and
+    pmf(M_hi+1)/pmf(M_hi) (past the mode that ratio falls toward p).
 
     Raises
     ------
@@ -847,10 +848,13 @@ def _nb_bound(R: float, p: float, tail_mass: float) -> int:
         log_hi, log_beyond_hi, r = _nb_tail_bound(R, p, hi)
     # Masses relative to tail_mass: the walk stops where their sum reaches 1.
     beyond, m, log_term = math.exp(log_beyond_hi - log_tail), hi, log_hi - log_tail
-    while log_term < _LOG_TINY and m > 0:  # far out, a value may not be a float
+    stop = max(0, hi - _MAX_BOUND_WINDOW)
+    while log_term < _LOG_TINY and m > stop:  # far out, a value may not be a float
         log_term += math.log(m) - math.log(m - 1.0 + R) - math.log(p)
         m -= 1
-    term, tail, stop = math.exp(log_term), 0.0, max(0, hi - _MAX_BOUND_WINDOW)
+    if m == 0:  # every value from 1 to hi lay below 2^-1022 of tail_mass
+        return 0
+    term, tail = math.exp(log_term), 0.0
     for m in range(m, stop, -1):
         tail += term  # the mass from m to hi; with beyond, the mass beyond m - 1
         if tail + beyond >= 1.0:
@@ -865,7 +869,9 @@ def _nb_tail_bound(R: float, p: float, m: int) -> tuple[float, float, float]:
     """(log pmf(m), log of pmf(m) r / (1 - r) >= the mass beyond m, r), for
     m past the NB mode, with r >= every ratio pmf(i+1)/pmf(i) for i >= m."""
     r = p * max(m + R, m + 1.0) / (m + 1.0)
-    log_pmf = _nb_log_terms(_log_gamma_map, R, p, m)
+    log_pmf = _nb_log_terms(_log_gamma_map, R, p, m) if R < _SERIES_SHAPE else (
+        (R - 0.5) * math.log1p(m / R) + m * math.log(m + R) - m - m / (12.0 * R * (m + R))
+        - math.lgamma(m + 1.0) + R * math.log1p(-p) + m * math.log(p))
     return log_pmf, log_pmf + math.log(r / (1.0 - r)), r
 
 
@@ -873,8 +879,7 @@ def _check_window(R: float, p: float, lo: int, hi: int) -> None:
     if hi - lo >= _MAX_BOUND_WINDOW:
         raise ValueError(
             f"nb_truncation_bound: the tail of NB({R!r}, {p!r}) needs totals "
-            f"{lo}..{hi}, more than {_MAX_BOUND_WINDOW} at once"
-        )
+            f"{lo}..{hi}, more than {_MAX_BOUND_WINDOW} at once")
 
 
 def normalized_nb_value_pmf(
@@ -886,8 +891,8 @@ def normalized_nb_value_pmf(
     """Aggregated log mass of the event Y = value, for a rational value.
 
     A rational value k/m is realized by every pair (j*k, j*m); their
-    ``normalized_nb_log_pmf`` masses are summed by ``log_sum_exp`` for
-    j <= M // m, M being ``nb_truncation_bound`` of the NB total.
+    ``normalized_nb_log_pmf`` masses are summed for j <= M // m, M being
+    ``nb_truncation_bound`` of the NB total.
 
     ``value`` is a ``fractions.Fraction`` or a ``(k, m)`` tuple or list
     (reduced internally).  The m = 0 atom, of log mass ``R * log(1-p)``,
@@ -905,20 +910,20 @@ def normalized_nb_value_pmf(
             f"value must be a fractions.Fraction or a (k, m) pair, not {type(value).__name__}")
     if value < 0 or value > 1:
         raise ValueError(f"value must lie in [0, 1], got {value}")
-    a, b, big_r, p, bound = _value_pmf_setup(params, component, tail_mass)
-    j = np.arange(1.0, bound // value.denominator + 1.0)
-    k, m = value.numerator * j, value.denominator * j
-    terms = _nb_log_terms(_log_gamma_each, big_r, p, m) + _bb_log_terms(_log_gamma_each, a, b, k, m)
-    return AggregatedValueMass(log_sum_exp(terms) if j.size else -math.inf, bound)
+    value = np.array([[value.numerator, value.denominator]])
+    log_mass, bound = _value_pmf_rows(params, component, value[:, 0], value[:, 1], tail_mass)
+    return AggregatedValueMass(float(log_mass[0]), bound)
 
 
 def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, denominators,
                     tail_mass: float) -> tuple[np.ndarray, int]:
     """Batch form of ``normalized_nb_value_pmf`` over reduced values k/m in
-    [0, 1], as arrays of k and m: the log masses, and the bound M they
-    share.  The values with the same number of multiples are the rows of
-    one ``log_sum_exp_rows``, so each entry equals the scalar's bits."""
-    a, b, big_r, p, bound = _value_pmf_setup(params, component, tail_mass)
+    [0, 1], as arrays of k and m: the log masses and their shared bound M.
+    Values with equal multiple counts are the rows of one unpadded
+    ``log_sum_exp_rows``, so each entry equals the value alone bit for bit."""
+    a, b, big_r = _merged_shapes(params, component)
+    tail_mass, p = _tail_mass(tail_mass), _success_prob(params)
+    bound = _nb_bound(big_r, p, tail_mass)
     count = bound // denominators
     out = np.full(count.shape, -math.inf)
     for c in set(count.tolist()) - {0}:
@@ -928,10 +933,3 @@ def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, deno
         out[rows] = log_sum_exp_rows(_nb_log_terms(_log_gamma_each, big_r, p, m)
                                      + _bb_log_terms(_log_gamma_each, a, b, k, m))
     return out, bound
-
-
-def _value_pmf_setup(params: GammaMixtureParams, component: int, tail_mass):
-    """The merged shapes (a, b, R), p and the truncation bound of a value PMF."""
-    a, b, big_r = _merged_shapes(params, component)
-    tail_mass, p = _tail_mass(tail_mass), _success_prob(params)
-    return a, b, big_r, p, _nb_bound(big_r, p, tail_mass)

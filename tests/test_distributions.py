@@ -452,9 +452,42 @@ class TestNbTruncationBound:
         # 1e-510 and no float; the bound is 1, whose tail is about 1e-60.
         assert nb_truncation_bound(1.0, 1e-30, 1e-35) == 1
         assert nb_truncation_bound(1.0, 1e-30, 1e-25) == 0
-        # At R = 1e300 the NB log mass formula cancels to nothing past
-        # total 0 (ROADMAP item 2): the walk stops at 0, never taking log(0).
-        assert nb_truncation_bound(1e300, 1e-300) >= 0
+        # Every mass past 0 lies below 2^-1022 of tail_mass; the mass at 0
+        # is 1, which is 2^1074 tail_mass, and its exp overflowed.  The mass
+        # beyond 0 is about R p = 5e-634.
+        assert nb_truncation_bound(1e-310, 5e-324, 5e-324) == 0
+        assert nb_truncation_bound(1e-300, 1e-300, 5e-324) == 0
+        # NB(1e300, 1e-300) is Poisson(1) to 1e-300, whose mass beyond 13
+        # is 4.5e-12 and beyond 14 is 3.0e-13.
+        assert nb_truncation_bound(1e300, 1e-300) == 14
+
+    def test_bound_at_large_shape_equals_a_50_digit_oracle(self):
+        # R from 1e8 to 1e15, mean 1 to 100: there a difference of two
+        # log-gammas near R log R loses bits in proportion to R, and moved
+        # the bound by up to 3 totals when it set the walk's one NB mass.
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            big_r, mean = 10.0 ** rng.uniform(8, 15), 10.0 ** rng.uniform(0, 2)
+            p, tail_mass = mean / big_r, 10.0 ** rng.uniform(-14, -3)
+            assert nb_truncation_bound(big_r, p, tail_mass) == _mpmath_bound(big_r, p, tail_mass)
+        assert nb_truncation_bound(1e15, 1e-15) == 14
+        # Poisson(1e8) to 1e-292: a 30-digit suffix sum puts its mass beyond
+        # 100070352 at 1.00030e-12 and beyond 100070353 at 9.9958e-13.
+        assert nb_truncation_bound(1e300, 1e-292) == 100070353
+
+    def test_log_walk_stops_at_the_cap(self, monkeypatch):
+        # An NB mass at M_hi far too small, as a cancelling log-gamma
+        # difference once gave at R = 1e300, keeps the walk in log space;
+        # it stops after 10^6 totals, as the walk proper does.
+        tail_bound = distributions._nb_tail_bound
+
+        def too_small(big_r, p, m):
+            log_pmf, log_beyond, r = tail_bound(big_r, p, m)
+            return log_pmf - 1e4, log_beyond - 1e4, r
+
+        monkeypatch.setattr(distributions, "_nb_tail_bound", too_small)
+        with pytest.raises(ValueError, match="more than 1000000 at once"):
+            nb_truncation_bound(1e8, 0.5)
 
     def test_tail_mass_near_one_lies_below_the_mode(self):
         for tail_mass in (0.3, 0.5, 0.9, 0.999):
@@ -482,6 +515,24 @@ class TestNbTruncationBound:
         # The walk down from 10 sd past the mode needs 13 sd = 1.2e6 totals.
         with pytest.raises(ValueError, match="more than 1000000 at once"):
             nb_truncation_bound(4e9, 0.5, 0.999)
+
+
+def _mpmath_bound(big_r, p, tail_mass):
+    """The smallest M whose NB mass beyond M is below ``tail_mass``, at
+    50 digits: the mass 20 sd past the mode by log-gammas, every mass below
+    it by the ratio pmf(m-1)/pmf(m), summed down until the sum reaches
+    ``tail_mass`` (at mean 100 at most, what lies beyond is below 1e-40)."""
+    with mpmath.workdps(50):
+        big_r, p = mpmath.mpf(big_r), mpmath.mpf(p)
+        m = int((big_r - 1) * p / (1 - p) + 32 + 20 * mpmath.sqrt(big_r * p) / (1 - p))
+        term = mpmath.exp(mpmath.loggamma(m + big_r) - mpmath.loggamma(big_r)
+                          - mpmath.loggamma(m + 1) + big_r * mpmath.log1p(-p) + m * mpmath.log(p))
+        tail = mpmath.mpf(0)
+        while tail + term < tail_mass:
+            tail += term
+            term *= m / (p * (m - 1 + big_r))
+            m -= 1
+        return m
 
 
 def _oracle_tails(big_r, p, tail_mass, bound):
