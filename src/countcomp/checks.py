@@ -27,7 +27,8 @@ suite's samples of 10^4 and more never reach.
 ``run_all`` executes the whole suite deterministically: every check
 draws from its own substream derived from the master seed, and reports
 come back in a fixed order, so two runs with the same seed produce
-byte-identical reports.
+byte-identical reports.  Each report's name is fixed in its row of the
+suite table (``_suite``) at both levels, and known before the check runs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy import special as sc
@@ -330,8 +330,8 @@ def _mixed_rel_err(got, want):
 # ---------------------------------------------------------------------------
 
 
-def _check_conditional_multinomial(rates, m: int, trials: int, rng: np.random.Generator, *,
-                                   seed: int = -1) -> CheckReport:
+def _check_conditional_multinomial(name: str, rates, m: int, trials: int, rng: np.random.Generator,
+                                   seed: int) -> CheckReport:
     """Condition independent Poisson draws on their total hitting m and
     chi-square the kept vectors against Multinomial(m, rates/sum(rates)).
 
@@ -352,7 +352,6 @@ def _check_conditional_multinomial(rates, m: int, trials: int, rng: np.random.Ge
     # inverse index is its cell's.
     _, inverse = np.unique(np.concatenate([cells, kept]), axis=0, return_inverse=True)
     observed = np.bincount(inverse[len(cells):], minlength=len(cells))[inverse[:len(cells)]]
-    name = f"conditional-multinomial-n{n}-m{m}"
     if accepted < 10 * len(cells):
         return CheckReport(
             name=name, statistic=float(accepted), threshold=float(10 * len(cells)),
@@ -364,13 +363,13 @@ def _check_conditional_multinomial(rates, m: int, trials: int, rng: np.random.Ge
     return _p_value_report(name, p, accepted, seed)
 
 
-def _check_pi_independent_of_s(params: GammaMixtureParams, trials: int, rng: np.random.Generator,
-                               *, seed: int = -1, negative_control: bool = False) -> CheckReport:
+def _check_pi_independent_of_s(name: str, params: GammaMixtureParams, negative_control: bool,
+                               trials: int, rng: np.random.Generator, seed: int) -> CheckReport:
     """Test independence of the normalized intensity pi_1 and the count
     total S on simulated pairs (n = 2): pi_1 binned into deciles, S into
     {0, 1, 2, >=3}, chi-square on the contingency table.
 
-    With ``negative_control=True`` the totals are replaced by a
+    With ``negative_control`` set the totals are replaced by a
     deterministic function of pi_1; the check then passes only if the
     test rejects, guarding against a vacuous independence test.
     """
@@ -390,16 +389,15 @@ def _check_pi_independent_of_s(params: GammaMixtureParams, trials: int, rng: np.
     p = _contingency_p(table)
     if negative_control:
         return CheckReport(
-            name="pi-independence-negative-control",
-            statistic=p, threshold=P_FLOOR, passed=p < P_FLOOR,
+            name=name, statistic=p, threshold=P_FLOOR, passed=p < P_FLOOR,
             size=trials, seed=seed,
             detail="constructed dependence: p-value must FALL BELOW threshold",
         )
-    return _p_value_report(f"pi-independence-r{r1:g}-{r2:g}-theta{theta:g}", p, trials, seed)
+    return _p_value_report(name, p, trials, seed)
 
 
-def _check_dm_integral(shapes, m: int, trials: int, rng: np.random.Generator, *,
-                       seed: int = -1) -> CheckReport:
+def _check_dm_integral(name: str, shapes, m: int, trials: int, rng: np.random.Generator,
+                       seed: int) -> CheckReport:
     """Monte-Carlo the Multinomial-over-Dirichlet integral and compare it
     cell by cell against the closed-form Dirichlet-Multinomial mass.
 
@@ -418,12 +416,11 @@ def _check_dm_integral(shapes, m: int, trials: int, rng: np.random.Generator, *,
     stderr = mass.std(axis=1, ddof=1) / math.sqrt(trials)
     target = dirichlet_multinomial_log_pmf_rows(shapes, m, cells)
     z = np.abs(estimate - np.exp(target)) / np.maximum(stderr, 1e-300)
-    return _error_report(f"dm-integral-n{n}-m{m}", float(z.max()), 4.0, trials, seed,
+    return _error_report(name, float(z.max()), 4.0, trials, seed,
                          "max |z| across cells must stay below threshold")
 
 
-def _check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
-                               seed: int = -1) -> CheckReport:
+def _check_beta_binomial_merge(name: str, r, m: int, trials: int, rng, seed: int) -> CheckReport:
     """Exact check that merging all but the first category of a
     Dirichlet-Multinomial yields the Beta-Binomial marginal: for every k,
     the summed DM mass over {x : x_1 = k} must match it.
@@ -440,11 +437,10 @@ def _check_beta_binomial_merge(r, m: int, trials: int = 0, rng=None, *,
     for k in range(m + 1):
         merged = log_sum_exp(log_mass[cells[:, 0] == k])
         worst = max(worst, float(_mixed_rel_err(merged, beta_binomial_log_pmf(bb, k))))
-    return _error_report(f"beta-binomial-merge-n{n}-m{m}", worst, 1e-10, len(cells), seed,
-                         "max log-mass rel. error across k")
+    return _error_report(name, worst, 1e-10, len(cells), seed, "max log-mass rel. error across k")
 
 
-def _transform_pointwise(transform: str, trials_per_n: int, rng, seed) -> CheckReport:
+def _transform_pointwise(name: str, transform: str, trials_per_n: int, rng, seed) -> CheckReport:
     """Check, at ``trials_per_n`` random points and concentrations for
     each n = 2..6, that the closed-form push-forward density equals the
     Dirichlet density at the pulled-back point plus the closed-form
@@ -462,11 +458,11 @@ def _transform_pointwise(transform: str, trials_per_n: int, rng, seed) -> CheckR
             x, log_det = log_ratio_inverse_rows(y)
         pulled = dirichlet_log_pdf_rows(a, x) + log_det
         worst = max(worst, float(_mixed_rel_err(direct, pulled).max(initial=0.0)))
-    return _error_report(f"change-of-variables-{transform}", worst, 1e-12, 5 * trials_per_n, seed,
+    return _error_report(name, worst, 1e-12, 5 * trials_per_n, seed,
                          f"max log-density rel. error over {trials_per_n} points per n=2..6")
 
 
-def _transform_ks(transform: str, alpha, trials: int, rng, seed) -> CheckReport:
+def _transform_ks(name: str, transform: str, alpha, trials: int, rng, seed) -> CheckReport:
     """Transform ``trials`` Dir(alpha) samples (n = 2) and run a KS test
     against the push-forward CDF: batch adaptive-Simpson quadrature of
     the library's batch density (``inverted_dirichlet_log_pdf_rows`` or
@@ -485,7 +481,6 @@ def _transform_ks(transform: str, alpha, trials: int, rng, seed) -> CheckReport:
     # Under the law, the CDF values at the sample are uniform on (0, 1).
     cdf = _push_forward_cdf(params.alpha, transform, knots)
     d, p = _ks_test(np.clip(np.sort(cdf), 0.0, 1.0))
-    name = f"transform-ks-{transform}-alpha{params.alpha[0]:g}-{params.alpha[1]:g}"
     return _p_value_report(name, p, trials, seed, note=f"KS D={d:.6g}")
 
 
@@ -546,7 +541,7 @@ def _lemma_det(diag, u, v):
     return (1.0 + np.vecdot(v, u / diag)) * np.prod(diag, axis=-1)
 
 
-def _check_jacobian_fd(transform: str, trials_per_n: int, rng, seed) -> CheckReport:
+def _check_jacobian_fd(name: str, transform: str, trials_per_n: int, rng, seed) -> CheckReport:
     if transform == "ratio":
         inverse_rows, low, high = ratio_inverse_rows, 0.1, 3.0
     else:
@@ -557,11 +552,12 @@ def _check_jacobian_fd(transform: str, trials_per_n: int, rng, seed) -> CheckRep
         gap = _fd_log_det_rows(inverse_rows, y) - inverse_rows(y)[1]
         # math.exp, not np.exp, which can differ from it in the last ulp.
         worst = max([worst] + [abs(math.exp(g) - 1.0) for g in gap.tolist()])
-    return _error_report(f"jacobian-finite-difference-{transform}", worst, 1e-6, 5 * trials_per_n,
-                         seed, "max determinant rel. error vs central differences, n=2..6")
+    return _error_report(name, worst, 1e-6, 5 * trials_per_n, seed,
+                         "max determinant rel. error vs central differences, n=2..6")
 
 
-def _check_lemma_substitution(transform: str, trials_per_n: int, rng, seed) -> CheckReport:
+def _check_lemma_substitution(name: str, transform: str, trials_per_n: int, rng,
+                              seed) -> CheckReport:
     # Rebuild each Jacobian as diagonal + rank-one, take its determinant
     # through the matrix determinant lemma, and compare against both the
     # closed form and a dense LU determinant.  math.log and math.exp, not
@@ -588,11 +584,11 @@ def _check_lemma_substitution(transform: str, trials_per_n: int, rng, seed) -> C
         exp_closed = np.fromiter(map(math.exp, closed.tolist()), float, closed.size)
         gaps = np.abs(np.concatenate([lemma / exp_closed, lemma / dense]) - 1.0)
         worst = max(worst, float(gaps.max(initial=0.0)))
-    return _error_report(f"determinant-lemma-{transform}", worst, 1e-10, 5 * trials_per_n, seed,
+    return _error_report(name, worst, 1e-10, 5 * trials_per_n, seed,
                          "lemma route vs closed form and LU determinant, n=2..6")
 
 
-def _check_round_trips(trials_per_n: int, rng, seed) -> CheckReport:
+def _check_round_trips(name: str, trials_per_n: int, rng, seed) -> CheckReport:
     # The rows are compositions already: map them without checking (and
     # renormalizing) them a second time.
     worst = 0.0
@@ -601,17 +597,16 @@ def _check_round_trips(trials_per_n: int, rng, seed) -> CheckReport:
         x = composition_rows(raw / raw.sum(axis=1, keepdims=True))
         for back, _ in (ratio_inverse_rows(_ratios(x)), log_ratio_inverse_rows(_log_ratios(x))):
             worst = max(worst, float(np.abs(back / x - 1.0).max(initial=0.0)))
-    return _error_report("transform-round-trips", worst, 1e-12, 7 * trials_per_n, seed,
+    return _error_report(name, worst, 1e-12, 7 * trials_per_n, seed,
                          "max componentwise rel. error, both transforms, n=2..8")
 
 
-def _check_conditional_scale_invariance(trials, rng, seed) -> CheckReport:
+def _check_conditional_scale_invariance(name: str, trials, rng, seed) -> CheckReport:
     # The conditional law depends on the rates only through rates/sum(rates):
     # at ten times the rates of conditional-multinomial-n2-m2, the counts
     # conditioned on their total follow the same Multinomial(1/2, 1/2).
-    report = _check_conditional_multinomial((10.0, 10.0), 20, trials, rng, seed=seed)
-    return replace(report, name="conditional-multinomial-scale-invariance",
-                   detail=f"rates (10, 10), m=20: {report.detail}")
+    report = _check_conditional_multinomial(name, (10.0, 10.0), 20, trials, rng, seed)
+    return replace(report, detail=f"rates (10, 10), m=20: {report.detail}")
 
 
 def _compositions_up_to(n: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -623,38 +618,41 @@ def _compositions_up_to(n: int, m_max: int) -> tuple[np.ndarray, np.ndarray, np.
     return np.concatenate(blocks), np.repeat(np.arange(m_max + 1), sizes), np.cumsum(sizes)[:-1]
 
 
-def _check_multinomial_normalization(m_max: int, trials, rng, seed) -> CheckReport:
+def _worst_log_total_mass(log_pmf_rows, low: float, high: float, m_max: int, trials,
+                          rng) -> tuple[float, int]:
+    """The largest |log total mass| over every m <= m_max and n = 2, 3, 4,
+    at ``trials`` parameter vectors per n drawn uniform on [low, high),
+    and the number of masses taken.  ``log_pmf_rows(draw, totals, cells)``
+    gives the log mass of each cell at one draw."""
     worst = 0.0
     count = 0
     for n in (2, 3, 4):
         cells, totals, starts = _compositions_up_to(n, m_max)
         for _ in range(trials):
-            raw = rng.uniform(0.05, 1.0, size=n)
-            probs = Composition(raw / raw.sum())
-            terms = multinomial_log_pmf_rows(totals, probs, cells)
+            terms = log_pmf_rows(rng.uniform(low, high, size=n), totals, cells)
             for per_m in np.split(terms, starts):
                 worst = max(worst, abs(log_sum_exp(per_m)))
             count += len(terms)
+    return worst, count
+
+
+def _check_multinomial_normalization(name: str, m_max: int, trials, rng, seed) -> CheckReport:
+    def log_pmf_rows(raw, totals, cells):
+        return multinomial_log_pmf_rows(totals, Composition(raw / raw.sum()), cells)
+
+    worst, count = _worst_log_total_mass(log_pmf_rows, 0.05, 1.0, m_max, trials, rng)
     detail = f"max |log total mass| over n<=4, m<={m_max}, {trials} random prob vectors"
-    return _error_report("multinomial-normalization", worst, 1e-10, count, seed, detail)
+    return _error_report(name, worst, 1e-10, count, seed, detail)
 
 
-def _check_dm_normalization(m_max: int, trials, rng, seed) -> CheckReport:
-    worst = 0.0
-    count = 0
-    for n in (2, 3, 4):
-        cells, totals, starts = _compositions_up_to(n, m_max)
-        for _ in range(trials):
-            shapes = rng.uniform(0.2, 5.0, size=n)
-            terms = dirichlet_multinomial_log_pmf_rows(shapes, totals, cells)
-            for per_m in np.split(terms, starts):
-                worst = max(worst, abs(log_sum_exp(per_m)))
-            count += len(terms)
+def _check_dm_normalization(name: str, m_max: int, trials, rng, seed) -> CheckReport:
+    worst, count = _worst_log_total_mass(dirichlet_multinomial_log_pmf_rows, 0.2, 5.0, m_max,
+                                         trials, rng)
     detail = f"max |log total mass| over n<=4, m<={m_max}, {trials} random shape vectors"
-    return _error_report("dirichlet-multinomial-normalization", worst, 1e-10, count, seed, detail)
+    return _error_report(name, worst, 1e-10, count, seed, detail)
 
 
-def _check_dm_symmetry(trials, rng, seed) -> CheckReport:
+def _check_dm_symmetry(name: str, trials, rng, seed) -> CheckReport:
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 6))
@@ -665,11 +663,11 @@ def _check_dm_symmetry(trials, rng, seed) -> CheckReport:
         base = dirichlet_multinomial_log_pmf(shapes, m, CountVector(x))
         permuted = dirichlet_multinomial_log_pmf(shapes[perm], m, CountVector(x[perm]))
         worst = max(worst, abs(base - permuted))
-    return _error_report("dirichlet-multinomial-symmetry", worst, 0.0, trials, seed,
+    return _error_report(name, worst, 0.0, trials, seed,
                          "joint permutation of shapes and counts leaves the mass unchanged exactly")
 
 
-def _check_nb_normalization(trials=0, rng=None, seed=-1) -> CheckReport:
+def _check_nb_normalization(name: str, trials, rng, seed) -> CheckReport:
     worst = 0.0
     size = 0
     for big_r, p in ((2.5, 0.3), (1.0, 0.5), (4.0, 0.7)):
@@ -677,17 +675,16 @@ def _check_nb_normalization(trials=0, rng=None, seed=-1) -> CheckReport:
         terms = negative_binomial_log_pmf_rows(big_r, p, np.arange(bound + 1))
         worst = max(worst, abs(math.expm1(log_sum_exp(terms))))
         size = max(size, bound)
-    return _error_report("negative-binomial-normalization", worst, 1e-10, size, seed,
+    return _error_report(name, worst, 1e-10, size, seed,
                          "|truncated total mass - 1| with tail below 1e-14")
 
 
-def _check_normalized_nb_mass(shapes, theta, trials=0, rng=None, seed=-1) -> CheckReport:
+def _check_normalized_nb_mass(name: str, shapes, theta, trials, rng, seed) -> CheckReport:
     params = GammaMixtureParams(shapes, theta)
     bound = nb_truncation_bound(params.total_shape, params.success_prob, 1e-12)
     total = math.exp(log_sum_exp(normalized_nb_log_pmf_rows(params, 0, *_pairs(0, bound))))
-    label = "-".join(f"{s:g}" for s in params.shapes)
-    return _error_report(f"normalized-nb-mass-r{label}-theta{theta:g}", abs(total - 1.0), 1e-9,
-                         bound, seed, "pair masses for k<=m<=M must sum to 1 (NB tail below 1e-12)")
+    return _error_report(name, abs(total - 1.0), 1e-9, bound, seed,
+                         "pair masses for k<=m<=M must sum to 1 (NB tail below 1e-12)")
 
 
 def _pairs(first: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -698,7 +695,7 @@ def _pairs(first: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return k, m
 
 
-def _check_value_pmf_partition(trials=0, rng=None, seed=-1) -> CheckReport:
+def _check_value_pmf_partition(name: str, trials, rng, seed) -> CheckReport:
     # The value-aggregated masses over all reduced rationals seen below
     # the truncation bound, plus the m=0 atom, partition the pair space.
     params = GammaMixtureParams((1.0, 1.0), 1.0)
@@ -711,12 +708,11 @@ def _check_value_pmf_partition(trials=0, rng=None, seed=-1) -> CheckReport:
     pair_total = math.exp(log_sum_exp(np.append(normalized_nb_log_pmf_rows(params, 0, k, m), atom)))
     value_logs, _ = _value_pmf_rows(params, 0, values[:, 0], values[:, 1], 1e-12)
     value_total = math.exp(log_sum_exp(np.append(value_logs, atom)))
-    return _error_report("normalized-nb-value-partition", abs(value_total - pair_total), 1e-9,
-                         len(values), seed,
+    return _error_report(name, abs(value_total - pair_total), 1e-9, len(values), seed,
                          "aggregated rational masses plus the m=0 atom equal the pair total")
 
 
-def _check_alr_normalization_quadrature(trials=0, rng=None, seed=-1) -> CheckReport:
+def _check_alr_normalization_quadrature(name: str, trials, rng, seed) -> CheckReport:
     # Trapezoid on a wide uniform grid; the integrand decays like e^{-|y|}
     # so truncation at |y| = 40 contributes ~1e-17.
     grid = np.linspace(-40.0, 40.0, 32001)
@@ -724,11 +720,11 @@ def _check_alr_normalization_quadrature(trials=0, rng=None, seed=-1) -> CheckRep
     # math.exp, not np.exp, which can differ from it in the last ulp.
     vals = np.fromiter(map(math.exp, log_density.tolist()), float, grid.size)
     mass = float(np.trapezoid(vals, grid))
-    return _error_report("alr-density-normalization-quadrature", abs(mass - 1.0), 1e-8, grid.size,
-                         seed, "trapezoid mass of the alpha=(1,1) log-ratio density over [-40, 40]")
+    return _error_report(name, abs(mass - 1.0), 1e-8, grid.size, seed,
+                         "trapezoid mass of the alpha=(1,1) log-ratio density over [-40, 40]")
 
 
-def _check_nb_mixture(big_r, theta, trials, rng, seed) -> CheckReport:
+def _check_nb_mixture(name: str, big_r, theta, trials, rng, seed) -> CheckReport:
     params = GammaMixtureParams((big_r,), theta)
     p = params.success_prob
     draws = negative_binomial_sample_via_mixture(big_r, theta, rng, size=trials)
@@ -737,17 +733,16 @@ def _check_nb_mixture(big_r, theta, trials, rng, seed) -> CheckReport:
     pmf = np.exp(negative_binomial_log_pmf_rows(big_r, p, np.arange(top + 1)))
     expected = trials * np.append(pmf, max(0.0, 1.0 - pmf.sum()))
     _, pval = _chi_square_gof(observed, expected)
-    return _p_value_report(f"nb-mixture-chisq-R{big_r:g}-theta{theta:g}", pval, trials, seed)
+    return _p_value_report(name, pval, trials, seed)
 
 
-def _check_gamma_common_scale_sum(r1, r2, theta, trials, rng, seed) -> CheckReport:
+def _check_gamma_common_scale_sum(name: str, r1, r2, theta, trials, rng, seed) -> CheckReport:
     draws = gamma_sample(r1, theta, rng, size=trials) + gamma_sample(r2, theta, rng, size=trials)
     d, pval = _ks_test(sc.gammainc(r1 + r2, np.sort(draws) / theta))
-    return _p_value_report(f"gamma-common-scale-sum-ks-r{r1:g}+{r2:g}-theta{theta:g}", pval,
-                           trials, seed, note=f"KS D={d:.6g}")
+    return _p_value_report(name, pval, trials, seed, note=f"KS D={d:.6g}")
 
 
-def _check_poisson_superposition(a, b, trials, rng, seed) -> CheckReport:
+def _check_poisson_superposition(name: str, a, b, trials, rng, seed) -> CheckReport:
     summed = poisson_sample(a, rng, size=trials) + poisson_sample(b, rng, size=trials)
     direct = poisson_sample(a + b, rng, size=trials)
     top = int(max(summed.max(), direct.max()))
@@ -762,7 +757,7 @@ def _check_poisson_superposition(a, b, trials, rng, seed) -> CheckReport:
     if tail.sum() > 0:
         pooled = np.concatenate([pooled, tail], axis=1)
     pval = _contingency_p(pooled)
-    return _p_value_report(f"poisson-superposition-chisq-{a:g}+{b:g}", pval, trials, seed)
+    return _p_value_report(name, pval, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -775,50 +770,59 @@ def _child_seed(master: int, index: int, stage: int = 0) -> int:
 
 
 def _suite(level: str) -> list[tuple]:
-    # One row per check, in report order: (check, args, statistical, trials).
-    # run_all calls check(*args, trials, rng, seed=seed).  Exact checks
-    # read trials as draws per setting, or ignore it and rng.
+    # One row per check, in report order: (name, check, args, statistical,
+    # trials).  run_all calls check(name, *args, trials, rng, seed).  Exact
+    # checks read trials as draws per setting, or ignore it and rng.
     quick = level == "quick"
     big = 10_000 if quick else 100_000
     m_cap = 8 if quick else 12
     unit_rates = GammaMixtureParams((1.0, 1.0), 1.0)
     return [
-        (_transform_pointwise, ("ratio",), False, 1000),
-        (_check_jacobian_fd, ("ratio",), False, 100),
-        (_check_lemma_substitution, ("ratio",), False, 100),
-        (_transform_pointwise, ("alr",), False, 1000),
-        (_check_jacobian_fd, ("alr",), False, 100),
-        (_check_lemma_substitution, ("alr",), False, 100),
-        (_check_round_trips, (), False, 100),
-        (_transform_ks, ("ratio", (1.0, 1.0)), True, big),
-        (_transform_ks, ("alr", (2.0, 3.0)), True, big),
-        (_check_conditional_multinomial, ((1.0, 1.0), 2), True, big),
-        (_check_conditional_multinomial, ((2.0, 1.0, 1.0), 3), True, big),
-        (_check_conditional_scale_invariance, (), True, big),
-        (_check_pi_independent_of_s, (unit_rates,), True, big),
-        (_check_pi_independent_of_s, (GammaMixtureParams((3.0, 2.0), 0.5),), True, big),
-        (partial(_check_pi_independent_of_s, negative_control=True), (unit_rates,), False, 10_000),
-        (_check_dm_integral, ((1.0, 1.0, 1.0), 2), True, big),
-        (_check_dm_integral, ((2.0, 1.0), 5), True, big),
-        (_check_beta_binomial_merge, ((1.0, 1.0, 1.0), 4), False, 0),
-        (_check_beta_binomial_merge, ((2.0, 1.5, 1.5), 7), False, 0),
-        (_check_beta_binomial_merge, ((1.5, 2.5), 6), False, 0),
-        (_check_nb_mixture, (2.0, 1.0), True, big),
-        (_check_nb_mixture, (1.0, 0.5), True, big),
-        (_check_nb_mixture, (3.5, 0.8), True, big),
-        (_check_nb_mixture, (0.7, 2.0), True, big),
-        (_check_nb_mixture, (5.0, 0.3), True, big),
-        (_check_gamma_common_scale_sum, (1.3, 2.2, 0.7), True, big),
-        (_check_poisson_superposition, (1.5, 2.5), True, big),
-        (_check_multinomial_normalization, (m_cap,), False, 20),
-        (_check_dm_normalization, (m_cap,), False, 20),
-        (_check_dm_symmetry, (), False, 50),
-        (_check_nb_normalization, (), False, 0),
-        (_check_normalized_nb_mass, ((1.0, 1.0), 1.0), False, 0),
-        (_check_normalized_nb_mass, ((2.5, 1.5, 1.0), 0.7), False, 0),
-        (_check_normalized_nb_mass, ((0.8, 1.7), 2.0), False, 0),
-        (_check_value_pmf_partition, (), False, 0),
-        (_check_alr_normalization_quadrature, (), False, 0),
+        ("change-of-variables-ratio", _transform_pointwise, ("ratio",), False, 1000),
+        ("jacobian-finite-difference-ratio", _check_jacobian_fd, ("ratio",), False, 100),
+        ("determinant-lemma-ratio", _check_lemma_substitution, ("ratio",), False, 100),
+        ("change-of-variables-alr", _transform_pointwise, ("alr",), False, 1000),
+        ("jacobian-finite-difference-alr", _check_jacobian_fd, ("alr",), False, 100),
+        ("determinant-lemma-alr", _check_lemma_substitution, ("alr",), False, 100),
+        ("transform-round-trips", _check_round_trips, (), False, 100),
+        ("transform-ks-ratio-alpha1-1", _transform_ks, ("ratio", (1.0, 1.0)), True, big),
+        ("transform-ks-alr-alpha2-3", _transform_ks, ("alr", (2.0, 3.0)), True, big),
+        ("conditional-multinomial-n2-m2",
+         _check_conditional_multinomial, ((1.0, 1.0), 2), True, big),
+        ("conditional-multinomial-n3-m3",
+         _check_conditional_multinomial, ((2.0, 1.0, 1.0), 3), True, big),
+        ("conditional-multinomial-scale-invariance",
+         _check_conditional_scale_invariance, (), True, big),
+        ("pi-independence-r1-1-theta1", _check_pi_independent_of_s, (unit_rates, False), True, big),
+        ("pi-independence-r3-2-theta0.5",
+         _check_pi_independent_of_s, (GammaMixtureParams((3.0, 2.0), 0.5), False), True, big),
+        ("pi-independence-negative-control",
+         _check_pi_independent_of_s, (unit_rates, True), False, 10_000),
+        ("dm-integral-n3-m2", _check_dm_integral, ((1.0, 1.0, 1.0), 2), True, big),
+        ("dm-integral-n2-m5", _check_dm_integral, ((2.0, 1.0), 5), True, big),
+        ("beta-binomial-merge-n3-m4", _check_beta_binomial_merge, ((1.0, 1.0, 1.0), 4), False, 0),
+        ("beta-binomial-merge-n3-m7", _check_beta_binomial_merge, ((2.0, 1.5, 1.5), 7), False, 0),
+        ("beta-binomial-merge-n2-m6", _check_beta_binomial_merge, ((1.5, 2.5), 6), False, 0),
+        ("nb-mixture-chisq-R2-theta1", _check_nb_mixture, (2.0, 1.0), True, big),
+        ("nb-mixture-chisq-R1-theta0.5", _check_nb_mixture, (1.0, 0.5), True, big),
+        ("nb-mixture-chisq-R3.5-theta0.8", _check_nb_mixture, (3.5, 0.8), True, big),
+        ("nb-mixture-chisq-R0.7-theta2", _check_nb_mixture, (0.7, 2.0), True, big),
+        ("nb-mixture-chisq-R5-theta0.3", _check_nb_mixture, (5.0, 0.3), True, big),
+        ("gamma-common-scale-sum-ks-r1.3+2.2-theta0.7",
+         _check_gamma_common_scale_sum, (1.3, 2.2, 0.7), True, big),
+        ("poisson-superposition-chisq-1.5+2.5",
+         _check_poisson_superposition, (1.5, 2.5), True, big),
+        ("multinomial-normalization", _check_multinomial_normalization, (m_cap,), False, 20),
+        ("dirichlet-multinomial-normalization", _check_dm_normalization, (m_cap,), False, 20),
+        ("dirichlet-multinomial-symmetry", _check_dm_symmetry, (), False, 50),
+        ("negative-binomial-normalization", _check_nb_normalization, (), False, 0),
+        ("normalized-nb-mass-r1-1-theta1", _check_normalized_nb_mass, ((1.0, 1.0), 1.0), False, 0),
+        ("normalized-nb-mass-r2.5-1.5-1-theta0.7",
+         _check_normalized_nb_mass, ((2.5, 1.5, 1.0), 0.7), False, 0),
+        ("normalized-nb-mass-r0.8-1.7-theta2",
+         _check_normalized_nb_mass, ((0.8, 1.7), 2.0), False, 0),
+        ("normalized-nb-value-partition", _check_value_pmf_partition, (), False, 0),
+        ("alr-density-normalization-quadrature", _check_alr_normalization_quadrature, (), False, 0),
     ]
 
 
@@ -834,12 +838,12 @@ def run_all(seed: int, level: str = "full") -> list[CheckReport]:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     reports: list[CheckReport] = []
-    for index, (check, args, statistical, trials) in enumerate(_suite(level)):
+    for index, (name, check, args, statistical, trials) in enumerate(_suite(level)):
         child = _child_seed(seed, index)
-        report = check(*args, trials, np.random.default_rng(child), seed=child)
+        report = check(name, *args, trials, np.random.default_rng(child), child)
         if statistical and not report.passed and not report.inconclusive:
             retry_seed = _child_seed(seed, index, stage=1)
-            report = check(*args, 10 * trials, np.random.default_rng(retry_seed), seed=retry_seed)
+            report = check(name, *args, 10 * trials, np.random.default_rng(retry_seed), retry_seed)
             detail = (report.detail + "; retried at 10x samples").lstrip("; ")
             report = replace(report, detail=detail)
         reports.append(report)

@@ -222,12 +222,16 @@ def _cmd_sample(args, out) -> int:
         rate = _number(params, "rate")
         draw = lambda: dist.poisson_sample(rate, rng, size=count)
     elif name == "negative-binomial":
-        if set(params) == {"R", "theta"}:
+        keys = sorted(params)
+        if keys == ["R", "theta"]:
             big_r, theta = _number(params, "R"), _number(params, "theta")
-        else:
-            _require_keys(params, {"shapes", "scale"}, name)
+        elif keys == ["scale", "shapes"]:
             gm = _gamma_mixture(params)
             big_r, theta = gm.total_shape, gm.scale
+        else:
+            raise UsageError(
+                f"{name} params need keys ['R', 'theta'] or ['scale', 'shapes'], got {keys}"
+            )
         draw = lambda: dist.negative_binomial_sample_via_mixture(big_r, theta, rng, size=count)
     elif name == "multinomial":
         _require_keys(params, {"probs", "m"}, name)

@@ -36,7 +36,7 @@ def _verdict(num: int, description: str, passed: bool, detail: str) -> None:
 def test_criterion_01_change_of_variables_ratio():
     rng = np.random.default_rng(20260801)
     start = time.perf_counter()
-    rep = _transform_pointwise("ratio", 1000, rng, 20260801)
+    rep = _transform_pointwise("ratio", "ratio", 1000, rng, 20260801)
     elapsed = time.perf_counter() - start
     _verdict(
         1, "ratio change of variables, 1000 points per n=2..6",
@@ -48,7 +48,7 @@ def test_criterion_01_change_of_variables_ratio():
 def test_criterion_02_change_of_variables_log_ratio():
     rng = np.random.default_rng(20260802)
     start = time.perf_counter()
-    rep = _transform_pointwise("alr", 1000, rng, 20260802)
+    rep = _transform_pointwise("alr", "alr", 1000, rng, 20260802)
     elapsed = time.perf_counter() - start
     _verdict(
         2, "log-ratio change of variables, 1000 points per n=2..6",
@@ -60,7 +60,7 @@ def test_criterion_02_change_of_variables_log_ratio():
 def test_criterion_03_jacobians_vs_finite_differences():
     rng = np.random.default_rng(20260803)
     start = time.perf_counter()
-    reps = [_check_jacobian_fd(tr, 100, rng, 20260803) for tr in ("ratio", "alr")]
+    reps = [_check_jacobian_fd(tr, tr, 100, rng, 20260803) for tr in ("ratio", "alr")]
     elapsed = time.perf_counter() - start
     _verdict(
         3, "closed-form Jacobians vs central differences, 100 points per n=2..6",
@@ -72,7 +72,7 @@ def test_criterion_03_jacobians_vs_finite_differences():
 def test_criterion_04_dm_normalization():
     rng = np.random.default_rng(20260804)
     start = time.perf_counter()
-    rep = _check_dm_normalization(12, 20, rng, 20260804)
+    rep = _check_dm_normalization("dm", 12, 20, rng, 20260804)
     elapsed = time.perf_counter() - start
     _verdict(
         4, "Dirichlet-multinomial normalization, n<=4, m<=12, 20 shape draws",
@@ -88,7 +88,7 @@ def test_criterion_05_beta_binomial_is_merged_dm():
     for n in (2, 3, 4, 5):
         shapes = rng.uniform(0.3, 4.0, size=n)
         for m in range(0, 13):
-            rep = _check_beta_binomial_merge(shapes, m)
+            rep = _check_beta_binomial_merge("merge", shapes, m, 0, None, -1)
             worst = max(worst, rep.statistic)
     elapsed = time.perf_counter() - start
     _verdict(
@@ -104,7 +104,7 @@ def test_criterion_06_poisson_gamma_mixture_is_nb():
     p_values = []
     for i, (big_r, theta) in enumerate(settings):
         rng = np.random.default_rng(20260806 + i)
-        rep = _check_nb_mixture(big_r, theta, 100_000, rng, 20260806 + i)
+        rep = _check_nb_mixture("nb", big_r, theta, 100_000, rng, 20260806 + i)
         p_values.append(rep.statistic)
     elapsed = time.perf_counter() - start
     ok = all(p > 0.001 for p in p_values)
@@ -118,8 +118,8 @@ def test_criterion_06_poisson_gamma_mixture_is_nb():
 def test_criterion_07_conditional_poisson_is_multinomial():
     start = time.perf_counter()
     rng = np.random.default_rng(20260807)
-    rep1 = _check_conditional_multinomial((1.0, 1.0), 2, 100_000, rng, seed=20260807)
-    rep2 = _check_conditional_multinomial((2.0, 1.0, 1.0), 3, 100_000, rng, seed=20260807)
+    rep1 = _check_conditional_multinomial("n2", (1.0, 1.0), 2, 100_000, rng, 20260807)
+    rep2 = _check_conditional_multinomial("n3", (2.0, 1.0, 1.0), 3, 100_000, rng, 20260807)
     elapsed = time.perf_counter() - start
     ok = rep1.passed and rep2.passed and not (rep1.inconclusive or rep2.inconclusive)
     _verdict(
@@ -133,10 +133,8 @@ def test_criterion_08_pi_independent_of_total():
     start = time.perf_counter()
     rng = np.random.default_rng(20260808)
     params = GammaMixtureParams((1.0, 1.0), 1.0)
-    rep = _check_pi_independent_of_s(params, 100_000, rng, seed=20260808)
-    control = _check_pi_independent_of_s(
-        params, 10_000, rng, seed=20260808, negative_control=True
-    )
+    rep = _check_pi_independent_of_s("pi", params, False, 100_000, rng, 20260808)
+    control = _check_pi_independent_of_s("control", params, True, 10_000, rng, 20260808)
     elapsed = time.perf_counter() - start
     _verdict(
         8, "pi independent of S; constructed dependence rejected",
@@ -149,7 +147,7 @@ def test_criterion_08_pi_independent_of_total():
 def test_criterion_09_normalized_nb_total_mass():
     start = time.perf_counter()
     reps = [
-        _check_normalized_nb_mass(shapes, theta)
+        _check_normalized_nb_mass("mass", shapes, theta, 0, None, -1)
         for shapes, theta in (((1.0, 1.0), 1.0), ((2.5, 1.5, 1.0), 0.7), ((0.8, 1.7), 2.0))
     ]
     elapsed = time.perf_counter() - start
@@ -161,7 +159,7 @@ def test_criterion_09_normalized_nb_total_mass():
 
 
 def test_criterion_10_round_trips_and_determinism():
-    round_trips = _check_round_trips(200, np.random.default_rng(20260810), 20260810)
+    round_trips = _check_round_trips("round-trips", 200, np.random.default_rng(20260810), 20260810)
 
     cmd = [sys.executable, "-W", "error", "-m", "countcomp.cli",
            "verify", "--seed", "7", "--level", "quick"]

@@ -88,14 +88,14 @@ class TestAdaptiveSimpson:
 class TestConditionalMultinomial:
     def test_passes_on_reference_settings(self):
         rng = np.random.default_rng(67)
-        rep = _check_conditional_multinomial((1.0, 1.0), 2, 30_000, rng, seed=67)
+        rep = _check_conditional_multinomial("n2-m2", (1.0, 1.0), 2, 30_000, rng, 67)
         assert rep.passed and not rep.inconclusive
-        rep = _check_conditional_multinomial((2.0, 1.0, 1.0), 3, 30_000, rng, seed=67)
+        rep = _check_conditional_multinomial("n3-m3", (2.0, 1.0, 1.0), 3, 30_000, rng, 67)
         assert rep.passed and not rep.inconclusive
 
     def test_inconclusive_when_starved(self):
         rng = np.random.default_rng(71)
-        rep = _check_conditional_multinomial((1.0, 1.0), 2, 40, rng, seed=71)
+        rep = _check_conditional_multinomial("starved", (1.0, 1.0), 2, 40, rng, 71)
         assert rep.inconclusive
         assert not rep.passed
 
@@ -104,13 +104,13 @@ class TestPiIndependence:
     def test_independence_not_rejected(self):
         rng = np.random.default_rng(73)
         params = GammaMixtureParams((1.0, 1.0), 1.0)
-        rep = _check_pi_independent_of_s(params, 30_000, rng, seed=73)
+        rep = _check_pi_independent_of_s("independence", params, False, 30_000, rng, 73)
         assert rep.passed
 
     def test_negative_control_is_rejected(self):
         rng = np.random.default_rng(79)
         params = GammaMixtureParams((1.0, 1.0), 1.0)
-        rep = _check_pi_independent_of_s(params, 10_000, rng, seed=79, negative_control=True)
+        rep = _check_pi_independent_of_s("negative-control", params, True, 10_000, rng, 79)
         assert rep.passed  # i.e. the test DID reject the constructed dependence
         assert rep.statistic < 0.001
 
@@ -118,12 +118,12 @@ class TestPiIndependence:
 class TestDmIntegral:
     def test_uniform_case(self):
         rng = np.random.default_rng(89)
-        rep = _check_dm_integral((1.0, 1.0, 1.0), 2, 30_000, rng, seed=89)
+        rep = _check_dm_integral("n3-m2", (1.0, 1.0, 1.0), 2, 30_000, rng, 89)
         assert rep.passed
 
     def test_asymmetric_case(self):
         rng = np.random.default_rng(97)
-        rep = _check_dm_integral((2.0, 1.0), 5, 30_000, rng, seed=97)
+        rep = _check_dm_integral("n2-m5", (2.0, 1.0), 5, 30_000, rng, 97)
         assert rep.passed
 
 
@@ -133,7 +133,7 @@ class TestBetaBinomialMerge:
         [((1.0, 1.0, 1.0), 4), ((2.0, 1.5, 1.5), 7), ((1.5, 2.5), 6), ((0.5, 1.0, 2.0, 0.7), 5)],
     )
     def test_exact_merge(self, r, m):
-        rep = _check_beta_binomial_merge(r, m, seed=0)
+        rep = _check_beta_binomial_merge("merge", r, m, 0, None, 0)
         assert rep.passed
         assert rep.statistic <= 1e-10
 
@@ -142,15 +142,15 @@ class TestTransformDensity:
     def test_pointwise_both_transforms(self):
         rng = np.random.default_rng(101)
         for transform in ("ratio", "alr"):
-            rep = _transform_pointwise(transform, 60, rng, 101)
+            rep = _transform_pointwise(transform, transform, 60, rng, 101)
             assert rep.passed
             assert rep.statistic <= 1e-12
 
     def test_ks_both_transforms(self):
         rng = np.random.default_rng(103)
-        rep = _transform_ks("ratio", (1.0, 1.0), 20_000, rng, 103)
+        rep = _transform_ks("ratio", "ratio", (1.0, 1.0), 20_000, rng, 103)
         assert rep.passed
-        rep = _transform_ks("alr", (2.0, 3.0), 20_000, rng, 103)
+        rep = _transform_ks("alr", "alr", (2.0, 3.0), 20_000, rng, 103)
         assert rep.passed
 
     @pytest.mark.parametrize("transform", ["ratio", "alr"])
@@ -173,7 +173,7 @@ class TestTransformDensity:
         shifted = getattr(checks, target)
         monkeypatch.setattr(checks, target, lambda *args: shifted(*args) + 0.05)
         rng = np.random.default_rng(131)
-        rep = _transform_ks(transform, alpha, 10_000, rng, 131)
+        rep = _transform_ks(transform, transform, alpha, 10_000, rng, 131)
         assert not rep.passed and not rep.inconclusive
         assert rep.statistic < checks.P_FLOOR
 
@@ -184,7 +184,7 @@ class TestTransformDensity:
         ks_test = checks._ks_test
         monkeypatch.setattr(checks, "_ks_test", lambda cdf: seen.append(cdf) or ks_test(cdf))
         rng = np.random.default_rng(137)
-        rep = _transform_ks(transform, (2.0, 3.0), 50, rng, 137)
+        rep = _transform_ks(transform, transform, (2.0, 3.0), 50, rng, 137)
         want = stats.kstest(seen[0], "uniform", method="exact")
         assert rep.statistic == float(want.pvalue)
         assert rep.detail.startswith(f"KS D={float(want.statistic):.6g};")
@@ -307,6 +307,15 @@ QUICK_REPORT_NAMES = (
 )
 
 
+def test_suite_table_names_every_report_before_it_runs():
+    # The names come from the rows alone; no check is called.
+    quick = [row[0] for row in checks._suite("quick")]
+    full = [row[0] for row in checks._suite("full")]
+    assert len(set(quick)) == len(quick)
+    assert quick == full
+    assert tuple(quick) == QUICK_REPORT_NAMES
+
+
 class TestRunAll:
     def test_quick_deterministic_and_green(self):
         first = run_all(424242, "quick")
@@ -343,9 +352,10 @@ class TestRunAll:
             run_all(0, "paranoid")
 
     def test_only_a_failing_statistical_row_is_retried(self, monkeypatch):
-        # Fake rows: (outcome, statistical); a statistical row that fails
-        # on its first run is rerun once, at 10x the trials, on the stage-1
-        # substream.  Exact and inconclusive rows are not rerun.
+        # Fake rows: (name, check, (passed, inconclusive), statistical,
+        # trials); a statistical row that fails on its first run is rerun
+        # once, at 10x the trials, on the stage-1 substream.  Exact and
+        # inconclusive rows are not rerun.
         calls = []
 
         def check(name, passed, inconclusive, trials, rng, seed):
@@ -355,10 +365,10 @@ class TestRunAll:
                                inconclusive, f"{trials} trials")
 
         rows = [
-            (check, ("statistical", True, False), True, 100),
-            (check, ("exact", False, False), False, 100),
-            (check, ("inconclusive", False, True), True, 100),
-            (check, ("passes", True, False), True, 1000),
+            ("statistical", check, (True, False), True, 100),
+            ("exact", check, (False, False), False, 100),
+            ("inconclusive", check, (False, True), True, 100),
+            ("passes", check, (True, False), True, 1000),
         ]
         monkeypatch.setattr(checks, "_suite", lambda level: rows)
         reports = run_all(7, "quick")
@@ -424,27 +434,27 @@ def _shift_alr_point(fn):
     "target,perturb,run",
     [
         ("inverted_dirichlet_log_pdf", _shift_log,
-         lambda rng: checks._transform_pointwise("ratio", 20, rng, 0)),
+         lambda rng: checks._transform_pointwise("ratio", "ratio", 20, rng, 0)),
         ("alr_dirichlet_log_pdf", _shift_log,
-         lambda rng: checks._transform_pointwise("alr", 20, rng, 0)),
+         lambda rng: checks._transform_pointwise("alr", "alr", 20, rng, 0)),
         ("dirichlet_multinomial_log_pmf", _shift_log,
-         lambda rng: checks._check_dm_normalization(3, 2, rng, 0)),
+         lambda rng: checks._check_dm_normalization("dm", 3, 2, rng, 0)),
         ("normalized_nb_log_pmf", _shift_log,
-         lambda rng: checks._check_normalized_nb_mass((1.0, 1.0), 1.0)),
+         lambda rng: checks._check_normalized_nb_mass("mass", (1.0, 1.0), 1.0, 0, None, -1)),
         ("log_ratio_inverse", _shift_alr_point,
-         lambda rng: checks._check_round_trips(5, rng, 0)),
+         lambda rng: checks._check_round_trips("round-trips", 5, rng, 0)),
         ("ratio_inverse", _shift_log_det,
-         lambda rng: checks._check_jacobian_fd("ratio", 20, rng, 0)),
+         lambda rng: checks._check_jacobian_fd("ratio", "ratio", 20, rng, 0)),
         ("log_ratio_inverse", _shift_log_det,
-         lambda rng: checks._check_jacobian_fd("alr", 20, rng, 0)),
+         lambda rng: checks._check_jacobian_fd("alr", "alr", 20, rng, 0)),
         ("beta_binomial_log_pmf", _shift_log,
-         lambda rng: _check_beta_binomial_merge((2.0, 1.5, 1.5), 7, seed=0)),
+         lambda rng: _check_beta_binomial_merge("merge", (2.0, 1.5, 1.5), 7, 0, None, 0)),
         ("_value_pmf_rows", _shift_value_log_masses,
-         lambda rng: checks._check_value_pmf_partition()),
+         lambda rng: checks._check_value_pmf_partition("partition", 0, None, -1)),
         ("_lemma_det", _scale,
-         lambda rng: checks._check_lemma_substitution("ratio", 20, rng, 0)),
+         lambda rng: checks._check_lemma_substitution("ratio", "ratio", 20, rng, 0)),
         ("_lemma_det", _scale,
-         lambda rng: checks._check_lemma_substitution("alr", 20, rng, 0)),
+         lambda rng: checks._check_lemma_substitution("alr", "alr", 20, rng, 0)),
     ],
 )
 def test_perturbed_library_function_fails_its_check(monkeypatch, target, perturb, run):

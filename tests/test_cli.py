@@ -242,6 +242,18 @@ class TestSample:
             assert res.returncode == 0
             assert len(res.stdout.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("params", [
+        '{"R": 2, "scale": 1}', "{}", '{"shapes": [1, 2], "scale": 1, "R": 3}',
+    ])
+    def test_nb_key_error_names_both_forms(self, capsys, params):
+        argv = ["sample", "--dist", "negative-binomial", "--params", params,
+                "--count", "2", "--seed", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: negative-binomial params need keys ['R', 'theta'] or ['scale', 'shapes'], "
+            f"got {sorted(json.loads(params))}\n"
+        )
+
     def test_unsupported_sampler_exits_1(self):
         res = run_cli(
             "sample", "--dist", "beta-binomial", "--params", '{"a": 1, "b": 1, "m": 5}',
