@@ -4,15 +4,23 @@ Machine-readable throughout: one JSON object per ``eval``, CSV with a
 header for ``sample`` and ``transform`` (stdin to stdout), JSON lines
 for ``verify``.  Floats are printed with full round-trip precision, so
 piping outputs back in loses nothing.  Exit codes: 0 success, 1 domain
-or verification failure, 2 usage error.
+or verification failure, 2 usage error.  Running out of memory exits 1
+with one ``error: out of memory`` line.
+
+``transform`` reads its input in blocks of 10^4 lines; memory grows by
+about 8 bytes per value and per row, plus one block of text.  Every row
+is read and mapped, and every draw of ``sample`` made and checked,
+before the first byte is written, so a failing run leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,12 +50,14 @@ _CSV_BLOCK_ROWS = 10_000
 
 def _write_csv(out, header: list[str], rows: np.ndarray) -> None:
     """Write a header and the rows of a 2-D array, one block of rows at a
-    time.  ``tolist`` turns entries into Python floats and ints, whose
-    ``repr`` is a float's shortest round-trip text and an int's digits."""
+    time by one ``%r`` template.  ``tolist`` turns entries into Python
+    floats and ints, whose ``repr`` is a float's shortest round-trip text
+    and an int's digits."""
     out.write(",".join(header) + "\n")
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[start : start + _CSV_BLOCK_ROWS].tolist()
-        out.write("".join(",".join(map(repr, row)) + "\n" for row in block))
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        out.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _load_params(args) -> dict:
@@ -197,7 +207,33 @@ def _cmd_eval(args, out) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-_SAMPLE_DISTS = ("dirichlet", "gamma", "poisson", "negative-binomial", "multinomial")
+
+def _nb_mixture(params: dict) -> tuple[float, float]:
+    if "R" in params:
+        return _number(params, "R"), _number(params, "theta")
+    gm = _gamma_mixture(params)
+    return gm.total_shape, gm.scale
+
+
+def _multinomial_args(params: dict) -> tuple[int, Composition]:
+    probs = Composition(_vector(params, "probs"))
+    return _integer(params, "m"), probs
+
+
+# name: (the parameter key sets, one or more; params -> the sampler's
+# leading arguments; the library sampler, called with them, the rng and
+# size=count).  The arguments are read before any draw, so a bad
+# parameter is not reported as a row.  The order is that of the error
+# messages.
+_SAMPLE = {
+    "dirichlet": (({"alpha"},), lambda p: (_dirichlet(p),), dist.dirichlet_sample),
+    "gamma": (({"shape", "scale"},), lambda p: (_number(p, "shape"), _number(p, "scale")),
+              dist.gamma_sample),
+    "poisson": (({"rate"},), lambda p: (_number(p, "rate"),), dist.poisson_sample),
+    "negative-binomial": (({"R", "theta"}, {"shapes", "scale"}), _nb_mixture,
+                          dist.negative_binomial_sample_via_mixture),
+    "multinomial": (({"probs", "m"},), _multinomial_args, dist.multinomial_sample),
+}
 
 
 def _cmd_sample(args, out) -> int:
@@ -209,44 +245,21 @@ def _cmd_sample(args, out) -> int:
         raise UsageError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     name = args.dist
-    if name == "dirichlet":
-        _require_keys(params, {"alpha"}, name)
-        dp = _dirichlet(params)
-        draw = lambda: dist.dirichlet_sample(dp, rng, size=count)
-    elif name == "gamma":
-        _require_keys(params, {"shape", "scale"}, name)
-        shape, scale = _number(params, "shape"), _number(params, "scale")
-        draw = lambda: dist.gamma_sample(shape, scale, rng, size=count)
-    elif name == "poisson":
-        _require_keys(params, {"rate"}, name)
-        rate = _number(params, "rate")
-        draw = lambda: dist.poisson_sample(rate, rng, size=count)
-    elif name == "negative-binomial":
-        keys = sorted(params)
-        if keys == ["R", "theta"]:
-            big_r, theta = _number(params, "R"), _number(params, "theta")
-        elif keys == ["scale", "shapes"]:
-            gm = _gamma_mixture(params)
-            big_r, theta = gm.total_shape, gm.scale
-        else:
-            raise UsageError(
-                f"{name} params need keys ['R', 'theta'] or ['scale', 'shapes'], got {keys}"
-            )
-        draw = lambda: dist.negative_binomial_sample_via_mixture(big_r, theta, rng, size=count)
-    elif name == "multinomial":
-        _require_keys(params, {"probs", "m"}, name)
-        probs = Composition(_vector(params, "probs"))
-        m = _integer(params, "m")
-        draw = lambda: dist.multinomial_sample(m, probs, rng, size=count)
-    elif name in _EVAL:
-        raise ValueError(f"no sampler for {name!r}; samplers exist for {', '.join(_SAMPLE_DISTS)}")
-    else:
-        raise UsageError(
-            f"unknown distribution {name!r}; samplers exist for {', '.join(_SAMPLE_DISTS)}"
-        )
+    if name not in _SAMPLE:
+        known = ", ".join(_SAMPLE)
+        if name in _EVAL:
+            raise ValueError(f"no sampler for {name!r}; samplers exist for {known}")
+        raise UsageError(f"unknown distribution {name!r}; samplers exist for {known}")
+    key_sets, read, sampler = _SAMPLE[name]
+    if len(key_sets) == 1:
+        _require_keys(params, key_sets[0], name)
+    elif set(params) not in key_sets:
+        forms = " or ".join(str(sorted(keys)) for keys in key_sets)
+        raise UsageError(f"{name} params need keys {forms}, got {sorted(params)}")
+    leading = read(params)
     # Every row is drawn and checked before any is written.
     try:
-        rows = draw()
+        rows = sampler(*leading, rng, size=count)
     except RowError as exc:
         raise ValueError(f"row {exc.row + 1}: {exc}") from exc
     # A scalar law draws a 1-D array, a vector law (count, n) rows.
@@ -267,13 +280,17 @@ _TRANSFORMS = {
 }
 
 
-def _read_csv(stream) -> tuple[list[int], np.ndarray]:
-    """Numeric CSV rows as an (N, n) float array, with the line number of
-    each row.  Blank lines are skipped.  A first non-blank line that is
-    not numeric is a header and skipped."""
-    linenos, rows = [], []
-    header_allowed = True
-    for lineno, line in enumerate(stream, start=1):
+def _read_lines(lines, start: int, first, header_allowed: bool = False):
+    """The CSV rules, one line at a time, on ``lines`` numbered from
+    ``start``.  Blank lines are skipped.  When ``header_allowed``, a first
+    non-blank line that is not numeric is a header and skipped.  ``first``
+    is (line number, column count) of the table's first row, or None
+    before it; every row must have its column count.
+
+    Returns the line numbers and the rows read, as an int array and a 2-D
+    float array, and ``first``."""
+    numbers, rows = [], []
+    for lineno, line in enumerate(lines, start=start):
         line = line.strip()
         if not line:
             continue
@@ -285,18 +302,71 @@ def _read_csv(stream) -> tuple[list[int], np.ndarray]:
                 continue  # header row
             raise UsageError(f"row {lineno}: not numeric CSV: {line!r}") from exc
         header_allowed = False
-        if rows and len(row) != len(rows[0]):
-            raise UsageError(
-                f"row {lineno}: {len(row)} columns, but row {linenos[0]} has {len(rows[0])}"
-            )
-        linenos.append(lineno)
+        if first is None:
+            first = (lineno, len(row))
+        elif len(row) != first[1]:
+            raise UsageError(f"row {lineno}: {len(row)} columns, but row {first[0]} has {first[1]}")
+        numbers.append(lineno)
         rows.append(row)
-    return linenos, np.array(rows, dtype=float)
+    width = 0 if first is None else first[1]
+    return (np.array(numbers, dtype=np.int64),
+            np.array(rows, dtype=float).reshape(len(rows), width), first)
+
+
+def _parse_block(block: list[str], first) -> np.ndarray | None:
+    """One block of lines by numpy's C parser, which converts a field as
+    ``float`` does, by ``PyOS_string_to_double``.  Returns None, for
+    ``_read_lines`` to read the block, unless every line is a row of the
+    table's width: the parser refuses what ``float`` might accept (``1_0``,
+    non-ASCII digits), and skips empty lines."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a block of empty lines warns
+        try:
+            rows = np.loadtxt(block, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except (ValueError, UserWarning):
+            return None
+    if len(rows) != len(block) or (first is not None and rows.shape[1] != first[1]):
+        return None
+    return rows
+
+
+def _read_csv(stream) -> tuple[np.ndarray, np.ndarray]:
+    """Numeric CSV rows as an (N, n) float array, with the line number of
+    each row as an int array, by the rules of ``_read_lines``.
+
+    The lines up to the first non-blank one, which may be a header, go to
+    ``_read_lines``.  The rest are read in blocks of ``_CSV_BLOCK_ROWS``
+    lines, each by ``_parse_block`` where it can and by ``_read_lines``
+    where it cannot, so both give the same values, line numbers and
+    errors.  Memory holds the values read, 8 bytes each, their line
+    numbers and one block of text."""
+    lines = iter(stream)
+    head = []
+    for line in lines:
+        head.append(line)
+        if line.strip():
+            break
+    numbers, rows, first = _read_lines(head, 1, None, header_allowed=True)
+    chunks = [(numbers, rows)]
+    start = len(head) + 1
+    while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
+        rows = _parse_block(block, first)
+        if rows is None:
+            numbers, rows, first = _read_lines(block, start, first)
+        else:
+            numbers = np.arange(start, start + len(block), dtype=np.int64)
+            first = first or (start, rows.shape[1])
+        chunks.append((numbers, rows))
+        start += len(block)
+    chunks = [chunk for chunk in chunks if len(chunk[0])]
+    if not chunks:
+        return np.empty(0, dtype=np.int64), np.empty((0, 0))
+    return np.concatenate([n for n, _ in chunks]), np.concatenate([r for _, r in chunks])
 
 
 def _cmd_transform(args, stream_in, out) -> int:
     linenos, values = _read_csv(stream_in)
-    if not linenos:
+    if not len(linenos):
         return EXIT_OK
     transform, prefix = _TRANSFORMS[args.kind, args.direction]
     try:
@@ -394,6 +464,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:  # numpy's failed allocations are MemoryErrors too
+        print(f"error: out of memory: this {args.command} job needs more memory than the "
+              "process may use", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -36,7 +36,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -902,15 +901,22 @@ def normalized_nb_value_pmf(
         if len(value) != 2:
             raise ValueError(f"value must be a (k, m) pair, got length {len(value)}")
         k, m = value
-        if _as_count(m, "value denominator") < 1:
+        m = _as_count(m, "value denominator")
+        if m < 1:
             raise ValueError("value must have denominator m >= 1")
-        value = Fraction(_as_count(k, "value numerator"), int(m))
-    elif not isinstance(value, Fraction):
-        raise TypeError(
-            f"value must be a fractions.Fraction or a (k, m) pair, not {type(value).__name__}")
-    if value < 0 or value > 1:
-        raise ValueError(f"value must lie in [0, 1], got {value}")
-    value = np.array([[value.numerator, value.denominator]])
+        k = _as_count(k, "value numerator")
+        divisor = math.gcd(k, m)
+        k, m = k // divisor, m // divisor
+    else:
+        from fractions import Fraction  # here, so that importing the library loads no fractions
+
+        if not isinstance(value, Fraction):
+            raise TypeError(
+                f"value must be a fractions.Fraction or a (k, m) pair, not {type(value).__name__}")
+        k, m = value.numerator, value.denominator
+    if k < 0 or k > m:
+        raise ValueError(f"value must lie in [0, 1], got {k if m == 1 else f'{k}/{m}'}")
+    value = np.array([[k, m]])
     log_mass, bound = _value_pmf_rows(params, component, value[:, 0], value[:, 1], tail_mass)
     return AggregatedValueMass(float(log_mass[0]), bound)
 

@@ -4,11 +4,15 @@ in-process calls of ``cli.main``."""
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from countcomp import (
     BetaBinomialParams,
@@ -199,6 +203,16 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# One case per sampler: (params, the header of its CSV).
+SAMPLE_CASES = {
+    "dirichlet": ('{"alpha": [1, 2, 3]}', "x1,x2,x3"),
+    "gamma": ('{"shape": 2, "scale": 1}', "value"),
+    "poisson": ('{"rate": 4}', "value"),
+    "negative-binomial": ('{"shapes": [1, 2], "scale": 1}', "value"),
+    "multinomial": ('{"probs": [0.5, 0.5], "m": 4}', "x1,x2"),
+}
+
+
 class TestSample:
     def test_dirichlet_rows_sum_to_one(self):
         res = run_cli(
@@ -265,17 +279,25 @@ class TestSample:
         res = run_cli("sample", "--dist", "wat", "--params", "{}", "--count", "1", "--seed", "0")
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("dist, params, header", [
-        ("dirichlet", '{"alpha": [1, 2, 3]}', "x1,x2,x3"),
-        ("gamma", '{"shape": 2, "scale": 1}', "value"),
-        ("poisson", '{"rate": 4}', "value"),
-        ("negative-binomial", '{"shapes": [1, 2], "scale": 1}', "value"),
-        ("multinomial", '{"probs": [0.5, 0.5], "m": 4}', "x1,x2"),
-    ])
-    def test_zero_draws_write_the_header(self, capsys, dist, params, header):
+    def test_every_sampler_has_a_case(self):
+        assert list(SAMPLE_CASES) == list(cli._SAMPLE)
+
+    @pytest.mark.parametrize("dist", SAMPLE_CASES)
+    def test_zero_draws_write_the_header(self, capsys, dist):
+        params, header = SAMPLE_CASES[dist]
         argv = ["sample", "--dist", dist, "--params", params, "--count", "0", "--seed", "0"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == header + "\n"
+
+    @pytest.mark.parametrize("dist, params, message", [
+        ("dirichlet", '{"alpha": [1, -1]}', "DirichletParams entries must be strictly positive"),
+        # probs is read before m; a bad m alone would exit 2.
+        ("multinomial", '{"probs": [0.5, 0.6], "m": true}', "Composition entries sum to 1.1"),
+    ])
+    def test_bad_parameter_is_not_a_row(self, capsys, dist, params, message):
+        argv = ["sample", "--dist", dist, "--params", params, "--count", "2", "--seed", "0"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_domain_error_writes_nothing_and_names_row(self):
         # Gamma(0.01) draws underflow; the library batch of this seed names
@@ -368,6 +390,119 @@ class TestTransform:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: row 2: Composition entries must be strictly positive")
+
+
+# Fields on which float() and numpy's C parser may disagree: float()
+# takes "1_0", a fullwidth digit and NBSP padding; "" and words are no
+# numbers at all.
+ODD_FIELDS = ["1e400", "+1.5", " 2.5 ", "1_0", "\uff17", "\xa01.5\xa0", "", "x1", "-0.0",
+              "nan", "inf", "-inf", "5e-324", "0x10"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text, mostly rows of one width, with header words, blank lines,
+    ragged rows, odd fields, trailing commas and three line endings."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(st.floats().map(repr), min_size=width, max_size=width).map(",".join)
+    line = st.one_of(
+        row, row, row,
+        st.lists(st.one_of(st.floats().map(repr), st.sampled_from(ODD_FIELDS)),
+                 min_size=1, max_size=4).map(",".join),
+        row.map(lambda text: text + ","),
+        st.sampled_from(["", "  ", "\t", "x1,x2", "y1"]),
+    )
+    lines = draw(st.lists(line, max_size=12))
+    # With StringIO's "\n" newline a "\r" ending joins two lines into one.
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(body + end for body, end in zip(lines, endings))
+    return text[: -len(endings[-1])] if lines and draw(st.booleans()) else text
+
+
+def _read_with(read, text):
+    try:
+        numbers, rows = read(io.StringIO(text))[:2]
+    except cli.UsageError as exc:
+        return str(exc)
+    return numbers.tobytes(), rows.shape, rows.tobytes()
+
+
+@given(csv_texts(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example("x1,x2\n1,2\n\n3,4\n5,6\n", 2)  # numpy skips an empty line
+@example("1,2\n\n\n3,4\n", 2)  # and warns on a block of them
+@example("x1,x2\n1,2\n3,4\n5\n", 2)  # the first row comes after a header
+@example("1,2\n3,4\n5,zebra\n", 2)
+@example("1,2\r\n3\r4\n", 1)
+@example("x1\n1_0\n\uff17\n\xa01.5\xa0\n1e400\n+1.5\n 2.5 \n-0.0\n5e-324\nnan\n", 3)
+def test_block_reader_equals_per_line_reader(text, block_rows):
+    """Whatever a block falls on, the block reader gives the line numbers
+    and values of the per-line rules, bit for bit, or their error, and
+    warns nothing."""
+    want = _read_with(lambda stream: cli._read_lines(stream, 1, None, header_allowed=True), text)
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        patch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        assert _read_with(cli._read_csv, text) == want
+    assert caught == []
+
+
+# Runs cli.main under an address-space limit set above what the process
+# holds once the library is imported, which differs between platforms.
+_LIMITED = """
+import resource, sys
+from countcomp import cli
+with open("/proc/self/status") as fh:
+    held = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (held + int(sys.argv[1]) * 2**20,
+                                        resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+LIMITED_ROWS = 200_000
+
+
+@pytest.fixture(scope="module")
+def large_compositions(tmp_path_factory):
+    """200 copies of 1000 seeded rows, and the last row."""
+    x = np.random.default_rng(26).dirichlet([1.5, 2.0, 0.7], size=1000)
+    path = tmp_path_factory.mktemp("csv") / "compositions.csv"
+    path.write_text("x1,x2,x3\n" + "".join(_csv_line(row) for row in x) * (LIMITED_ROWS // 1000))
+    return path, x[-1]
+
+
+def _run_limited(headroom_mb, argv, stdin_path, stdout_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    with open(stdin_path) as stdin, open(stdout_path, "w") as stdout:
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-c", _LIMITED, str(headroom_mb), *argv],
+            stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=600)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestBoundedMemory:
+    """2x10^5 rows of 3 columns: mapping them takes the block reader about
+    28 MB above the import, and a reader with a Python list per row about
+    62 MB."""
+
+    def test_transform_fits_where_a_list_per_row_does_not(self, large_compositions, tmp_path):
+        path, last = large_compositions
+        out = tmp_path / "y.csv"
+        res = _run_limited(42, ["transform", "ratio", "forward", "--jacobian"], path, out)
+        assert (res.returncode, res.stderr) == (0, "")
+        lines = out.read_text().splitlines()
+        assert len(lines) == LIMITED_ROWS + 1
+        y = ratio_forward(Composition(last))
+        assert lines[-1] == _csv_line([*y.entries, log_det_jacobian_ratio_inverse(y, 3)])[:-1]
+
+    def test_out_of_memory_is_one_error_line(self, large_compositions, tmp_path):
+        path, _ = large_compositions
+        out = tmp_path / "y.csv"
+        res = _run_limited(10, ["transform", "ratio", "forward", "--jacobian"], path, out)
+        assert res.returncode == 1
+        assert res.stderr == ("error: out of memory: this transform job needs more memory than "
+                              "the process may use\n")
+        assert out.read_text() == ""
 
 
 def _main_stdout(capsys, monkeypatch, argv, stdin=""):

@@ -1,11 +1,11 @@
 """Import hygiene: the core library and the eval/sample/transform CLI do
 not load scipy, which only the verification suite (``countcomp.checks``)
 uses for its p-values; the suite itself loads ``scipy.special`` but not
-``scipy.stats``; the suite's names still resolve from the package; the
-suite's helpers are not public; the demos import only names in the
-``__all__`` of the module they import from; no module keeps an import
-from the package that it never uses; and every source file parses as
-Python 3.10."""
+``scipy.stats``; the CLI does not load ``fractions``; the suite's names
+still resolve from the package; the suite's helpers are not public; the
+demos import only names in the ``__all__`` of the module they import
+from; no module keeps an import from the package that it never uses;
+and every source file parses as Python 3.10."""
 
 import ast
 import importlib
@@ -91,6 +91,15 @@ def test_verify_does_not_import_scipy_stats():
             assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0
         assert 'scipy.stats' not in sys.modules
     """)
+    res = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_cli_import_does_not_load_fractions():
+    # Only a Fraction value of normalized_nb_value_pmf needs the module,
+    # which imports decimal; every CLI process would pay for both.
+    script = "import countcomp.cli, sys; assert 'fractions' not in sys.modules"
     res = subprocess.run([sys.executable, "-W", "error", "-c", script],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

@@ -306,6 +306,11 @@ VALUE_FORMS = {
     "three entries": ((1, 2, 3), ValueError, "value must be a (k, m) pair, got length 3"),
     "one entry": ([1], ValueError, "value must be a (k, m) pair, got length 1"),
     "text numerator": (("1", 2), ValueError, "value numerator must be a non-negative integer, got '1'"),
+    # A value outside [0, 1] is shown reduced, and a whole one as an int.
+    "whole pair": ((3, 1), ValueError, "value must lie in [0, 1], got 3"),
+    "unreduced pair": ((6, 4), ValueError, "value must lie in [0, 1], got 3/2"),
+    "whole Fraction": (Fraction(6, 2), ValueError, "value must lie in [0, 1], got 3"),
+    "negative Fraction": (Fraction(-1, 2), ValueError, "value must lie in [0, 1], got -1/2"),
 }
 
 
@@ -320,6 +325,11 @@ def test_value_pmf_reads_value_by_one_rule(row):
 def test_value_pmf_pair_forms_agree():
     forms = [(1, 2), [1, 2], Fraction(1, 2), (np.int64(2), 4.0)]
     assert len({normalized_nb_value_pmf(MIX, 0, value) for value in forms}) == 1
+
+
+@pytest.mark.parametrize("pair", [(2, 4), (0, 3), (5, 5), (6, 9), (0, 1)])
+def test_value_pmf_reduces_a_pair_as_fraction_does(pair):
+    assert normalized_nb_value_pmf(MIX, 0, pair) == normalized_nb_value_pmf(MIX, 0, Fraction(*pair))
 
 
 # p of the negative binomial is named as every other argument is, not by
