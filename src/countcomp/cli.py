@@ -8,7 +8,8 @@ or verification failure, 2 usage error.  Running out of memory exits 1
 with one ``error: out of memory`` line.
 
 ``transform`` reads its input in blocks of 10^4 lines; memory grows by
-about 8 bytes per value and per row, plus one block of text.  Every row
+about 8 bytes per value and per row, plus one block of text, and peaks
+at about 16 bytes per value while the blocks are joined.  Every row
 is read and mapped, and every draw of ``sample`` made and checked,
 before the first byte is written, so a failing run leaves stdout empty.
 """
@@ -19,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import sys
 import warnings
 
@@ -318,7 +320,14 @@ def _parse_block(block: list[str], first) -> np.ndarray | None:
     ``float`` does, by ``PyOS_string_to_double``.  Returns None, for
     ``_read_lines`` to read the block, unless every line is a row of the
     table's width: the parser refuses what ``float`` might accept (``1_0``,
-    non-ASCII digits), and skips empty lines."""
+    non-ASCII digits), and skips empty lines.  A block with a carriage
+    return other than in a CRLF ending goes to ``_read_lines`` too: the
+    parser may end a row there, where ``_read_lines`` keeps it in the
+    line."""
+    if any(map(operator.contains, block, itertools.repeat("\r"))):
+        crlf = sum(map(str.endswith, block, itertools.repeat("\r\n")))
+        if sum(map(str.count, block, itertools.repeat("\r"))) != crlf:
+            return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a block of empty lines warns
         try:
@@ -339,7 +348,8 @@ def _read_csv(stream) -> tuple[np.ndarray, np.ndarray]:
     lines, each by ``_parse_block`` where it can and by ``_read_lines``
     where it cannot, so both give the same values, line numbers and
     errors.  Memory holds the values read, 8 bytes each, their line
-    numbers and one block of text."""
+    numbers, 8 bytes each, and one block of text; joining the blocks at
+    the end holds the values twice for a moment."""
     lines = iter(stream)
     head = []
     for line in lines:
@@ -347,7 +357,7 @@ def _read_csv(stream) -> tuple[np.ndarray, np.ndarray]:
         if line.strip():
             break
     numbers, rows, first = _read_lines(head, 1, None, header_allowed=True)
-    chunks = [(numbers, rows)]
+    number_chunks, row_chunks = [numbers], [rows]
     start = len(head) + 1
     while block := list(itertools.islice(lines, _CSV_BLOCK_ROWS)):
         rows = _parse_block(block, first)
@@ -356,12 +366,15 @@ def _read_csv(stream) -> tuple[np.ndarray, np.ndarray]:
         else:
             numbers = np.arange(start, start + len(block), dtype=np.int64)
             first = first or (start, rows.shape[1])
-        chunks.append((numbers, rows))
+        number_chunks.append(numbers)
+        row_chunks.append(rows)
         start += len(block)
-    chunks = [chunk for chunk in chunks if len(chunk[0])]
-    if not chunks:
+    row_chunks = [rows for rows in row_chunks if len(rows)]
+    if not row_chunks:
         return np.empty(0, dtype=np.int64), np.empty((0, 0))
-    return np.concatenate([n for n, _ in chunks]), np.concatenate([r for _, r in chunks])
+    numbers = np.concatenate(number_chunks)
+    del number_chunks  # so that only the values are held twice
+    return numbers, np.concatenate(row_chunks)
 
 
 def _cmd_transform(args, stream_in, out) -> int:

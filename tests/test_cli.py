@@ -435,6 +435,7 @@ def _read_with(read, text):
 @example("x1,x2\n1,2\n3,4\n5\n", 2)  # the first row comes after a header
 @example("1,2\n3,4\n5,zebra\n", 2)
 @example("1,2\r\n3\r4\n", 1)
+@example("1,2\n\n3,4\r5,6\n", 3)  # a bare "\r" may end a row where a blank line is missing
 @example("x1\n1_0\n\uff17\n\xa01.5\xa0\n1e400\n+1.5\n 2.5 \n-0.0\n5e-324\nnan\n", 3)
 def test_block_reader_equals_per_line_reader(text, block_rows):
     """Whatever a block falls on, the block reader gives the line numbers
@@ -446,6 +447,20 @@ def test_block_reader_equals_per_line_reader(text, block_rows):
         patch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
         assert _read_with(cli._read_csv, text) == want
     assert caught == []
+
+
+@pytest.mark.parametrize("block, rows", [
+    (["1,2\n", "\n", "3,4\r5,6\n"], None),
+    (["1,2\r\r\n"], None),
+    (["1,2\n", "3,4\r"], None),
+    (["1,2\r\n", "3,4\r\n"], [[1.0, 2.0], [3.0, 4.0]]),
+])
+def test_parse_block_leaves_a_bare_carriage_return_to_the_per_line_reader(block, rows):
+    """numpy's parser may end a row at a bare carriage return, or refuse
+    one inside a line; the per-line reader keeps it in the line and strips
+    it at the end.  CRLF endings stay with the parser."""
+    got = cli._parse_block(block, None)
+    assert (got if got is None else got.tolist()) == rows
 
 
 # Runs cli.main under an address-space limit set above what the process
