@@ -50,15 +50,15 @@ class UsageError(Exception):
 _CSV_BLOCK_ROWS = 10_000
 
 
-def _write_csv(out, header: list[str], rows: np.ndarray) -> None:
-    """Write a header and the rows of a 2-D array, one block of rows at a
-    time by one ``%r`` template.  ``tolist`` turns entries into Python
-    floats and ints, whose ``repr`` is a float's shortest round-trip text
-    and an int's digits."""
+def _write_csv(out, header: list[str], *columns: np.ndarray) -> None:
+    """Write a header and the rows of 1-D and 2-D arrays side by side, one
+    block of rows at a time: a block is stacked, then formatted by one
+    ``%r`` template.  ``tolist`` gives Python floats and ints, whose
+    ``repr`` is a float's shortest round-trip text and an int's digits."""
     out.write(",".join(header) + "\n")
-    line = ",".join(["%r"] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[start : start + _CSV_BLOCK_ROWS]
+    line = ",".join(["%r"] * len(header)) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([part[start : start + _CSV_BLOCK_ROWS] for part in columns])
         out.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -266,7 +266,7 @@ def _cmd_sample(args, out) -> int:
         raise ValueError(f"row {exc.row + 1}: {exc}") from exc
     # A scalar law draws a 1-D array, a vector law (count, n) rows.
     header = [f"x{i + 1}" for i in range(rows.shape[1])] if rows.ndim == 2 else ["value"]
-    _write_csv(out, header, rows.reshape(len(rows), len(header)))
+    _write_csv(out, header, rows)
     return EXIT_OK
 
 
@@ -395,8 +395,7 @@ def _cmd_transform(args, stream_in, out) -> int:
     header = [f"{prefix}{j + 1}" for j in range(coords.shape[1])]
     if args.jacobian:
         header.append("log_det_jacobian_inverse")
-        coords = np.column_stack((coords, log_det))
-    _write_csv(out, header, coords)
+    _write_csv(out, header, coords, *([log_det] if args.jacobian else []))
     return EXIT_OK
 
 

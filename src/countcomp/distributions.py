@@ -577,26 +577,14 @@ def _count_entries(values: np.ndarray, what: str) -> np.ndarray:
     return _count_rows(values.reshape(-1, 1), what)[:, 0]
 
 
-# The NB and Beta-Binomial log masses, written once.  ``lgs`` is
-# ``_log_gamma_map`` for one (k, m) or ``_log_gamma_each`` for arrays of
-# k and m (int64, or floats holding integers below 2**53); both give the
-# same bits for the same pair.
+# The NB log mass, written once.  ``lgs`` is ``_log_gamma_map`` for one
+# total or ``_log_gamma_each`` for an array of them (int64, or floats
+# holding integers below 2**53); both give the same bits for the same total.
 
 
 def _nb_log_terms(lgs, R: float, p: float, m):
     lg_m_r, lg_r, lg_m1 = lgs(m + R, R, m + 1.0)
     return lg_m_r - lg_r - lg_m1 + R * math.log1p(-p) + m * math.log(p)
-
-
-def _bb_log_terms(lgs, a: float, b: float, k, m):
-    # Grouped so that the a == b case is exactly symmetric in k <-> m-k;
-    # each log B(x, y) is (log G(x) + log G(y)) - log G(x + y).
-    x, y = k + a, m - k + b
-    lg_m1, lg_k1, lg_mk1, lg_x, lg_y, lg_xy, lg_a, lg_b, lg_ab = lgs(
-        m + 1.0, k + 1.0, m - k + 1.0, x, y, x + y, a, b, a + b
-    )
-    log_choose = lg_m1 - (lg_k1 + lg_mk1)
-    return log_choose + (((lg_x + lg_y) - lg_xy) - ((lg_a + lg_b) - lg_ab))
 
 
 def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
@@ -723,7 +711,15 @@ def beta_binomial_log_pmf(params: BetaBinomialParams, k: int) -> float:
     m = params.m
     if k > m:
         raise ValueError(f"k={k} exceeds the number of trials m={m}")
-    return _bb_log_terms(_log_gamma_map, params.a, params.b, k, m)
+    # Grouped so that the a == b case is exactly symmetric in k <-> m-k;
+    # each log B(x, y) is (log G(x) + log G(y)) - log G(x + y).
+    a, b = params.a, params.b
+    x, y = k + a, m - k + b
+    lg_m1, lg_k1, lg_mk1, lg_x, lg_y, lg_xy, lg_a, lg_b, lg_ab = _log_gamma_map(
+        m + 1.0, k + 1.0, m - k + 1.0, x, y, x + y, a, b, a + b
+    )
+    log_choose = lg_m1 - (lg_k1 + lg_mk1)
+    return log_choose + (((lg_x + lg_y) - lg_xy) - ((lg_a + lg_b) - lg_ab))
 
 
 def normalized_nb_log_pmf(
@@ -732,60 +728,58 @@ def normalized_nb_log_pmf(
     """log mass of the normalized count Y = X_component / S on the pair
     (k, m): ``NB(R, p) at m`` times ``BetaBinomial(r_c, R - r_c, m) at k``.
 
-    Defined on pairs including m = 0 (k must then be 0; the
-    Beta-Binomial factor is log 1 = 0), so the pair masses sum to 1.
+    X_c ~ NB(r_c, p) is independent of the rest, NB(R - r_c, p), so that
+    equals ``NB(r_c, p) at k`` times ``NB(R - r_c, p) at m - k``, the form
+    computed, R - r_c being the ``math.fsum`` of the other shapes.  No
+    log-gamma is taken at R, so shapes summing past 2.56e305 are evaluated.
+    Defined on pairs including m = 0 (k must then be 0): they sum to 1.
     """
-    a, b, big_r = _merged_shapes(params, component)
+    a, b, p = _merged_nb(params, component)
     k = _as_count(k, "k")
     m = _as_count(m, "m")
     if k > m:
         raise ValueError(f"k={k} exceeds the total m={m}")
-    out = _nb_log_terms(_log_gamma_map, big_r, _success_prob(params), m)
-    if m > 0:
-        out += _bb_log_terms(_log_gamma_map, a, b, k, m)
-    return out
+    return _pair_log_terms(_log_gamma_map, a, b, p, k, m)
 
 
 def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m) -> np.ndarray:
     """Batch form of ``normalized_nb_log_pmf`` over arrays of pairs (k, m),
     broadcast together and checked as the NB batch form checks m, as an
-    array in their shape; each entry equals the scalar value bit for bit."""
-    a, b, big_r = _merged_shapes(params, component)
+    array in their shape.  Each entry is the same product of two NB masses
+    and equals the scalar value bit for bit."""
+    a, b, p = _merged_nb(params, component)
     k, m = np.broadcast_arrays(np.asarray(k), np.asarray(m))
     shape = k.shape
     k, m = _count_entries(k, "k"), _count_entries(m, "m")
     _reject_rows((k > m, lambda i: f"k={k[i]} exceeds the total m={m[i]}"))
-    out = _nb_log_terms(_log_gamma_each, big_r, _success_prob(params), m)
-    some = m > 0
-    out[some] += _bb_log_terms(_log_gamma_each, a, b, k[some], m[some])
-    return out.reshape(shape)
+    return _pair_log_terms(_log_gamma_each, a, b, p, k, m).reshape(shape)
 
 
-def _merged_shapes(params: GammaMixtureParams, component: int) -> tuple[float, float, float]:
-    """Beta-Binomial shapes (r_c, R - r_c) of one component against the
-    rest merged, and R."""
+def _pair_log_terms(lgs, a: float, b: float, p: float, k, m):
+    # NB(a + b)(m) BB(a, b, m)(k) = NB(a)(k) NB(b)(m - k), the mass of
+    # independent NB counts k and m - k.
+    return _nb_log_terms(lgs, a, p, k) + _nb_log_terms(lgs, b, p, m - k)
+
+
+def _merged_nb(params: GammaMixtureParams, component: int) -> tuple[float, float, float]:
+    """(r_c, R - r_c, p): the NB laws of one component's count and of the
+    rest merged, R - r_c being the ``math.fsum`` of the other shapes.
+    p = theta / (1 + theta) must be below 1: a scale past about 2**53
+    rounds it to 1."""
     _require(params, GammaMixtureParams, "params")
     component = _as_count(component, "component")
     if component >= params.n:
         raise ValueError(f"component {component} out of range for n={params.n}")
-    a = float(params.shapes[component])
-    big_r = params.total_shape
-    b = big_r - a
-    if b <= 0.0:
+    if params.n == 1:
         raise ValueError("normalized_nb_log_pmf needs at least two components to merge")
-    return a, b, big_r
-
-
-def _success_prob(params: GammaMixtureParams) -> float:
-    """p = theta / (1 + theta) of the NB total, which must be below 1: a
-    scale past about 2**53 rounds it to 1."""
     p = params.success_prob
     if not p < 1.0:
         raise ValueError(
             f"GammaMixtureParams scale {params.scale!r} is too large: "
             f"p = scale / (1 + scale) rounds to {p!r}, and the NB total needs p < 1"
         )
-    return p
+    shapes = params.shapes.tolist()
+    return shapes.pop(component), math.fsum(shapes), p
 
 
 class AggregatedValueMass(NamedTuple):
@@ -890,7 +884,8 @@ def normalized_nb_value_pmf(
     """Aggregated log mass of the event Y = value, for a rational value.
 
     A rational value k/m is realized by every pair (j*k, j*m); their
-    ``normalized_nb_log_pmf`` masses are summed for j <= M // m, M being
+    ``normalized_nb_log_pmf`` masses, each ``NB(r_c, p) at j*k`` times
+    ``NB(R - r_c, p) at j*(m-k)``, are summed for j <= M // m, M being
     ``nb_truncation_bound`` of the NB total.
 
     ``value`` is a ``fractions.Fraction`` or a ``(k, m)`` tuple or list
@@ -916,8 +911,11 @@ def normalized_nb_value_pmf(
         k, m = value.numerator, value.denominator
     if k < 0 or k > m:
         raise ValueError(f"value must lie in [0, 1], got {k if m == 1 else f'{k}/{m}'}")
-    value = np.array([[k, m]])
-    log_mass, bound = _value_pmf_rows(params, component, value[:, 0], value[:, 1], tail_mass)
+    a, b, p = _merged_nb(params, component)
+    bound = _nb_bound(params.total_shape, p, _tail_mass(tail_mass))
+    if bound < m:  # no multiple of the value below the bound
+        return AggregatedValueMass(-math.inf, bound)
+    log_mass = _value_log_masses(a, b, p, np.array([k]), np.array([m]), bound // m)
     return AggregatedValueMass(float(log_mass[0]), bound)
 
 
@@ -927,15 +925,19 @@ def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, deno
     [0, 1], as arrays of k and m: the log masses and their shared bound M.
     Values with equal multiple counts are the rows of one unpadded
     ``log_sum_exp_rows``, so each entry equals the value alone bit for bit."""
-    a, b, big_r = _merged_shapes(params, component)
-    tail_mass, p = _tail_mass(tail_mass), _success_prob(params)
-    bound = _nb_bound(big_r, p, tail_mass)
+    a, b, p = _merged_nb(params, component)
+    bound = _nb_bound(params.total_shape, p, _tail_mass(tail_mass))
     count = bound // denominators
     out = np.full(count.shape, -math.inf)
     for c in set(count.tolist()) - {0}:
         (rows,) = np.nonzero(count == c)
-        j = np.arange(1.0, c + 1.0)
-        k, m = numerators[rows, None] * j, denominators[rows, None] * j
-        out[rows] = log_sum_exp_rows(_nb_log_terms(_log_gamma_each, big_r, p, m)
-                                     + _bb_log_terms(_log_gamma_each, a, b, k, m))
+        out[rows] = _value_log_masses(a, b, p, numerators[rows], denominators[rows], c)
     return out, bound
+
+
+def _value_log_masses(a: float, b: float, p: float, numerators, denominators,
+                      count: int) -> np.ndarray:
+    """Log masses of the (N,) values k/m that have ``count`` multiples (j k, j m) each."""
+    j = np.arange(1.0, count + 1.0)
+    k, m = numerators[:, None] * j, denominators[:, None] * j
+    return log_sum_exp_rows(_pair_log_terms(_log_gamma_each, a, b, p, k, m))

@@ -55,6 +55,48 @@ def _mpmath_alr_log_pdf(alpha, y):
         return float(-log_b + mpmath.fsum(ai * yi for ai, yi in zip(a, y)) - mpmath.fsum(a) * log_k)
 
 
+def _mpmath_pair_log_mass(shapes, component):
+    """A function (k, m, scale) -> the 50-digit log of ``NB(R, p) at m``
+    times ``BetaBinomial(r_c, R - r_c, m) at k``.  Its log-gammas are kept
+    between calls."""
+    with mpmath.workdps(50):
+        rest = [mpmath.mpf(v) for v in shapes]
+        a = rest.pop(component)
+        b = mpmath.fsum(rest)
+        shifts = (a, b, a + b, mpmath.mpf(1))
+    memo = {}
+
+    def lg(i, t):  # log G(shifts[i] + t)
+        if (i, t) not in memo:
+            memo[i, t] = mpmath.loggamma(shifts[i] + t)
+        return memo[i, t]
+
+    def log_mass(k, m, scale):
+        with mpmath.workdps(50):
+            theta = mpmath.mpf(scale)
+            p = theta / (1 + theta)
+            log_nb = lg(2, m) - lg(2, 0) - lg(3, m) + (a + b) * mpmath.log1p(-p) + m * mpmath.log(p)
+            log_bb = (lg(3, m) - lg(3, k) - lg(3, m - k) + (lg(0, k) + lg(1, m - k) - lg(2, m))
+                      - (lg(0, 0) + lg(1, 0) - lg(2, 0)))
+            return log_nb + log_bb
+
+    return log_mass
+
+
+def _mixed_error(got, want):
+    """|got - want|, relative where |want| exceeds 1."""
+    return float(abs(got - want) / max(1, abs(want)))
+
+
+def _rounding_floor(big_r, p, m):
+    """Two ulps of the largest terms of an NB(R, p) log mass at m, log
+    G(m + R + 1), R log(1 - p) and m log p, as an absolute error.  A log
+    mass formed from such terms by float arithmetic is no closer to the
+    exact value than that, however small it is."""
+    return 2.0 * sys.float_info.epsilon * (
+        math.lgamma(m + big_r + 1.0) + big_r * -math.log1p(-p) + m * -math.log(p))
+
+
 class TestParamValidation:
     def test_dirichlet_params(self):
         with pytest.raises(ValueError):
@@ -400,6 +442,76 @@ class TestNormalizedNbPmf:
             normalized_nb_log_pmf(self.params, 5, 0, 1)  # bad component
         with pytest.raises(ValueError):
             normalized_nb_log_pmf(GammaMixtureParams([2.0], 1.0), 0, 0, 1)  # nothing to merge
+
+    @pytest.mark.parametrize("shapes, component", [
+        ([1e16, 0.3], 0), ([0.3, 1e16], 1), ([1e16, 0.2, 0.1], 0), ([2.0**60, 100.0], 0)])
+    def test_one_shape_dwarfing_the_rest(self, shapes, component):
+        # R - r_c rounds to 0 as a difference; the rest's own sum does not.
+        params = GammaMixtureParams(shapes, 0.5)
+        want = _mpmath_pair_log_mass(shapes, component)(1, 2, 0.5)
+        assert _mixed_error(normalized_nb_log_pmf(params, component, 1, 2), want) <= 1e-13
+        rows = distributions.normalized_nb_log_pmf_rows(params, component, [0, 1], [0, 2])
+        assert _mixed_error(rows[1], want) <= 1e-13
+        assert rows.tolist() == [normalized_nb_log_pmf(params, component, 0, 0),
+                                 normalized_nb_log_pmf(params, component, 1, 2)]
+
+    def test_shapes_summing_past_the_log_gamma_overflow(self):
+        # R = 2.6e305 overflows log G(R), which neither component's mass needs.
+        params = GammaMixtureParams([1.3e305, 1.3e305], 1.0)
+        want = _mpmath_pair_log_mass([1.3e305, 1.3e305], 0)(1, 3, 1.0)
+        assert _mixed_error(normalized_nb_log_pmf(params, 0, 1, 3), want) <= 1e-13
+
+
+# Shapes 1e-2 to 1e3 and scales 0.05 to 20.  Near the mode of large
+# shapes a log mass of size 10 is a difference of log-gammas of size 10^4,
+# and its error is set by their rounding (_rounding_floor): it is within
+# 1e-13 only relative to them.  A saddle-point form of the NB mass, in
+# place of the log-gamma difference, would remove that floor.
+GRID_SHAPES = [[0.01, 0.02], [0.3, 7.0, 2.5], [7.0, 0.3], [1000.0, 1000.0], [1000.0, 0.01],
+               [0.01, 1000.0], [0.05, 40.0, 0.6]]
+GRID_SCALES = [0.05, 1.0, 20.0]
+
+
+@pytest.mark.parametrize("shapes", GRID_SHAPES)
+def test_pair_masses_match_mpmath(shapes):
+    # Totals up to 2000, each with k at both ends, a third and a half.
+    m = np.array([0, 1, 2, 7, 60, 333, 2000]).repeat(4)
+    k = m * np.tile([0, 2, 3, 6], 7) // 6
+    for component in range(len(shapes)):
+        want = _mpmath_pair_log_mass(shapes, component)
+        for scale in GRID_SCALES:
+            params = GammaMixtureParams(shapes, scale)
+            got = distributions.normalized_nb_log_pmf_rows(params, component, k, m)
+            for got_i, k_i, m_i in zip(got.tolist(), k.tolist(), m.tolist()):
+                want_i = want(k_i, m_i, scale)
+                floor = _rounding_floor(params.total_shape, params.success_prob, m_i)
+                assert abs(got_i - want_i) <= max(1e-13 * max(1, abs(want_i)), floor), (
+                    component, scale, k_i, m_i)
+
+
+@pytest.mark.parametrize("shapes, scale", [
+    ([0.01, 0.02], 20.0), ([1000.0, 1000.0], 0.05), ([7.0, 0.3], 1.0), ([1000.0, 0.01], 0.05),
+    ([0.3, 7.0, 2.5], 1.0)])
+def test_value_masses_match_mpmath(shapes, scale):
+    # Every reduced value with denominator 1 to 8, summed over its
+    # multiples below the bound.
+    params = GammaMixtureParams(shapes, scale)
+    values = sorted({Fraction(k, m) for m in range(1, 9) for k in range(m + 1)})
+    log_mass, bound = distributions._value_pmf_rows(
+        params, 0, np.array([q.numerator for q in values]),
+        np.array([q.denominator for q in values]), 1e-12)
+    assert bound <= 2000
+    pair = _mpmath_pair_log_mass(shapes, 0)
+    for q, got in zip(values, log_mass.tolist()):
+        totals = range(q.denominator, bound + 1, q.denominator)
+        with mpmath.workdps(50):
+            logs = [pair(m * q.numerator // q.denominator, m, scale) for m in totals]
+            want = mpmath.log(mpmath.fsum(mpmath.exp(t) for t in logs))
+            # A log-sum-exp errs by the mass-weighted mean of its terms' errors.
+            floor = mpmath.fsum(
+                mpmath.exp(t - want) * _rounding_floor(params.total_shape, params.success_prob, m)
+                for t, m in zip(logs, totals))
+        assert abs(got - want) <= max(1e-14 * max(1, abs(want)), floor), q
 
 
 def _nb_tail(bound, big_r, p):
@@ -813,7 +925,7 @@ OVERFLOWING_CALLS = {
     "negative_binomial_log_pmf_rows": lambda s: distributions.negative_binomial_log_pmf_rows(
         s, 0.5, [0, 3]),
     "normalized_nb_log_pmf": lambda s: normalized_nb_log_pmf(
-        GammaMixtureParams([s / 2, s / 2], 1.0), 0, 1, 3),
+        GammaMixtureParams([s, 1.0], 1.0), 0, 1, 3),
     "beta_binomial_log_pmf": lambda s: beta_binomial_log_pmf(
         BetaBinomialParams(s / 2, s / 2, 3), 1),
 }
