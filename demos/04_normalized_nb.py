@@ -1,7 +1,9 @@
 """The normalized count Y = X_1 / S and its mass function.
 
 The pair mass at (k, m) factorizes as NB(R, p) at m times
-BetaBinomial(r_1, R - r_1, m) at k.  Note the m = 0 atom: the total is
+BetaBinomial(r_1, R - r_1, m) at k.  X_1 ~ NB(r_1, p) is independent of
+the rest, NB(R - r_1, p), so that equals NB(r_1)(k) * NB(R - r_1)(m - k),
+the form the library computes.  Note the m = 0 atom: the total is
 zero with probability (1-p)^R, where the ratio is undefined; on the
 strict support m >= 1 the masses sum to 1 - (1-p)^R, so this library
 keeps the atom on the pair space (with k = 0) to conserve total mass.

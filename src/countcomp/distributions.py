@@ -543,8 +543,8 @@ def multinomial_sample(m: int, probs: Composition, rng: np.random.Generator, siz
 
 
 def negative_binomial_log_pmf(R: float, p: float, m: int) -> float:
-    """log NB(R, p) mass at m:
-    ``log C(m+R-1, m) + R log(1-p) + m log p``.
+    """log NB(R, p) mass at m: ``log C(m+R-1, m) + R log(1-p) + m log p``.
+    From R = 10^6 on, log G(m+R) - log G(R) is Stirling's series: no log-gamma at R.
 
     ``p`` multiplies the p^m factor (so the mean is R p / (1-p)); this
     is the opposite of some libraries' convention.
@@ -583,8 +583,26 @@ def _count_entries(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _nb_log_terms(lgs, R: float, p: float, m):
-    lg_m_r, lg_r, lg_m1 = lgs(m + R, R, m + 1.0)
-    return lg_m_r - lg_r - lg_m1 + R * math.log1p(-p) + m * math.log(p)
+    if R < _SERIES_SHAPE:
+        lg_m_r, lg_r, lg_m1 = lgs(m + R, R, m + 1.0)
+        log_rise = lg_m_r - lg_r
+    else:
+        log_rise, (lg_m1,) = _log_rise(R, m), lgs(m + 1.0)
+    return log_rise - lg_m1 + R * math.log1p(-p) + m * math.log(p)
+
+
+# From this shape on, ``_log_rise`` takes log G(m+R) - log G(R) by Stirling's
+# series (omitted terms below 1e-20), with no log-gamma at R: a difference of
+# two log-gammas near R log R loses their ulps, and past about 2.56e305 overflows.
+# An array of totals is mapped entry by entry through ``math``, so that a batch
+# equals its scalar values bit for bit, and no numpy overflow warning is raised.
+_SERIES_SHAPE = 1e6
+
+
+def _log_rise(R: float, m):
+    if isinstance(m, np.ndarray):
+        return np.array([_log_rise(R, total) for total in m.ravel().tolist()]).reshape(m.shape)
+    return (R - 0.5) * math.log1p(m / R) + m * math.log(m + R) - m - m / (12.0 * R * (m + R))
 
 
 def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
@@ -793,9 +811,6 @@ class AggregatedValueMass(NamedTuple):
 # A tail bound below tail_mass * 2^-53 cannot move a sum near tail_mass.
 _LOG_NEGLIGIBLE = -53.0 * math.log(2.0)
 _LOG_TINY = math.log(2.0**-1022)  # below the smallest normal float, values lose bits
-# From this shape on, the walk's one NB mass takes log G(m+R) - log G(R) by Stirling's
-# series (omitted terms below 1e-20), not as a difference of log-gammas near R log R.
-_SERIES_SHAPE = 1e6
 # Most totals nb_truncation_bound walks: 10^6 covers ten standard
 # deviations up to an NB variance R p / (1-p)^2 of about 10^10.
 _MAX_BOUND_WINDOW = 1_000_000
@@ -862,9 +877,7 @@ def _nb_tail_bound(R: float, p: float, m: int) -> tuple[float, float, float]:
     """(log pmf(m), log of pmf(m) r / (1 - r) >= the mass beyond m, r), for
     m past the NB mode, with r >= every ratio pmf(i+1)/pmf(i) for i >= m."""
     r = p * max(m + R, m + 1.0) / (m + 1.0)
-    log_pmf = _nb_log_terms(_log_gamma_map, R, p, m) if R < _SERIES_SHAPE else (
-        (R - 0.5) * math.log1p(m / R) + m * math.log(m + R) - m - m / (12.0 * R * (m + R))
-        - math.lgamma(m + 1.0) + R * math.log1p(-p) + m * math.log(p))
+    log_pmf = _nb_log_terms(_log_gamma_map, R, p, m)
     return log_pmf, log_pmf + math.log(r / (1.0 - r)), r
 
 
@@ -892,23 +905,19 @@ def normalized_nb_value_pmf(
     (reduced internally).  The m = 0 atom, of log mass ``R * log(1-p)``,
     is not a rational value and is not included here.
     """
+    from fractions import Fraction  # here, so that importing the library loads no fractions
+
     if isinstance(value, (tuple, list)):
         if len(value) != 2:
             raise ValueError(f"value must be a (k, m) pair, got length {len(value)}")
-        k, m = value
-        m = _as_count(m, "value denominator")
+        m = _as_count(value[1], "value denominator")
         if m < 1:
             raise ValueError("value must have denominator m >= 1")
-        k = _as_count(k, "value numerator")
-        divisor = math.gcd(k, m)
-        k, m = k // divisor, m // divisor
-    else:
-        from fractions import Fraction  # here, so that importing the library loads no fractions
-
-        if not isinstance(value, Fraction):
-            raise TypeError(
-                f"value must be a fractions.Fraction or a (k, m) pair, not {type(value).__name__}")
-        k, m = value.numerator, value.denominator
+        value = Fraction(_as_count(value[0], "value numerator"), m)
+    elif not isinstance(value, Fraction):
+        raise TypeError(
+            f"value must be a fractions.Fraction or a (k, m) pair, not {type(value).__name__}")
+    k, m = value.numerator, value.denominator
     if k < 0 or k > m:
         raise ValueError(f"value must lie in [0, 1], got {k if m == 1 else f'{k}/{m}'}")
     a, b, p = _merged_nb(params, component)

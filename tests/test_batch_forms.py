@@ -45,6 +45,8 @@ from countcomp.special import (
 )
 
 SHAPE = st.floats(1e-2, 1e3)
+# NB shapes on both sides of the series threshold of 10^6.
+NB_SHAPE = st.one_of(SHAPE, st.floats(1e6, 1e300))
 SEED = st.integers(0, 2**32 - 1)
 ROWS = st.integers(1, 6)
 # Probabilities near 0 and 1: decimal exponents down to -300, normalized.
@@ -111,14 +113,15 @@ class TestCountMasses:
         want = [dirichlet_multinomial_log_pmf(shapes, int(row.sum()), CountVector(row)) for row in x]
         assert got.tolist() == want
 
-    @given(SHAPE, st.floats(1e-12, 1.0 - 1e-12), st.lists(st.integers(0, 2000), min_size=1, max_size=20))
+    @given(NB_SHAPE, st.floats(1e-12, 1.0 - 1e-12),
+           st.lists(st.integers(0, 2000), min_size=1, max_size=20))
     @batch_settings
     def test_negative_binomial_rows_equal_scalar(self, big_r, p, totals):
         got = negative_binomial_log_pmf_rows(big_r, p, totals)
         assert got.tolist() == [negative_binomial_log_pmf(big_r, p, m) for m in totals]
 
     @given(
-        st.lists(SHAPE, min_size=2, max_size=10),
+        st.lists(NB_SHAPE, min_size=2, max_size=10),
         st.floats(1e-6, 1e6),
         st.lists(st.tuples(st.integers(0, 2000), st.floats(0.0, 1.0)), min_size=1, max_size=20),
     )

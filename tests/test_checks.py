@@ -16,6 +16,7 @@ from countcomp.checks import (
     _check_beta_binomial_merge,
     _check_conditional_multinomial,
     _check_dm_integral,
+    _check_nb_normalization,
     _check_pi_independent_of_s,
     _composition_matrix,
     _lemma_det,
@@ -98,6 +99,17 @@ class TestConditionalMultinomial:
         rep = _check_conditional_multinomial("starved", (1.0, 1.0), 2, 40, rng, 71)
         assert rep.inconclusive
         assert not rep.passed
+        assert rep.detail == "rates (1, 1), m=2: too few accepted samples to test"
+
+    def test_detail_names_rates_and_total(self):
+        # The scale-invariance row is this check at ten times the rates of
+        # n2-m2; its detail says so.
+        rng = np.random.default_rng(67)
+        rep = _check_conditional_multinomial("x10", (10.0, 10.0), 20, 10_000, rng, 67)
+        assert rep.detail == "rates (10, 10), m=20; p-value must exceed threshold"
+        rows = {row[0]: row[1:3] for row in checks._suite("quick")}
+        assert rows["conditional-multinomial-scale-invariance"] == (
+            _check_conditional_multinomial, ((10.0, 10.0), 20))
 
 
 class TestPiIndependence:
@@ -125,6 +137,15 @@ class TestDmIntegral:
         rng = np.random.default_rng(97)
         rep = _check_dm_integral("n2-m5", (2.0, 1.0), 5, 30_000, rng, 97)
         assert rep.passed
+
+
+class TestNbNormalization:
+    def test_covers_a_shape_past_the_series_threshold(self):
+        # NB(1e15, 1e-15), Poisson(1) to within 1e-15, is among its settings;
+        # as a difference of log-gammas its masses summed to 0.50.  Its bound
+        # (16) and its gap (7e-16) are below those of the other settings.
+        rep = _check_nb_normalization("nb", 0, None, -1)
+        assert rep.passed and rep.size == 115 and rep.statistic < 1e-14
 
 
 class TestBetaBinomialMerge:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -133,6 +134,28 @@ class TestEval:
         record = json.loads(res.stdout)
         assert "value" not in record
         assert record["logValue"] == pytest.approx(4.0 * math.log(0.5), rel=1e-12)
+
+    def test_negative_binomial_past_the_log_gamma_overflow(self):
+        # NB(1e306, 1e-306) is Poisson(1) to within 1e-306; log G(1e306)
+        # overflows float64, and the library once refused the point with it.
+        res = run_cli(
+            "eval", "--dist", "negative-binomial", "--params", '{"R": 1e306, "p": 1e-306}',
+            "--point", "1",
+        )
+        assert res.returncode == 0, res.stderr
+        with mpmath.workdps(40):
+            big_r, p = mpmath.mpf(1e306), mpmath.mpf(1e-306)
+            want = mpmath.log(big_r) + big_r * mpmath.log1p(-p) + mpmath.log(p)
+        assert abs(json.loads(res.stdout)["logValue"] - want) <= 1e-12
+
+    def test_normalized_nb_in_the_poisson_limit(self):
+        # Two independent counts, each NB(1e15, 1e-15), Poisson(1) to within
+        # 1e-15: the pair (1, 2) has mass e^-2.  A difference of log-gammas
+        # near R log R once printed -7.08 here.
+        params = '{"shapes": [1e15, 1e15], "scale": 1e-15, "component": 0}'
+        res = run_cli("eval", "--dist", "normalized-nb", "--params", params, "--point", "1,2")
+        assert res.returncode == 0, res.stderr
+        assert abs(json.loads(res.stdout)["logValue"] + 2.0) <= 1e-12
 
     def test_underflowing_value_omitted(self):
         res = run_cli(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import nbinom
+from scipy.stats import nbinom, poisson
 
 from countcomp import distributions, special
 from countcomp import (
@@ -53,6 +53,16 @@ def _mpmath_alr_log_pdf(alpha, y):
         log_b = mpmath.fsum(mpmath.loggamma(v) for v in a) - mpmath.loggamma(mpmath.fsum(a))
         log_k = mpmath.log(1 + mpmath.fsum(mpmath.exp(v) for v in y))
         return float(-log_b + mpmath.fsum(ai * yi for ai, yi in zip(a, y)) - mpmath.fsum(a) * log_k)
+
+
+def _mpmath_nb_log_mass(big_r, p, m):
+    """log NB(R, p) at m at 40 digits, with log G(m+R) - log G(R) taken as
+    the log of the product R (R+1) ... (R+m-1): no log-gamma at R, so its
+    error does not grow with R."""
+    with mpmath.workdps(40):
+        big_r, p = mpmath.mpf(big_r), mpmath.mpf(p)
+        rise = mpmath.log(mpmath.fprod(big_r + i for i in range(m)))
+        return rise - mpmath.loggamma(m + 1) + big_r * mpmath.log1p(-p) + m * mpmath.log(p)
 
 
 def _mpmath_pair_log_mass(shapes, component):
@@ -514,6 +524,54 @@ def test_value_masses_match_mpmath(shapes, scale):
         assert abs(got - want) <= max(1e-14 * max(1, abs(want)), floor), q
 
 
+class TestNbMassAtLargeShapes:
+    # From R = 10^6 on, log G(m+R) - log G(R) is Stirling's series, in the
+    # mass functions and in the truncation bound alike.  NB(1e15, 1e-15) is
+    # Poisson(1) to within 1e-15; as a difference of log-gammas near R log R
+    # its masses for totals 0..14 summed to 0.499.
+    SHAPES = GammaMixtureParams([1e15, 1e15], 1e-15)
+
+    def test_masses_up_to_the_bound_sum_to_one(self):
+        bound = nb_truncation_bound(1e15, 1e-15)
+        logs = distributions.negative_binomial_log_pmf_rows(1e15, 1e-15, np.arange(bound + 1))
+        assert bound == 14
+        assert abs(math.expm1(log_sum_exp(logs))) <= 1e-12
+
+    def test_pair_mass_in_the_poisson_limit(self):
+        # Two independent Poisson(1) counts: the pair (1, 2) has mass e^-2.
+        got = normalized_nb_log_pmf(self.SHAPES, 0, 1, 2)
+        assert abs(got + 2.0) <= 1e-12
+        assert distributions.normalized_nb_log_pmf_rows(self.SHAPES, 0, [1], [2]).tolist() == [got]
+
+    def test_value_mass_in_the_poisson_limit(self):
+        # Y = 1/2 where both counts equal some j >= 1: the sum over j of
+        # e^-2 / j!^2 is e^-2 (I0(2) - 1).
+        with mpmath.workdps(40):
+            want = mpmath.log(mpmath.exp(-2) * (mpmath.besseli(0, 2) - 1))
+        got = normalized_nb_value_pmf(self.SHAPES, 0, (1, 2)).log_mass
+        assert abs(got - want) <= 1e-12
+
+    def test_grid_matches_mpmath(self):
+        # Half the settings in the Poisson limit, at means 0.1 to 100 and
+        # totals up to 8 sd past the mean; half at p in (0.02, 0.98).
+        rng = np.random.default_rng(28)
+        for i in range(100):
+            big_r = 10.0 ** rng.uniform(6.0, 308.0)
+            if i % 2:
+                mean = 10.0 ** rng.uniform(-1.0, 2.0)
+                p = mean / (big_r + mean)
+                spread = math.sqrt(mean)
+                m = [0, 1, int(mean), int(mean + 3 * spread) + 1, int(mean + 8 * spread) + 10]
+            else:
+                p = rng.uniform(0.02, 0.98)
+                m = [0, 1, 7, 60, 333]
+            got = distributions.negative_binomial_log_pmf_rows(big_r, p, m).tolist()
+            assert got == [negative_binomial_log_pmf(big_r, p, m_i) for m_i in m]
+            for got_i, m_i in zip(got, m):
+                want = _mpmath_nb_log_mass(big_r, p, m_i)
+                assert _mixed_error(got_i, want) <= 1e-11, (big_r, p, m_i)
+
+
 def _nb_tail(bound, big_r, p):
     """NB mass beyond ``bound``; scipy's p is the weight of the fixed factor."""
     return nbinom.sf(bound, big_r, 1.0 - p)
@@ -904,7 +962,8 @@ class TestValueEquality:
 
 # Shapes whose log-gamma terms overflow float64: log Gamma is past the
 # largest float from about 2.56e305 on, and 1e308 + 1e308 overflows.  Each
-# form, one point and a batch, must raise ValueError, with no warning.
+# form, one point and a batch, must raise ValueError, with no warning.  The
+# NB family takes no log-gamma at R (see HUGE_NB_CALLS), so it is not here.
 HUGE = (1e308, 1e306, 2.6e305, sys.float_info.max)
 OVERFLOWING_CALLS = {
     "log_multivariate_beta": lambda s: special.log_multivariate_beta([s, s]),
@@ -921,11 +980,6 @@ OVERFLOWING_CALLS = {
         [s, s], 2, CountVector([1, 1])),
     "dirichlet_multinomial_log_pmf_rows": lambda s: distributions.dirichlet_multinomial_log_pmf_rows(
         [s, s], 2, [[1, 1]]),
-    "negative_binomial_log_pmf": lambda s: negative_binomial_log_pmf(s, 0.5, 3),
-    "negative_binomial_log_pmf_rows": lambda s: distributions.negative_binomial_log_pmf_rows(
-        s, 0.5, [0, 3]),
-    "normalized_nb_log_pmf": lambda s: normalized_nb_log_pmf(
-        GammaMixtureParams([s, 1.0], 1.0), 0, 1, 3),
     "beta_binomial_log_pmf": lambda s: beta_binomial_log_pmf(
         BetaBinomialParams(s / 2, s / 2, 3), 1),
 }
@@ -935,8 +989,6 @@ OVERFLOWING_CALLS = {
 OVERFLOWING_BATCHES = {
     "log_multivariate_beta_rows": lambda: special.log_multivariate_beta_rows(
         [[sys.float_info.max, 1.0]]),
-    "negative_binomial_log_pmf_rows": lambda: distributions.negative_binomial_log_pmf_rows(
-        2.6e305, 0.5, [1]),
     "dirichlet_multinomial_log_pmf_rows": lambda: distributions.dirichlet_multinomial_log_pmf_rows(
         [2.6e305, 1.0], 1, [[1, 0]]),
 }
@@ -958,6 +1010,49 @@ class TestOverflowingShapes:
         # Just below the log-gamma overflow the formulas still return numbers.
         assert math.isfinite(special.log_multivariate_beta([1e300, 1e300]))
         assert math.isfinite(negative_binomial_log_pmf(1e300, 0.5, 3))
+
+
+# The NB family at the shapes above: (the library's log masses, their
+# oracle values) for NB(s, p), p = scale / (1 + scale).  The pair mass of
+# GammaMixtureParams([s, 1], scale) at (1, 3) is NB(s, p) at 1 times NB(1, p) at 2.
+HUGE_NB_CALLS = {
+    "negative_binomial_log_pmf": lambda s, p, scale: (
+        [negative_binomial_log_pmf(s, p, 3)], [_mpmath_nb_log_mass(s, p, 3)]),
+    "negative_binomial_log_pmf_rows": lambda s, p, scale: (
+        distributions.negative_binomial_log_pmf_rows(s, p, [0, 3]).tolist(),
+        [_mpmath_nb_log_mass(s, p, 0), _mpmath_nb_log_mass(s, p, 3)]),
+    "normalized_nb_log_pmf": lambda s, p, scale: (
+        [normalized_nb_log_pmf(GammaMixtureParams([s, 1.0], scale), 0, 1, 3)],
+        [_mpmath_nb_log_mass(s, p, 1) + _mpmath_nb_log_mass(1.0, p, 2)]),
+}
+
+
+class TestNbFamilyAtHugeShapes:
+    # The NB family once refused these shapes with "log_gamma(...) overflows
+    # float64".  scipy's nbinom.logpmf is nan at all of them (its log-gammas
+    # overflow), so in the Poisson limit, where NB(s, p) is Poisson(s p / (1-p))
+    # to within 1e-300, scipy's Poisson mass is the second oracle.
+    @pytest.mark.parametrize("poisson_limit", [False, True])
+    @pytest.mark.parametrize("shape", HUGE)
+    @pytest.mark.parametrize("name", HUGE_NB_CALLS)
+    def test_matches_mpmath(self, name, shape, poisson_limit):
+        scale = 2.0 / shape if poisson_limit else 1.0
+        p = GammaMixtureParams([shape], scale).success_prob
+        got, want = HUGE_NB_CALLS[name](shape, p, scale)
+        assert all(type(value) is float for value in got)
+        assert max(_mixed_error(g, w) for g, w in zip(got, want)) <= 1e-12
+        if poisson_limit and name != "normalized_nb_log_pmf":
+            with mpmath.workdps(40):
+                rate = float(shape * mpmath.mpf(p) / (1 - mpmath.mpf(p)))
+            m = [3] if len(got) == 1 else [0, 3]
+            assert np.abs(np.array(got) - poisson.logpmf(m, rate)).max() <= 1e-12
+
+    def test_one_point_and_batch_agree(self):
+        for shape in HUGE:
+            for p in (0.5, 2.0 / shape):
+                rows = distributions.negative_binomial_log_pmf_rows(shape, p, [[0, 1], [3, 60]])
+                assert rows.tolist() == [[negative_binomial_log_pmf(shape, p, m) for m in row]
+                                         for row in ([0, 1], [3, 60])]
 
 
 # Finite shapes whose sum overflows float64: the parameters are rejected
