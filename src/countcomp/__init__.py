@@ -8,11 +8,11 @@ a normalized count, and a verification suite that mechanically checks
 every identity connecting them.
 
 The suite lives in ``countcomp.checks``; its public names are
-``run_all``, ``all_passed`` and ``CheckReport``.  It takes its p-values
-from ``scipy.special``; ``scipy.stats`` is loaded only in the rare KS
-branches (a sample of at most 140, n D <= 1, or the Durbin-matrix
-region).  The suite's names are loaded on first access, so importing the
-package does not import scipy.
+``run_all``, ``all_passed`` and ``CheckReport``.  It computes its own
+chi-square, Gamma and one-sided KS tails; scipy is loaded only in the
+rare KS branches (a sample of at most 140, n D <= 1, or the
+Durbin-matrix region).  The suite's names are loaded on first access,
+so importing the package does not import the suite.
 """
 
 from .distributions import (
@@ -99,7 +99,7 @@ __all__ = [
 
 def __getattr__(name):
     # The names of __all__ not imported above are the suite's (PEP 562):
-    # importing ``checks``, and scipy with it, waits until one is used.
+    # importing ``checks`` waits until one is used.
     if name in __all__:
         from . import checks
 

@@ -17,12 +17,15 @@ failing statistical check is retried once at 10x the sample size (on a
 fresh substream) before being declared failed.  Chi-square cells with
 expected count below 5 are pooled into a tail cell.
 
-P-values come from ``scipy.special`` (``chdtrc``, ``smirnov``,
-``gammainc``) by the arithmetic of ``scipy.stats`` (``chi2.sf``,
-``chi2_contingency``, ``kstest``), so they equal that oracle bit for bit.
-``scipy.stats`` itself is imported only by the rare KS branches (a
-sample of at most 140, n D <= 1, or the Durbin-matrix region), which the
-suite's samples of 10^4 and more never reach.
+P-values follow ``scipy.stats`` (``chi2.sf``, ``chi2_contingency``,
+``kstest``) but take their tails from finite forms computed here: the
+chi-square tail for integer degrees of freedom (``_chi2_sf``), the Gamma
+CDF (``_gamma_cdf``) and the one-sided KS tail (``_smirnov``).  They
+agree with ``scipy.special`` to within 1e-12 relative, 2e-13 absolute
+and 1e-9 relative respectively, not bit for bit.  ``scipy`` is imported
+only by the rare KS branches (a sample of at most 140, n D <= 1, or the
+Durbin-matrix region), which the suite's samples of 10^4 and more never
+reach.
 
 ``run_all`` executes the whole suite deterministically: every check
 draws from its own substream derived from the master seed, and reports
@@ -38,7 +41,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as sc
 
 from ._rules import _as_count, _reject_rows
 from .distributions import (
@@ -225,7 +227,7 @@ def _chi_square_gof(observed: np.ndarray, expected: np.ndarray) -> tuple[float, 
         raise ValueError("chi-square needs at least two cells after pooling")
     statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = exp_arr.size - 1
-    return statistic, float(sc.chdtrc(dof, statistic))
+    return statistic, _chi2_sf(dof, statistic)
 
 
 def _contingency_p(table: np.ndarray) -> float:
@@ -240,7 +242,51 @@ def _contingency_p(table: np.ndarray) -> float:
         # One nontrivial row or column: observed equals expected.
         return 1.0
     expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / table.sum()
-    return float(sc.chdtrc(dof, ((table - expected) ** 2 / expected).sum()))
+    return _chi2_sf(dof, float(((table - expected) ** 2 / expected).sum()))
+
+
+def _chi2_sf(dof: int, x: float) -> float:
+    """P(chi^2_dof >= x) for an integer dof >= 1: the upper incomplete gamma
+    Q(dof/2, x/2) as a finite sum.  With y = x/2 it is e^-y sum_{j < dof/2}
+    y^j / j! for even dof, and erfc(sqrt(y)) plus the half-integer terms
+    e^-y y^(j+1/2) / Gamma(j+3/2) for odd dof; each term is taken in logs."""
+    y = 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    half, log_y = 0.5 * (dof % 2), math.log(y)
+    terms = [math.exp((j + half) * log_y - math.lgamma(j + half + 1.0) - y)
+             for j in range(dof // 2)]
+    return math.fsum(terms + [math.erfc(math.sqrt(y))] if half else terms)
+
+
+def _gamma_cdf(a: float, x: np.ndarray) -> np.ndarray:
+    """The regularized lower incomplete gamma P(a, x) over an array of
+    x >= 0: its power series below x = a + 1, and above it 1 - Q(a, x) with
+    Q by the continued fraction of Legendre, evaluated by Lentz's method."""
+    with np.errstate(divide="ignore"):  # x = 0: log 0, and P(a, 0) = 0
+        front = np.exp(a * np.log(x) - x - math.lgamma(a))  # x^a e^-x / Gamma(a)
+    low = x < a + 1.0
+    xs, out = x[low], np.empty_like(x)
+    term = np.full(xs.shape, 1.0 / a)
+    total, n = term.copy(), 0
+    while (term > total * 1e-17).any():  # sum_n x^n / (a (a+1) ... (a+n))
+        n += 1
+        term = term * xs / (a + n)
+        total += term
+    out[low] = front[low] * total
+    xs = x[~low]
+    b = xs + 1.0 - a
+    c, d = np.full(xs.shape, np.inf), 1.0 / b
+    h, step, n = d.copy(), np.zeros(xs.shape), 0
+    while (np.abs(step - 1.0) > 1e-15).any():
+        n += 1
+        b = b + 2.0
+        d = 1.0 / (b - n * (n - a) * d)
+        c = b - n * (n - a) / c
+        step = c * d
+        h *= step
+    out[~low] = 1.0 - front[~low] * h
+    return out
 
 
 def _ks_test(cdf: np.ndarray) -> tuple[float, float]:
@@ -249,9 +295,10 @@ def _ks_test(cdf: np.ndarray) -> tuple[float, float]:
 
     The arithmetic of ``scipy.stats.kstest(..., method="exact")``, whose
     p-value is ``kstwo.sf(D, n)`` by the branch selection of Simard and
-    L'Ecuyer (2011).  The branches a large sample takes are evaluated here
-    from ``scipy.special``; the rest (n <= 140, n D <= 1, or the
-    Durbin-matrix region) defer to ``kstwo.sf`` itself.
+    L'Ecuyer (2011).  The branches a large sample takes are evaluated here:
+    2 (1 - D)^n, twice the one-sided tail ``_smirnov`` or the Pelz-Good
+    expansion.  The rest (n <= 140, n D <= 1, or the Durbin-matrix region)
+    defer to ``kstwo.sf`` itself.
     """
     n = cdf.size
     d = max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max())
@@ -260,7 +307,8 @@ def _ks_test(cdf: np.ndarray) -> tuple[float, float]:
 
 def _ks_sf(n: int, d):
     """P(D_n >= d) for 0 <= d <= 1, branch for branch as
-    ``scipy.stats._ksstats._kolmogn``."""
+    ``scipy.stats._ksstats._kolmogn``; only the branches that defer to
+    ``kstwo.sf`` import scipy."""
     t = n * d
     if t <= 1.0 or n <= 140 or (n <= 100000 and n * np.power(d, 1.5) <= 1.4):
         from scipy import stats
@@ -269,13 +317,26 @@ def _ks_sf(n: int, d):
     if t >= n - 1:
         return 2 * (1.0 - d) ** n
     if d >= 0.5:
-        return 2 * sc.smirnov(n, d)
+        return 2 * _smirnov(n, d)
     nd_squared = t * d
     if nd_squared >= 370.0:
         return 0.0
     if nd_squared >= 2.2:
-        return 2 * sc.smirnov(n, d)
+        return 2 * _smirnov(n, d)
     return 1.0 - _pelz_good_cdf(n, d)
+
+
+def _smirnov(n: int, d: float) -> float:
+    """P(D_n^+ >= d), the one-sided KS tail, by the finite sum of Birnbaum
+    and Tingey (1951): d sum_{0 <= j <= n (1 - d)} C(n, j) (1 - d - j/n)^(n-j)
+    (d + j/n)^(j-1), each term taken in logs."""
+    j = np.arange(math.floor(n * (1.0 - d)) + 1)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    with np.errstate(divide="ignore"):  # the last 1 - d - j/n may be 0, or round below it
+        log_terms = (log_factorial[n] - log_factorial[j] - log_factorial[n - j]
+                     + (n - j) * np.log(np.maximum((n - j) / n - d, 0.0))
+                     + (j - 1) * np.log(d + j / n))
+    return d * float(np.exp(log_terms).sum())  # positive terms, so a pairwise sum is accurate
 
 
 def _pelz_good_cdf(n: int, d):
@@ -731,7 +792,7 @@ def _check_nb_mixture(name: str, big_r, theta, trials, rng, seed) -> CheckReport
 
 def _check_gamma_common_scale_sum(name: str, r1, r2, theta, trials, rng, seed) -> CheckReport:
     draws = gamma_sample(r1, theta, rng, size=trials) + gamma_sample(r2, theta, rng, size=trials)
-    d, pval = _ks_test(sc.gammainc(r1 + r2, np.sort(draws) / theta))
+    d, pval = _ks_test(_gamma_cdf(r1 + r2, np.sort(draws) / theta))
     return _p_value_report(name, pval, trials, seed, note=f"KS D={d:.6g}")
 
 

@@ -407,7 +407,7 @@ def _cmd_transform(args, stream_in, out) -> int:
 def _cmd_verify(args, out) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
-    from . import checks  # the suite imports scipy.special; only verify pays for it
+    from . import checks  # only verify pays for importing the suite
 
     reports = checks.run_all(args.seed, args.level)
     for report in reports:

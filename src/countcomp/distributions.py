@@ -829,7 +829,8 @@ def nb_truncation_bound(R: float, p: float, tail_mass: float = 1e-12) -> int:
     Raises
     ------
     ValueError
-        On invalid R, p or tail_mass, or if the walk spans 10^6 totals.
+        On invalid R, p or tail_mass, if the NB mode overflows float64, or
+        if the walk spans 10^6 totals.
     """
     tail_mass = _tail_mass(tail_mass)
     return _nb_bound(*_nb_params(R, p), tail_mass)
@@ -844,8 +845,11 @@ def _tail_mass(tail_mass) -> float:
 
 def _nb_bound(R: float, p: float, tail_mass: float) -> int:
     """``nb_truncation_bound`` on checked arguments."""
-    lo = max(0, math.ceil((R - 1.0) * p / (1.0 - p)))  # at or just past the mode
-    hi = lo + 16 + math.ceil(10.0 * math.sqrt(R * p) / (1.0 - p))
+    mode, spread = (R - 1.0) * p / (1.0 - p), 10.0 * math.sqrt(R * p) / (1.0 - p)
+    if not math.isfinite(mode + spread):
+        raise ValueError(f"nb_truncation_bound: the mode of NB({R!r}, {p!r}) overflows float64")
+    lo = max(0, math.ceil(mode))  # at or just past the mode
+    hi = lo + 16 + math.ceil(spread)
     _check_window(R, p, lo, hi)
     log_tail = math.log(tail_mass)
     log_hi, log_beyond_hi, r = _nb_tail_bound(R, p, hi)

@@ -3,11 +3,12 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import betainc, gammainc
+from scipy.special import betainc, chdtrc, gammainc, smirnov
 
 from countcomp import CheckReport, GammaMixtureParams, all_passed, run_all
 from countcomp import checks
@@ -227,18 +228,34 @@ def _uniform_cdf_with_d(n, d, sign):
     return np.clip((np.arange(n) + 0.5) / n + sign * (d - 0.5 / n), 0.0, 1.0)
 
 
+def _assert_tails_close(got, want, rel):
+    """Within ``rel`` relative of scipy's tails where these are at least
+    1e-300; below that, where either may be subnormal, within 1e-300."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    normal, err = want >= 1e-300, np.abs(got - want)
+    assert np.all(err[normal] <= rel * want[normal]), (err[normal] / want[normal]).max()
+    assert np.all(err[~normal] <= 1e-300)
+
+
 def _assert_ks_matches_kstest(n, targets):
-    got, want = [], []
+    # D and every p-value scipy's own arithmetic gives are equal bit for
+    # bit; twice the one-sided tail computed in checks is within 1e-9.
     for i, d in enumerate(targets):
         cdf = _uniform_cdf_with_d(n, d, (-1) ** i)
-        got.append(checks._ks_test(cdf))
+        with mock.patch.object(checks, "_smirnov", wraps=checks._smirnov) as one_sided:
+            got_d, got_p = checks._ks_test(cdf)
         res = stats.kstest(cdf, "uniform", method="exact")
-        want.append((float(res.statistic), float(res.pvalue)))
-    assert got == want
+        assert got_d == float(res.statistic)
+        if one_sided.called:
+            _assert_tails_close(got_p, res.pvalue, 1e-9)
+        else:
+            assert got_p == float(res.pvalue)
 
 
 class TestScipyParity:
-    """The suite's p-values equal the scipy.stats oracle bit for bit."""
+    """The suite's p-values against the scipy.stats oracle: the statistics
+    and scipy's own KS branches bit for bit, the chi-square, Gamma and
+    one-sided KS tails computed in checks to within fixed bounds."""
 
     def test_chi_square_gof_matches_chi2_sf(self):
         rng = np.random.default_rng(139)
@@ -246,7 +263,14 @@ class TestScipyParity:
             expected = rng.uniform(5.0, 200.0, size=cells)
             observed = rng.poisson(expected).astype(float)
             stat, p = checks._chi_square_gof(observed, expected)
-            assert p == float(stats.chi2.sf(stat, cells - 1))
+            assert p == pytest.approx(float(stats.chi2.sf(stat, cells - 1)), rel=1e-12, abs=0)
+
+    def test_chi2_sf_matches_chdtrc(self):
+        # Every dof of 1-500, out to 5 dof + 100 where the tail is tiny.
+        for dof in range(1, 501):
+            x = np.append(np.geomspace(1e-8, 5 * dof + 100, 12), np.linspace(0, 5 * dof + 100, 13)[1:])
+            _assert_tails_close([checks._chi2_sf(dof, t) for t in x.tolist()], chdtrc(dof, x), 1e-12)
+        assert checks._chi2_sf(3, 0.0) == 1.0
 
     def test_contingency_matches_chi2_contingency(self):
         rng = np.random.default_rng(149)
@@ -254,7 +278,7 @@ class TestScipyParity:
                   for shape in ((2, 2), (2, 7), (3, 5), (6, 4), (2, 40))]
         for table in tables:
             want = stats.chi2_contingency(table, correction=False).pvalue
-            assert checks._contingency_p(table) == float(want)
+            assert checks._contingency_p(table) == pytest.approx(float(want), rel=1e-12, abs=0)
         # An empty row and column are dropped before the test.
         padded = np.zeros((4, 6))
         padded[np.ix_([0, 1, 3], [0, 2, 3, 4, 5])] = tables[2]
@@ -279,6 +303,30 @@ class TestScipyParity:
         durbin, pelz_good = (1.4 / n) ** (2 / 3), math.sqrt(2.2 / n)
         _assert_ks_matches_kstest(n, [1 / n * 1.01, durbin * (1 - 1e-9), durbin * (1 + 1e-9),
                                       pelz_good * (1 - 1e-9)])
+
+    @pytest.mark.parametrize("a", [0.05, 0.3, 1.0, 2.5, 3.5, 10.0, 37.2, 150.0])
+    def test_gamma_cdf_matches_gammainc(self, a):
+        # Both sides of the switch at x = a + 1, and P(a, 0) = 0.
+        x = np.append(np.random.default_rng(157).gamma(a, size=100_000), [0.0, a + 1.0])
+        got = checks._gamma_cdf(a, x)
+        assert np.abs(got - gammainc(a, x)).max() <= 2e-13
+        assert got[-2] == 0.0
+
+    @pytest.mark.parametrize("n", [141, 1000, 10_000, 100_000])
+    def test_smirnov_matches_scipy(self, n):
+        # The two regions _ks_sf sends to it, n D^2 in [2.2, 370) and
+        # D >= 0.5, short of n D = n - 1.  scipy's own smirnov takes about
+        # 0.15 s a call at n = 10^5, so that size gets fewer points.
+        count = 3 if n == 100_000 else 12
+        d = np.append(np.sqrt(np.linspace(2.2, 370.0, count, endpoint=False) / n),
+                      np.linspace(0.5, 1.0, count, endpoint=False))
+        d = d[n * d < n - 1]
+        _assert_tails_close([checks._smirnov(n, t) for t in d.tolist()], smirnov(n, d), 1e-9)
+
+    def test_smirnov_where_the_last_base_rounds_below_zero(self):
+        # n = 1000, d = 1 - 563/1000: the last 1 - d - j/n is -5.6e-17.
+        d = 1 - 563 / 1000
+        assert checks._smirnov(1000, d) == pytest.approx(float(smirnov(1000, d)), rel=1e-9, abs=0)
 
     def test_gamma_ks_matches_kstest_on_the_gamma_law(self):
         rng = np.random.default_rng(151)

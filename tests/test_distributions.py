@@ -686,6 +686,12 @@ class TestNbTruncationBound:
         with pytest.raises(ValueError, match="more than 1000000 at once"):
             nb_truncation_bound(4e9, 0.5, 0.999)
 
+    def test_mode_past_float64_is_a_value_error(self):
+        # (R - 1) p / (1 - p) overflows: no total can hold the mode.
+        with pytest.raises(ValueError, match=r"^nb_truncation_bound: the mode of "
+                           r"NB\(1\.7976931348623157e\+308, 0\.9\) overflows float64$"):
+            nb_truncation_bound(sys.float_info.max, 0.9)
+
 
 def _mpmath_bound(big_r, p, tail_mass):
     """The smallest M whose NB mass beyond M is below ``tail_mass``, at
@@ -891,6 +897,11 @@ class TestNormalizedNbValuePmf:
             normalized_nb_value_pmf(self.params, 0, (0, 0))
         with pytest.raises(ValueError):
             normalized_nb_value_pmf(self.params, 0, (3, 2))
+
+    def test_total_whose_mode_overflows_is_a_value_error(self):
+        params = GammaMixtureParams([8e307, 8e307], 9.0)
+        with pytest.raises(ValueError, match=r"the mode of NB\(1\.6e\+308, 0\.9\) overflows"):
+            normalized_nb_value_pmf(params, 0, (1, 2))
 
 
 # Pairs of factories: two calls of the first give equal objects, the

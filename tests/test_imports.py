@@ -1,7 +1,7 @@
-"""Import hygiene: the core library and the eval/sample/transform CLI do
-not load scipy, which only the verification suite (``countcomp.checks``)
-uses for its p-values; the suite itself loads ``scipy.special`` but not
-``scipy.stats``; the CLI does not load ``fractions``; the suite's names
+"""Import hygiene: neither the core library, the CLI nor the verification
+suite (``countcomp.checks``, which computes its own chi-square, Gamma and
+one-sided KS tails) loads scipy, which only the suite's rare small-sample
+KS branches import; the CLI does not load ``fractions``; the suite's names
 still resolve from the package; the suite's helpers are not public; the
 demos import only names in the ``__all__`` of the module they import
 from; no module keeps an import from the package that it never uses;
@@ -70,6 +70,22 @@ SCIPY_FREE = {
             sys.stdin = io.StringIO("0.2,0.3,0.5\\n")
             assert cli.main(["transform", kind, "forward", "--jacobian"]) == 0
     """,
+    "import countcomp.checks": "import countcomp.checks",
+    "verify quick seed 0": """
+        import contextlib, io
+        from countcomp import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0
+    """,
+    "verify quick seed 11": """
+        import contextlib, io
+        from countcomp import checks, cli
+        smirnov, sizes = checks._smirnov, []
+        checks._smirnov = lambda n, d: sizes.append(n) or smirnov(n, d)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--level", "quick", "--seed", "11"]) == 0
+        assert sizes, "seed 11 no longer reaches the one-sided KS tail"
+    """,
 }
 
 
@@ -78,19 +94,6 @@ def test_scipy_not_imported(body):
     script = "import sys\n" + textwrap.dedent(body) + (
         "\nassert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:3]\n"
     )
-    res = subprocess.run([sys.executable, "-W", "error", "-c", script],
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-
-
-def test_verify_does_not_import_scipy_stats():
-    script = textwrap.dedent("""
-        import contextlib, io, sys
-        from countcomp import cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0
-        assert 'scipy.stats' not in sys.modules
-    """)
     res = subprocess.run([sys.executable, "-W", "error", "-c", script],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
