@@ -9,9 +9,8 @@ every identity connecting them.
 
 The suite lives in ``countcomp.checks``; its public names are
 ``run_all``, ``all_passed`` and ``CheckReport``.  It computes its own
-chi-square, Gamma and one-sided KS tails; scipy is loaded only in the
-rare KS branches (a sample of at most 140, n D <= 1, or the
-Durbin-matrix region).  The suite's names are loaded on first access,
+chi-square, Gamma and KS tails: scipy is a test and benchmark oracle,
+not a runtime dependency.  The suite's names are loaded on first access,
 so importing the package does not import the suite.
 """
 

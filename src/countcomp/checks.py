@@ -22,10 +22,10 @@ P-values follow ``scipy.stats`` (``chi2.sf``, ``chi2_contingency``,
 chi-square tail for integer degrees of freedom (``_chi2_sf``), the Gamma
 CDF (``_gamma_cdf``) and the one-sided KS tail (``_smirnov``).  They
 agree with ``scipy.special`` to within 1e-12 relative, 2e-13 absolute
-and 1e-9 relative respectively, not bit for bit.  ``scipy`` is imported
-only by the rare KS branches (a sample of at most 140, n D <= 1, or the
-Durbin-matrix region), which the suite's samples of 10^4 and more never
-reach.
+and 1e-9 relative respectively, not bit for bit.  The two-sided KS tail
+(``_ks_sf``) is defined on the suite's own sample sizes, 10^4 and more.
+scipy is the oracle of the tests and the benchmark only; this module
+never imports it.
 
 ``run_all`` executes the whole suite deterministically: every check
 draws from its own substream derived from the master seed, and reports
@@ -290,34 +290,23 @@ def _gamma_cdf(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _ks_test(cdf: np.ndarray) -> tuple[float, float]:
-    """Two-sided one-sample KS statistic D and its exact p-value, from the
-    sorted CDF values of the sample under the null law.
-
-    The arithmetic of ``scipy.stats.kstest(..., method="exact")``, whose
-    p-value is ``kstwo.sf(D, n)`` by the branch selection of Simard and
-    L'Ecuyer (2011).  The branches a large sample takes are evaluated here:
-    2 (1 - D)^n, twice the one-sided tail ``_smirnov`` or the Pelz-Good
-    expansion.  The rest (n <= 140, n D <= 1, or the Durbin-matrix region)
-    defer to ``kstwo.sf`` itself.
-    """
+    """Two-sided one-sample KS statistic D, as ``scipy.stats.kstest`` takes
+    it, and its p-value by ``_ks_sf``, from the sorted CDF values of a
+    sample of at least 10^4 under the null law."""
     n = cdf.size
     d = max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max())
     return float(d), float(np.clip(_ks_sf(n, d), 0.0, 1.0))
 
 
 def _ks_sf(n: int, d):
-    """P(D_n >= d) for 0 <= d <= 1, branch for branch as
-    ``scipy.stats._ksstats._kolmogn``; only the branches that defer to
-    ``kstwo.sf`` import scipy."""
+    """P(D_n >= d) for n >= 10^4, the suite's smallest KS sample, by the
+    large-sample branches of Simard and L'Ecuyer (2011).  Pelz-Good stands
+    in for scipy's exact branches (n d <= 1, the Durbin-matrix region) to
+    within 1e-12 absolute; scipy's d >= 0.5 branches underflow to the 0
+    of the first cut."""
+    if n < 10_000:
+        raise ValueError(f"the KS tail is defined for samples of at least 10^4, got n={n}")
     t = n * d
-    if t <= 1.0 or n <= 140 or (n <= 100000 and n * np.power(d, 1.5) <= 1.4):
-        from scipy import stats
-
-        return stats.kstwo.sf(d, n)
-    if t >= n - 1:
-        return 2 * (1.0 - d) ** n
-    if d >= 0.5:
-        return 2 * _smirnov(n, d)
     nd_squared = t * d
     if nd_squared >= 370.0:
         return 0.0

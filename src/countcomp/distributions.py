@@ -427,15 +427,20 @@ def gamma_sample(shape: float, scale: float, rng: np.random.Generator, size=None
     (size,) array.
 
     Rejection sampling for any shape > 0: Marsaglia-Tsang for
-    shape >= 1, boosted by ``U^(1/shape)`` below 1.
+    shape >= 1, boosted by ``U^(1/shape)`` below 1.  A draw past the
+    largest float is refused by a ValueError.
     """
     shape, scale = _positive_float(shape, "shape"), _positive_float(scale, "scale")
     rows = 1 if size is None else _as_count(size, "size")
-    if shape < 1.0:
-        u = 1.0 - rng.random(rows)  # in (0, 1]
-        draws = scale * _gamma_std(shape + 1.0, rows, rng) * u ** (1.0 / shape)
-    else:
-        draws = scale * _gamma_std(shape, rows, rng)
+    try:
+        with np.errstate(over="raise"):
+            if shape < 1.0:
+                u = 1.0 - rng.random(rows)  # in (0, 1]
+                draws = scale * _gamma_std(shape + 1.0, rows, rng) * u ** (1.0 / shape)
+            else:
+                draws = scale * _gamma_std(shape, rows, rng)
+    except FloatingPointError:
+        raise ValueError(f"Gamma(shape={shape!r}, scale={scale!r}) draws overflow float64") from None
     return float(draws[0]) if size is None else draws
 
 

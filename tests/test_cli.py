@@ -339,6 +339,13 @@ class TestSample:
             f"error: row {info.value.row + 1}: Composition entries must be")
 
 
+    def test_draws_past_the_largest_float_write_nothing(self):
+        res = run_cli("sample", "--dist", "gamma", "--params", '{"shape": 10, "scale": 1e308}',
+                      "--count", "2", "--seed", "0")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error: Gamma(shape=10.0, scale=1e+308) draws overflow float64\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--dist", "poisson", "--params", '{"rate": 4}', "--count", "2", "--seed", "-1"],
     ["verify", "--level", "quick", "--seed", "-1"],

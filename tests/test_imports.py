@@ -1,11 +1,13 @@
-"""Import hygiene: neither the core library, the CLI nor the verification
-suite (``countcomp.checks``, which computes its own chi-square, Gamma and
-one-sided KS tails) loads scipy, which only the suite's rare small-sample
-KS branches import; the CLI does not load ``fractions``; the suite's names
-still resolve from the package; the suite's helpers are not public; the
-demos import only names in the ``__all__`` of the module they import
-from; no module keeps an import from the package that it never uses;
-and every source file parses as Python 3.10."""
+"""Import hygiene: scipy is the oracle of the tests and the benchmark,
+not a runtime dependency.  No file under ``src/`` or ``demos/`` imports
+it, and the core library, the CLI, the verification suite (which
+computes its own chi-square, Gamma and KS tails) and every demo run in a
+child where any import of scipy fails.  Further: the CLI does not load
+``fractions``; the suite's names still resolve from the package; the
+suite's helpers are not public; the demos import only names in the
+``__all__`` of the module they import from; no module keeps an import
+from the package that it never uses; and every source file parses as
+Python 3.10."""
 
 import ast
 import importlib
@@ -86,17 +88,46 @@ SCIPY_FREE = {
             assert cli.main(["verify", "--level", "quick", "--seed", "11"]) == 0
         assert sizes, "seed 11 no longer reaches the one-sided KS tail"
     """,
+    # Where scipy's kstwo.sf takes its exact branches: n D in (0.5, 1] and
+    # the Durbin-matrix band n D^1.5 <= 1.4, with the point where scipy's
+    # matrix overflows at n = 10^5.
+    "ks tail over scipy's exact branches": """
+        import numpy as np
+        from countcomp import checks
+        for n in (10_000, 100_000):
+            d = np.append(np.linspace(0.5, 1.0, 51)[1:] / n,
+                          np.linspace(1.0 / n, (1.4 / n) ** (2 / 3), 200))
+            p = [checks._ks_sf(n, t) for t in d.tolist() + [1.883492068123413e-05]]
+            assert 0.999999 < min(p) and max(p) <= 1.0, (n, min(p), max(p))
+    """,
+    "demos": f"""
+        import contextlib, io, pathlib, runpy
+        for demo in sorted(pathlib.Path({str(ROOT / "demos")!r}).glob("*.py")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(demo), run_name="__main__")
+    """,
 }
 
 
 @pytest.mark.parametrize("body", SCIPY_FREE.values(), ids=SCIPY_FREE.keys())
 def test_scipy_not_imported(body):
-    script = "import sys\n" + textwrap.dedent(body) + (
-        "\nassert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:3]\n"
-    )
+    # With sys.modules["scipy"] set to None, any import of scipy raises
+    # ImportError in the child.
+    script = "import sys\nsys.modules['scipy'] = None\n" + textwrap.dedent(body)
     res = subprocess.run([sys.executable, "-W", "error", "-c", script],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_runtime_and_demos_do_not_import_scipy():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(p for d in ("src", "demos") for p in (ROOT / d).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "scipy"
+    ]
+    assert not found
 
 
 def test_cli_import_does_not_load_fractions():

@@ -119,6 +119,15 @@ class TestGammaSampler:
         with pytest.raises(ValueError):
             gamma_sample(1.0, -1.0, rng)
 
+    @pytest.mark.parametrize("shape, seed", [(10.0, 0), (0.5, 2)])
+    def test_draws_past_the_largest_float_are_refused(self, shape, seed):
+        # Every Gamma(10) draw, and the second Gamma(0.5) draw of seed 2,
+        # times 1e308 is past 1.8e308; NB's mixing draw takes the same path.
+        with pytest.raises(ValueError, match=rf"Gamma\(shape={shape}, scale=1e\+308\) draws overflow"):
+            gamma_sample(shape, 1e308, np.random.default_rng(seed), size=3)
+        with pytest.raises(ValueError, match="overflow float64"):
+            negative_binomial_sample_via_mixture(1e300, 1e10, np.random.default_rng(seed), size=2)
+
 
 class TestPoissonSampler:
     def test_zero_probability_rate_one(self):
