@@ -77,7 +77,7 @@ from .simplex import (
     ratio_inverse_rows,
     ratio_rows,
 )
-from .special import _log_each, _log_gamma_each, log_sum_exp
+from .special import _log_each, _log_gamma_each, log_sum_exp, log_sum_exp_rows
 
 __all__ = ["CheckReport", "run_all", "all_passed"]
 
@@ -671,11 +671,12 @@ def _worst_log_total_mass(log_pmf_rows, low: float, high: float, m_max: int, tri
     count = 0
     for n in (2, 3, 4):
         cells, totals, starts = _compositions_up_to(n, m_max)
-        for _ in range(trials):
-            terms = log_pmf_rows(rng.uniform(low, high, size=n), totals, cells)
-            for per_m in np.split(terms, starts):
-                worst = max(worst, abs(log_sum_exp(per_m)))
-            count += len(terms)
+        terms = np.stack([log_pmf_rows(rng.uniform(low, high, size=n), totals, cells)
+                          for _ in range(trials)])
+        # One log-sum-exp per total, over the rows of every draw at once.
+        for per_m in np.split(terms, starts, axis=1):
+            worst = max(worst, float(np.abs(log_sum_exp_rows(per_m)).max()))
+        count += terms.size
     return worst, count
 
 
@@ -877,7 +878,10 @@ def run_all(seed: int, level: str = "full") -> list[CheckReport]:
     Every check gets a substream derived from ``seed``; the quick level
     caps statistical sample sizes at 10^4 and enumeration totals at 8.
     Failing statistical checks are retried once at 10x the sample size
-    before being declared failed.  Reports come back in a fixed order.
+    before being declared failed.  A check that raises is reported as
+    failed, with NaN statistic and threshold and the exception's type and
+    message as its detail, and the rest still run.  Reports come back in
+    a fixed order.
     """
     seed = _as_count(seed, "seed")
     if level not in ("quick", "full"):
@@ -885,11 +889,17 @@ def run_all(seed: int, level: str = "full") -> list[CheckReport]:
     reports: list[CheckReport] = []
     for index, (name, check, args, statistical, trials) in enumerate(_suite(level)):
         child = _child_seed(seed, index)
-        report = check(name, *args, trials, np.random.default_rng(child), child)
-        if statistical and not report.passed and not report.inconclusive:
-            retry_seed = _child_seed(seed, index, stage=1)
-            report = check(name, *args, 10 * trials, np.random.default_rng(retry_seed), retry_seed)
-            detail = (report.detail + "; retried at 10x samples").lstrip("; ")
-            report = replace(report, detail=detail)
+        try:
+            report = check(name, *args, trials, np.random.default_rng(child), child)
+            if statistical and not report.passed and not report.inconclusive:
+                retry_seed = _child_seed(seed, index, stage=1)
+                report = check(name, *args, 10 * trials, np.random.default_rng(retry_seed),
+                               retry_seed)
+                detail = (report.detail + "; retried at 10x samples").lstrip("; ")
+                report = replace(report, detail=detail)
+        except Exception as exc:  # one raising check must not hide the others
+            report = CheckReport(name=name, statistic=math.nan, threshold=math.nan, passed=False,
+                                 size=trials, seed=child,
+                                 detail=f"raised {type(exc).__name__}: {exc}")
         reports.append(report)
     return reports

@@ -428,19 +428,24 @@ def gamma_sample(shape: float, scale: float, rng: np.random.Generator, size=None
 
     Rejection sampling for any shape > 0: Marsaglia-Tsang for
     shape >= 1, boosted by ``U^(1/shape)`` below 1.  A draw past the
-    largest float is refused by a ValueError.
+    largest float is refused by a ValueError; one that fits is kept, also
+    where its ``scale * std`` overflows.
     """
     shape, scale = _positive_float(shape, "shape"), _positive_float(scale, "scale")
     rows = 1 if size is None else _as_count(size, "size")
-    try:
-        with np.errstate(over="raise"):
-            if shape < 1.0:
-                u = 1.0 - rng.random(rows)  # in (0, 1]
-                draws = scale * _gamma_std(shape + 1.0, rows, rng) * u ** (1.0 / shape)
-            else:
-                draws = scale * _gamma_std(shape, rows, rng)
-    except FloatingPointError:
-        raise ValueError(f"Gamma(shape={shape!r}, scale={scale!r}) draws overflow float64") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if shape < 1.0:
+            u = 1.0 - rng.random(rows)  # in (0, 1]
+            std, boost = _gamma_std(shape + 1.0, rows, rng), u ** (1.0 / shape)
+            draws = scale * std * boost
+            # scale * std can overflow where the draw fits: take those
+            # entries in the other order.
+            over = ~np.isfinite(draws)
+            draws[over] = scale * (std[over] * boost[over])
+        else:
+            draws = scale * _gamma_std(shape, rows, rng)
+    if not np.isfinite(draws).all():
+        raise ValueError(f"Gamma(shape={shape!r}, scale={scale!r}) draws overflow float64")
     return float(draws[0]) if size is None else draws
 
 
@@ -459,8 +464,11 @@ def _poisson(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _poisson_inversion(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # Sequential search of the CDF, one uniform per draw.  Entry by entry
     # the recurrence and the cap are those of a single search, so a batch
-    # at one rate equals as many successive single draws.
+    # at one rate equals as many successive single draws.  A batch of
+    # several draws at one rate runs the recurrence once, into a table.
     u = rng.random(rate.size)
+    if rate.size > 1 and rate.min() == rate.max():
+        return _poisson_table_search(float(rate[0]), u)
     p = np.fromiter(map(math.exp, (-rate).tolist()), float, rate.size)
     cum = p.copy()
     k = np.zeros(rate.size, dtype=np.int64)
@@ -472,6 +480,20 @@ def _poisson_inversion(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray
         cum[pending] += p[pending]
         pending = pending[(u[pending] > cum[pending]) & (k[pending] < cap[pending])]
     return k
+
+
+def _poisson_table_search(rate: float, u: np.ndarray) -> np.ndarray:
+    # The CDF at 0..cap by the recurrence of ``_poisson_inversion``: the
+    # accumulations run in order, p_k = p_(k-1) * (rate / k) and
+    # cum_k = cum_(k-1) + p_k.  Each draw is the first k whose CDF reaches
+    # its uniform, or the cap; the CDF never decreases, so a binary
+    # search finds that k.
+    cap = 200 + int(20.0 * rate)
+    factors = np.empty(cap + 1)
+    factors[0] = math.exp(-rate)
+    factors[1:] = rate / np.arange(1, cap + 1)
+    cum = np.add.accumulate(np.multiply.accumulate(factors))
+    return np.minimum(np.searchsorted(cum, u), cap)
 
 
 def _poisson_ptrs(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -55,6 +55,13 @@ def log_gamma(a: float) -> float:
         raise ValueError(f"log_gamma({a!r}) overflows float64") from None
 
 
+# From this many entries, ``_log_gamma_each`` takes ``math.lgamma`` once
+# per distinct entry: sorting out the repeats costs about 35 ns an entry
+# against about 140 ns for one ``math.lgamma``, but more than the plain
+# map below about 150 entries.
+_DISTINCT_FROM = 256
+
+
 def _log_gamma_each(*args) -> list[np.ndarray]:
     """``log_gamma`` of every entry of each argument, in one batch.
 
@@ -62,6 +69,9 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     back per argument, in its shape.  Every entry is ``math.lgamma`` of
     it, so it equals the scalar ``log_gamma`` bit for bit wherever that
     is finite.  The domain is checked once for all arguments together.
+    From ``_DISTINCT_FROM`` entries, ``math.lgamma`` runs once per
+    distinct entry and its values are gathered back: the count batches
+    repeat a few totals and counts over many rows.
 
     Raises
     ------
@@ -76,9 +86,13 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     # then passes them.
     if not (finite_sum and lo > 0.0) and not (np.isfinite(a) & (a > 0.0)).all():
         raise ValueError("log_gamma requires finite arguments > 0")
-    values = a.tolist()
+    if a.size >= _DISTINCT_FROM:
+        distinct, where = np.unique(a, return_inverse=True)
+    else:
+        distinct, where = a, slice(None)
+    values = distinct.tolist()
     try:
-        out = np.fromiter(map(math.lgamma, values), float, a.size)
+        out = np.fromiter(map(math.lgamma, values), float, distinct.size)[where]
     except OverflowError:
         raise ValueError(f"log_gamma({max(values)!r}) overflows float64") from None
     split, start = [], 0

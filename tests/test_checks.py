@@ -12,7 +12,7 @@ from scipy import stats
 from scipy.special import betainc, chdtrc, gammainc, smirnov
 
 from countcomp import CheckReport, GammaMixtureParams, all_passed, run_all
-from countcomp import checks
+from countcomp import checks, cli, simplex
 from countcomp.checks import (
     _adaptive_simpson_rows,
     _check_beta_binomial_merge,
@@ -461,6 +461,53 @@ class TestRunAll:
             (False, 100, seed[2], "100 trials"),
             (True, 1000, seed[3], "1000 trials"),
         ]
+
+
+    def test_a_raising_row_is_reported_and_the_rest_run(self, monkeypatch):
+        # A row that raises, on its first run or on its retry, becomes a
+        # failed report naming the exception; the rows after it still run.
+        def check(name, outcome, trials, rng, seed):
+            if outcome == "raise" or (outcome == "raise on retry" and trials > 100):
+                raise ValueError(f"{name} broke")
+            return CheckReport(name, 0.5, 0.001, outcome == "pass", trials, seed)
+
+        rows = [
+            ("raises", check, ("raise",), False, 100),
+            ("retry raises", check, ("raise on retry",), True, 100),
+            ("passes", check, ("pass",), True, 100),
+        ]
+        monkeypatch.setattr(checks, "_suite", lambda level: rows)
+        reports = run_all(7, "quick")
+        seed = [checks._child_seed(7, i) for i in range(3)]
+        assert [(r.name, r.passed, r.inconclusive, r.size, r.seed, r.detail) for r in reports] == [
+            ("raises", False, False, 100, seed[0], "raised ValueError: raises broke"),
+            ("retry raises", False, False, 100, seed[1], "raised ValueError: retry raises broke"),
+            ("passes", True, False, 100, seed[2], ""),
+        ]
+        assert all(math.isnan(r.statistic) and math.isnan(r.threshold) for r in reports[:2])
+        assert not all_passed(reports)
+
+
+def test_a_raising_check_does_not_hide_the_others(monkeypatch, capsys):
+    # Ratio points mapped back to compositions whose sum is off by 1e-9
+    # make three rows raise RowError.  verify still prints all 36 rows;
+    # the other 33 are those of an unbroken run.
+    assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0
+    clean = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    from_ratios = simplex._from_ratios
+    monkeypatch.setattr(simplex, "_from_ratios", lambda y, z: from_ratios(y, z) * (1.0 + 1e-9))
+    assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == cli.EXIT_DOMAIN
+    broken = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["name"] for r in broken] == list(QUICK_REPORT_NAMES)
+    raised = {"change-of-variables-ratio", "jacobian-finite-difference-ratio",
+              "transform-round-trips"}
+    for got, want in zip(broken, clean):
+        if got["name"] in raised:
+            assert not got["passed"] and math.isnan(got["statistic"])
+            assert got["detail"].startswith("raised RowError: Composition entries sum to 1.0000000")
+            assert got["seed"] == want["seed"]
+        else:
+            assert got == want
 
 
 # Each row perturbs one library function, as seen from inside

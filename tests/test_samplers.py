@@ -25,7 +25,7 @@ from countcomp import (
     poisson_sample,
 )
 from countcomp.checks import _chi_square_gof, _composition_matrix
-from countcomp.distributions import _poisson
+from countcomp.distributions import _gamma_std, _poisson, _poisson_inversion
 from countcomp.simplex import RowError, composition_rows
 
 N = 100_000
@@ -127,6 +127,70 @@ class TestGammaSampler:
             gamma_sample(shape, 1e308, np.random.default_rng(seed), size=3)
         with pytest.raises(ValueError, match="overflow float64"):
             negative_binomial_sample_via_mixture(1e300, 1e10, np.random.default_rng(seed), size=2)
+
+
+    def test_a_draw_that_fits_is_kept_where_scale_times_std_overflows(self):
+        # Below shape 1 a draw is scale * std * U^(1/shape), std a
+        # Gamma(shape + 1) draw.  At seed 1, 1e308 * std overflows for the
+        # second draw, which is 6.0e305 in the other order.
+        draws = gamma_sample(0.5, 1e308, np.random.default_rng(1), size=3)
+        rng = np.random.default_rng(1)
+        boost = (1.0 - rng.random(3)) ** 2.0
+        std = _gamma_std(1.5, 3, rng)
+        assert draws[0] == 1e308 * std[0] * boost[0] and draws[2] == 1e308 * std[2] * boost[2]
+        assert draws[1] == 1e308 * (std[1] * boost[1])
+        assert draws.tolist() == pytest.approx([5.94e306, 6.0e305, 1.26e308], rel=3e-3)
+
+
+def _reference_inversion(rate, uniforms):
+    # One sequential CDF search per uniform, as a single draw runs it.
+    cap = 200 + int(20.0 * rate)
+    draws = []
+    for u in uniforms:
+        k, p = 0, math.exp(-rate)
+        cum = p
+        while u > cum and k < cap:
+            k += 1
+            p *= rate / k
+            cum += p
+        draws.append(k)
+    return draws
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns chosen uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms)
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
+# The CDF of rates 4.0, 17.3 and 29.0 tops out below 1 - 2**-53, so the
+# largest uniforms take the cap there.  p underflows to 0 before the cap
+# at every rate, from k = 2 at 1e-300.
+CAPPED_RATES = (4.0, 17.3, 29.0)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 0.01, 0.5, 2.5, *CAPPED_RATES, 30.0])
+def test_one_rate_batch_equals_the_sequential_search(rate):
+    cap = 200 + int(20.0 * rate)
+    edges = [0.0, 1e-300, math.exp(-rate), math.nextafter(math.exp(-rate), 1.0), 0.5,
+             1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    u = np.concatenate([edges, np.random.default_rng(5).random(10_000)])
+    draws = _poisson_inversion(np.full(u.size, rate), _FixedUniforms(u))
+    assert draws.dtype == np.int64
+    assert draws.tolist() == _reference_inversion(rate, u.tolist())
+    assert (draws.max() == cap) == (rate in CAPPED_RATES)
+    # Through the public sampler: the same uniforms, the same generator
+    # state after it, and a single draw is its first row.
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    rows = poisson_sample(rate, rng, size=2000)
+    assert rows.tolist() == _reference_inversion(rate, reference.random(2000).tolist())
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert poisson_sample(rate, np.random.default_rng(7)) == rows[0]
 
 
 class TestPoissonSampler:

@@ -18,6 +18,7 @@ from countcomp import (
     log_multivariate_beta,
     log_sum_exp,
 )
+from countcomp import special
 from countcomp.special import _log_gamma_each, log_multivariate_beta_rows, log_sum_exp_rows
 
 # log B(2.5, 3.5), frozen from adaptive quadrature of the integral
@@ -138,6 +139,68 @@ class TestLogGammaBatch:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError, match="finite arguments > 0"):
             _log_gamma_each(np.array([1.5, bad]))
+
+
+# Batch sizes on either side of the cut from which ``_log_gamma_each``
+# takes each distinct entry once.
+AROUND_THE_CUT = [special._DISTINCT_FROM - 1, special._DISTINCT_FROM, 10 * special._DISTINCT_FROM]
+
+
+class _CountingMath:
+    """``math`` with a count of the ``lgamma`` calls and their arguments."""
+
+    def __init__(self):
+        self.arguments = []
+
+    def lgamma(self, a):
+        self.arguments.append(a)
+        return math.lgamma(a)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+class TestLogGammaBatchRepeats:
+    """The count batches repeat a few totals and counts over many rows."""
+
+    POOL = [5e-324, 1e-300, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 12.5, 1e10, BELOW_OVERFLOW]
+
+    def _repeats(self, size, seed):
+        return np.random.default_rng(seed).choice(self.POOL, size=size)
+
+    @pytest.mark.parametrize("size", AROUND_THE_CUT)
+    def test_equals_the_map_bit_for_bit(self, size):
+        counts, totals = self._repeats(size, 1).reshape(-1, 1), self._repeats(7, 2)
+        got_counts, got_totals = _log_gamma_each(counts, totals)
+        assert got_counts.shape == counts.shape and got_totals.shape == totals.shape
+        for got, args in ((got_counts, counts), (got_totals, totals)):
+            want = np.array(list(map(math.lgamma, args.ravel().tolist()))).reshape(args.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", AROUND_THE_CUT)
+    def test_each_distinct_entry_once_from_the_cut(self, size, monkeypatch):
+        counting = _CountingMath()
+        monkeypatch.setattr(special, "math", counting)
+        args = self._repeats(size, 3)
+        _log_gamma_each(args)
+        if size < special._DISTINCT_FROM:
+            assert counting.arguments == args.tolist()
+        else:
+            assert counting.arguments == sorted(set(args.tolist()))
+
+    @pytest.mark.parametrize("size", AROUND_THE_CUT)
+    def test_refusals_are_unchanged(self, size):
+        args = self._repeats(size, 4)
+        for a in ABOVE_OVERFLOW:
+            args[-3:] = [a, 3.5, a]
+            with pytest.raises(ValueError) as info:
+                _log_gamma_each(args)
+            assert str(info.value) == f"log_gamma({a!r}) overflows float64"
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            args[-1] = bad
+            with pytest.raises(ValueError) as info:
+                _log_gamma_each(args)
+            assert str(info.value) == "log_gamma requires finite arguments > 0"
 
 
 class TestLogMultivariateBeta:
