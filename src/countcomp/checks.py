@@ -77,7 +77,7 @@ from .simplex import (
     ratio_inverse_rows,
     ratio_rows,
 )
-from .special import _log_each, _log_gamma_each, log_sum_exp, log_sum_exp_rows
+from .special import _log_each, _log_gamma_distinct, log_sum_exp, log_sum_exp_rows
 
 __all__ = ["CheckReport", "run_all", "all_passed"]
 
@@ -459,7 +459,7 @@ def _check_dm_integral(name: str, shapes, m: int, trials: int, rng: np.random.Ge
     n = len(shapes)
     draws = dirichlet_sample(DirichletParams(shapes), rng, size=trials)
     cells = _composition_matrix(n, m)
-    log_coef = _log_multinomial_coefficient(_log_gamma_each, m, cells.T)
+    log_coef = _log_multinomial_coefficient(_log_gamma_distinct, m, cells.T)
     # (cells x trials) multinomial masses at each draw of pi.
     log_mass = log_coef[:, None] + cells.astype(float) @ np.log(draws).T
     mass = np.exp(log_mass)
@@ -880,26 +880,28 @@ def run_all(seed: int, level: str = "full") -> list[CheckReport]:
     Failing statistical checks are retried once at 10x the sample size
     before being declared failed.  A check that raises is reported as
     failed, with NaN statistic and threshold and the exception's type and
-    message as its detail, and the rest still run.  Reports come back in
-    a fixed order.
+    message as its detail, under the seed and size of the run that raised,
+    and the rest still run.  Running out of memory is not caught.
+    Reports come back in a fixed order.
     """
     seed = _as_count(seed, "seed")
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     reports: list[CheckReport] = []
     for index, (name, check, args, statistical, trials) in enumerate(_suite(level)):
-        child = _child_seed(seed, index)
+        run_seed, size, retried = _child_seed(seed, index), trials, ""
         try:
-            report = check(name, *args, trials, np.random.default_rng(child), child)
+            report = check(name, *args, size, np.random.default_rng(run_seed), run_seed)
             if statistical and not report.passed and not report.inconclusive:
-                retry_seed = _child_seed(seed, index, stage=1)
-                report = check(name, *args, 10 * trials, np.random.default_rng(retry_seed),
-                               retry_seed)
-                detail = (report.detail + "; retried at 10x samples").lstrip("; ")
-                report = replace(report, detail=detail)
+                run_seed, size = _child_seed(seed, index, stage=1), 10 * trials
+                retried = "; retried at 10x samples"
+                report = check(name, *args, size, np.random.default_rng(run_seed), run_seed)
+                report = replace(report, detail=(report.detail + retried).lstrip("; "))
+        except MemoryError:  # the CLI reports running out of memory as such
+            raise
         except Exception as exc:  # one raising check must not hide the others
             report = CheckReport(name=name, statistic=math.nan, threshold=math.nan, passed=False,
-                                 size=trials, seed=child,
-                                 detail=f"raised {type(exc).__name__}: {exc}")
+                                 size=size, seed=run_seed,
+                                 detail=f"raised {type(exc).__name__}: {exc}{retried}")
         reports.append(report)
     return reports

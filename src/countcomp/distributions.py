@@ -66,6 +66,7 @@ from .simplex import (
 from .special import (
     _fsum_columns,
     _log_each,
+    _log_gamma_distinct,
     _log_gamma_each,
     _log_gamma_map,
     _log_multivariate_beta_terms,
@@ -512,7 +513,7 @@ def _poisson_ptrs(rate: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         accept = (us >= 0.07) & (v <= v_r[pending])
         test = np.flatnonzero(~accept & (k >= 0.0) & ((us >= 0.013) | (v <= us)) & (v > 0.0))
         t = pending[test]
-        (lg_k1,) = _log_gamma_each(k[test] + 1.0)
+        (lg_k1,) = _log_gamma_distinct(k[test] + 1.0)
         log_ratio = np.log(v[test] * inv_alpha[t] / (a[t] / (us[test] * us[test]) + b[t]))
         accept[test] = log_ratio <= k[test] * np.log(rate[t]) - rate[t] - lg_k1
         out[pending[accept]] = k[accept]
@@ -587,7 +588,7 @@ def negative_binomial_log_pmf_rows(R: float, p: float, m) -> np.ndarray:
     included); each entry equals the scalar value bit for bit."""
     R, p = _nb_params(R, p)
     m = np.asarray(m)
-    return _nb_log_terms(_log_gamma_each, R, p, _count_entries(m, "m")).reshape(m.shape)
+    return _nb_log_terms(_log_gamma_distinct, R, p, _count_entries(m, "m")).reshape(m.shape)
 
 
 def _nb_params(R, p) -> tuple[float, float]:
@@ -605,8 +606,9 @@ def _count_entries(values: np.ndarray, what: str) -> np.ndarray:
 
 
 # The NB log mass, written once.  ``lgs`` is ``_log_gamma_map`` for one
-# total or ``_log_gamma_each`` for an array of them (int64, or floats
-# holding integers below 2**53); both give the same bits for the same total.
+# total or ``_log_gamma_each`` / ``_log_gamma_distinct`` for an array of them
+# (int64, or floats holding integers below 2**53); all give the same bits for
+# the same total.
 
 
 def _nb_log_terms(lgs, R: float, p: float, m):
@@ -651,14 +653,14 @@ def multinomial_log_pmf_rows(m, probs: Composition, x) -> np.ndarray:
     _require(probs, Composition, "probs")
     x = count_rows(x)
     m = _checked_totals(x, m, probs.n, "probs")
-    return _multinomial_log_terms(_log_gamma_each, m, x.T, x, np.log(probs.entries))
+    return _multinomial_log_terms(_log_gamma_distinct, m, x.T, x, np.log(probs.entries))
 
 
 # The multinomial and Dirichlet-Multinomial log masses, written once,
 # for one point or a batch.  ``m`` is the total or an array of totals,
 # and ``counts`` holds one value per component: numbers for one point,
 # with ``lgs`` = ``_log_gamma_map`` and ``fsum`` = ``math.fsum``, or
-# columns over the rows of a batch, with ``_log_gamma_each`` and
+# columns over the rows of a batch, with ``_log_gamma_distinct`` and
 # ``_fsum_columns``.  (Python numbers keep the scalar path cheap.)
 
 
@@ -709,7 +711,7 @@ def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
     r = _as_shapes(params)
     x = count_rows(x)
     m = _checked_totals(x, m, r.size, "shapes")
-    return _dm_log_terms(_log_gamma_each, _fsum_columns, m, x.T, r)
+    return _dm_log_terms(_log_gamma_distinct, _fsum_columns, m, x.T, r)
 
 
 def _checked_point_total(x: CountVector, m, n: int, what: str) -> int:
@@ -797,7 +799,7 @@ def normalized_nb_log_pmf_rows(params: GammaMixtureParams, component: int, k, m)
     shape = k.shape
     k, m = _count_entries(k, "k"), _count_entries(m, "m")
     _reject_rows((k > m, lambda i: f"k={k[i]} exceeds the total m={m[i]}"))
-    return _pair_log_terms(_log_gamma_each, a, b, p, k, m).reshape(shape)
+    return _pair_log_terms(_log_gamma_distinct, a, b, p, k, m).reshape(shape)
 
 
 def _pair_log_terms(lgs, a: float, b: float, p: float, k, m):
@@ -955,7 +957,8 @@ def normalized_nb_value_pmf(
     bound = _nb_bound(params.total_shape, p, _tail_mass(tail_mass))
     if bound < m:  # no multiple of the value below the bound
         return AggregatedValueMass(-math.inf, bound)
-    log_mass = _value_log_masses(a, b, p, np.array([k]), np.array([m]), bound // m)
+    log_mass = _value_log_masses(_log_gamma_each, a, b, p, np.array([k]), np.array([m]),
+                                 bound // m)
     return AggregatedValueMass(float(log_mass[0]), bound)
 
 
@@ -971,13 +974,16 @@ def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, deno
     out = np.full(count.shape, -math.inf)
     for c in set(count.tolist()) - {0}:
         (rows,) = np.nonzero(count == c)
-        out[rows] = _value_log_masses(a, b, p, numerators[rows], denominators[rows], c)
+        out[rows] = _value_log_masses(_log_gamma_distinct, a, b, p, numerators[rows],
+                                      denominators[rows], c)
     return out, bound
 
 
-def _value_log_masses(a: float, b: float, p: float, numerators, denominators,
+def _value_log_masses(lgs, a: float, b: float, p: float, numerators, denominators,
                       count: int) -> np.ndarray:
-    """Log masses of the (N,) values k/m that have ``count`` multiples (j k, j m) each."""
+    """Log masses of the (N,) values k/m that have ``count`` multiples (j k, j m) each.
+    ``lgs`` is ``_log_gamma_each`` for one value, whose multiples seldom
+    repeat, or ``_log_gamma_distinct`` for many, which share multiples."""
     j = np.arange(1.0, count + 1.0)
     k, m = numerators[:, None] * j, denominators[:, None] * j
-    return log_sum_exp_rows(_pair_log_terms(_log_gamma_each, a, b, p, k, m))
+    return log_sum_exp_rows(_pair_log_terms(lgs, a, b, p, k, m))

@@ -55,23 +55,15 @@ def log_gamma(a: float) -> float:
         raise ValueError(f"log_gamma({a!r}) overflows float64") from None
 
 
-# From this many entries, ``_log_gamma_each`` takes ``math.lgamma`` once
-# per distinct entry: sorting out the repeats costs about 35 ns an entry
-# against about 140 ns for one ``math.lgamma``, but more than the plain
-# map below about 150 entries.
-_DISTINCT_FROM = 256
-
-
-def _log_gamma_each(*args) -> list[np.ndarray]:
+def _log_gamma_each(*args, distinct: bool = False) -> list[np.ndarray]:
     """``log_gamma`` of every entry of each argument, in one batch.
 
     Each argument is a float or a float array; one float array comes
     back per argument, in its shape.  Every entry is ``math.lgamma`` of
     it, so it equals the scalar ``log_gamma`` bit for bit wherever that
     is finite.  The domain is checked once for all arguments together.
-    From ``_DISTINCT_FROM`` entries, ``math.lgamma`` runs once per
-    distinct entry and its values are gathered back: the count batches
-    repeat a few totals and counts over many rows.
+    With ``distinct``, ``math.lgamma`` runs once per distinct entry and
+    its values are gathered back (``_log_gamma_distinct``).
 
     Raises
     ------
@@ -86,13 +78,13 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
     # then passes them.
     if not (finite_sum and lo > 0.0) and not (np.isfinite(a) & (a > 0.0)).all():
         raise ValueError("log_gamma requires finite arguments > 0")
-    if a.size >= _DISTINCT_FROM:
-        distinct, where = np.unique(a, return_inverse=True)
+    if distinct:
+        a, where = np.unique(a, return_inverse=True)
     else:
-        distinct, where = a, slice(None)
-    values = distinct.tolist()
+        where = slice(None)
+    values = a.tolist()
     try:
-        out = np.fromiter(map(math.lgamma, values), float, distinct.size)[where]
+        out = np.fromiter(map(math.lgamma, values), float, a.size)[where]
     except OverflowError:
         raise ValueError(f"log_gamma({max(values)!r}) overflows float64") from None
     split, start = [], 0
@@ -100,6 +92,18 @@ def _log_gamma_each(*args) -> list[np.ndarray]:
         split.append(out[start:start + part.size].reshape(part.shape))
         start += part.size
     return split
+
+
+def _log_gamma_distinct(*args) -> list[np.ndarray]:
+    """``_log_gamma_each`` with ``math.lgamma`` once per distinct entry.
+
+    The form for the batches over many count points: they repeat a few
+    totals and counts over many rows, and sorting out the repeats costs
+    about 35 ns an entry against about 140 ns for one ``math.lgamma``.
+    Concentrations, and the multiples of one value, seldom repeat; the
+    density batches and the one-point forms take ``_log_gamma_each``.
+    """
+    return _log_gamma_each(*args, distinct=True)
 
 
 def _log_gamma_map(*args) -> list[float]:

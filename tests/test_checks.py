@@ -465,7 +465,8 @@ class TestRunAll:
 
     def test_a_raising_row_is_reported_and_the_rest_run(self, monkeypatch):
         # A row that raises, on its first run or on its retry, becomes a
-        # failed report naming the exception; the rows after it still run.
+        # failed report naming the exception, with the seed and size of the
+        # run that raised; the rows after it still run.
         def check(name, outcome, trials, rng, seed):
             if outcome == "raise" or (outcome == "raise on retry" and trials > 100):
                 raise ValueError(f"{name} broke")
@@ -479,13 +480,27 @@ class TestRunAll:
         monkeypatch.setattr(checks, "_suite", lambda level: rows)
         reports = run_all(7, "quick")
         seed = [checks._child_seed(7, i) for i in range(3)]
+        retry_seed = checks._child_seed(7, 1, stage=1)
         assert [(r.name, r.passed, r.inconclusive, r.size, r.seed, r.detail) for r in reports] == [
             ("raises", False, False, 100, seed[0], "raised ValueError: raises broke"),
-            ("retry raises", False, False, 100, seed[1], "raised ValueError: retry raises broke"),
+            ("retry raises", False, False, 1000, retry_seed,
+             "raised ValueError: retry raises broke; retried at 10x samples"),
             ("passes", True, False, 100, seed[2], ""),
         ]
         assert all(math.isnan(r.statistic) and math.isnan(r.threshold) for r in reports[:2])
         assert not all_passed(reports)
+
+    def test_running_out_of_memory_is_not_a_failed_row(self, monkeypatch, capsys):
+        # A MemoryError stops the suite, and verify reports it as the CLI
+        # reports running out of memory in any job.
+        def check(name, trials, rng, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(checks, "_suite", lambda level: [("allocates", check, (), False, 100)])
+        with pytest.raises(MemoryError):
+            run_all(7, "quick")
+        assert cli.main(["verify", "--level", "quick"]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error: out of memory: this verify job")
 
 
 def test_a_raising_check_does_not_hide_the_others(monkeypatch, capsys):

@@ -19,7 +19,12 @@ from countcomp import (
     log_sum_exp,
 )
 from countcomp import special
-from countcomp.special import _log_gamma_each, log_multivariate_beta_rows, log_sum_exp_rows
+from countcomp.special import (
+    _log_gamma_distinct,
+    _log_gamma_each,
+    log_multivariate_beta_rows,
+    log_sum_exp_rows,
+)
 
 # log B(2.5, 3.5), frozen from adaptive quadrature of the integral
 # definition int_0^1 t^1.5 (1-t)^2.5 dt (value 0.03681553890925537).
@@ -141,9 +146,11 @@ class TestLogGammaBatch:
             _log_gamma_each(np.array([1.5, bad]))
 
 
-# Batch sizes on either side of the cut from which ``_log_gamma_each``
-# takes each distinct entry once.
-AROUND_THE_CUT = [special._DISTINCT_FROM - 1, special._DISTINCT_FROM, 10 * special._DISTINCT_FROM]
+# Batch sizes from a few entries, mostly distinct, to many repeats.
+BATCH_SIZES = [3, 40, 2560]
+# The plain batch form and the one that takes each distinct entry once.
+BATCH_FORMS = pytest.mark.parametrize("lgs", [_log_gamma_each, _log_gamma_distinct],
+                                      ids=["each", "distinct"])
 
 
 class _CountingMath:
@@ -168,38 +175,40 @@ class TestLogGammaBatchRepeats:
     def _repeats(self, size, seed):
         return np.random.default_rng(seed).choice(self.POOL, size=size)
 
-    @pytest.mark.parametrize("size", AROUND_THE_CUT)
-    def test_equals_the_map_bit_for_bit(self, size):
+    @BATCH_FORMS
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_equals_the_map_bit_for_bit(self, lgs, size):
         counts, totals = self._repeats(size, 1).reshape(-1, 1), self._repeats(7, 2)
-        got_counts, got_totals = _log_gamma_each(counts, totals)
+        got_counts, got_totals = lgs(counts, totals)
         assert got_counts.shape == counts.shape and got_totals.shape == totals.shape
         for got, args in ((got_counts, counts), (got_totals, totals)):
             want = np.array(list(map(math.lgamma, args.ravel().tolist()))).reshape(args.shape)
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("size", AROUND_THE_CUT)
-    def test_each_distinct_entry_once_from_the_cut(self, size, monkeypatch):
+    @BATCH_FORMS
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_lgamma_calls(self, lgs, size, monkeypatch):
+        # Once per entry in order, or once per distinct entry.
         counting = _CountingMath()
         monkeypatch.setattr(special, "math", counting)
         args = self._repeats(size, 3)
-        _log_gamma_each(args)
-        if size < special._DISTINCT_FROM:
-            assert counting.arguments == args.tolist()
-        else:
-            assert counting.arguments == sorted(set(args.tolist()))
+        lgs(args)
+        want = sorted(set(args.tolist())) if lgs is _log_gamma_distinct else args.tolist()
+        assert counting.arguments == want
 
-    @pytest.mark.parametrize("size", AROUND_THE_CUT)
-    def test_refusals_are_unchanged(self, size):
+    @BATCH_FORMS
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_refusals_are_unchanged(self, lgs, size):
         args = self._repeats(size, 4)
         for a in ABOVE_OVERFLOW:
             args[-3:] = [a, 3.5, a]
             with pytest.raises(ValueError) as info:
-                _log_gamma_each(args)
+                lgs(args)
             assert str(info.value) == f"log_gamma({a!r}) overflows float64"
         for bad in (0.0, -1.0, math.inf, math.nan):
             args[-1] = bad
             with pytest.raises(ValueError) as info:
-                _log_gamma_each(args)
+                lgs(args)
             assert str(info.value) == "log_gamma requires finite arguments > 0"
 
 
