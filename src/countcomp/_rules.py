@@ -17,11 +17,6 @@ from numbers import Real
 
 import numpy as np
 
-# Arrays of at most this many entries are scanned by Python builtins over
-# ``tolist()``, which for a few entries costs less than one numpy
-# reduction; larger ones by whole-array reductions, whose cost grows far
-# more slowly with the size.
-_PYTHON_SCAN_MAX = 64
 # While size * max |entry| stays below this, no partial sum of the entries
 # can round past the largest float.
 _SUM_SAFE = sys.float_info.max / 2
@@ -60,21 +55,18 @@ def _reject_rows(*rules) -> None:
 
 def _extremes(arr: np.ndarray) -> tuple[float, float, bool]:
     """``(least, greatest, finite_sum)`` over all entries of ``arr``, as
-    Python numbers: the accept test of the row validators.
+    Python numbers: the accept test of the row validators, by numpy
+    reductions.  (The one-row entries scan their Python numbers with
+    builtins before any array is made.)
 
     ``finite_sum`` says whether the sum of all the entries is finite, so
-    it is false where one is NaN or infinite; the extremes mean nothing
-    then (a Python ``min`` skips a NaN that is not first).  An empty
-    array gives ``(inf, -inf, True)``.  Small arrays take Python
-    builtins, large ones numpy reductions; both reach the same decision,
-    except that a Python and a numpy sum can round differently within a
-    few ulps of float64 overflow.  No sum here reaches an output.
+    it is false where one is NaN or infinite; the extremes are NaN then
+    if an entry is.  An empty array gives ``(inf, -inf, True)``.  The
+    sum is taken only where the extremes allow it to overflow, and
+    reaches no output.
     """
-    if arr.size <= _PYTHON_SCAN_MAX:
-        flat = arr.ravel().tolist()
-        if not flat:
-            return math.inf, -math.inf, True
-        return min(flat), max(flat), math.isfinite(sum(flat))
+    if not arr.size:
+        return math.inf, -math.inf, True
     lo, hi = arr.min().item(), arr.max().item()  # NaN in both if in one
     if max(-lo, hi) * arr.size < _SUM_SAFE:
         return lo, hi, True

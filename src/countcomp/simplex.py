@@ -288,8 +288,12 @@ class LogRatioVector(_ValueObject):
 
     @property
     def k(self) -> float:
-        """1 + sum(exp(entries)); inf when not representable in float64."""
-        return math.exp(self.log_k)
+        """1 + sum(exp(entries)); inf where log k passes the log of the
+        largest float."""
+        try:
+            return math.exp(self.log_k)
+        except OverflowError:
+            return math.inf
 
     @property
     def n(self) -> int:
@@ -317,7 +321,10 @@ def _log_ratios(x: np.ndarray) -> np.ndarray:
 
 def _from_log_ratios(y: np.ndarray) -> np.ndarray:
     shift = np.maximum(y.max(axis=1), 0.0)
-    w = np.exp(_append_column(y, 0.0) - shift[:, None])
+    # A difference past -float max is -inf, whose exp is the 0 that the
+    # Composition rule then refuses.
+    with np.errstate(over="ignore"):
+        w = np.exp(_append_column(y, 0.0) - shift[:, None])
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -326,7 +333,19 @@ def _ratio_log_det(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def _log_ratio_log_det(y: np.ndarray, log_k: np.ndarray) -> np.ndarray:
-    return y.sum(axis=1) - (y.shape[1] + 1) * log_k
+    """``sum(y) - n log k`` for each row, kept wherever it is finite.
+    Where sum(y) or n log k overflowed, though the log-det may not, it is
+    taken at half scale, as ``2 (sum_i (y_i / 2 - log k / 2) - log k / 2)``.
+    The half differences lie in [-FLOAT_MAX, 0] (log k >= max(y)), so a
+    partial sum or the doubling overflows only where the log-det is below
+    -FLOAT_MAX."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = y.sum(axis=1) - (y.shape[1] + 1) * log_k
+        if np.isfinite(out).all():
+            return out
+        half_k = 0.5 * log_k
+        half = np.add.reduce(0.5 * y - half_k[:, None], axis=1) - half_k
+        return np.where(np.isfinite(out), out, 2.0 * half)
 
 
 def ratio_forward(x: Composition) -> RatioVector:

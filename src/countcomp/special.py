@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ._rules import _extremes, _float_array, _positive_float, _positive_rows
+from ._rules import _extremes, _float_array, _positive_float, _positive_row, _positive_rows
 
 __all__ = [
     "log_gamma",
@@ -144,7 +144,7 @@ def log_multivariate_beta(alpha) -> float:
         If fewer than two entries, any entry is not positive and finite,
         or their sum or a log-gamma term overflows float64.
     """
-    alpha = _positive_rows([alpha], "log_multivariate_beta", 2)[0]
+    alpha = _positive_row(alpha, "log_multivariate_beta", 2)
     return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, alpha.tolist())
 
 

@@ -14,7 +14,6 @@ from scipy.special import betainc, chdtrc, gammainc, smirnov
 from countcomp import CheckReport, GammaMixtureParams, all_passed, run_all
 from countcomp import checks, cli, simplex
 from countcomp.checks import (
-    _adaptive_simpson_rows,
     _check_beta_binomial_merge,
     _check_conditional_multinomial,
     _check_dm_integral,
@@ -22,6 +21,7 @@ from countcomp.checks import (
     _check_pi_independent_of_s,
     _composition_matrix,
     _lemma_det,
+    _simpson_rows,
     _transform_ks,
     _transform_pointwise,
 )
@@ -49,43 +49,31 @@ class TestCompositionMatrix:
         assert _composition_matrix(3, 0).tolist() == [[0, 0, 0]]
 
 
-def _simpson(f, a, b, tol=1e-10, max_depth=48):
-    """The batch quadrature on one interval, for a scalar ``f``."""
-    lifted = lambda t: np.fromiter(map(f, t.tolist()), float, t.size)
-    return float(_adaptive_simpson_rows(lifted, [a], [b], tol, max_depth)[0])
-
-
-class TestAdaptiveSimpson:
-    def test_beta_integral(self):
-        val = _simpson(lambda t: t**1.5 * (1.0 - t) ** 2.5, 0.0, 1.0, tol=1e-12)
-        assert val == pytest.approx(0.03681553890925537, abs=1e-11)
-
-    def test_sine(self):
-        assert _simpson(math.sin, 0.0, math.pi, tol=1e-10) == pytest.approx(2.0, abs=1e-9)
-
-    def test_empty_interval_is_zero(self):
-        assert _simpson(math.exp, 0.7, 0.7) == 0.0
-
-    def test_reversed_interval_negates(self):
-        forward = _simpson(math.exp, 0.0, 1.0, tol=1e-12)
-        assert _simpson(math.exp, 1.0, 0.0, tol=1e-12) == pytest.approx(-forward, abs=1e-14)
-        assert forward == pytest.approx(math.e - 1.0, abs=1e-11)
-
-    @pytest.mark.parametrize("max_depth", [5, 48])
-    def test_endpoint_singularity_stops_at_depth_cap(self, max_depth):
-        # t^-1/2 never meets the tolerance next to 0, so refinement ends
-        # at the depth cap: at most 3 + 2 (2^(depth+1) - 1) evaluations.
-        evals = []
+class TestSimpsonRows:
+    def test_exact_on_a_cubic(self):
+        # Simpson's rule integrates a cubic exactly, so both estimates
+        # agree and the Richardson step adds nothing.
+        calls = []
 
         def f(t):
-            evals.append(t)
-            return t**-0.5
+            calls.append(t.size)
+            return 4.0 * t**3 - 3.0 * t**2 + 2.0 * t + 1.0
 
-        val = _simpson(f, 1e-15, 1.0, max_depth=max_depth)
-        assert math.isfinite(val)
-        assert len(evals) <= 3 + 2 * (2 ** (max_depth + 1) - 1)
-        if max_depth == 48:
-            assert val == pytest.approx(2.0, abs=1e-6)
+        a, b = np.array([0.0, 0.25, -1.0]), np.array([1.0, 0.5, 2.0])
+        got = _simpson_rows(f, a, b, 1e-12)
+        exact = lambda t: t**4 - t**3 + t**2 + t
+        np.testing.assert_allclose(got, exact(b) - exact(a), rtol=1e-15, atol=1e-15)
+        assert calls == [9, 6]  # two calls of f: three nodes, then two, per interval
+
+    def test_empty_interval_is_zero(self):
+        assert _simpson_rows(np.exp, [0.7], [0.7], 1e-12).tolist() == [0.0]
+
+    def test_endpoint_singularity_is_refused(self):
+        # t^-1/2 over [1e-15, 1]: the estimates on the whole and on the
+        # halves differ by far more than 15 x 1e-12, and nothing bisects.
+        with pytest.raises(ValueError, match=r"^Simpson's rule moves by .* on halving an "
+                                             r"interval, more than 15 \* 1e-12$"):
+            _simpson_rows(lambda t: t**-0.5, [1e-15], [1.0], 1e-12)
 
 
 class TestConditionalMultinomial:
@@ -180,8 +168,15 @@ class TestTransformDensity:
     @pytest.mark.parametrize("alpha", [(1.0, 1.0), (2.0, 3.0), (3.5, 0.7), (1.2, 40.0)])
     def test_ks_cdf_matches_incomplete_beta(self, alpha, transform):
         # In the bounded coordinate t both n = 2 push-forwards are the
-        # first Dirichlet component, so their CDF is Beta(a1, a2)'s.
+        # first Dirichlet component, so their CDF is Beta(a1, a2)'s.  At
+        # the suite's alphas its density is a polynomial of degree <= 3,
+        # which the rule integrates exactly; at the others the rule's
+        # error estimate passes its bound and the CDF is refused.
         knots = np.sort(np.random.default_rng(127).beta(*alpha, size=1000))
+        if alpha in ((3.5, 0.7), (1.2, 40.0)):
+            with pytest.raises(ValueError, match="^Simpson's rule moves by "):
+                checks._push_forward_cdf(np.array(alpha), transform, knots)
+            return
         cdf = checks._push_forward_cdf(np.array(alpha), transform, knots)
         assert np.abs(cdf - betainc(*alpha, knots)).max() <= 1e-12
 

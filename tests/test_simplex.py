@@ -1,8 +1,11 @@
 """Tests for the simplex coordinate maps and their Jacobians."""
 
 import math
+import subprocess
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +198,71 @@ class TestLogRatioTransform:
         naive = 1.0 + np.exp(y.entries).sum()
         assert y.k == pytest.approx(naive, rel=1e-12)
         assert y.k > 1.0
+
+    @pytest.mark.parametrize("entries", [[1000.0], [710.0, 709.0], [1e308, -1e308]])
+    def test_k_past_the_largest_float_is_inf(self, entries):
+        assert LogRatioVector(entries).k == math.inf
+
+    def test_k_below_the_largest_float_is_finite(self):
+        y = LogRatioVector([709.0])
+        assert y.k == math.exp(y.log_k) < math.inf
+
+
+# A row whose shift to its largest entry overflows maps to an exact 0,
+# which the Composition rule refuses.
+BOUNDARY = ("Composition entries must be strictly positive normal floats; "
+            "boundary points are rejected rather than clamped")
+
+
+class TestLogRatioInverseAtHugeCoordinates:
+    def test_scalar_refuses_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + BOUNDARY + "$"):
+                log_ratio_inverse(LogRatioVector([-1.7e308, 1.7e308]))
+
+    def test_batch_names_the_row_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RowError, match="^" + BOUNDARY + "$") as info:
+                log_ratio_inverse_rows([[0.0, 0.0], [-1.7e308, 1.7e308], [1.0, 2.0]])
+        assert info.value.row == 1
+
+    def test_cli_prints_one_error_line(self):
+        res = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "countcomp.cli", "transform", "alr", "inverse"],
+            input="y1,y2\n0,0\n-1.7e308,1.7e308\n", capture_output=True, text=True, timeout=600,
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == f"error: row 3: {BOUNDARY}\n"
+
+
+def _exact_log_ratio_log_det(entries) -> float:
+    """sum(y) - n log(1 + sum(exp(y))) in 50-digit mpmath, rounded to a
+    float: -inf below the most negative float."""
+    with mpmath.workdps(50):
+        y = [mpmath.mpf(v) for v in entries]
+        exact = mpmath.fsum(y) - (len(y) + 1) * mpmath.log(1 + mpmath.fsum(map(mpmath.exp, y)))
+        return -math.inf if exact < -sys.float_info.max else float(exact)
+
+
+class TestLogRatioLogDetAtHugeCoordinates:
+    # Where sum(y) or n log k overflows, though the log-det may not.
+    @pytest.mark.parametrize("entries", [
+        [1e308, 1e308], [1.7e308, 1.7e308], [1e308, -1e308],
+        [1.7e308, 1.7e308, -1.7e308], [1e308, 1e308, 1e308], [-1.7e308, -1.7e308],
+        [-1e308, 5.0], [0.3, -1.2, 2.0],
+    ])
+    def test_matches_mpmath_without_a_warning(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_det_jacobian_log_ratio_inverse(LogRatioVector(entries), len(entries) + 1)
+        want = _exact_log_ratio_log_det(entries)
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-15)
 
 
 class TestJacobians:

@@ -1,13 +1,12 @@
 """The row validators and the one-point log-gamma map at the edges of
 their domains.
 
-Each validator first runs an accept test (``_rules._extremes``: Python
-builtins for a few entries, numpy reductions for many) and builds its
-ordered per-rule masks only when that test fails.  The table below pins,
-for inputs on both sides of every rule, the row and message each
-validator raises, and checks that every accepted row comes back
-unchanged; ``TestAcceptRoutes`` checks that an edge row gets the same
-verdict on its own as inside a batch large enough for numpy.
+Each validator first runs an accept test (``_rules._extremes``, by numpy
+reductions) and builds its ordered per-rule masks only when that test
+fails.  The table below pins, for inputs on both sides of every rule, the
+row and message each validator raises, and checks that every accepted
+row comes back unchanged; ``TestAcceptRoutes`` checks that an edge row
+gets the same verdict on its own as inside a batch of good rows.
 """
 
 import math
@@ -37,7 +36,6 @@ from countcomp import (
     normalized_nb_log_pmf,
     poisson_sample,
 )
-from countcomp._rules import _PYTHON_SCAN_MAX
 from countcomp.distributions import (
     _count_entries,
     alr_dirichlet_log_pdf_rows,
@@ -476,10 +474,9 @@ def test_scalar_counts_below_int64_accepted():
     assert BetaBinomialParams(1.0, 1.0, top).m == top
 
 
-# The accept test takes Python builtins up to _PYTHON_SCAN_MAX entries and
-# numpy reductions past it.  Each edge row is checked alone and at a
-# seeded place among enough good rows for numpy: (validator, good row,
-# edge rows).  Counts carry their dtype.
+# Each edge row is checked alone and at a seeded place among good rows,
+# where numpy's reductions group the entries differently: (validator,
+# good row, edge rows).  Counts carry their dtype.
 EDGE_ROWS = {
     "composition": (composition_rows, [0.5, 0.5], [
         [0.5, NAN], [INF, -INF], [TINY, 1.0], [NORMAL_MIN, 1.0], *SUM_EDGES.values(),
@@ -512,7 +509,7 @@ EDGE_ROWS = {
         [-FLOAT_MAX, 0.0],
     ]),
 }
-BATCH_ROWS = _PYTHON_SCAN_MAX  # rows of two entries: twice the Python limit
+BATCH_ROWS = 64
 
 
 def _outcome(check, rows):
@@ -537,7 +534,6 @@ class TestAcceptRoutes:
         at = int(np.random.default_rng(index).integers(BATCH_ROWS))
         batch = np.repeat(np.asarray(good, dtype=edge.dtype)[None], BATCH_ROWS, axis=0)
         batch[at] = edge
-        assert batch.size > _PYTHON_SCAN_MAX >= edge.size
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone = _outcome(check, edge[None])
