@@ -20,6 +20,7 @@ from countcomp.checks import (
     _check_nb_normalization,
     _check_pi_independent_of_s,
     _composition_matrix,
+    _decile_edges,
     _lemma_det,
     _simpson_rows,
     _transform_ks,
@@ -59,21 +60,54 @@ class TestSimpsonRows:
             calls.append(t.size)
             return 4.0 * t**3 - 3.0 * t**2 + 2.0 * t + 1.0
 
-        a, b = np.array([0.0, 0.25, -1.0]), np.array([1.0, 0.5, 2.0])
-        got = _simpson_rows(f, a, b, 1e-12)
+        knots = np.array([-1.0, 0.0, 0.25, 0.5, 2.0])
+        got = _simpson_rows(f, knots, 1e-12)
         exact = lambda t: t**4 - t**3 + t**2 + t
-        np.testing.assert_allclose(got, exact(b) - exact(a), rtol=1e-15, atol=1e-15)
-        assert calls == [9, 6]  # two calls of f: three nodes, then two, per interval
+        np.testing.assert_allclose(got, np.diff(exact(knots)), rtol=1e-15, atol=1e-15)
+        # Two calls of f: the N+1 knots and N midpoints, then the 2N
+        # quarter points, so each shared knot is evaluated once.
+        assert calls == [9, 8]
 
     def test_empty_interval_is_zero(self):
-        assert _simpson_rows(np.exp, [0.7], [0.7], 1e-12).tolist() == [0.0]
+        # A repeated knot makes an empty gap, whose integral is exactly 0.
+        assert _simpson_rows(np.exp, [0.7, 0.7], 1e-12).tolist() == [0.0]
+        assert _simpson_rows(np.exp, [0.1, 0.7, 0.7, 0.9], 1.0)[1] == 0.0
+
+    def test_equals_the_five_node_rule_on_each_gap_bit_for_bit(self):
+        # The rule as taken on (a, b) pairs, with all five nodes of every
+        # gap evaluated: sharing the knots changes no bit.
+        def f(t):
+            return ((t * t - 2.0) * t * t + 1.0) * t
+
+        knots = np.append(0.0, np.sort(np.random.default_rng(137).uniform(0.0, 1.0, 3000)))
+        knots[1000] = knots[999]  # and one repeated knot
+        a, b = knots[:-1], knots[1:]
+        mid = 0.5 * (a + b)
+        fa, fm, fb, flm, frm = f(a), f(mid), f(b), f(0.5 * (a + mid)), f(0.5 * (mid + b))
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
+        want = left + right + (left + right - whole) / 15.0
+        assert _simpson_rows(f, knots, 1e-12).tolist() == want.tolist()
 
     def test_endpoint_singularity_is_refused(self):
         # t^-1/2 over [1e-15, 1]: the estimates on the whole and on the
         # halves differ by far more than 15 x 1e-12, and nothing bisects.
         with pytest.raises(ValueError, match=r"^Simpson's rule moves by .* on halving an "
                                              r"interval, more than 15 \* 1e-12$"):
-            _simpson_rows(lambda t: t**-0.5, [1e-15], [1.0], 1e-12)
+            _simpson_rows(lambda t: t**-0.5, [1e-15, 1.0], 1e-12)
+
+
+class TestDecileEdges:
+    @pytest.mark.parametrize("n", [10**4, 3 * 10**4, 10**5])
+    def test_equal_numpy_quantile_bit_for_bit(self, n):
+        # The suite's sample sizes and a third between them, where the
+        # virtual indices (n - 1) q fall on both sides of one half.
+        rng = np.random.default_rng(n)
+        lam1, lam2 = rng.gamma(3.0, 0.5, n), rng.gamma(2.0, 0.5, n)
+        for values in (lam1 / (lam1 + lam2), np.round(lam1, 1)):  # and a sample with ties
+            want = np.quantile(values, np.linspace(0.1, 0.9, 9))
+            assert _decile_edges(values).tolist() == want.tolist()
 
 
 class TestConditionalMultinomial:

@@ -3,7 +3,7 @@ not a runtime dependency.  No file under ``src/`` or ``demos/`` imports
 it, and the core library, the CLI, the verification suite (which
 computes its own chi-square, Gamma and KS tails) and every demo run in a
 child where any import of scipy fails.  Further: the CLI does not load
-``fractions``; the suite's names still resolve from the package; the
+``fractions``, nor a quick ``verify`` ``numpy.ma``; the suite's names still resolve from the package; the
 suite's helpers are not public; the demos import only names in the
 ``__all__`` of the module they import from; no module keeps an import
 from the package that it never uses; and every source file parses as
@@ -134,6 +134,18 @@ def test_cli_import_does_not_load_fractions():
     # Only a Fraction value of normalized_nb_value_pmf needs the module,
     # which imports decimal; every CLI process would pay for both.
     script = "import countcomp.cli, sys; assert 'fractions' not in sys.modules"
+    res = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_verify_does_not_load_numpy_ma():
+    # numpy imports numpy.ma on the first np.quantile, or np.unique
+    # without return flags, at about 20 ms; the suite uses neither, so
+    # no verify process pays for it.
+    script = ("import sys\nfrom countcomp import cli\n"
+              "assert cli.main(['verify', '--level', 'quick']) == 0\n"
+              "assert 'numpy.ma' not in sys.modules")
     res = subprocess.run([sys.executable, "-W", "error", "-c", script],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
