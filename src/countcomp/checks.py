@@ -907,8 +907,12 @@ def run_all(seed: int, level: str = "full") -> list[CheckReport]:
     Failing statistical checks are retried once at 10x the sample size
     before being declared failed.  A check that raises is reported as
     failed, with NaN statistic and threshold and the exception's type and
-    message as its detail, under the seed and size of the run that raised,
-    and the rest still run.  Running out of memory is not caught.
+    message as its detail, under the seed of the run that raised, and the
+    rest still run.  Its ``size`` is then the ``trials`` its suite row
+    passes (10x in a retry), which need not be the size the check reports
+    when it runs: ``change-of-variables-ratio`` reads 1000 when it raises
+    and 5000 points (1000 per n) when it runs.  Running out of memory is
+    not caught.
     Reports come back in a fixed order.
     """
     seed = _as_count(seed, "seed")

@@ -45,7 +45,7 @@ from ._rules import (
     _require,
     _row_entries,
 )
-from .special import _log_each, _log_sum_exp_shifted, log_sum_exp_rows
+from .special import _log_each, _log_exp_sum, log_sum_exp_rows
 
 __all__ = [
     "Composition",
@@ -185,15 +185,17 @@ def _log_ratio_row(entries) -> tuple[np.ndarray, float]:
 
     A list of floats, or a 1-D float array, whose Python sum is finite is
     built here at once; anything else goes to ``log_ratio_rows`` on
-    ``[entries]``.  ``log k`` comes from the arithmetic of
-    ``log_sum_exp_rows`` on the row with the reference 0 appended.
+    ``[entries]``.  ``log k`` is taken on the row with the reference 0
+    appended, by the shift-exp-sum of ``log_sum_exp_rows``, with the same
+    bits.
     """
     flat = _row_entries(entries, _FLOAT)
     if flat and math.isfinite(sum(flat)):
         row = flat + [0.0]
-        padded = np.array([row])
+        padded = np.array(row)
         padded.setflags(write=False)
-        return padded[0, :-1], float(_log_sum_exp_shifted(padded, max(row) - min(row))[0])
+        hi = max(row)
+        return padded[:-1], hi + _log_exp_sum(padded, hi, hi - min(row), math.log)
     rows, log_k = log_ratio_rows([entries])
     return rows[0], float(log_k[0])
 

@@ -94,6 +94,15 @@ def _log_gamma_each(*args, distinct: bool = False) -> list[np.ndarray]:
     return split
 
 
+def _log_gamma_built(*args) -> list[np.ndarray]:
+    """``_log_gamma_each`` without its accept test, for arguments that the
+    caller built finite, > 0 and far below the overflow point (about
+    2.56e305): ``math.lgamma`` of every entry, with the same bits."""
+    parts = [np.asarray(a, dtype=float) for a in args]
+    return [np.fromiter(map(math.lgamma, part.ravel().tolist()), float, part.size)
+            .reshape(part.shape) for part in parts]
+
+
 def _log_gamma_distinct(*args) -> list[np.ndarray]:
     """``_log_gamma_each`` with ``math.lgamma`` once per distinct entry.
 
@@ -208,31 +217,34 @@ def log_sum_exp_rows(values) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("log_sum_exp requires a non-empty vector")
     lo, hi, finite_sum = _extremes(arr)
+    m = np.maximum.reduce(arr, axis=1)  # NaN wherever a row holds one
     if not finite_sum:
-        m = np.maximum.reduce(arr, axis=1)  # NaN wherever a row holds one
         finite = np.isfinite(m)
         if not finite.all():
             if np.isnan(m).any():
                 raise ValueError("log_sum_exp input contains NaN")
             m[finite] = log_sum_exp_rows(arr[finite])
             return m
-    return _log_sum_exp_shifted(arr, hi - lo)
+    return m + _log_exp_sum(arr, m[:, None], hi - lo, _log_each)
 
 
-def _log_sum_exp_shifted(arr: np.ndarray, spread: float) -> np.ndarray:
-    """The arithmetic of ``log_sum_exp_rows``: the row-wise log-sum-exp of
-    an (N, n) float array whose row maxima are finite.  No entry lies
-    farther than ``spread`` (which may be inf) below its row's maximum.
+def _log_exp_sum(arr: np.ndarray, shift, spread: float, log):
+    """``log(sum(exp(arr - shift)))`` along the last axis: the shift-exp-sum
+    of every log-sum-exp, written once.  ``arr`` is an (N, n) batch with
+    its row maxima as an (N, 1) ``shift`` and ``log`` = ``_log_each``, or
+    one row as a 1-D array with its maximum as a float and ``math.log``
+    (the one-point forms, which scan their row as Python numbers); both
+    give each row the same bits.  No entry lies farther than ``spread``
+    (which may be inf) below its shift.
     """
-    m = np.maximum.reduce(arr, axis=1)
     if spread < math.inf:
-        shifted = arr - m[:, None]
+        shifted = arr - shift
     else:
         # A difference past -float max is -inf, whose exp is the 0 it
         # stands for.
         with np.errstate(over="ignore"):
-            shifted = arr - m[:, None]
-    return m + _log_each(np.add.reduce(np.exp(shifted), axis=1))
+            shifted = arr - shift
+    return log(np.add.reduce(np.exp(shifted), -1))
 
 
 def _log_each(values: np.ndarray) -> np.ndarray:

@@ -867,6 +867,13 @@ class TestNormalizedNbValuePmf:
             empty += int((log_mass == -math.inf).sum())
             assert ((log_mass == -math.inf) == (m > bound)).all()
         assert empty > 0
+        # One value with more than a thousand multiples, past numpy's
+        # blocked pairwise sum.
+        params = GammaMixtureParams([1000.0, 1000.0], 1.0)
+        log_mass, bound = distributions._value_pmf_rows(
+            params, 0, np.array([1]), np.array([2]), 1e-12)
+        assert bound // 2 > 1000
+        assert normalized_nb_value_pmf(params, 0, (1, 2)).log_mass == log_mass[0]
 
     def test_equals_the_pair_rows_at_its_multiples_bitwise(self):
         # The log mass is log_sum_exp of the pair masses at (j k, j m) for

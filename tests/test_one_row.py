@@ -160,6 +160,10 @@ ENTRIES = st.one_of(st.lists(ENTRY, max_size=10), _near_simplex(),
 @example(entries=[-0.0, 1.0])
 @example(entries=[700.0, -700.0])
 @example(entries=[1e308, -1e308])
+# Log-ratio rows whose padded sum reaches numpy's 8-way unrolled and blocked
+# pairwise sums.
+@example(entries=[math.sin(i) for i in range(9)])
+@example(entries=[3.0 * math.sin(i) for i in range(130)])
 @example(entries=["0.5", 0.5])
 @example(entries=[[0.5, 0.5]])
 def test_one_row_matches_the_batch_row(target, entries):

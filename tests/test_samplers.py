@@ -261,6 +261,17 @@ class TestPoissonSampler:
             _, p = _chi_square_gof(observed, expected)
             assert p > 0.001, rate
 
+    @pytest.mark.parametrize("high", [25.0, 1000.0])
+    def test_each_draw_lands_on_its_own_entry(self, high):
+        # Rates alternating 0.01 and 25 are all drawn by inversion; with
+        # 1000 the two branches share the call.  A draw moved to another
+        # entry takes the other rate's law: far from 0, or near it.
+        rates = np.tile([0.01, high], 16)
+        draws = _poisson(rates, np.random.default_rng(23))
+        assert (draws[0::2] == 0).all(), draws
+        wide = 5.0 * math.sqrt(high)
+        assert (np.abs(draws[1::2] - high) <= wide).all(), draws
+
     def test_inversion_batch_equals_successive_single_draws(self):
         # Below 30 a draw takes one uniform and the same CDF search, so a
         # batch reproduces the stream of one-draw calls exactly.
