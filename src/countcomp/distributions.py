@@ -67,7 +67,6 @@ from .special import (
     _fsum_columns,
     _log_each,
     _log_exp_sum,
-    _log_gamma_built,
     _log_gamma_distinct,
     _log_gamma_each,
     _log_gamma_map,
@@ -961,7 +960,7 @@ def normalized_nb_value_pmf(
     bound = _nb_bound(params.total_shape, p, _tail_mass(tail_mass))
     if bound < m:  # no multiple of the value below the bound
         return AggregatedValueMass(-math.inf, bound)
-    terms = _value_pair_log_terms(_log_gamma_built, a, b, p, np.array([k]), np.array([m]),
+    terms = _value_pair_log_terms(_log_gamma_each, a, b, p, np.array([k]), np.array([m]),
                                   bound // m)
     values = terms[0].tolist()
     # The accept test of log_sum_exp_rows on the Python values: a NaN or an
@@ -994,7 +993,7 @@ def _value_pmf_rows(params: GammaMixtureParams, component: int, numerators, deno
 def _value_pair_log_terms(lgs, a: float, b: float, p: float, numerators, denominators,
                           count: int) -> np.ndarray:
     """Pair log masses at the ``count`` multiples (j k, j m) of each of the
-    (N,) values k/m, as an (N, count) array.  ``lgs`` is ``_log_gamma_built``
+    (N,) values k/m, as an (N, count) array.  ``lgs`` is ``_log_gamma_each``
     for one value, whose multiples seldom repeat, or ``_log_gamma_distinct``
     for many, which share multiples."""
     j = np.arange(1.0, count + 1.0)

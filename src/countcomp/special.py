@@ -7,7 +7,10 @@ values are obtained by exponentiating, never computed directly, because
 the Gamma-function ratios in the count distributions overflow float64
 for totals beyond ~170.
 
-Arguments are read by the rules of ``countcomp._rules``.
+Arguments are read by the rules of ``countcomp._rules``.  The public
+entries check their arguments where they enter; the private log-gamma
+forms (``_log_gamma_map``, ``_log_gamma_each``, ``_log_gamma_distinct``)
+take values so checked, only map ``math.lgamma`` and raise on overflow.
 """
 
 from __future__ import annotations
@@ -55,52 +58,26 @@ def log_gamma(a: float) -> float:
         raise ValueError(f"log_gamma({a!r}) overflows float64") from None
 
 
-def _log_gamma_each(*args, distinct: bool = False) -> list[np.ndarray]:
-    """``log_gamma`` of every entry of each argument, in one batch.
+def _log_gamma_each(*args) -> list[np.ndarray]:
+    """``math.lgamma`` of every entry of each argument, in one batch.
 
     Each argument is a float or a float array; one float array comes
-    back per argument, in its shape.  Every entry is ``math.lgamma`` of
-    it, so it equals the scalar ``log_gamma`` bit for bit wherever that
-    is finite.  The domain is checked once for all arguments together.
-    With ``distinct``, ``math.lgamma`` runs once per distinct entry and
-    its values are gathered back (``_log_gamma_distinct``).
+    back per argument, in its shape, equal to the scalar ``log_gamma``
+    bit for bit.
 
     Raises
     ------
     ValueError
-        If an entry is not a strictly positive finite number, or its log
-        Gamma overflows float64 (past about 2.56e305).
+        If a log Gamma overflows float64 (past about 2.56e305), naming
+        the largest argument.
     """
     parts = [np.asarray(a, dtype=float) for a in args]
-    a = np.concatenate([part.ravel() for part in parts])
-    lo, _, finite_sum = _extremes(a)
-    # Finite entries whose sum overflows fail the accept test; the mask
-    # then passes them.
-    if not (finite_sum and lo > 0.0) and not (np.isfinite(a) & (a > 0.0)).all():
-        raise ValueError("log_gamma requires finite arguments > 0")
-    if distinct:
-        a, where = np.unique(a, return_inverse=True)
-    else:
-        where = slice(None)
-    values = a.tolist()
     try:
-        out = np.fromiter(map(math.lgamma, values), float, a.size)[where]
+        return [np.fromiter(map(math.lgamma, part.ravel().tolist()), float, part.size)
+                .reshape(part.shape) for part in parts]
     except OverflowError:
-        raise ValueError(f"log_gamma({max(values)!r}) overflows float64") from None
-    split, start = [], 0
-    for part in parts:
-        split.append(out[start:start + part.size].reshape(part.shape))
-        start += part.size
-    return split
-
-
-def _log_gamma_built(*args) -> list[np.ndarray]:
-    """``_log_gamma_each`` without its accept test, for arguments that the
-    caller built finite, > 0 and far below the overflow point (about
-    2.56e305): ``math.lgamma`` of every entry, with the same bits."""
-    parts = [np.asarray(a, dtype=float) for a in args]
-    return [np.fromiter(map(math.lgamma, part.ravel().tolist()), float, part.size)
-            .reshape(part.shape) for part in parts]
+        largest = max(float(part.max()) for part in parts if part.size)
+        raise ValueError(f"log_gamma({largest!r}) overflows float64") from None
 
 
 def _log_gamma_distinct(*args) -> list[np.ndarray]:
@@ -112,20 +89,19 @@ def _log_gamma_distinct(*args) -> list[np.ndarray]:
     Concentrations, and the multiples of one value, seldom repeat; the
     density batches and the one-point forms take ``_log_gamma_each``.
     """
-    return _log_gamma_each(*args, distinct=True)
+    parts = [np.asarray(a, dtype=float) for a in args]
+    distinct, where = np.unique(np.concatenate([part.ravel() for part in parts]),
+                                return_inverse=True)
+    (out,) = _log_gamma_each(distinct)
+    ends = np.cumsum([part.size for part in parts])
+    return [piece.reshape(part.shape)
+            for piece, part in zip(np.split(out[where], ends[:-1]), parts)]
 
 
 def _log_gamma_map(*args) -> list[float]:
-    """``log_gamma`` of each argument, as a list: the one-point twin of
-    ``_log_gamma_each``, with no batch cost, raising as it does.
-
-    The domain is checked once for all arguments together; where that
-    check fails, the first bad one is named as ``log_gamma`` names it.
-    """
-    # min() skips a NaN that is not first, but the sum is NaN then.
-    if not (min(args) > 0.0 and math.isfinite(sum(args))):
-        for a in args:
-            _positive_float(a, "log_gamma argument")
+    """``math.lgamma`` of each argument, as a list: the one-point twin of
+    ``_log_gamma_each``, with no batch cost, raising on overflow as it
+    does."""
     try:
         return list(map(math.lgamma, args))
     except OverflowError:

@@ -1,8 +1,10 @@
 """Tests for the log-domain special functions."""
 
+import importlib.util
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,19 +14,26 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betaln, gammaln
 
+import countcomp as cc
 from countcomp import (
     log_beta,
     log_gamma,
     log_multivariate_beta,
     log_sum_exp,
 )
-from countcomp import special
+from countcomp import distributions as dist
+from countcomp import run_all, special
 from countcomp.special import (
     _log_gamma_distinct,
     _log_gamma_each,
     log_multivariate_beta_rows,
     log_sum_exp_rows,
 )
+
+_SPEC = importlib.util.spec_from_file_location(
+    "make_ledger", Path(__file__).with_name("data") / "make_ledger.py")
+make_ledger = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(make_ledger)
 
 # log B(2.5, 3.5), frozen from adaptive quadrature of the integral
 # definition int_0^1 t^1.5 (1-t)^2.5 dt (value 0.03681553890925537).
@@ -102,6 +111,11 @@ class TestLogGamma:
             log_gamma(bad)
 
 
+# The plain batch form and the one that takes each distinct entry once.
+BATCH_FORMS = pytest.mark.parametrize("lgs", [_log_gamma_each, _log_gamma_distinct],
+                                      ids=["each", "distinct"])
+
+
 class TestLogGammaBatch:
     def test_equals_scalar_bitwise(self):
         rng = np.random.default_rng(3)
@@ -125,32 +139,39 @@ class TestLogGammaBatch:
             want = _mpmath_log_gamma(a)
             assert abs(value - want) <= 1e-15 * abs(want), a
 
-    def test_overflow_raises_naming_the_argument(self):
-        (got,) = _log_gamma_each([BELOW_OVERFLOW, 3.5])
+    @BATCH_FORMS
+    def test_overflow_raises_naming_the_argument(self, lgs):
+        (got,) = lgs([BELOW_OVERFLOW, 3.5])
         assert got.tolist() == [LOG_GAMMA_BELOW_OVERFLOW, log_gamma(3.5)]
         for a in ABOVE_OVERFLOW:
             with pytest.raises(ValueError) as info:
-                _log_gamma_each([BELOW_OVERFLOW, 3.5], a)
+                lgs([BELOW_OVERFLOW, 3.5], a)
             assert str(info.value) == f"log_gamma({a!r}) overflows float64"
 
-    def test_arguments_keep_their_shapes(self):
+    @BATCH_FORMS
+    def test_arguments_keep_their_shapes(self, lgs):
         grid = np.array([[0.25, 1.0], [2.0, 7.5]])
-        scalar, empty, matrix = _log_gamma_each(3.5, np.array([]), grid)
+        scalar, empty, matrix = lgs(3.5, np.array([]), grid)
         assert scalar.shape == () and empty.shape == (0,) and matrix.shape == (2, 2)
         assert scalar == log_gamma(3.5)
         assert matrix.tolist() == [[log_gamma(a) for a in row] for row in grid.tolist()]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError, match="finite arguments > 0"):
-            _log_gamma_each(np.array([1.5, bad]))
+    def test_domain_errors(self, bad, monkeypatch):
+        # The batch forms check no domain: the public batch entry in front
+        # of them refuses the row before they are reached.
+        def unreached(*args):
+            raise AssertionError(f"_log_gamma_each{args!r}")
+
+        monkeypatch.setattr(special, "_log_gamma_each", unreached)
+        with pytest.raises(ValueError) as info:
+            log_multivariate_beta_rows(np.array([[1.5, 2.0], [1.5, bad]]))
+        assert info.value.row == 1
+        assert str(info.value) == "log_multivariate_beta entries must be strictly positive and finite"
 
 
 # Batch sizes from a few entries, mostly distinct, to many repeats.
 BATCH_SIZES = [3, 40, 2560]
-# The plain batch form and the one that takes each distinct entry once.
-BATCH_FORMS = pytest.mark.parametrize("lgs", [_log_gamma_each, _log_gamma_distinct],
-                                      ids=["each", "distinct"])
 
 
 class _CountingMath:
@@ -165,6 +186,100 @@ class _CountingMath:
 
     def __getattr__(self, name):
         return getattr(math, name)
+
+
+class _PositiveMath(_CountingMath):
+    """``math`` whose ``lgamma`` fails, by AssertionError, on any argument
+    outside (0, inf): the contract of the private log-gamma forms, which
+    only map ``math.lgamma`` over values a public entry has checked."""
+
+    def lgamma(self, a):
+        assert 0.0 < a < math.inf, f"math.lgamma({a!r})"
+        return super().lgamma(a)
+
+
+# Accepted extremes: shapes from the smallest subnormal to past the
+# overflow of log Gamma, and totals up to 2**62.
+EXTREME_SHAPES = [5e-324, 1e-300, 0.5, 1e300, 8e307]
+EXTREME_TOTALS = [0, 1, 2**31, 2**62]
+
+
+def _extreme_calls(s):
+    """Every public log density and mass at shape ``s`` and each extreme
+    total, as ``(name, call)`` pairs."""
+    totals = EXTREME_TOTALS
+    counts = [[m - m // 3, m // 3, 0] for m in totals]
+    alpha, probs = [s, 1.0, s], cc.Composition([0.25, 0.5, 0.25])
+    mixture = cc.GammaMixtureParams([s, 1.0], 2.0)
+    calls = [
+        ("log_gamma", lambda: log_gamma(s)),
+        ("log_beta", lambda: log_beta(s, 1.0)),
+        ("log_multivariate_beta", lambda: log_multivariate_beta(alpha)),
+        ("log_multivariate_beta_rows", lambda: log_multivariate_beta_rows([alpha, alpha[::-1]])),
+        ("dirichlet", lambda: cc.dirichlet_log_pdf(cc.DirichletParams(alpha), probs)),
+        ("inverted", lambda: cc.inverted_dirichlet_log_pdf(
+            cc.DirichletParams(alpha), cc.RatioVector([1.0, 2.0]))),
+        ("alr", lambda: cc.alr_dirichlet_log_pdf(
+            cc.DirichletParams(alpha), cc.LogRatioVector([0.0, 1.0]))),
+        ("dirichlet_rows", lambda: dist.dirichlet_log_pdf_rows(alpha, [[0.25, 0.5, 0.25]])),
+        ("inverted_rows", lambda: dist.inverted_dirichlet_log_pdf_rows(alpha, [[1.0, 2.0]])),
+        ("alr_rows", lambda: dist.alr_dirichlet_log_pdf_rows(alpha, [[0.0, 1.0]])),
+        ("nb_rows", lambda: dist.negative_binomial_log_pmf_rows(s, 0.5, totals)),
+        ("multinomial_rows", lambda: dist.multinomial_log_pmf_rows(totals, probs, counts)),
+        ("dm_rows", lambda: dist.dirichlet_multinomial_log_pmf_rows(alpha, totals, counts)),
+        ("nnb_rows", lambda: dist.normalized_nb_log_pmf_rows(
+            mixture, 0, [m // 2 for m in totals], totals)),
+        ("nnb_value", lambda: cc.normalized_nb_value_pmf(mixture, 0, (1, 3))),
+    ]
+    for m, x in zip(totals, counts):
+        calls += [
+            (f"nb-{m}", lambda m=m: cc.negative_binomial_log_pmf(s, 0.5, m)),
+            (f"multinomial-{m}", lambda m=m, x=x: cc.multinomial_log_pmf(
+                m, probs, cc.CountVector(x))),
+            (f"dm-{m}", lambda m=m, x=x: cc.dirichlet_multinomial_log_pmf(
+                alpha, m, cc.CountVector(x))),
+            (f"bb-{m}", lambda m=m: cc.beta_binomial_log_pmf(
+                cc.BetaBinomialParams(s, 1.0, m), m // 2)),
+            (f"nnb-{m}", lambda m=m: cc.normalized_nb_log_pmf(mixture, 0, m // 2, m)),
+        ]
+    return calls
+
+
+def _call_outcome(call):
+    """The repr of a call's value, or of the ValueError it raises."""
+    try:
+        value = call()
+    except ValueError as exc:
+        return f"ValueError({str(exc)!r})"
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+class TestPrivateFormsTakeCheckedArguments:
+    """Every argument that reaches the private log-gamma forms lies in
+    (0, inf): the public entries check theirs, and the forms do not."""
+
+    def test_value_ledger_calls(self, monkeypatch):
+        ledger = make_ledger.read(make_ledger.VALUE_LEDGER)
+        positive = _PositiveMath()
+        monkeypatch.setattr(special, "math", positive)
+        assert make_ledger.values_moved(make_ledger.values(ledger), ledger) == []
+        assert positive.arguments
+
+    def test_quick_suite(self, monkeypatch):
+        positive = _PositiveMath()
+        monkeypatch.setattr(special, "math", positive)
+        assert all(report.passed for report in run_all(0, "quick"))
+        assert positive.arguments
+
+    @pytest.mark.parametrize("s", EXTREME_SHAPES)
+    def test_public_entries_at_the_extremes(self, s, monkeypatch):
+        calls = _extreme_calls(s)
+        want = [_call_outcome(call) for _, call in calls]
+        monkeypatch.setattr(special, "math", _PositiveMath())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (name, call), outcome in zip(calls, want):
+                assert _call_outcome(call) == outcome, name
 
 
 class TestLogGammaBatchRepeats:
@@ -205,11 +320,6 @@ class TestLogGammaBatchRepeats:
             with pytest.raises(ValueError) as info:
                 lgs(args)
             assert str(info.value) == f"log_gamma({a!r}) overflows float64"
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            args[-1] = bad
-            with pytest.raises(ValueError) as info:
-                lgs(args)
-            assert str(info.value) == "log_gamma requires finite arguments > 0"
 
 
 class TestLogMultivariateBeta:

@@ -24,7 +24,7 @@ def _shift(fn):
 
 def _shift_each(fn):
     """Each array of a list of log values off by 1e-9."""
-    return lambda *args, **kwargs: [values + 1e-9 for values in fn(*args, **kwargs)]
+    return lambda *args: [values + 1e-9 for values in fn(*args)]
 
 
 def _reversed_alpha(fn):
@@ -82,6 +82,10 @@ TABLE = [
                   "dirichlet-multinomial-normalization", "negative-binomial-normalization",
                   "normalized-nb-mass-r1-1-theta1"],
                  id="batch-log-gamma-shifted"),
+    pytest.param(special, "_log_gamma_map", _shift_each,
+                 ["beta-binomial-merge-n3-m4", "beta-binomial-merge-n3-m7",
+                  "beta-binomial-merge-n2-m6"],
+                 id="one-point-log-gamma-shifted"),
     pytest.param(distributions, "_dirichlet_log_terms", _shift,
                  ["change-of-variables-ratio", "change-of-variables-alr"],
                  id="dirichlet-density-shifted"),
