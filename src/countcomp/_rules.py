@@ -171,7 +171,10 @@ def _require(value, cls: type, what: str):
 
 def _as_count(value, what: str) -> int:
     """One count by the CountVector rule: a non-negative integer below
-    2**63, not a bool."""
+    2**63, not a bool.  An exact ``int`` in range is returned as it is;
+    anything else goes through ``int()``."""
+    if type(value) is int and 0 <= value < 2**63:
+        return value
     try:
         i = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -209,7 +212,7 @@ def _row_entries(entries, types: frozenset) -> list | None:
     all in ``types``, when given as a list or as a 1-D array read through
     ``tolist()``; None for anything else.
 
-    This is the scan of a one-row rule (``_positive_row``, ``_count_row``
+    This is the scan of a one-row rule (``_positive_floats``, ``_count_row``
     and those of ``simplex``): it accepts the common case on builtins and
     leaves everything else, every refusal included, to the batch rule on
     ``[entries]``.
@@ -278,21 +281,29 @@ def _positive_rows(values, what: str, min_len: int) -> np.ndarray:
     return arr
 
 
-def _positive_row(entries, what: str, min_len: int) -> np.ndarray:
-    """One row by the ``_positive_rows`` rule, as a read-only float vector.
+def _positive_floats(entries, what: str, min_len: int) -> list[float]:
+    """One row by the ``_positive_rows`` rule, as a list of Python floats
+    with the bits of that rule's row.
 
     A list of floats, or a 1-D float array, that passes the accept test
-    is built here at once; anything else goes to ``_positive_rows`` on
-    ``[entries]``.  The Python sum only decides that the entries are
-    finite: below ``_SUM_SAFE`` neither it nor a numpy sum can overflow.
+    is returned at once (a list as given: read it, do not keep it);
+    anything else goes to ``_positive_rows`` on ``[entries]``.  The
+    Python sum only decides that the entries are finite: below
+    ``_SUM_SAFE`` neither it nor a numpy sum can overflow.
     """
     flat = _row_entries(entries, _FLOAT)
     if (flat is not None and len(flat) >= min_len and min(flat) > 0.0
             and max(flat) * len(flat) < _SUM_SAFE and math.isfinite(sum(flat))):
-        arr = np.array(flat)
-        arr.setflags(write=False)
-        return arr
-    return _positive_rows([entries], what, min_len)[0]
+        return flat
+    return _positive_rows([entries], what, min_len)[0].tolist()
+
+
+def _positive_row(entries, what: str, min_len: int) -> np.ndarray:
+    """One row by the ``_positive_rows`` rule, as a new read-only float
+    vector built from ``_positive_floats``."""
+    arr = np.array(_positive_floats(entries, what, min_len))
+    arr.setflags(write=False)
+    return arr
 
 
 def _count_row(entries, what: str) -> tuple[np.ndarray, int]:

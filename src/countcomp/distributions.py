@@ -48,6 +48,7 @@ from ._rules import (
     _count_rows,
     _non_real_row,
     _positive_float,
+    _positive_floats,
     _positive_row,
     _positive_rows,
     _reject_rows,
@@ -218,14 +219,14 @@ class BetaBinomialParams:
         object.__setattr__(self, "m", m)
 
 
-def _as_shapes(params) -> np.ndarray:
-    """Accept a GammaMixtureParams (scale unused), a DirichletParams (its
-    alpha) or a bare shape vector."""
+def _as_shapes(params) -> list[float]:
+    """The shapes of a GammaMixtureParams (scale unused), the alpha of a
+    DirichletParams or a bare shape vector, checked, as Python floats."""
     if isinstance(params, GammaMixtureParams):
-        return params.shapes
+        return params.shapes.tolist()
     if isinstance(params, DirichletParams):
-        return params.alpha
-    return _positive_row(params, "shape vector", 1)
+        return params.alpha.tolist()
+    return _positive_floats(params, "shape vector", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +700,8 @@ def dirichlet_multinomial_log_pmf(params, m: int, x: CountVector) -> float:
     here) or a bare positive shape vector.
     """
     r = _as_shapes(params)
-    m = _checked_point_total(x, m, r.size, "shapes")
-    return _dm_log_terms(_log_gamma_map, math.fsum, m, x.counts.tolist(), r.tolist())
+    m = _checked_point_total(x, m, len(r), "shapes")
+    return _dm_log_terms(_log_gamma_map, math.fsum, m, x.counts.tolist(), r)
 
 
 def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
@@ -711,7 +712,7 @@ def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
     bit, and so keeps its exact permutation invariance."""
     r = _as_shapes(params)
     x = count_rows(x)
-    m = _checked_totals(x, m, r.size, "shapes")
+    m = _checked_totals(x, m, len(r), "shapes")
     return _dm_log_terms(_log_gamma_distinct, _fsum_columns, m, x.T, r)
 
 

@@ -104,8 +104,9 @@ def _composition_row(entries) -> np.ndarray:
     A list of floats, or a 1-D float array, that passes the accept test
     of ``_checked_compositions`` is built here at once; anything else
     goes to ``composition_rows`` on ``[entries]``.  The total comes from
-    the same numpy reduction; the Python sum only decides that the
-    entries are finite.
+    the same numpy reduction, and the row is divided by it only where it
+    is not exactly 1.0, as x / 1.0 is x; the Python sum only decides that
+    the entries are finite.
     """
     flat = _row_entries(entries, _FLOAT)
     if (flat is not None and len(flat) >= 2 and min(flat) >= _POSITIVE_FLOOR
@@ -113,7 +114,8 @@ def _composition_row(entries) -> np.ndarray:
         arr = np.array(flat)
         total = np.add.reduce(arr)
         if abs(total - 1.0) <= _SUM_SLACK:
-            arr /= total
+            if total != 1.0:
+                arr /= total
             arr.setflags(write=False)
             return arr
     return composition_rows([entries])[0]

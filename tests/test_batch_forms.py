@@ -113,6 +113,23 @@ class TestCountMasses:
         want = [dirichlet_multinomial_log_pmf(shapes, int(row.sum()), CountVector(row)) for row in x]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("shapes", [
+        [0.3, 2.0, 17.5],
+        [1, 2, 5],
+        (0.3, 2.0, 17.5),
+        np.array([0.3, 2.0, 17.5]),
+        np.array([0.3, 2.0, 17.5], dtype=np.float32),
+        GammaMixtureParams([0.3, 2.0, 17.5], 1.5),
+        DirichletParams([0.3, 2.0, 17.5]),
+    ], ids=["float list", "int list", "tuple", "float array", "float32 array",
+            "GammaMixtureParams", "DirichletParams"])
+    def test_dirichlet_multinomial_point_equals_its_batch_row_for_every_shape_form(self, shapes):
+        x = _counts(3, 6, 38)
+        got = [dirichlet_multinomial_log_pmf(shapes, int(row.sum()), CountVector(row)) for row in x]
+        want = dirichlet_multinomial_log_pmf_rows(shapes, x.sum(axis=1), x).tolist()
+        assert all(type(value) is float for value in got)
+        assert [value.hex() for value in got] == [value.hex() for value in want]
+
     @given(NB_SHAPE, st.floats(1e-12, 1.0 - 1e-12),
            st.lists(st.integers(0, 2000), min_size=1, max_size=20))
     @batch_settings

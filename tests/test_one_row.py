@@ -5,7 +5,9 @@ one-row rule that builds the common case at once and hands everything
 else to the batch rule on ``[entries]``.  For any entries, the object
 must equal what the batch rule makes of them as a (1, n) row, bit for
 bit in every field, or both must raise the same exception class with the
-same message.
+same message.  ``_as_shapes`` gives the Dirichlet-multinomial its shapes
+as Python floats, each compared by type and bits with the batch row's
+``tolist()``.
 """
 
 import math
@@ -80,8 +82,9 @@ TARGETS = {
         lambda e: _fields_of(GammaMixtureParams(e, 1.5)),
         lambda rows: {"shapes": _positive_rows(rows, "GammaMixtureParams shapes", 1)[0],
                       "scale": 1.5}),
+    # The Dirichlet-multinomial reads its shapes as Python floats.
     "_as_shapes": (lambda e: {"shapes": _as_shapes(e)},
-                   lambda rows: {"shapes": _positive_rows(rows, "shape vector", 1)[0]}),
+                   lambda rows: {"shapes": _positive_rows(rows, "shape vector", 1)[0].tolist()}),
 }
 
 
@@ -100,6 +103,8 @@ def _same_bits(a, b) -> bool:
                 and not a.flags.writeable and not b.flags.writeable)
     if type(a) is not type(b):
         return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_bits, a, b))
     if type(a) is float:
         return np.float64(a).tobytes() == np.float64(b).tobytes()
     return a == b
@@ -140,7 +145,8 @@ ENTRIES = st.one_of(st.lists(ENTRY, max_size=10), _near_simplex(),
 @example(entries=[0.5, _sum_edge(-1.0, True) - 0.5])
 @example(entries=[0.5, _sum_edge(1.0, False) - 0.5])
 @example(entries=[0.5, _sum_edge(-1.0, False) - 0.5])
-@example(entries=[0.2, 0.3, 0.5])
+@example(entries=[0.2, 0.3, 0.5])  # numpy's total is exactly 1.0
+@example(entries=[0.7, 0.2, 0.1])  # numpy's total is one ulp below 1.0
 @example(entries=[1.0 / 130] * 130)  # past numpy's 8-way unrolled sum
 @example(entries=[math.nan, 0.5])
 @example(entries=[0.5, math.nan])

@@ -8,6 +8,7 @@ everywhere, as are ints past the float64 range where a float is read.
 """
 
 import datetime
+import enum
 import inspect
 import math
 from fractions import Fraction
@@ -293,6 +294,50 @@ def test_totals_past_int64_still_compared_exactly():
 def test_infinite_count_refused_by_name():
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got inf$"):
         negative_binomial_log_pmf(2.0, 0.5, math.inf)
+
+
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
+class _Int(int):
+    pass
+
+
+# A count that is an exact int in [0, 2**63) is taken after one type test;
+# anything else meets the general rule.  Each value is read as m of
+# negative_binomial_log_pmf(2.0, 0.5, m) and as k of
+# normalized_nb_log_pmf(MIX, 0, k, total): (value, total, the two masses or
+# the message, "{}" standing for the argument's name).
+_NOT_A_COUNT = "{} must be a non-negative integer, got "
+_AT_THREE = (-2.079441541679837, -4.446565155811452)
+EXACT_INT_ROWS = {
+    "int": (3, 5, _AT_THREE),
+    "True": (True, 5, _NOT_A_COUNT + "True"),
+    "np.True_": (np.True_, 5, _NOT_A_COUNT + "np.True_"),
+    "IntEnum": (_Three.THREE, 5, _AT_THREE),
+    "int subclass": (_Int(3), 5, _AT_THREE),
+    "np.int64": (np.int64(3), 5, _AT_THREE),
+    "integral float": (3.0, 5, _AT_THREE),
+    "2**63 - 1": (2**63 - 1, 2**63 - 1, (-6.393154322601328e18, -6.393154322601328e18)),
+    "2**63": (2**63, 5, "{} must be below 2**63 (int64), got 9223372036854775808"),
+    "-1": (-1, 5, _NOT_A_COUNT + "-1"),
+}
+
+
+@pytest.mark.parametrize("row", EXACT_INT_ROWS)
+def test_exact_int_test_changes_no_outcome(row):
+    value, total, want = EXACT_INT_ROWS[row]
+    calls = {"m": lambda: negative_binomial_log_pmf(2.0, 0.5, value),
+             "k": lambda: normalized_nb_log_pmf(MIX, 0, value, total)}
+    wants = want if isinstance(want, tuple) else (want, want)
+    for (name, call), outcome in zip(calls.items(), wants):
+        if isinstance(outcome, float):
+            assert call() == outcome
+        else:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == outcome.format(name)
 
 
 # The value of normalized_nb_value_pmf is a Fraction or a (k, m) pair
