@@ -306,23 +306,19 @@ def _positive_row(entries, what: str, min_len: int) -> np.ndarray:
     return arr
 
 
-def _count_row(entries, what: str) -> tuple[np.ndarray, int]:
-    """One row by the ``_count_rows`` rule, as a read-only int64 vector,
-    and its exact total as a Python int.
+def _count_row(entries, what: str) -> tuple[list[int], int]:
+    """One row by the ``_count_rows`` rule, as a list of Python ints with
+    the values of that rule's row, and its exact total.
 
     A list of ints (not bools), or a 1-D integer array, that passes the
-    accept test is built here at once; anything else goes to
-    ``_count_rows`` on ``[entries]``.
+    accept test is returned at once (a list as given: read it, do not
+    keep it); anything else goes to ``_count_rows`` on ``[entries]``.
     """
     flat = _row_entries(entries, _INT)
-    if flat and min(flat) >= 0 and max(flat) < 2**63:
-        ints = np.array(flat, dtype=np.int64)
-        ints.setflags(write=False)
-    else:
-        ints = _count_rows([entries], what)[0]
-        flat = ints.tolist()
+    if not (flat and min(flat) >= 0 and max(flat) < 2**63):
+        flat = _count_rows([entries], what)[0].tolist()
     # A Python sum: the exact total, where an int64 sum could wrap.
-    return ints, sum(flat)
+    return flat, sum(flat)
 
 
 def _count_rows(values, what: str) -> np.ndarray:

@@ -35,12 +35,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from ._rules import (
+    _SUM_SAFE,
     RowError,
     _as_count,
     _as_float,
@@ -112,14 +112,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class DirichletParams(_ValueObject):
     """Concentration vector alpha of a Dirichlet law, length n >= 2."""
 
+    _fields = ("alpha",)
     alpha: np.ndarray
 
     def __init__(self, alpha):
-        object.__setattr__(self, "alpha", _positive_row(alpha, "DirichletParams", 2))
+        self.__dict__["alpha"] = _positive_row(alpha, "DirichletParams", 2)
 
     @property
     def n(self) -> int:
@@ -136,28 +136,34 @@ class DirichletParams(_ValueObject):
         value = self.__dict__.get("_log_normalizer")
         if value is None:
             value = _log_multivariate_beta_terms(_log_gamma_map, math.fsum, self.alpha.tolist())
-            object.__setattr__(self, "_log_normalizer", value)
+            self.__dict__["_log_normalizer"] = value
         return value
 
 
-@dataclass(frozen=True, eq=False)
 class GammaMixtureParams(_ValueObject):
     """Per-component Gamma shapes r_1..r_n with one shared scale theta.
 
     Derived: R = sum(r) and the count-success probability
-    p = theta / (1 + theta).
+    p = theta / (1 + theta).  The checked shapes are kept as a tuple of
+    Python floats, which the count masses read; the ``shapes`` array is
+    built from it on first read.
     """
 
-    shapes: np.ndarray
+    _fields = ("shapes", "scale")
     scale: float
 
     def __init__(self, shapes, scale):
-        object.__setattr__(self, "shapes", _positive_row(shapes, "GammaMixtureParams shapes", 1))
-        object.__setattr__(self, "scale", _positive_float(scale, "GammaMixtureParams scale"))
+        shapes = tuple(_positive_floats(shapes, "GammaMixtureParams shapes", 1))
+        self.__dict__.update(_row=shapes, scale=_positive_float(scale, "GammaMixtureParams scale"))
+
+    @property
+    def shapes(self) -> np.ndarray:
+        """The shapes as a read-only float vector."""
+        return _kept_array(self, np.float64)
 
     @property
     def n(self) -> int:
-        return self.shapes.size
+        return len(self._row)
 
     @property
     def total_shape(self) -> float:
@@ -183,27 +189,46 @@ def count_rows(values) -> np.ndarray:
     return _count_rows(values, "CountVector")
 
 
-@dataclass(frozen=True, eq=False)
 class CountVector(_ValueObject):
-    """Non-negative integer counts with their total cached."""
+    """Non-negative integer counts with their total cached.
 
-    counts: np.ndarray
-    total: int = field(init=False)
+    The checked counts are kept as a tuple of Python ints, which the count
+    masses read; the ``counts`` array is built from it on first read.
+    """
+
+    _fields = ("counts", "total")
+    total: int
 
     def __init__(self, counts):
         ints, total = _count_row(counts, "CountVector")
-        object.__setattr__(self, "counts", ints)
-        object.__setattr__(self, "total", total)
+        self.__dict__.update(_row=tuple(ints), total=total)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The counts as a read-only int64 vector."""
+        return _kept_array(self, np.int64)
 
     @property
     def n(self) -> int:
-        return self.counts.size
+        return len(self._row)
 
 
-@dataclass(frozen=True)
-class BetaBinomialParams:
+def _kept_array(obj, dtype) -> np.ndarray:
+    """The checked row ``obj._row`` as a read-only array of ``dtype``,
+    built on first read and kept, as ``DirichletParams.log_normalizer``
+    keeps its value."""
+    arr = obj.__dict__.get("_array")
+    if arr is None:
+        arr = np.array(obj._row, dtype=dtype)
+        arr.setflags(write=False)
+        obj.__dict__["_array"] = arr
+    return arr
+
+
+class BetaBinomialParams(_ValueObject):
     """Beta-Binomial with shape a (= r_1), b (= R - r_1) and m trials."""
 
+    _fields = ("a", "b", "m")
     a: float
     b: float
     m: int
@@ -214,16 +239,14 @@ class BetaBinomialParams:
         if not math.isfinite(a + b):
             raise ValueError("BetaBinomialParams: a + b overflows float64")
         m = _as_count(m, "m")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m)
+        self.__dict__.update(a=a, b=b, m=m)
 
 
-def _as_shapes(params) -> list[float]:
+def _as_shapes(params) -> list[float] | tuple[float, ...]:
     """The shapes of a GammaMixtureParams (scale unused), the alpha of a
     DirichletParams or a bare shape vector, checked, as Python floats."""
     if isinstance(params, GammaMixtureParams):
-        return params.shapes.tolist()
+        return params._row
     if isinstance(params, DirichletParams):
         return params.alpha.tolist()
     return _positive_floats(params, "shape vector", 1)
@@ -258,9 +281,15 @@ def alr_dirichlet_log_pdf(params: DirichletParams, y: LogRatioVector) -> float:
     ``-log B(alpha) + sum_{i<n} alpha_i y_i - sum(alpha) log k``.
     """
     _check_coordinates(params, y, LogRatioVector)
-    return float(_guarded_alr_dirichlet_log_terms(
-        params.log_normalizer(), params.alpha, params.total, y.entries, y.log_k
-    ))
+    log_b, total, log_k = params.log_normalizer(), params.total, y.log_k
+    # |y_i| <= log k - min(y, 0), as log k >= max(y, 0), so below this bound
+    # no product alpha_i y_i, partial sum or term can overflow, and the
+    # formula needs no guard.
+    if abs(log_b) + total * (2.0 * log_k - min(min(y.entries.tolist()), 0.0)) < _SUM_SAFE:
+        terms = _alr_dirichlet_log_terms
+    else:
+        terms = _guarded_alr_dirichlet_log_terms
+    return float(terms(log_b, params.alpha, total, y.entries, log_k))
 
 
 def _check_coordinates(params: DirichletParams, y, cls: type) -> None:
@@ -641,7 +670,7 @@ def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
     ``log m! - sum log x_i! + sum x_i log p_i``."""
     m = _checked_point_total(x, m, _require(probs, Composition, "probs").n, "probs")
     return float(_multinomial_log_terms(
-        _log_gamma_map, m, x.counts.tolist(), x.counts, np.log(probs.entries)
+        _log_gamma_map, m, x._row, x._row, np.log(probs.entries)
     ))
 
 
@@ -675,7 +704,8 @@ def _log_multinomial_coefficient(lgs, m, counts):
 
 
 def _multinomial_log_terms(lgs, m, counts, x, log_p):
-    # x: the same counts as an (n,) or (N, n) array.
+    # x: the same counts as a row (a tuple of ints, which numpy reads as the
+    # int64 row) or an (N, n) array.
     return _log_multinomial_coefficient(lgs, m, counts) + np.add.reduce(x * log_p, -1)
 
 
@@ -701,7 +731,7 @@ def dirichlet_multinomial_log_pmf(params, m: int, x: CountVector) -> float:
     """
     r = _as_shapes(params)
     m = _checked_point_total(x, m, len(r), "shapes")
-    return _dm_log_terms(_log_gamma_map, math.fsum, m, x.counts.tolist(), r)
+    return _dm_log_terms(_log_gamma_map, math.fsum, m, x._row, r)
 
 
 def dirichlet_multinomial_log_pmf_rows(params, m, x) -> np.ndarray:
@@ -827,7 +857,7 @@ def _merged_nb(params: GammaMixtureParams, component: int) -> tuple[float, float
             f"GammaMixtureParams scale {params.scale!r} is too large: "
             f"p = scale / (1 + scale) rounds to {p!r}, and the NB total needs p < 1"
         )
-    shapes = params.shapes.tolist()
+    shapes = list(params._row)
     return shapes.pop(component), math.fsum(shapes), p
 
 

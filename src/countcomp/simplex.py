@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -203,38 +202,55 @@ def _log_ratio_row(entries) -> tuple[np.ndarray, float]:
 
 
 class _ValueObject:
-    """Value equality and hashing for a frozen dataclass with read-only
-    ndarray fields.
+    """Frozen value objects: equality, hashing and a repr by the public
+    field names in ``_fields``.
 
-    The generated ``__eq__`` compares the fields as tuples, which raises
-    for arrays of two or more entries, and the generated ``__hash__``
-    raises for any array.  Here arrays compare by ``np.array_equal`` and
-    hash by their entries as Python numbers, which agrees with it (0.0
-    and -0.0 hash alike).  Subclasses are declared with ``eq=False`` so
-    that the dataclass decorator keeps these methods.
+    Arrays compare by ``np.array_equal`` and hash by their entries as
+    Python numbers (0.0 and -0.0 hash alike), so equal objects hash
+    alike.  The repr is ``Name(field=value, ...)``, each value by its own
+    repr.  Assigning or deleting any attribute raises
+    ``dataclasses.FrozenInstanceError``; a constructor, or a value kept on
+    first use, writes to the instance ``__dict__``.  Subclasses keep a
+    ``__dict__``, so ``pickle`` and ``copy`` restore them.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(
             np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in zip(_field_values(self), _field_values(other))
+            for a, b in zip(self._values(), other._values())
         )
 
     def __hash__(self):
         return hash(tuple(
-            tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in _field_values(self)
+            tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in self._values()
         ))
 
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
 
-def _field_values(obj) -> list:
-    return [getattr(obj, f.name) for f in fields(obj)]
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self._fields]
 
 
-@dataclass(frozen=True, eq=False)
+def _frozen(message: str) -> Exception:
+    # Here, so that importing the library loads no dataclasses.
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
 class Composition(_ValueObject):
     """A point on the open simplex: positive entries summing to 1.
 
@@ -243,28 +259,28 @@ class Composition(_ValueObject):
     zero entries (zero or subnormal), where the maps below are singular.
     """
 
+    _fields = ("entries",)
     entries: np.ndarray
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", _composition_row(entries))
+        self.__dict__["entries"] = _composition_row(entries)
 
     @property
     def n(self) -> int:
         return self.entries.size
 
 
-@dataclass(frozen=True, eq=False)
 class RatioVector(_ValueObject):
     """Image of a composition under the ratio map: n-1 positive entries
     ``y_i = x_i / x_n``, with ``z = 1 + sum(y)`` cached."""
 
+    _fields = ("entries", "z")
     entries: np.ndarray
-    z: float = field(init=False)
+    z: float
 
     def __init__(self, entries):
         entries = _positive_row(entries, "RatioVector", 1)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "z", float(1.0 + np.add.reduce(entries)))
+        self.__dict__.update(entries=entries, z=float(1.0 + np.add.reduce(entries)))
 
     @property
     def n(self) -> int:
@@ -272,7 +288,6 @@ class RatioVector(_ValueObject):
         return self.entries.size + 1
 
 
-@dataclass(frozen=True, eq=False)
 class LogRatioVector(_ValueObject):
     """Image of a composition under the log-ratio map: n-1 real entries
     ``y_i = log(x_i / x_n)``.
@@ -282,13 +297,13 @@ class LogRatioVector(_ValueObject):
     quantities the densities actually need.
     """
 
+    _fields = ("entries", "log_k")
     entries: np.ndarray
-    log_k: float = field(init=False)
+    log_k: float
 
     def __init__(self, entries):
         entries, log_k = _log_ratio_row(entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "log_k", log_k)
+        self.__dict__.update(entries=entries, log_k=log_k)
 
     @property
     def k(self) -> float:

@@ -1,5 +1,5 @@
 """Time the chain-eval requests of this checkout and of another tree, kind
-by kind.
+by kind and over the whole stream.
 
     python tests/data/one_point_us.py PARENT_DIR [--seed S] [--rounds N]
 
@@ -9,9 +9,11 @@ other tree's first in even rounds, this checkout's first in odd ones.  A
 process runs ``workloads.chain_stream(S)`` through ``chain_worker._ops``
 request by request, once to warm up and then three timed passes; each
 request keeps the least of its three times, and each kind reports the
-median of those in microseconds.
+median of those in microseconds.  The ``stream`` line is the median over
+all requests, the in-process counterpart of the benchmark's
+``op_p50_ms``.
 
-One line per kind gives the requests of that kind in a pass, the median
+One line per kind, and the ``stream`` line, gives the requests of that kind in a pass, the median
 over the rounds of each tree's median, the median over the rounds of
 their ratio (this checkout over the other tree, both taken in the same
 round, so a drift of the host's speed between rounds cancels), and the
@@ -36,13 +38,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[2]
 PERFBENCH = ROOT / "perfbench"
 PASSES = 3
+STREAM = "stream"
 
 
 def kind_us(seed: int, count: int | None = None, passes: int = PASSES) -> dict:
     """``{kind: (requests, median us per request)}`` over one chain-eval
     stream at ``seed`` (its full length unless ``count`` is given), with
     the countcomp found on ``sys.path``: one warm pass, then ``passes``
-    timed ones, each request keeping its least time."""
+    timed ones, each request keeping its least time.  The last key,
+    ``STREAM``, holds the same over every request."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     import chain_worker
@@ -67,8 +71,26 @@ def kind_us(seed: int, count: int | None = None, passes: int = PASSES) -> dict:
                 times[timed, i] = t
     best = times.min(axis=0) * 1e6
     kinds = np.array([kind for kind, _ in requests])
-    return {kind: (int((kinds == kind).sum()), float(np.median(best[kinds == kind])))
-            for kind in dict.fromkeys(workloads.CHAIN_KINDS) if (kinds == kind).any()}
+    out = {kind: (int((kinds == kind).sum()), float(np.median(best[kinds == kind])))
+           for kind in dict.fromkeys(workloads.CHAIN_KINDS) if (kinds == kind).any()}
+    out[STREAM] = (len(calls), float(np.median(best)))
+    return out
+
+
+def report(seed: int, before: list[dict], after: list[dict]) -> str:
+    """The table of the rounds ``before`` (the other tree) and ``after``
+    (this checkout), each a list of ``kind_us`` results, one per round."""
+    lines = [f"seed {seed}, {len(after)} rounds: median us per request; "
+             "ratio = this checkout / PARENT_DIR",
+             f"{'kind':<12}{'requests':>9}{'parent':>10}{'this':>10}{'ratio':>8}  round ratios"]
+    for kind in after[0]:
+        was = [run[kind][1] for run in before]
+        now = [run[kind][1] for run in after]
+        ratios = [a / b for a, b in zip(now, was)]
+        lines.append(f"{kind:<12}{after[0][kind][0]:>9}{statistics.median(was):>10.2f}"
+                     f"{statistics.median(now):>10.2f}{statistics.median(ratios):>8.3f}"
+                     f"  {min(ratios):.3f}-{max(ratios):.3f}")
+    return "\n".join(lines)
 
 
 def _child(tree: Path, seed: int) -> dict:
@@ -99,16 +121,7 @@ def main(argv=None) -> int:
     for round_ in range(args.rounds):
         for tree in (parent, ROOT) if round_ % 2 == 0 else (ROOT, parent):
             runs[tree].append(_child(tree, args.seed))
-    print(f"seed {args.seed}, {args.rounds} rounds: median us per request; "
-          "ratio = this checkout / PARENT_DIR")
-    print(f"{'kind':<12}{'requests':>9}{'parent':>10}{'this':>10}{'ratio':>8}  round ratios")
-    for kind in runs[ROOT][0]:
-        before = [run[kind][1] for run in runs[parent]]
-        after = [run[kind][1] for run in runs[ROOT]]
-        ratios = [a / b for a, b in zip(after, before)]
-        print(f"{kind:<12}{runs[ROOT][0][kind][0]:>9}{statistics.median(before):>10.2f}"
-              f"{statistics.median(after):>10.2f}{statistics.median(ratios):>8.3f}"
-              f"  {min(ratios):.3f}-{max(ratios):.3f}")
+    print(report(args.seed, runs[parent], runs[ROOT]))
     return 0
 
 

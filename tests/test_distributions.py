@@ -1,8 +1,11 @@
 """Tests for the density and mass functions (exact values and identities)."""
 
+import copy
 import math
+import pickle
 import sys
 import warnings
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import mpmath
@@ -976,6 +979,94 @@ class TestValueEquality:
     def test_signed_zeros_are_equal_and_hash_alike(self):
         a, b = LogRatioVector([0.0, 1.0]), LogRatioVector([-0.0, 1.0])
         assert a == b and hash(a) == hash(b)
+
+
+# The repr of the first object of each VALUE_OBJECTS pair, as the frozen
+# dataclasses that the value objects once were printed it.
+VALUE_REPRS = {
+    "DirichletParams": "DirichletParams(alpha=array([1., 2.]))",
+    "GammaMixtureParams": "GammaMixtureParams(shapes=array([1., 2.]), scale=0.5)",
+    "CountVector": "CountVector(counts=array([1, 2]), total=3)",
+    "Composition": "Composition(entries=array([0.25, 0.75]))",
+    "RatioVector": "RatioVector(entries=array([1., 2.]), z=4.0)",
+    "LogRatioVector": "LogRatioVector(entries=array([ 0.5, -1. ]), log_k=1.1041306053367284)",
+    "BetaBinomialParams": "BetaBinomialParams(a=1.0, b=2.0, m=3)",
+}
+# The arrays built on first read: (attribute, dtype).
+LAZY_ARRAYS = {"CountVector": ("counts", np.int64), "GammaMixtureParams": ("shapes", np.float64)}
+# Constructors that take a list, with one list each.
+FROM_LISTS = {
+    "DirichletParams": (DirichletParams, [1.0, 2.0]),
+    "GammaMixtureParams": (lambda e: GammaMixtureParams(e, 0.5), [1.0, 2.0]),
+    "CountVector": (CountVector, [1, 2]),
+    "Composition": (Composition, [0.25, 0.75]),
+    "RatioVector": (RatioVector, [1.0, 2.0]),
+    "LogRatioVector": (LogRatioVector, [0.5, -1.0]),
+}
+
+
+def _read_lazy(obj):
+    lazy = LAZY_ARRAYS.get(type(obj).__name__)
+    if lazy is not None:
+        getattr(obj, lazy[0])
+    return obj
+
+
+class TestValueObjectBehaviour:
+    @pytest.mark.parametrize("name", VALUE_OBJECTS)
+    def test_repr_is_the_dataclass_repr(self, name):
+        assert repr(VALUE_OBJECTS[name][0]()) == VALUE_REPRS[name]
+
+    @pytest.mark.parametrize("name", VALUE_OBJECTS)
+    def test_frozen(self, name):
+        obj = VALUE_OBJECTS[name][0]()
+        field = VALUE_REPRS[name].split("(")[1].split("=")[0]  # the first, as the repr names it
+        before = repr(obj)
+        for attr in (field, "x"):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{attr}'$"):
+                setattr(obj, attr, 1)
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{attr}'$"):
+                delattr(obj, attr)
+        assert repr(obj) == before
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize("name", VALUE_OBJECTS)
+    def test_pickle_and_deepcopy_round_trip(self, name, read):
+        make = VALUE_OBJECTS[name][0]
+        for restore in (lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy):
+            obj = make()
+            if read:
+                _read_lazy(obj)
+            got = restore(obj)
+            assert type(got) is type(obj) and got == obj and hash(got) == hash(make())
+            assert repr(got) == VALUE_REPRS[name]
+
+    @pytest.mark.parametrize("name", LAZY_ARRAYS)
+    def test_a_first_read_changes_no_equality_or_hash(self, name):
+        make = VALUE_OBJECTS[name][0]
+        unread_hash = hash(make())
+        read = _read_lazy(make())
+        assert hash(read) == unread_hash
+        assert read == make() and make() == read
+
+    @pytest.mark.parametrize("name", LAZY_ARRAYS)
+    def test_lazy_array_is_read_only_typed_and_kept(self, name):
+        attr, dtype = LAZY_ARRAYS[name]
+        obj = VALUE_OBJECTS[name][0]()
+        arr = getattr(obj, attr)
+        assert arr.dtype == dtype and arr.shape == (2,) and not arr.flags.writeable
+        assert getattr(obj, attr) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+    @pytest.mark.parametrize("name", FROM_LISTS)
+    def test_the_callers_list_is_not_kept(self, name):
+        make, entries = FROM_LISTS[name]
+        given = list(entries)
+        obj = make(given)
+        given[0] = given[1]
+        given.append(given[0])
+        assert obj == make(entries) and repr(obj) == repr(make(entries))
 
 
 # Shapes whose log-gamma terms overflow float64: log Gamma is past the

@@ -3,11 +3,12 @@ not a runtime dependency.  No file under ``src/`` or ``demos/`` imports
 it, and the core library, the CLI, the verification suite (which
 computes its own chi-square, Gamma and KS tails) and every demo run in a
 child where any import of scipy fails.  Further: the CLI does not load
-``fractions``, nor a quick ``verify`` ``numpy.ma``; the suite's names still resolve from the package; the
-suite's helpers are not public; the demos import only names in the
-``__all__`` of the module they import from; no module keeps an import
-from the package that it never uses; and every source file parses as
-Python 3.10."""
+``fractions``, nor a quick ``verify`` ``numpy.ma``, nor the package or a
+one-point ``eval`` ``dataclasses``; the suite's names still resolve from
+the package; the suite's helpers are not public; the demos import only
+names in the ``__all__`` of the module they import from; no module keeps
+an import from the package that it never uses; and every source file
+parses as Python 3.10."""
 
 import ast
 import importlib
@@ -146,6 +147,21 @@ def test_verify_does_not_load_numpy_ma():
     script = ("import sys\nfrom countcomp import cli\n"
               "assert cli.main(['verify', '--level', 'quick']) == 0\n"
               "assert 'numpy.ma' not in sys.modules")
+    res = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_library_and_cli_eval_do_not_load_dataclasses():
+    # The value objects are frozen by their own base class, so neither the
+    # package import nor a one-point eval pays for dataclasses.
+    script = ("import sys\nimport countcomp\n"
+              "assert 'dataclasses' not in sys.modules, 'import countcomp'\n"
+              "from countcomp import cli\n"
+              "argv = ['eval', '--dist', 'dirichlet-multinomial', '--params',\n"
+              "        '{\"shapes\": [1.5, 2.0]}', '--point', '3,4']\n"
+              "assert cli.main(argv) == 0\n"
+              "assert 'dataclasses' not in sys.modules, 'cli eval'")
     res = subprocess.run([sys.executable, "-W", "error", "-c", script],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

@@ -50,8 +50,20 @@ def _sum_edge(side: float, inside: bool) -> float:
     return t if inside else math.nextafter(t, side * 2.0)
 
 
+# The public fields of each value object, written out, so that no field
+# can drop out of the comparison unseen.
+FIELDS = {
+    Composition: ("entries",),
+    RatioVector: ("entries", "z"),
+    LogRatioVector: ("entries", "log_k"),
+    CountVector: ("counts", "total"),
+    DirichletParams: ("alpha",),
+    GammaMixtureParams: ("shapes", "scale"),
+}
+
+
 def _fields_of(obj) -> dict:
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+    return {name: getattr(obj, name) for name in FIELDS[type(obj)]}
 
 
 def _ratio(rows):
