@@ -301,7 +301,13 @@ def _positive_floats(entries, what: str, min_len: int) -> list[float]:
 def _positive_row(entries, what: str, min_len: int) -> np.ndarray:
     """One row by the ``_positive_rows`` rule, as a new read-only float
     vector built from ``_positive_floats``."""
-    arr = np.array(_positive_floats(entries, what, min_len))
+    return _read_only_array(_positive_floats(entries, what, min_len))
+
+
+def _read_only_array(row, dtype=None) -> np.ndarray:
+    """A checked row of Python numbers (a list or tuple) as a new
+    read-only array, the form in which a value object hands out a row."""
+    arr = np.array(row, dtype=dtype)
     arr.setflags(write=False)
     return arr
 

@@ -51,6 +51,7 @@ from ._rules import (
     _positive_floats,
     _positive_row,
     _positive_rows,
+    _read_only_array,
     _reject_rows,
     _require,
 )
@@ -116,10 +117,10 @@ class DirichletParams(_ValueObject):
     """Concentration vector alpha of a Dirichlet law, length n >= 2."""
 
     _fields = ("alpha",)
-    alpha: np.ndarray
+    _log_normalizer = None  # log B(alpha) once computed
 
     def __init__(self, alpha):
-        self.__dict__["alpha"] = _positive_row(alpha, "DirichletParams", 2)
+        object.__setattr__(self, "alpha", _positive_row(alpha, "DirichletParams", 2))
 
     @property
     def n(self) -> int:
@@ -133,10 +134,10 @@ class DirichletParams(_ValueObject):
         """log B(alpha), computed on first use and kept.  The constructor
         has checked alpha, so the formula is taken without the public
         ``log_multivariate_beta``'s second check."""
-        value = self.__dict__.get("_log_normalizer")
+        value = self._log_normalizer
         if value is None:
             value = _log_multivariate_beta_terms(_log_gamma_map, math.fsum, self.alpha.tolist())
-            self.__dict__["_log_normalizer"] = value
+            object.__setattr__(self, "_log_normalizer", value)
         return value
 
 
@@ -150,11 +151,12 @@ class GammaMixtureParams(_ValueObject):
     """
 
     _fields = ("shapes", "scale")
-    scale: float
+    _array = None  # the shapes array once read
 
     def __init__(self, shapes, scale):
         shapes = tuple(_positive_floats(shapes, "GammaMixtureParams shapes", 1))
-        self.__dict__.update(_row=shapes, scale=_positive_float(scale, "GammaMixtureParams scale"))
+        object.__setattr__(self, "_row", shapes)
+        object.__setattr__(self, "scale", _positive_float(scale, "GammaMixtureParams scale"))
 
     @property
     def shapes(self) -> np.ndarray:
@@ -168,7 +170,8 @@ class GammaMixtureParams(_ValueObject):
     @property
     def total_shape(self) -> float:
         """R = sum of the shapes."""
-        return float(np.add.reduce(self.shapes))
+        # numpy reads the tuple as the float64 row of ``shapes``.
+        return float(np.add.reduce(self._row))
 
     @property
     def success_prob(self) -> float:
@@ -197,11 +200,12 @@ class CountVector(_ValueObject):
     """
 
     _fields = ("counts", "total")
-    total: int
+    _array = None  # the counts array once read
 
     def __init__(self, counts):
         ints, total = _count_row(counts, "CountVector")
-        self.__dict__.update(_row=tuple(ints), total=total)
+        object.__setattr__(self, "_row", tuple(ints))
+        object.__setattr__(self, "total", total)
 
     @property
     def counts(self) -> np.ndarray:
@@ -217,11 +221,10 @@ def _kept_array(obj, dtype) -> np.ndarray:
     """The checked row ``obj._row`` as a read-only array of ``dtype``,
     built on first read and kept, as ``DirichletParams.log_normalizer``
     keeps its value."""
-    arr = obj.__dict__.get("_array")
+    arr = obj._array
     if arr is None:
-        arr = np.array(obj._row, dtype=dtype)
-        arr.setflags(write=False)
-        obj.__dict__["_array"] = arr
+        arr = _read_only_array(obj._row, dtype)
+        object.__setattr__(obj, "_array", arr)
     return arr
 
 
@@ -229,9 +232,6 @@ class BetaBinomialParams(_ValueObject):
     """Beta-Binomial with shape a (= r_1), b (= R - r_1) and m trials."""
 
     _fields = ("a", "b", "m")
-    a: float
-    b: float
-    m: int
 
     def __init__(self, a, b, m):
         a = _positive_float(a, "BetaBinomialParams a")
@@ -239,7 +239,9 @@ class BetaBinomialParams(_ValueObject):
         if not math.isfinite(a + b):
             raise ValueError("BetaBinomialParams: a + b overflows float64")
         m = _as_count(m, "m")
-        self.__dict__.update(a=a, b=b, m=m)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m", m)
 
 
 def _as_shapes(params) -> list[float] | tuple[float, ...]:

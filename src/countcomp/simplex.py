@@ -210,8 +210,10 @@ class _ValueObject:
     alike.  The repr is ``Name(field=value, ...)``, each value by its own
     repr.  Assigning or deleting any attribute raises
     ``dataclasses.FrozenInstanceError``; a constructor, or a value kept on
-    first use, writes to the instance ``__dict__``.  Subclasses keep a
-    ``__dict__``, so ``pickle`` and ``copy`` restore them.
+    first use, sets it with ``object.__setattr__``: reading
+    ``self.__dict__`` would make CPython build the instance dict, after
+    which every attribute read is slower.  Subclasses keep a ``__dict__``,
+    so ``pickle`` and ``copy`` restore them.
     """
 
     __slots__ = ()
@@ -260,10 +262,9 @@ class Composition(_ValueObject):
     """
 
     _fields = ("entries",)
-    entries: np.ndarray
 
     def __init__(self, entries):
-        self.__dict__["entries"] = _composition_row(entries)
+        object.__setattr__(self, "entries", _composition_row(entries))
 
     @property
     def n(self) -> int:
@@ -275,12 +276,11 @@ class RatioVector(_ValueObject):
     ``y_i = x_i / x_n``, with ``z = 1 + sum(y)`` cached."""
 
     _fields = ("entries", "z")
-    entries: np.ndarray
-    z: float
 
     def __init__(self, entries):
         entries = _positive_row(entries, "RatioVector", 1)
-        self.__dict__.update(entries=entries, z=float(1.0 + np.add.reduce(entries)))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "z", float(1.0 + np.add.reduce(entries)))
 
     @property
     def n(self) -> int:
@@ -298,12 +298,11 @@ class LogRatioVector(_ValueObject):
     """
 
     _fields = ("entries", "log_k")
-    entries: np.ndarray
-    log_k: float
 
     def __init__(self, entries):
         entries, log_k = _log_ratio_row(entries)
-        self.__dict__.update(entries=entries, log_k=log_k)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "log_k", log_k)
 
     @property
     def k(self) -> float:
