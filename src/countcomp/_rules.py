@@ -298,12 +298,6 @@ def _positive_floats(entries, what: str, min_len: int) -> list[float]:
     return _positive_rows([entries], what, min_len)[0].tolist()
 
 
-def _positive_row(entries, what: str, min_len: int) -> np.ndarray:
-    """One row by the ``_positive_rows`` rule, as a new read-only float
-    vector built from ``_positive_floats``."""
-    return _read_only_array(_positive_floats(entries, what, min_len))
-
-
 def _read_only_array(row, dtype=None) -> np.ndarray:
     """A checked row of Python numbers (a list or tuple) as a new
     read-only array, the form in which a value object hands out a row."""

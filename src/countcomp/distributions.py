@@ -49,7 +49,6 @@ from ._rules import (
     _non_real_row,
     _positive_float,
     _positive_floats,
-    _positive_row,
     _positive_rows,
     _read_only_array,
     _reject_rows,
@@ -73,6 +72,7 @@ from .special import (
     _log_gamma_each,
     _log_gamma_map,
     _log_multivariate_beta_terms,
+    _row_sum,
     log_sum_exp_rows,
 )
 
@@ -114,21 +114,33 @@ __all__ = [
 
 
 class DirichletParams(_ValueObject):
-    """Concentration vector alpha of a Dirichlet law, length n >= 2."""
+    """Concentration vector alpha of a Dirichlet law, length n >= 2.
+
+    The checked concentrations are kept as a tuple of Python floats,
+    which the densities read; the ``alpha`` array is built from it on
+    first read.
+    """
 
     _fields = ("alpha",)
+    _array = None  # the alpha array once read
     _log_normalizer = None  # log B(alpha) once computed
 
     def __init__(self, alpha):
-        object.__setattr__(self, "alpha", _positive_row(alpha, "DirichletParams", 2))
+        object.__setattr__(self, "_row", tuple(_positive_floats(alpha, "DirichletParams", 2)))
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The concentrations as a read-only float vector."""
+        return _kept_array(self, np.float64)
 
     @property
     def n(self) -> int:
-        return self.alpha.size
+        return len(self._row)
 
     @property
     def total(self) -> float:
-        return float(np.add.reduce(self.alpha))
+        """sum(alpha), with the bits of numpy's sum of ``alpha``."""
+        return _row_sum(self._row)
 
     def log_normalizer(self) -> float:
         """log B(alpha), computed on first use and kept.  The constructor
@@ -136,7 +148,7 @@ class DirichletParams(_ValueObject):
         ``log_multivariate_beta``'s second check."""
         value = self._log_normalizer
         if value is None:
-            value = _log_multivariate_beta_terms(_log_gamma_map, math.fsum, self.alpha.tolist())
+            value = _log_multivariate_beta_terms(_log_gamma_map, math.fsum, self._row)
             object.__setattr__(self, "_log_normalizer", value)
         return value
 
@@ -169,9 +181,8 @@ class GammaMixtureParams(_ValueObject):
 
     @property
     def total_shape(self) -> float:
-        """R = sum of the shapes."""
-        # numpy reads the tuple as the float64 row of ``shapes``.
-        return float(np.add.reduce(self._row))
+        """R = sum of the shapes, with the bits of numpy's sum of ``shapes``."""
+        return _row_sum(self._row)
 
     @property
     def success_prob(self) -> float:
@@ -247,10 +258,8 @@ class BetaBinomialParams(_ValueObject):
 def _as_shapes(params) -> list[float] | tuple[float, ...]:
     """The shapes of a GammaMixtureParams (scale unused), the alpha of a
     DirichletParams or a bare shape vector, checked, as Python floats."""
-    if isinstance(params, GammaMixtureParams):
+    if isinstance(params, (GammaMixtureParams, DirichletParams)):
         return params._row
-    if isinstance(params, DirichletParams):
-        return params.alpha.tolist()
     return _positive_floats(params, "shape vector", 1)
 
 
@@ -265,17 +274,32 @@ def dirichlet_log_pdf(params: DirichletParams, x: Composition) -> float:
     _require(params, DirichletParams, "params")
     if _require(x, Composition, "x").n != params.n:
         raise ValueError(f"dimension mismatch: alpha has {params.n} entries, x has {x.n}")
-    return float(_dirichlet_log_terms(params.log_normalizer(), params.alpha, x.entries))
+    return _dirichlet_log_terms(params.log_normalizer(), params._row, np.log(x.entries).tolist())
 
 
 def inverted_dirichlet_log_pdf(params: DirichletParams, y: RatioVector) -> float:
     """log density of the ratio push-forward of Dir(alpha):
     ``-log B(alpha) + sum_{i<n} (alpha_i - 1) log y_i - sum(alpha) log z``.
+
+    Raises
+    ------
+    ValueError
+        Where two terms overflow float64 with opposite signs, so that the
+        value comes out NaN.
     """
     _check_coordinates(params, y, RatioVector)
-    return float(_inverted_dirichlet_log_terms(
-        params.log_normalizer(), params.alpha, params.total, y.entries, math.log(y.z)
-    ))
+    log_b, total = params.log_normalizer(), params.total
+    args = (log_b, params._row, total, np.log(y.entries).tolist(), math.log(y.z))
+    # Each log y_i and log z lies within _LOG_MAX of 0, so below this bound
+    # no product, partial sum or term can overflow, and numpy, which sums a
+    # long row, has nothing to warn of.
+    if abs(log_b) + 2.0 * _LOG_MAX * (total + params.n) < _SUM_SAFE:
+        return _inverted_dirichlet_log_terms(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _inverted_dirichlet_log_terms(*args)
+    if math.isnan(value):
+        raise ValueError(_INVERTED_OVERFLOW)
+    return value
 
 
 def alr_dirichlet_log_pdf(params: DirichletParams, y: LogRatioVector) -> float:
@@ -287,11 +311,11 @@ def alr_dirichlet_log_pdf(params: DirichletParams, y: LogRatioVector) -> float:
     # |y_i| <= log k - min(y, 0), as log k >= max(y, 0), so below this bound
     # no product alpha_i y_i, partial sum or term can overflow, and the
     # formula needs no guard.
-    if abs(log_b) + total * (2.0 * log_k - min(min(y.entries.tolist()), 0.0)) < _SUM_SAFE:
-        terms = _alr_dirichlet_log_terms
-    else:
-        terms = _guarded_alr_dirichlet_log_terms
-    return float(terms(log_b, params.alpha, total, y.entries, log_k))
+    entries = y.entries.tolist()
+    if abs(log_b) + total * (2.0 * log_k - min(min(entries), 0.0)) < _SUM_SAFE:
+        return _alr_dirichlet_log_terms(log_b, params._row, total, entries, log_k)
+    return float(_guarded_alr_dirichlet_log_terms(
+        log_b, params.alpha[None], total, y.entries[None], log_k)[0])
 
 
 def _check_coordinates(params: DirichletParams, y, cls: type) -> None:
@@ -306,30 +330,40 @@ def _check_coordinates(params: DirichletParams, y, cls: type) -> None:
         )
 
 
-# The three log densities, written once.  Each takes one point (alpha and
-# the point as vectors, log B, sum(alpha) and log z or log k as floats)
-# or a batch (the same as row-aligned arrays, alpha with one row or N).
-# ``np.add.reduce`` is ``ndarray.sum`` without its Python wrapper, which
-# for one point costs a tenth of the sum; its axis goes positionally, as
-# a keyword costs about 0.3 us a call.
+# The three log densities, written once.  alpha and the point (its logs
+# for the Dirichlet and the ratio coordinates) hold one value per
+# component: Python floats for one point, with log B, sum(alpha) and log z
+# or log k as floats, or columns over the rows of a batch (alpha's columns
+# over one row or N), with those as arrays.  ``_row_sum`` gives each row
+# numpy's sum, so a point and its batch row agree.  The last alpha has no
+# coordinate of its own.
 
 
-def _dirichlet_log_terms(log_b, alpha, x):
-    return -log_b + np.add.reduce((alpha - 1.0) * np.log(x), -1)
+def _dirichlet_log_terms(log_b, alpha, log_x):
+    return -log_b + _row_sum([(a - 1.0) * v for a, v in zip(alpha, log_x)])
 
 
-def _inverted_dirichlet_log_terms(log_b, alpha, total, y, log_z):
-    return -log_b + np.add.reduce((alpha[..., :-1] - 1.0) * np.log(y), -1) - total * log_z
+def _inverted_dirichlet_log_terms(log_b, alpha, total, log_y, log_z):
+    return -log_b + _row_sum([(a - 1.0) * v for a, v in zip(alpha[:-1], log_y)]) - total * log_z
 
 
 def _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
-    return -log_b + np.add.reduce(alpha[..., :-1] * y, -1) - total * log_k
+    return -log_b + _row_sum([a * v for a, v in zip(alpha[:-1], y)]) - total * log_k
+
+
+# |log v| lies below this for every positive float v, subnormals included.
+_LOG_MAX = 745.0
+_INVERTED_OVERFLOW = (
+    "the inverted Dirichlet log density overflows float64 here: a term "
+    "(alpha_i - 1) log y_i or sum(alpha) log z is infinite with the opposite "
+    "sign of another, so the value is undefined")
 
 
 def _guarded_alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
-    """``_alr_dirichlet_log_terms`` without warnings, kept wherever it is
-    finite.  Where alpha . y or sum(alpha) log k overflowed, though the
-    density may not, it is taken at half scale, as
+    """``_alr_dirichlet_log_terms`` on rows (alpha with one row or N)
+    without warnings, kept wherever it is finite.  Where alpha . y or
+    sum(alpha) log k overflowed, though the density may not, it is taken
+    at half scale, as
     ``2 (-log B / 2 + sum_{i<n} alpha_i (y_i / 2 - log k / 2) - alpha_n log k / 2)``.
     The half differences lie in [-FLOAT_MAX, 0] (log k >= max(y)), so
     every term after the first is <= 0 and a term, a partial sum or the
@@ -338,11 +372,11 @@ def _guarded_alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
         # The inputs are finite, so a result is finite unless numpy flags
         # an overflow or the inf - inf after one.
         with np.errstate(over="raise", invalid="raise"):
-            return _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
+            return _alr_dirichlet_log_terms(log_b, alpha.T, total, y.T, log_k)
     except FloatingPointError:
         pass
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
+        out = _alr_dirichlet_log_terms(log_b, alpha.T, total, y.T, log_k)
         half_k = 0.5 * np.asarray(log_k)
         half = (-0.5 * log_b
                 + np.add.reduce(alpha[..., :-1] * (0.5 * y - half_k[..., None]), axis=-1)
@@ -364,7 +398,7 @@ def dirichlet_log_pdf_rows(alpha, x) -> np.ndarray:
     """
     x, _ = _checked_compositions(x)
     alpha, log_b, _ = _alpha_rows(alpha, *x.shape)
-    return _dirichlet_log_terms(log_b, alpha, x)
+    return _dirichlet_log_terms(log_b, alpha.T, np.log(x).T)
 
 
 def inverted_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
@@ -372,10 +406,14 @@ def inverted_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
     each row of an (N, n-1) array of ratio coordinates, each checked as a
     RatioVector (``ratio_rows``), as an (N,) array.  ``alpha`` is as in
     ``dirichlet_log_pdf_rows``; entry i equals the scalar value at
-    ``RatioVector(y[i])`` bit for bit."""
+    ``RatioVector(y[i])`` bit for bit, and a RowError names the first row
+    whose value comes out NaN, where the scalar form refuses it."""
     y, z = ratio_rows(y)
     alpha, log_b, total = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
-    return _inverted_dirichlet_log_terms(log_b, alpha, total, y, _log_each(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _inverted_dirichlet_log_terms(log_b, alpha.T, total, np.log(y).T, _log_each(z))
+    _reject_rows((np.isnan(out), _INVERTED_OVERFLOW))
+    return out
 
 
 def alr_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
@@ -418,7 +456,7 @@ def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=Non
     """
     _require(params, DirichletParams, "params")
     rows = 1 if size is None else _as_count(size, "size")
-    draws = np.column_stack([gamma_sample(a, 1.0, rng, size=rows) for a in params.alpha])
+    draws = np.column_stack([gamma_sample(a, 1.0, rng, size=rows) for a in params._row])
     totals = draws.sum(axis=1, keepdims=True)
     # An all-zero row stays 0 rather than 0/0, so the floor rule names it.
     normalized = draws / np.where(totals > 0.0, totals, 1.0)
@@ -671,9 +709,7 @@ def multinomial_log_pmf(m: int, probs: Composition, x: CountVector) -> float:
     """log Multinomial(m, probs) mass at counts x:
     ``log m! - sum log x_i! + sum x_i log p_i``."""
     m = _checked_point_total(x, m, _require(probs, Composition, "probs").n, "probs")
-    return float(_multinomial_log_terms(
-        _log_gamma_map, m, x._row, x._row, np.log(probs.entries)
-    ))
+    return _multinomial_log_terms(_log_gamma_map, m, x._row, np.log(probs.entries).tolist())
 
 
 def multinomial_log_pmf_rows(m, probs: Composition, x) -> np.ndarray:
@@ -686,7 +722,7 @@ def multinomial_log_pmf_rows(m, probs: Composition, x) -> np.ndarray:
     _require(probs, Composition, "probs")
     x = count_rows(x)
     m = _checked_totals(x, m, probs.n, "probs")
-    return _multinomial_log_terms(_log_gamma_distinct, m, x.T, x, np.log(probs.entries))
+    return _multinomial_log_terms(_log_gamma_distinct, m, x.T, np.log(probs.entries).tolist())
 
 
 # The multinomial and Dirichlet-Multinomial log masses, written once,
@@ -694,7 +730,8 @@ def multinomial_log_pmf_rows(m, probs: Composition, x) -> np.ndarray:
 # and ``counts`` holds one value per component: numbers for one point,
 # with ``lgs`` = ``_log_gamma_map`` and ``fsum`` = ``math.fsum``, or
 # columns over the rows of a batch, with ``_log_gamma_distinct`` and
-# ``_fsum_columns``.  (Python numbers keep the scalar path cheap.)
+# ``_fsum_columns``.  (Python numbers keep the scalar path cheap.)  The
+# multinomial's log probabilities are Python floats for both.
 
 
 def _log_multinomial_coefficient(lgs, m, counts):
@@ -705,10 +742,9 @@ def _log_multinomial_coefficient(lgs, m, counts):
     return lg_m1 - functools.reduce(operator.add, lg_c1)
 
 
-def _multinomial_log_terms(lgs, m, counts, x, log_p):
-    # x: the same counts as a row (a tuple of ints, which numpy reads as the
-    # int64 row) or an (N, n) array.
-    return _log_multinomial_coefficient(lgs, m, counts) + np.add.reduce(x * log_p, -1)
+def _multinomial_log_terms(lgs, m, counts, log_p):
+    return (_log_multinomial_coefficient(lgs, m, counts)
+            + _row_sum([c * v for c, v in zip(counts, log_p)]))
 
 
 def _dm_log_terms(lgs, fsum, m, counts, r):

@@ -38,13 +38,14 @@ from ._rules import (
     _as_count,
     _extremes,
     _float_rows,
-    _positive_row,
+    _positive_floats,
     _positive_rows,
+    _read_only_array,
     _reject_rows,
     _require,
     _row_entries,
 )
-from .special import _log_each, _log_exp_sum, log_sum_exp_rows
+from .special import _log_each, _log_exp_sum, _row_sum, log_sum_exp_rows
 
 __all__ = [
     "Composition",
@@ -102,21 +103,19 @@ def _composition_row(entries) -> np.ndarray:
 
     A list of floats, or a 1-D float array, that passes the accept test
     of ``_checked_compositions`` is built here at once; anything else
-    goes to ``composition_rows`` on ``[entries]``.  The total comes from
-    the same numpy reduction, and the row is divided by it only where it
-    is not exactly 1.0, as x / 1.0 is x; the Python sum only decides that
-    the entries are finite.
+    goes to ``composition_rows`` on ``[entries]``.  The total has the bits
+    of that rule's numpy sum (``_row_sum``), and the entries are divided
+    by it only where it is not exactly 1.0, as x / 1.0 is x; the Python
+    sum only decides that the entries are finite.
     """
     flat = _row_entries(entries, _FLOAT)
     if (flat is not None and len(flat) >= 2 and min(flat) >= _POSITIVE_FLOOR
             and max(flat) <= 1.0 + _SUM_SLACK and math.isfinite(sum(flat))):
-        arr = np.array(flat)
-        total = np.add.reduce(arr)
+        total = _row_sum(flat)
         if abs(total - 1.0) <= _SUM_SLACK:
             if total != 1.0:
-                arr /= total
-            arr.setflags(write=False)
-            return arr
+                flat = [v / total for v in flat]
+            return _read_only_array(flat)
     return composition_rows([entries])[0]
 
 
@@ -278,9 +277,9 @@ class RatioVector(_ValueObject):
     _fields = ("entries", "z")
 
     def __init__(self, entries):
-        entries = _positive_row(entries, "RatioVector", 1)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "z", float(1.0 + np.add.reduce(entries)))
+        row = _positive_floats(entries, "RatioVector", 1)
+        object.__setattr__(self, "entries", _read_only_array(row))
+        object.__setattr__(self, "z", 1.0 + _row_sum(row))
 
     @property
     def n(self) -> int:

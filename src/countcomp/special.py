@@ -15,7 +15,9 @@ take values so checked, only map ``math.lgamma`` and raise on overflow.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -113,6 +115,26 @@ def _fsum_columns(columns) -> np.ndarray:
     twin of ``math.fsum`` over one value per component."""
     rows = np.column_stack(columns)
     return np.fromiter(map(math.fsum, rows.tolist()), float, rows.shape[0])
+
+
+def _row_sum(values):
+    """numpy's float64 ``add.reduce`` of a row, bit for bit.
+
+    ``values`` holds one value per component: Python floats for one
+    point, or equal-length columns over the rows of a batch, each row of
+    which is summed as ``np.add.reduce`` sums it along the last axis.
+    numpy sums pairwise (Higham 1993), and below 8 entries its base case
+    adds them left to right from 0.0: a shorter row is folded the same
+    way here, as floats or column by column, with no numpy call for one
+    point.  A longer row goes to numpy.  Builtin ``sum`` would not do:
+    from Python 3.12 on it compensates a sum of floats.  The fold starts
+    at 0.0, as numpy's does, so a row of -0.0 sums to 0.0.
+    """
+    if len(values) < 8:
+        return functools.reduce(operator.add, values, 0.0)
+    if isinstance(values[0], np.ndarray):
+        return np.add.reduce(np.column_stack(values), -1)
+    return float(np.add.reduce(np.array(values)))
 
 
 def log_multivariate_beta(alpha) -> float:

@@ -1,7 +1,7 @@
 """Time the chain-eval requests of this checkout and of another tree, kind
 by kind and over the whole stream.
 
-    python tests/data/one_point_us.py PARENT_DIR [--seed S] [--rounds N]
+    python tests/data/one_point_us.py PARENT_DIR [--seed S] [--rounds N] [--kinds K1,K2]
 
 Each round runs one fresh ``python -B`` process per tree, with that
 tree's ``src`` and this checkout's ``perfbench/`` on ``PYTHONPATH``: the
@@ -11,7 +11,9 @@ request by request, once to warm up and then three timed passes; each
 request keeps the least of its three times, and each kind reports the
 median of those in microseconds.  The ``stream`` line is the median over
 all requests, the in-process counterpart of the benchmark's
-``op_p50_ms``.
+``op_p50_ms``.  With ``--kinds``, a process times only the requests of
+the named kinds, in their order in the stream, and the ``stream`` line
+covers those.
 
 One line per kind, and the ``stream`` line, gives the requests of that kind in a pass, the median
 over the rounds of each tree's median, the median over the rounds of
@@ -41,21 +43,23 @@ PASSES = 3
 STREAM = "stream"
 
 
-def kind_us(seed: int, count: int | None = None, passes: int = PASSES) -> dict:
+def kind_us(seed: int, count: int | None = None, passes: int = PASSES,
+            kinds: tuple[str, ...] | None = None) -> dict:
     """``{kind: (requests, median us per request)}`` over one chain-eval
     stream at ``seed`` (its full length unless ``count`` is given), with
     the countcomp found on ``sys.path``: one warm pass, then ``passes``
-    timed ones, each request keeping its least time.  The last key,
-    ``STREAM``, holds the same over every request."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
+    timed ones, each request keeping its least time.  With ``kinds``,
+    only the requests of those kinds are timed.  The last key,
+    ``STREAM``, holds the same over every request timed."""
+    workloads = _workloads()
     import chain_worker
     import countcomp
-    import workloads
 
     ops = chain_worker._ops(countcomp)
     requests, _ = (workloads.chain_stream(seed) if count is None
                    else workloads.chain_stream(seed, count))
+    if kinds is not None:
+        requests = [request for request in requests if request[0] in kinds]
     calls = [(ops[kind], args) for kind, args in requests]
     times = np.empty((passes, len(calls)))
     clock = time.perf_counter
@@ -77,6 +81,15 @@ def kind_us(seed: int, count: int | None = None, passes: int = PASSES) -> dict:
     return out
 
 
+def _workloads():
+    """perfbench's ``workloads`` module, this checkout's."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    return workloads
+
+
 def report(seed: int, before: list[dict], after: list[dict]) -> str:
     """The table of the rounds ``before`` (the other tree) and ``after``
     (this checkout), each a list of ``kind_us`` results, one per round."""
@@ -93,10 +106,12 @@ def report(seed: int, before: list[dict], after: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _child(tree: Path, seed: int) -> dict:
+def _child(tree: Path, seed: int, kinds: str | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(PERFBENCH)]))
-    proc = subprocess.run([sys.executable, "-B", __file__, "--kind-us", str(seed)],
-                          capture_output=True, env=env, text=True, timeout=900)
+    command = [sys.executable, "-B", __file__, "--kind-us", str(seed)]
+    if kinds is not None:
+        command += ["--kinds", kinds]
+    proc = subprocess.run(command, capture_output=True, env=env, text=True, timeout=900)
     if proc.returncode != 0:
         sys.exit(f"timing at seed {seed} failed in {tree}:\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -107,10 +122,17 @@ def main(argv=None) -> int:
     parser.add_argument("parent", nargs="?", type=Path, help="root of the tree to compare with")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--kinds", help="comma-separated request kinds to time (default: all)")
     parser.add_argument("--kind-us", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    kinds = None
+    if args.kinds is not None:
+        kinds, known = tuple(args.kinds.split(",")), _workloads().CHAIN_KINDS
+        unknown = sorted(set(kinds) - set(known))
+        if unknown:
+            parser.error(f"unknown kinds {', '.join(unknown)}; the stream has {', '.join(known)}")
     if args.kind_us is not None:
-        print(json.dumps(kind_us(args.kind_us)))
+        print(json.dumps(kind_us(args.kind_us, kinds=kinds)))
         return 0
     if args.parent is None or not (args.parent / "src" / "countcomp").is_dir():
         parser.error("PARENT_DIR must hold src/countcomp")
@@ -120,7 +142,7 @@ def main(argv=None) -> int:
     runs = {parent: [], ROOT: []}
     for round_ in range(args.rounds):
         for tree in (parent, ROOT) if round_ % 2 == 0 else (ROOT, parent):
-            runs[tree].append(_child(tree, args.seed))
+            runs[tree].append(_child(tree, args.seed, args.kinds))
     print(report(args.seed, runs[parent], runs[ROOT]))
     return 0
 

@@ -198,6 +198,60 @@ class TestDensities:
         assert got.tolist() == want
 
 
+# Row sums of fewer than 8 terms are folded in Python, longer ones go to
+# numpy's pairwise sum: the lengths on both sides of the switch, and one
+# past numpy's 8-way unrolled blocks.
+FOLD_EDGES = [7, 8, 9, 130]
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestPointEqualsBatchAtTheFoldEdge:
+    """The one-point forms sum their rows of ``entries`` terms as Python
+    floats, the batch forms as numpy columns; both give each row numpy's
+    bits, compared by ``float.hex``."""
+
+    @staticmethod
+    def _alpha(rng, n):
+        return (10.0 ** rng.uniform(-2.0, 3.0, n)).tolist()
+
+    @pytest.mark.parametrize("entries", FOLD_EDGES)
+    def test_dirichlet(self, entries):
+        rng = np.random.default_rng(entries)
+        alpha = self._alpha(rng, entries)
+        raw = 10.0 ** rng.uniform(-300.0, 0.0, (4, entries))
+        points = [Composition(row) for row in (raw / raw.sum(axis=1, keepdims=True)).tolist()]
+        got = [dirichlet_log_pdf(DirichletParams(alpha), c) for c in points]
+        want = dirichlet_log_pdf_rows(alpha, np.array([c.entries for c in points]))
+        assert _hex(got) == _hex(want)
+
+    @pytest.mark.parametrize("entries", FOLD_EDGES)
+    def test_inverted_dirichlet(self, entries):
+        rng = np.random.default_rng(entries)
+        alpha = self._alpha(rng, entries + 1)
+        y = 10.0 ** rng.uniform(-6.0, 6.0, (4, entries))
+        got = [inverted_dirichlet_log_pdf(DirichletParams(alpha), RatioVector(row)) for row in y]
+        assert _hex(got) == _hex(inverted_dirichlet_log_pdf_rows(alpha, y))
+
+    @pytest.mark.parametrize("entries", FOLD_EDGES)
+    def test_alr_dirichlet(self, entries):
+        rng = np.random.default_rng(entries)
+        alpha = self._alpha(rng, entries + 1)
+        y = rng.uniform(-50.0, 50.0, (4, entries))
+        got = [alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(row)) for row in y]
+        assert _hex(got) == _hex(alr_dirichlet_log_pdf_rows(alpha, y))
+
+    @pytest.mark.parametrize("entries", FOLD_EDGES)
+    def test_multinomial(self, entries):
+        rng = np.random.default_rng(entries)
+        probs = _probs(rng.uniform(-300.0, 0.0, entries))
+        x = _counts(entries, 4, entries)
+        got = [multinomial_log_pmf(int(row.sum()), probs, CountVector(row)) for row in x]
+        assert _hex(got) == _hex(multinomial_log_pmf_rows(x.sum(axis=1), probs, x))
+
+
 class TestNormalization:
     @given(st.integers(2, 5), st.integers(0, 10), st.data())
     @batch_settings

@@ -41,7 +41,11 @@ from countcomp import (
     ratio_inverse,
 )
 from countcomp.checks import _composition_matrix
-from countcomp.distributions import alr_dirichlet_log_pdf_rows, count_rows
+from countcomp.distributions import (
+    alr_dirichlet_log_pdf_rows,
+    count_rows,
+    inverted_dirichlet_log_pdf_rows,
+)
 from countcomp.simplex import RowError
 
 
@@ -232,6 +236,31 @@ class TestInvertedDirichletPdf:
                 pulled += log_det_jacobian_ratio_inverse(y, n)
                 assert direct == pytest.approx(pulled, rel=1e-12, abs=1e-12)
 
+    # (alpha_1 - 1) log y_1 and sum(alpha) log z both overflow to inf, and
+    # their difference would be NaN; 700-digit mpmath gives -716.1119 for
+    # the first.  The second takes its row sum of 9 entries through numpy.
+    OPPOSITE_OVERFLOWS = [
+        ([2.54e305, 1e-3], [1e308]),
+        ([2.54e305] + [1e-3] * 9, [1e308] + [1.0] * 8),
+    ]
+
+    @pytest.mark.parametrize("alpha, y", OPPOSITE_OVERFLOWS)
+    def test_a_nan_value_is_refused(self, alpha, y):
+        with pytest.raises(ValueError, match="^the inverted Dirichlet log density overflows float64"):
+            inverted_dirichlet_log_pdf(DirichletParams(alpha), RatioVector(y))
+
+    @pytest.mark.parametrize("alpha, y", OPPOSITE_OVERFLOWS)
+    def test_the_batch_names_the_nan_row(self, alpha, y):
+        others = [[2.0] * len(y), [0.5] * len(y)]
+        with pytest.raises(RowError, match="^the inverted Dirichlet log density overflows") as info:
+            inverted_dirichlet_log_pdf_rows(alpha, [others[0], y, others[1]])
+        assert info.value.row == 1
+        # The rows beside it keep the bits of their scalar values.
+        got = inverted_dirichlet_log_pdf_rows(alpha, others).tolist()
+        want = [inverted_dirichlet_log_pdf(DirichletParams(alpha), RatioVector(row))
+                for row in others]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
 
 class TestAlrDirichletPdf:
     def test_standard_logistic_at_zero(self):
@@ -290,6 +319,16 @@ class TestAlrOverflow:
         got = alr_dirichlet_log_pdf_rows(alpha, y)
         want = [alr_dirichlet_log_pdf(DirichletParams(a), LogRatioVector(row)) for a, row in points]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("entries", [7, 8, 9, 130])
+    def test_long_rows_take_the_batch_arithmetic(self, entries):
+        # alpha_1 y_1 overflows; the density is about -0.9e308, taken at
+        # half scale, with a row sum of ``entries`` terms.
+        alpha = [5.0] + [0.9 / entries] * entries
+        y = [1e308] + [1.0] * (entries - 1)
+        got = alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(y))
+        (want,) = alr_dirichlet_log_pdf_rows(alpha, [y]).tolist()
+        assert math.isfinite(got) and got.hex() == want.hex()
 
 
 class TestNegativeBinomialPmf:
@@ -993,7 +1032,8 @@ VALUE_REPRS = {
     "BetaBinomialParams": "BetaBinomialParams(a=1.0, b=2.0, m=3)",
 }
 # The arrays built on first read: (attribute, dtype).
-LAZY_ARRAYS = {"CountVector": ("counts", np.int64), "GammaMixtureParams": ("shapes", np.float64)}
+LAZY_ARRAYS = {"CountVector": ("counts", np.int64), "GammaMixtureParams": ("shapes", np.float64),
+               "DirichletParams": ("alpha", np.float64)}
 # Constructors that take a list, with one list each.
 FROM_LISTS = {
     "DirichletParams": (DirichletParams, [1.0, 2.0]),

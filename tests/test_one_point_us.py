@@ -4,6 +4,8 @@ run in process on a short chain-eval stream."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location(
     "one_point_us", Path(__file__).with_name("data") / "one_point_us.py")
 one_point_us = importlib.util.module_from_spec(_SPEC)
@@ -28,3 +30,20 @@ def test_the_report_has_a_stream_line():
     assert stream[:2] == [one_point_us.STREAM, "200"]
     low, high = map(float, stream[-1].split("-"))
     assert low <= float(stream[-2]) <= high
+
+
+def test_kinds_times_only_the_named_kinds():
+    got = one_point_us.kind_us(1, count=500, passes=1, kinds=("dirichlet", "inverted"))
+    everything = one_point_us.kind_us(1, count=500, passes=1)
+    assert list(got) == ["dirichlet", "inverted", one_point_us.STREAM]
+    for kind in ("dirichlet", "inverted"):
+        assert got[kind][0] == everything[kind][0] > 0
+    assert got[one_point_us.STREAM][0] == got["dirichlet"][0] + got["inverted"][0]
+
+
+def test_an_unknown_kind_is_refused(capsys):
+    with pytest.raises(SystemExit) as info:
+        one_point_us.main(["--kinds", "dirichlet,gamma", "--kind-us", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown kinds gamma; the stream has nb, multinomial" in err

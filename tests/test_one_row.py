@@ -198,3 +198,20 @@ def test_one_row_matches_the_batch_row(target, entries):
         else:
             assert isinstance(got, dict) and got.keys() == want.keys()
             assert all(_same_bits(got[name], want[name]) for name in want), (got, want)
+
+
+# Entries on both sides of the length from which ``_row_sum`` hands a row
+# to numpy, and one past numpy's 8-way unrolled blocks.
+@pytest.mark.parametrize("n", [7, 8, 9, 130])
+def test_totals_at_the_fold_edge_match_the_batch_row(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        weights = rng.uniform(1e-3, 1.0, n)
+        # Raw sums a little off 1, so that most rows are renormalized.
+        entries = (weights / weights.sum() * (1.0 + rng.uniform(-1e-10, 1e-10))).tolist()
+        got = Composition(entries).entries
+        want = composition_rows([entries])[0]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        y = (10.0 ** rng.uniform(-300.0, 300.0, n)).tolist()
+        assert RatioVector(y).z.hex() == float(ratio_rows([y])[1][0]).hex()
+        assert DirichletParams(y).total.hex() == float(np.add.reduce(np.array(y))).hex()

@@ -26,6 +26,7 @@ from countcomp import run_all, special
 from countcomp.special import (
     _log_gamma_distinct,
     _log_gamma_each,
+    _row_sum,
     log_multivariate_beta_rows,
     log_sum_exp_rows,
 )
@@ -437,3 +438,62 @@ class TestLogSumExp:
         base = log_sum_exp(values)
         shifted = log_sum_exp([v + shift for v in values])
         assert shifted == pytest.approx(base + shift, rel=1e-12, abs=1e-10)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _row(rng, n: int) -> list[float]:
+    """n mixed-sign floats whose magnitudes span 1e-300 to 1e300."""
+    return (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)).tolist()
+
+
+class TestRowSum:
+    """``_row_sum`` is numpy's ``add.reduce`` bit for bit: a fold below 8
+    entries, numpy's pairwise sum from 8 on."""
+
+    LENGTHS = [*range(1, 301), 1000]
+
+    @staticmethod
+    def _rows(n: int):
+        rng = np.random.default_rng(n)
+        yield _row(rng, n)
+        # Near-cancelling rows, where the order of the adds shows.
+        yield (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
+        yield rng.choice([0.0, -0.0], n).tolist()
+        yield [-0.0] * n
+        special_row = _row(rng, n)
+        special_row[rng.integers(n)] = float(rng.choice([math.inf, -math.inf, math.nan]))
+        yield special_row
+        both = _row(rng, n)
+        both[0], both[-1] = math.inf, -math.inf
+        yield both
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_a_row_of_floats_sums_as_numpy_does(self, n):
+        for values in self._rows(n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.reduce(np.array(values))
+                got = _row_sum(values)
+            assert type(got) is float
+            assert _bits(got) == _bits(want), (n, values)
+
+    @pytest.mark.parametrize("n", [*range(1, 20), 130])
+    def test_columns_sum_row_by_row_as_numpy_does(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.array([_row(rng, n) for _ in range(50)] + [[-0.0] * n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(rows, -1)
+            got = _row_sum(list(rows.T))
+        assert isinstance(got, np.ndarray) and got.shape == (rows.shape[0],)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_row_of_negative_zeros_sums_to_positive_zero(self):
+        assert _bits(_row_sum([-0.0, -0.0])) == _bits(0.0) == _bits(np.add.reduce([-0.0, -0.0]))
+
+    def test_a_row_where_the_order_shows_keeps_numpys_rounding(self):
+        # numpy adds left to right and loses the first 1.0; from Python 3.12
+        # on sum() compensates and returns the exact 2.0, so it cannot serve.
+        values = [1e16, 1.0, -1e16, 1.0]
+        assert _row_sum(values) == float(np.add.reduce(np.array(values))) == 1.0

@@ -29,8 +29,9 @@ def _shift_each(fn):
 
 def _reversed_alpha(fn):
     """The concentrations taken in reverse order: at n = 2, Dir(2, 3)'s
-    density becomes Dir(3, 2)'s."""
-    return lambda log_b, alpha, total, y, log_k: fn(log_b, alpha[..., ::-1], total, y, log_k)
+    density becomes Dir(3, 2)'s.  alpha holds one value or column per
+    component."""
+    return lambda log_b, alpha, total, y, log_k: fn(log_b, alpha[::-1], total, y, log_k)
 
 
 def _copied_stream(fn):
