@@ -35,12 +35,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from ._rules import (
-    _SUM_SAFE,
     RowError,
     _as_count,
     _as_float,
@@ -58,13 +58,15 @@ from .simplex import (
     Composition,
     LogRatioVector,
     RatioVector,
+    _append_column,
     _checked_compositions,
+    _checked_log_ratios,
     _ValueObject,
     composition_rows,
-    log_ratio_rows,
     ratio_rows,
 )
 from .special import (
+    _dot,
     _fsum_columns,
     _log_each,
     _log_exp_sum,
@@ -72,6 +74,7 @@ from .special import (
     _log_gamma_each,
     _log_gamma_map,
     _log_multivariate_beta_terms,
+    _math_each,
     _row_sum,
     log_sum_exp_rows,
 )
@@ -123,7 +126,6 @@ class DirichletParams(_ValueObject):
 
     _fields = ("alpha",)
     _array = None  # the alpha array once read
-    _log_normalizer = None  # log B(alpha) once computed
 
     def __init__(self, alpha):
         object.__setattr__(self, "_row", tuple(_positive_floats(alpha, "DirichletParams", 2)))
@@ -139,18 +141,14 @@ class DirichletParams(_ValueObject):
 
     @property
     def total(self) -> float:
-        """sum(alpha), with the bits of numpy's sum of ``alpha``."""
+        """sum(alpha), added left to right (``_row_sum``)."""
         return _row_sum(self._row)
 
     def log_normalizer(self) -> float:
-        """log B(alpha), computed on first use and kept.  The constructor
-        has checked alpha, so the formula is taken without the public
-        ``log_multivariate_beta``'s second check."""
-        value = self._log_normalizer
-        if value is None:
-            value = _log_multivariate_beta_terms(_log_gamma_map, math.fsum, self._row)
-            object.__setattr__(self, "_log_normalizer", value)
-        return value
+        """log B(alpha).  The constructor has checked alpha, so the formula
+        is taken without the public ``log_multivariate_beta``'s second
+        check."""
+        return _log_multivariate_beta_terms(_log_gamma_map, math.fsum, self._row)
 
 
 class GammaMixtureParams(_ValueObject):
@@ -181,7 +179,7 @@ class GammaMixtureParams(_ValueObject):
 
     @property
     def total_shape(self) -> float:
-        """R = sum of the shapes, with the bits of numpy's sum of ``shapes``."""
+        """R = sum of the shapes, added left to right (``_row_sum``)."""
         return _row_sum(self._row)
 
     @property
@@ -230,8 +228,7 @@ class CountVector(_ValueObject):
 
 def _kept_array(obj, dtype) -> np.ndarray:
     """The checked row ``obj._row`` as a read-only array of ``dtype``,
-    built on first read and kept, as ``DirichletParams.log_normalizer``
-    keeps its value."""
+    built on first read and kept."""
     arr = obj._array
     if arr is None:
         arr = _read_only_array(obj._row, dtype)
@@ -278,44 +275,23 @@ def dirichlet_log_pdf(params: DirichletParams, x: Composition) -> float:
 
 
 def inverted_dirichlet_log_pdf(params: DirichletParams, y: RatioVector) -> float:
-    """log density of the ratio push-forward of Dir(alpha):
-    ``-log B(alpha) + sum_{i<n} (alpha_i - 1) log y_i - sum(alpha) log z``.
-
-    Raises
-    ------
-    ValueError
-        Where two terms overflow float64 with opposite signs, so that the
-        value comes out NaN.
-    """
+    """log density of the ratio push-forward of Dir(alpha) in the
+    composition x that y maps to (x_i = y_i / z, x_n = 1 / z):
+    ``-log B(alpha) + sum_{i<n} (alpha_i - 1) log x_i + (alpha_n + n - 1) log x_n``.
+    Every log x_i is <= 0, so no terms cancel; -inf only below about -FLOAT_MAX."""
     _check_coordinates(params, y, RatioVector)
-    log_b, total = params.log_normalizer(), params.total
-    args = (log_b, params._row, total, np.log(y.entries).tolist(), math.log(y.z))
-    # Each log y_i and log z lies within _LOG_MAX of 0, so below this bound
-    # no product, partial sum or term can overflow, and numpy, which sums a
-    # long row, has nothing to warn of.
-    if abs(log_b) + 2.0 * _LOG_MAX * (total + params.n) < _SUM_SAFE:
-        return _inverted_dirichlet_log_terms(*args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _inverted_dirichlet_log_terms(*args)
-    if math.isnan(value):
-        raise ValueError(_INVERTED_OVERFLOW)
-    return value
+    return _inverted_dirichlet_log_terms(params.log_normalizer(), params._row,
+                                         _half_log_x(y.entries.tolist(), True))
 
 
 def alr_dirichlet_log_pdf(params: DirichletParams, y: LogRatioVector) -> float:
-    """log density of the log-ratio push-forward of Dir(alpha):
-    ``-log B(alpha) + sum_{i<n} alpha_i y_i - sum(alpha) log k``.
-    """
+    """log density of the log-ratio push-forward of Dir(alpha) in the
+    composition x that y maps to (x_i = e^(y_i) / k, x_n = 1 / k):
+    ``-log B(alpha) + sum_i alpha_i log x_i``.  Every term after -log B is
+    <= 0, so no terms cancel; -inf only below about -FLOAT_MAX."""
     _check_coordinates(params, y, LogRatioVector)
-    log_b, total, log_k = params.log_normalizer(), params.total, y.log_k
-    # |y_i| <= log k - min(y, 0), as log k >= max(y, 0), so below this bound
-    # no product alpha_i y_i, partial sum or term can overflow, and the
-    # formula needs no guard.
-    entries = y.entries.tolist()
-    if abs(log_b) + total * (2.0 * log_k - min(min(entries), 0.0)) < _SUM_SAFE:
-        return _alr_dirichlet_log_terms(log_b, params._row, total, entries, log_k)
-    return float(_guarded_alr_dirichlet_log_terms(
-        log_b, params.alpha[None], total, y.entries[None], log_k)[0])
+    return _alr_dirichlet_log_terms(params.log_normalizer(), params._row,
+                                    _half_log_x(y.entries.tolist(), False))
 
 
 def _check_coordinates(params: DirichletParams, y, cls: type) -> None:
@@ -330,58 +306,87 @@ def _check_coordinates(params: DirichletParams, y, cls: type) -> None:
         )
 
 
-# The three log densities, written once.  alpha and the point (its logs
-# for the Dirichlet and the ratio coordinates) hold one value per
-# component: Python floats for one point, with log B, sum(alpha) and log z
-# or log k as floats, or columns over the rows of a batch (alpha's columns
-# over one row or N), with those as arrays.  ``_row_sum`` gives each row
-# numpy's sum, so a point and its batch row agree.  The last alpha has no
-# coordinate of its own.
+# The three log densities, written once.  alpha and the log point hold
+# one value per component: Python floats for one point, with log B a
+# float, or columns over the rows of a batch (alpha's columns over one row
+# or N), with log B an array.  ``_dot`` sums each row left to right, so a
+# point and its batch row agree bit for bit.  The push-forwards take half
+# of log x from ``_half_log_x`` or ``_half_log_x_rows``, never from the
+# inverse maps, so that the suite's change-of-variables rows compare two
+# routes; their weights are doubled, so each product is the one of the
+# whole log x, bit for bit.
 
 
 def _dirichlet_log_terms(log_b, alpha, log_x):
-    return -log_b + _row_sum([(a - 1.0) * v for a, v in zip(alpha, log_x)])
+    return -log_b + _dot([a - 1.0 for a in alpha], log_x)
 
 
-def _inverted_dirichlet_log_terms(log_b, alpha, total, log_y, log_z):
-    return -log_b + _row_sum([(a - 1.0) * v for a, v in zip(alpha[:-1], log_y)]) - total * log_z
+def _inverted_dirichlet_log_terms(log_b, alpha, half_log_x):
+    weights = [2.0 * (a - 1.0) for a in alpha]
+    weights[-1] = 2.0 * (alpha[-1] + (len(alpha) - 1))  # the Jacobian z^-n = x_n^n
+    return -log_b + _dot(weights, half_log_x)
 
 
-def _alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
-    return -log_b + _row_sum([a * v for a, v in zip(alpha[:-1], y)]) - total * log_k
+def _alr_dirichlet_log_terms(log_b, alpha, half_log_x):
+    # The Jacobian prod_i x_i turns each alpha_i - 1 into alpha_i, doubled.
+    return -log_b + _dot(map(operator.add, alpha, alpha), half_log_x)
 
 
-# |log v| lies below this for every positive float v, subnormals included.
-_LOG_MAX = 745.0
-_INVERTED_OVERFLOW = (
-    "the inverted Dirichlet log density overflows float64 here: a term "
-    "(alpha_i - 1) log y_i or sum(alpha) log z is infinite with the opposite "
-    "sign of another, so the value is undefined")
+_MIN_NORMAL = sys.float_info.min
 
 
-def _guarded_alr_dirichlet_log_terms(log_b, alpha, total, y, log_k):
-    """``_alr_dirichlet_log_terms`` on rows (alpha with one row or N)
-    without warnings, kept wherever it is finite.  Where alpha . y or
-    sum(alpha) log k overflowed, though the density may not, it is taken
-    at half scale, as
-    ``2 (-log B / 2 + sum_{i<n} alpha_i (y_i / 2 - log k / 2) - alpha_n log k / 2)``.
-    The half differences lie in [-FLOAT_MAX, 0] (log k >= max(y)), so
-    every term after the first is <= 0 and a term, a partial sum or the
-    doubling overflows only where the density is below -FLOAT_MAX."""
-    try:
-        # The inputs are finite, so a result is finite unless numpy flags
-        # an overflow or the inf - inf after one.
-        with np.errstate(over="raise", invalid="raise"):
-            return _alr_dirichlet_log_terms(log_b, alpha.T, total, y.T, log_k)
-    except FloatingPointError:
-        pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _alr_dirichlet_log_terms(log_b, alpha.T, total, y.T, log_k)
-        half_k = 0.5 * np.asarray(log_k)
-        half = (-0.5 * log_b
-                + np.add.reduce(alpha[..., :-1] * (0.5 * y - half_k[..., None]), axis=-1)
-                - alpha[..., -1] * half_k)
-        return np.where(np.isfinite(out), out, 2.0 * half)
+# Half of log x, for the composition x that ratio coordinates y (ratio) or
+# log-ratio coordinates y map to, in O(n).  Its weights are (y, 1), or
+# (e^y, 1) kept as their logs (y, 0).  With w_j the largest weight (the
+# first, if tied) and t the sum of the others over it,
+#     log x_j = -log1p(t),  log x_i = log(w_i / w_j) - log1p(t).
+# Both terms are <= 0, so nothing cancels, and log x_i stays exact where x_i
+# rounds to 1.  For the ratio map log(w_i / w_j) is taken as
+# log w_i - log w_j where the quotient is below the smallest normal float;
+# for the log-ratio map it is y_i - y_j, whose half is a float even where
+# the difference passes -FLOAT_MAX.  Halving is exact for normal floats.
+
+
+def _half_log_x(y: list, ratio: bool) -> list:
+    """Half of log x for one point, from its coordinates as Python floats."""
+    w = [*y, 1.0 if ratio else 0.0]
+    top = max(w)
+    j = w.index(top)
+    if ratio:
+        shift = 0.5 * math.log1p(_row_sum(w[:j] + w[j + 1:]) / top)
+        return [0.5 * (math.log(q) if (q := v / top) >= _MIN_NORMAL
+                       else math.log(v) - math.log(top)) - shift for v in w]
+    half = [0.5 * v - 0.5 * top for v in w]
+    others = list(map(math.exp, half))
+    others[j] = 0.0  # adding 0.0 leaves a positive sum as it is
+    shift = 0.5 * math.log1p(_row_sum(map(operator.mul, others, others)))
+    return [h - shift for h in half]
+
+
+def _half_log_x_rows(y: np.ndarray, ratio: bool) -> np.ndarray:
+    """``_half_log_x`` of each row of an (N, n-1) array, as (n, N) columns
+    with the bits of the one-point values."""
+    w = _append_column(y, 1.0 if ratio else 0.0)
+    rows = np.arange(w.shape[0])
+    j = np.argmax(w, axis=1)  # the first largest, as list.index(max) finds it
+    top = w[rows, j][:, None]
+    if ratio:
+        others = w.copy()
+        others[rows, j] = 0.0  # adding 0.0 leaves a positive sum as it is
+        t = _row_sum(list(others.T)) / top[:, 0]
+        q = w / top
+        small = q < _MIN_NORMAL
+        q[small] = 1.0
+        half = _log_each(q)
+        half[small] = _log_each(w[small]) - _log_each(top[small.nonzero()[0], 0])
+        half *= 0.5
+    else:
+        half = 0.5 * w - 0.5 * top
+        others = _math_each(math.exp, half)
+        others *= others
+        others[rows, j] = 0.0
+        t = _row_sum(list(others.T))
+    return (half - 0.5 * _math_each(math.log1p, t)[:, None]).T
 
 
 def dirichlet_log_pdf_rows(alpha, x) -> np.ndarray:
@@ -397,7 +402,7 @@ def dirichlet_log_pdf_rows(alpha, x) -> np.ndarray:
     the first bad row.
     """
     x, _ = _checked_compositions(x)
-    alpha, log_b, _ = _alpha_rows(alpha, *x.shape)
+    alpha, log_b = _alpha_rows(alpha, *x.shape)
     return _dirichlet_log_terms(log_b, alpha.T, np.log(x).T)
 
 
@@ -406,14 +411,10 @@ def inverted_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
     each row of an (N, n-1) array of ratio coordinates, each checked as a
     RatioVector (``ratio_rows``), as an (N,) array.  ``alpha`` is as in
     ``dirichlet_log_pdf_rows``; entry i equals the scalar value at
-    ``RatioVector(y[i])`` bit for bit, and a RowError names the first row
-    whose value comes out NaN, where the scalar form refuses it."""
-    y, z = ratio_rows(y)
-    alpha, log_b, total = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _inverted_dirichlet_log_terms(log_b, alpha.T, total, np.log(y).T, _log_each(z))
-    _reject_rows((np.isnan(out), _INVERTED_OVERFLOW))
-    return out
+    ``RatioVector(y[i])`` bit for bit."""
+    y, _ = ratio_rows(y)
+    alpha, log_b = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
+    return _inverted_dirichlet_log_terms(log_b, alpha.T, _half_log_x_rows(y, True))
 
 
 def alr_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
@@ -422,14 +423,14 @@ def alr_dirichlet_log_pdf_rows(alpha, y) -> np.ndarray:
     LogRatioVector (``log_ratio_rows``), as an (N,) array.  ``alpha`` is
     as in ``dirichlet_log_pdf_rows``; entry i equals the scalar value at
     ``LogRatioVector(y[i])`` bit for bit."""
-    y, log_k = log_ratio_rows(y)
-    alpha, log_b, total = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
-    return _guarded_alr_dirichlet_log_terms(log_b, alpha, total, y, log_k)
+    y = _checked_log_ratios(y)
+    alpha, log_b = _alpha_rows(alpha, y.shape[0], y.shape[1] + 1)
+    return _alr_dirichlet_log_terms(log_b, alpha.T, _half_log_x_rows(y, False))
 
 
-def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The concentrations for ``rows`` points of dimension n: a (1, n) or
-    (rows, n) array, with log B and the sum of each of its rows."""
+    (rows, n) array, with log B of each of its rows."""
     arr = np.asarray(alpha)
     if arr.shape[-1:] != (n,) or arr.shape[:-1] not in ((), (1,), (rows,)):
         raise ValueError(
@@ -437,8 +438,7 @@ def _alpha_rows(alpha, rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
             f"got shape {np.shape(alpha)}"
         )
     arr = _positive_rows(arr.reshape(-1, n), "DirichletParams", 2)
-    log_b = _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, arr.T)
-    return arr, log_b, arr.sum(axis=1)
+    return arr, _log_multivariate_beta_terms(_log_gamma_each, _fsum_columns, arr.T)
 
 
 def dirichlet_sample(params: DirichletParams, rng: np.random.Generator, size=None):
@@ -743,8 +743,7 @@ def _log_multinomial_coefficient(lgs, m, counts):
 
 
 def _multinomial_log_terms(lgs, m, counts, log_p):
-    return (_log_multinomial_coefficient(lgs, m, counts)
-            + _row_sum([c * v for c, v in zip(counts, log_p)]))
+    return _log_multinomial_coefficient(lgs, m, counts) + _dot(counts, log_p)
 
 
 def _dm_log_terms(lgs, fsum, m, counts, r):

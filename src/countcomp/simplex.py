@@ -103,10 +103,10 @@ def _composition_row(entries) -> np.ndarray:
 
     A list of floats, or a 1-D float array, that passes the accept test
     of ``_checked_compositions`` is built here at once; anything else
-    goes to ``composition_rows`` on ``[entries]``.  The total has the bits
-    of that rule's numpy sum (``_row_sum``), and the entries are divided
-    by it only where it is not exactly 1.0, as x / 1.0 is x; the Python
-    sum only decides that the entries are finite.
+    goes to ``composition_rows`` on ``[entries]``.  The total is that
+    rule's left fold (``_row_sum``), and the entries are divided by it
+    only where it is not exactly 1.0, as x / 1.0 is x; the Python sum
+    only decides that the entries are finite.
     """
     flat = _row_entries(entries, _FLOAT)
     if (flat is not None and len(flat) >= 2 and min(flat) >= _POSITIVE_FLOOR
@@ -128,7 +128,7 @@ def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
     # overflow.
     lo, hi, finite_sum = _extremes(arr)
     if finite_sum and lo >= _POSITIVE_FLOOR and hi <= 1.0 + _SUM_SLACK:
-        totals = np.add.reduce(arr, axis=1)
+        totals = _row_sum(list(arr.T))
         # total - 1 is exact for totals near 1, so this is |total - 1| <= slack.
         lo, hi, _ = _extremes(totals)
         if -_SUM_SLACK <= lo - 1.0 and hi - 1.0 <= _SUM_SLACK:
@@ -136,7 +136,7 @@ def _checked_compositions(values) -> tuple[np.ndarray, np.ndarray]:
     # Clipping at 0 changes no row that passes the rules before the sum
     # rule, and keeps +inf and -inf from meeting (and warning) in a sum.
     with np.errstate(over="ignore"):
-        totals = np.maximum(arr, 0.0).sum(axis=1)
+        totals = _row_sum(list(np.maximum(arr, 0.0).T))
     _reject_rows(
         (~np.isfinite(arr).all(axis=1), "Composition entries must be finite"),
         (
@@ -160,7 +160,7 @@ def ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     of each row.  A RowError names the first row that fails.
     """
     arr = _positive_rows(values, "RatioVector", 1)
-    return arr, 1.0 + np.add.reduce(arr, axis=1)
+    return arr, 1.0 + _row_sum(list(arr.T))
 
 
 def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
@@ -170,13 +170,20 @@ def log_ratio_rows(values) -> tuple[np.ndarray, np.ndarray]:
     row, ``k = 1 + sum(exp(row))``, computed shift-stably.  A RowError
     names the first row that fails.
     """
+    arr = _checked_log_ratios(values)
+    return arr, log_sum_exp_rows(_append_column(arr, 0.0))
+
+
+def _checked_log_ratios(values) -> np.ndarray:
+    """The rows of ``values`` checked by the ``log_ratio_rows`` rule, as a
+    new read-only float array."""
     arr = _float_rows(values, "LogRatioVector", 1)
     # The accept test.  A NaN or an infinity makes the sum not finite; so
     # can finite entries, which the mask then passes.
     if not _extremes(arr)[2]:
         _reject_rows((~np.isfinite(arr).all(axis=1), "LogRatioVector entries must be finite"))
     arr.setflags(write=False)
-    return arr, log_sum_exp_rows(_append_column(arr, 0.0))
+    return arr
 
 
 def _log_ratio_row(entries) -> tuple[np.ndarray, float]:

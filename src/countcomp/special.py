@@ -118,23 +118,22 @@ def _fsum_columns(columns) -> np.ndarray:
 
 
 def _row_sum(values):
-    """numpy's float64 ``add.reduce`` of a row, bit for bit.
+    """The sum of a row, added left to right from 0.0 (so -0.0 + -0.0 is
+    0.0): one value per component, as Python floats for one point or as
+    columns over the rows of a batch, so a point and its batch row agree
+    bit for bit.  Builtin ``sum`` would not do: from Python 3.12 on it
+    compensates a sum of floats but not one of arrays."""
+    return functools.reduce(operator.add, values, 0.0)
 
-    ``values`` holds one value per component: Python floats for one
-    point, or equal-length columns over the rows of a batch, each row of
-    which is summed as ``np.add.reduce`` sums it along the last axis.
-    numpy sums pairwise (Higham 1993), and below 8 entries its base case
-    adds them left to right from 0.0: a shorter row is folded the same
-    way here, as floats or column by column, with no numpy call for one
-    point.  A longer row goes to numpy.  Builtin ``sum`` would not do:
-    from Python 3.12 on it compensates a sum of floats.  The fold starts
-    at 0.0, as numpy's does, so a row of -0.0 sums to 0.0.
-    """
-    if len(values) < 8:
-        return functools.reduce(operator.add, values, 0.0)
+
+def _dot(weights, values):
+    """sum_i w_i v_i, the ``_row_sum`` of the products, as floats or as
+    columns.  Past the float range a product or sum is -inf or inf, as in
+    float arithmetic; numpy would warn of that overflow on columns."""
     if isinstance(values[0], np.ndarray):
-        return np.add.reduce(np.column_stack(values), -1)
-    return float(np.add.reduce(np.array(values)))
+        with np.errstate(over="ignore"):
+            return _row_sum(map(operator.mul, weights, values))
+    return _row_sum(map(operator.mul, weights, values))
 
 
 def log_multivariate_beta(alpha) -> float:
@@ -245,11 +244,17 @@ def _log_exp_sum(arr: np.ndarray, shift, spread: float, log):
     return log(np.add.reduce(np.exp(shifted), -1))
 
 
+# The log-sum-exp and Jacobian values the CLI and the suite print are
+# pinned to math.log's bits.
 def _log_each(values: np.ndarray) -> np.ndarray:
-    """Elementwise natural log by ``math.log``.
+    return _math_each(math.log, values)
 
-    ``np.log`` can differ from ``math.log`` in the last ulp, and the
-    log-sum-exp and Jacobian values the CLI and the suite print are
-    pinned to ``math.log``'s bits.
-    """
-    return np.fromiter(map(math.log, values.tolist()), float, values.size)
+
+def _math_each(fn, values: np.ndarray) -> np.ndarray:
+    """A ``math`` function of every entry of ``values``, in its shape: the
+    batch twin of ``fn`` on one float, with its bits (numpy's own ``log``,
+    ``log1p`` and ``exp`` can differ from ``math``'s in the last ulp)."""
+    # A memoryview hands fn the entries as Python floats one by one, with no
+    # list of them all (2 MB at 64,000 entries).
+    out = np.fromiter(map(fn, memoryview(values.ravel())), float, values.size)
+    return out.reshape(values.shape)

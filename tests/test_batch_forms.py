@@ -3,12 +3,16 @@
 Each batch form must equal its scalar entry point with ``==``, row by
 row, over the whole parameter range: n in 2..10, shapes and
 concentrations in [1e-2, 1e3], totals up to 2000, and probabilities
-near 0 and 1.  ``TestNormalization`` checks that the multinomial and
+near 0 and 1.  The three densities are compared by ``float.hex`` over a
+wider range as well: n up to 130, concentrations from 1e-3 to 2.5e305,
+ratio coordinates from 5e-324 to the largest a RatioVector takes, and
+log-ratios out to +-1.7e308.  ``TestNormalization`` checks that the multinomial and
 Dirichlet-Multinomial masses over every composition of m sum to 1, and
 ``TestChecks`` the checks the batch forms make on their input.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +81,30 @@ def _dimension_and(draw, element_strategies):
 
 
 batch_settings = settings(max_examples=60, deadline=None)
+
+# The densities' dimensions: the narrow ranges up to 10, and every n up
+# to 130.
+DIMENSION = st.one_of(st.integers(2, 10), st.integers(2, 130))
+# The largest concentration sum drawn: log Gamma of the sum overflows from
+# about 2.556e305.
+ALPHA_TOTAL = 2.5e305
+
+
+def _spread(rng, rows: int, n: int, lo: float, hi: float) -> np.ndarray:
+    """(rows, n) decimal exponents in [lo, hi]: each row log-uniform up to
+    its own top, itself uniform in [lo, hi], so that rows reach every scale."""
+    top = rng.uniform(lo, hi, size=(rows, 1))
+    return lo + (top - lo) * rng.random((rows, n))
+
+
+def _alpha(rng, rows: int, n: int, wide: bool) -> np.ndarray:
+    """Concentrations in [1e-2, 1e3], or (wide) from 1e-3 to the largest
+    whose sum keeps log B finite: up to 2.5e305, each row scaled down where
+    its sum passes that."""
+    if not wide:
+        return 10.0 ** rng.uniform(-2.0, 3.0, size=(rows, n))
+    alpha = 10.0 ** _spread(rng, rows, n, -3.0, math.log10(ALPHA_TOTAL))
+    return alpha * np.minimum(1.0, ALPHA_TOTAL / alpha.sum(axis=1, keepdims=True))
 
 
 class TestCountMasses:
@@ -162,12 +190,12 @@ class TestDensities:
         arr = np.clip(arr, 1e-2, 1e3)
         assert log_multivariate_beta_rows(arr).tolist() == [log_multivariate_beta(a) for a in arr]
 
-    @given(st.integers(2, 10), ROWS, SEED, st.booleans())
+    @given(DIMENSION, ROWS, SEED, st.booleans(), st.booleans())
     @batch_settings
-    def test_dirichlet_rows_equal_scalar(self, n, rows, seed, shared_alpha):
+    def test_dirichlet_rows_equal_scalar(self, n, rows, seed, shared_alpha, wide):
         rng = np.random.default_rng(seed)
-        alpha = 10.0 ** rng.uniform(-2.0, 3.0, size=(rows, n))
-        raw = 10.0 ** rng.uniform(-300.0, 0.0, size=(rows, n))
+        alpha = _alpha(rng, rows, n, wide)
+        raw = 10.0 ** rng.uniform(-307.0 if wide else -300.0, 0.0, size=(rows, n))
         points = [Composition(row) for row in raw / raw.sum(axis=1, keepdims=True)]
         x = np.array([c.entries for c in points])
         got = dirichlet_log_pdf_rows(alpha[0] if shared_alpha else alpha, x)
@@ -175,32 +203,48 @@ class TestDensities:
             dirichlet_log_pdf(DirichletParams(alpha[0] if shared_alpha else a), c)
             for a, c in zip(alpha, points)
         ]
-        assert got.tolist() == want
+        assert _hex(got) == _hex(want)
 
-    @given(st.integers(2, 10), ROWS, SEED)
+    @given(DIMENSION, ROWS, SEED, st.booleans())
     @batch_settings
-    def test_inverted_dirichlet_rows_equal_scalar(self, n, rows, seed):
+    def test_inverted_dirichlet_rows_equal_scalar(self, n, rows, seed, wide):
         rng = np.random.default_rng(seed)
-        alpha = 10.0 ** rng.uniform(-2.0, 3.0, size=(rows, n))
-        y = 10.0 ** rng.uniform(-6.0, 6.0, size=(rows, n - 1))
+        alpha = _alpha(rng, rows, n, wide)
+        if wide:
+            # Ratio coordinates from the smallest subnormal to the most a
+            # RatioVector takes, max(y) (n - 1) < FLOAT_MAX / 2.
+            top = math.log10(0.49 * sys.float_info.max / (n - 1))
+            y = 10.0 ** _spread(rng, rows, n - 1, -323.0, top)
+        else:
+            y = 10.0 ** rng.uniform(-6.0, 6.0, size=(rows, n - 1))
         got = inverted_dirichlet_log_pdf_rows(alpha, y)
         want = [inverted_dirichlet_log_pdf(DirichletParams(a), RatioVector(v)) for a, v in zip(alpha, y)]
-        assert got.tolist() == want
+        assert _hex(got) == _hex(want)
 
-    @given(st.integers(2, 10), ROWS, SEED)
+    @given(DIMENSION, ROWS, SEED, st.booleans())
     @batch_settings
-    def test_alr_dirichlet_rows_equal_scalar(self, n, rows, seed):
+    def test_alr_dirichlet_rows_equal_scalar(self, n, rows, seed, wide):
         rng = np.random.default_rng(seed)
-        alpha = 10.0 ** rng.uniform(-2.0, 3.0, size=(rows, n))
-        y = rng.uniform(-50.0, 50.0, size=(rows, n - 1))
+        alpha = _alpha(rng, rows, n, wide)
+        if wide:  # log-ratios of either sign out to +-1.7e308
+            y = rng.choice([-1.0, 1.0], (rows, n - 1)) * 10.0 ** _spread(
+                rng, rows, n - 1, -300.0, math.log10(1.7e308))
+        else:
+            y = rng.uniform(-50.0, 50.0, size=(rows, n - 1))
         got = alr_dirichlet_log_pdf_rows(alpha, y)
         want = [alr_dirichlet_log_pdf(DirichletParams(a), LogRatioVector(v)) for a, v in zip(alpha, y)]
-        assert got.tolist() == want
+        assert _hex(got) == _hex(want)
+
+    def test_dirichlet_point_equals_its_batch_row_past_float_max(self):
+        # The products sum past -FLOAT_MAX: -inf, with no numpy warning.
+        alpha, x = [1.28e305, 1.27e305, 1.0], [2.3e-308, 2.3e-308, 1.0]
+        got = dirichlet_log_pdf(DirichletParams(alpha), Composition(x))
+        assert got == -math.inf
+        assert _hex([got]) == _hex(dirichlet_log_pdf_rows(alpha, [x]))
 
 
-# Row sums of fewer than 8 terms are folded in Python, longer ones go to
-# numpy's pairwise sum: the lengths on both sides of the switch, and one
-# past numpy's 8-way unrolled blocks.
+# Lengths on both sides of numpy's 8-entry pairwise base case and past its
+# unrolled blocks, where a numpy sum and the left fold part.
 FOLD_EDGES = [7, 8, 9, 130]
 
 
@@ -210,8 +254,8 @@ def _hex(values) -> list[str]:
 
 class TestPointEqualsBatchAtTheFoldEdge:
     """The one-point forms sum their rows of ``entries`` terms as Python
-    floats, the batch forms as numpy columns; both give each row numpy's
-    bits, compared by ``float.hex``."""
+    floats, the batch forms as numpy columns; both fold each row left to
+    right, compared by ``float.hex``."""
 
     @staticmethod
     def _alpha(rng, n):

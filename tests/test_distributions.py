@@ -62,6 +62,22 @@ def _mpmath_alr_log_pdf(alpha, y):
         return float(-log_b + mpmath.fsum(ai * yi for ai, yi in zip(a, y)) - mpmath.fsum(a) * log_k)
 
 
+def _mpmath_push_forward_terms(alpha, y, ratio):
+    """The push-forward log density plus log B(alpha), in the composition's
+    coordinates, at 700 digits: ``sum_{i<n} (alpha_i - 1) log x_i +
+    (alpha_n + n - 1) log x_n`` (ratio) or ``sum_i alpha_i log x_i``."""
+    with mpmath.workdps(700):
+        a, y = [mpmath.mpf(v) for v in alpha], [mpmath.mpf(v) for v in y]
+        if ratio:
+            log_total = mpmath.log(1 + mpmath.fsum(y))
+            weights = [v - 1 for v in a[:-1]] + [a[-1] + len(a) - 1]
+            logs = [mpmath.log(v) for v in y] + [mpmath.mpf(0)]
+        else:
+            log_total = mpmath.log(1 + mpmath.fsum(mpmath.exp(v) for v in y))
+            weights, logs = a, y + [mpmath.mpf(0)]
+        return mpmath.fsum(w * (v - log_total) for w, v in zip(weights, logs))
+
+
 def _mpmath_nb_log_mass(big_r, p, m):
     """log NB(R, p) at m at 40 digits, with log G(m+R) - log G(R) taken as
     the log of the product R (R+1) ... (R+m-1): no log-gamma at R, so its
@@ -194,23 +210,6 @@ class TestDirichletPdf:
         with pytest.raises(ValueError):
             dirichlet_log_pdf(DirichletParams([1.0, 1.0]), Composition([0.2, 0.3, 0.5]))
 
-    def test_log_normalizer_computed_once(self, monkeypatch):
-        params = DirichletParams([2.0, 3.0, 5.0])
-        want = special.log_multivariate_beta(params.alpha)
-        calls = []
-
-        def counted(lgs, fsum, alpha):
-            calls.append(alpha)
-            return want
-
-        monkeypatch.setattr(distributions, "_log_multivariate_beta_terms", counted)
-        x = Composition([0.2, 0.3, 0.5])
-        first = dirichlet_log_pdf(params, x)
-        assert dirichlet_log_pdf(params, x) == first
-        assert params.log_normalizer() == want
-        assert len(calls) == 1
-        assert repr(params) == repr(DirichletParams([2.0, 3.0, 5.0]))
-
 
 class TestInvertedDirichletPdf:
     def test_alpha_ones_n2(self):
@@ -236,29 +235,37 @@ class TestInvertedDirichletPdf:
                 pulled += log_det_jacobian_ratio_inverse(y, n)
                 assert direct == pytest.approx(pulled, rel=1e-12, abs=1e-12)
 
-    # (alpha_1 - 1) log y_1 and sum(alpha) log z both overflow to inf, and
-    # their difference would be NaN; 700-digit mpmath gives -716.1119 for
-    # the first.  The second takes its row sum of 9 entries through numpy.
-    OPPOSITE_OVERFLOWS = [
+    # Points where (alpha_1 - 1) log y_1 and sum(alpha) log z, the terms of
+    # the density in ratio coordinates, overflow or cancel; the second
+    # point has 10 components.  In the composition's coordinates nothing
+    # cancels.  The library's log B is off at alpha_1 = 2.54e305 (it
+    # returns 0.0 where the exact value is 6.204, ROADMAP item 2), so the
+    # value is compared without it.
+    FAR_POINTS = [
         ([2.54e305, 1e-3], [1e308]),
+        ([2.54e305, 1e-3], [1e300]),
         ([2.54e305] + [1e-3] * 9, [1e308] + [1.0] * 8),
     ]
 
-    @pytest.mark.parametrize("alpha, y", OPPOSITE_OVERFLOWS)
-    def test_a_nan_value_is_refused(self, alpha, y):
-        with pytest.raises(ValueError, match="^the inverted Dirichlet log density overflows float64"):
-            inverted_dirichlet_log_pdf(DirichletParams(alpha), RatioVector(y))
+    @pytest.mark.parametrize("alpha, y", FAR_POINTS)
+    def test_far_points_match_mpmath_up_to_log_b(self, alpha, y):
+        got = inverted_dirichlet_log_pdf(DirichletParams(alpha), RatioVector(y))
+        want = _mpmath_push_forward_terms(alpha, y, ratio=True)
+        assert abs(got + special.log_multivariate_beta(alpha) - want) <= 1e-13 * abs(want)
 
-    @pytest.mark.parametrize("alpha, y", OPPOSITE_OVERFLOWS)
-    def test_the_batch_names_the_nan_row(self, alpha, y):
+    def test_far_points_give_their_values(self):
+        # Exactly -716.11 and -254697.67; the rest is log B's 6.204.
+        got = [inverted_dirichlet_log_pdf(DirichletParams(alpha), RatioVector(y))
+               for alpha, y in self.FAR_POINTS[:2]]
+        assert got == [pytest.approx(-709.907944850808, rel=1e-13),
+                       pytest.approx(-254691.46630342610, rel=1e-13)]
+
+    @pytest.mark.parametrize("alpha, y", FAR_POINTS)
+    def test_the_batch_row_equals_the_point(self, alpha, y):
         others = [[2.0] * len(y), [0.5] * len(y)]
-        with pytest.raises(RowError, match="^the inverted Dirichlet log density overflows") as info:
-            inverted_dirichlet_log_pdf_rows(alpha, [others[0], y, others[1]])
-        assert info.value.row == 1
-        # The rows beside it keep the bits of their scalar values.
-        got = inverted_dirichlet_log_pdf_rows(alpha, others).tolist()
+        got = inverted_dirichlet_log_pdf_rows(alpha, [others[0], y, others[1]]).tolist()
         want = [inverted_dirichlet_log_pdf(DirichletParams(alpha), RatioVector(row))
-                for row in others]
+                for row in (others[0], y, others[1])]
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
@@ -289,6 +296,35 @@ class TestAlrDirichletPdf:
                 assert direct == pytest.approx(pulled, rel=1e-12, abs=1e-12)
 
 
+class TestPushForwardsAgainstMpmath:
+    """The two push-forward forms without their -log B (whose error is
+    ROADMAP item 2's) against 700-digit mpmath, at concentrations from 1e-3
+    to 1e6, ratio coordinates from 1e-300 to 1e300 and log-ratios out to
+    +-1.7e308: mixed relative error at most 1e-13, or -inf where the exact
+    value is below -FLOAT_MAX."""
+
+    @pytest.mark.parametrize("ratio", [True, False], ids=["inverted", "alr"])
+    def test_grid(self, ratio):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            alpha = (10.0 ** rng.uniform(-3.0, 6.0, n)).tolist()
+            if ratio:
+                y = (10.0 ** rng.uniform(-300.0, 300.0, n - 1)).tolist()
+                got = distributions._inverted_dirichlet_log_terms(
+                    0.0, alpha, distributions._half_log_x(y, True))
+            else:
+                top = math.log10(rng.choice([2.0, 50.0, 1e300, 1.7e308]))
+                y = (rng.choice([-1.0, 1.0], n - 1) * 10.0 ** rng.uniform(-300.0, top, n - 1)).tolist()
+                got = distributions._alr_dirichlet_log_terms(
+                    0.0, alpha, distributions._half_log_x(y, False))
+            want = _mpmath_push_forward_terms(alpha, y, ratio)
+            if want < -sys.float_info.max:
+                assert got == -math.inf, (alpha, y)
+            else:
+                assert _mixed_error(got, want) <= 1e-13, (alpha, y, got, want)
+
+
 # Log-ratio points whose terms alpha . y or sum(alpha) log k overflow,
 # though the log density is finite (or below -FLOAT_MAX: -inf).
 ALR_OVERFLOW = [
@@ -299,6 +335,13 @@ ALR_OVERFLOW = [
     ([1.0, 1.0, 1.0], [-1e308, -1e308]),
     # y_2 - log k alone overflows; the density is about -3.7e307.
     ([2.0, 0.1, 0.1], [1e308, -1.7e308]),
+    # sum(alpha) log k overflows as a float, though the density is about
+    # -2.2e307 and -2.43e307.
+    ([1.5, 0.2], [1.1e308]),
+    ([7.3, 1.06], [2.29e307]),
+    # y_1 - y_2 passes -FLOAT_MAX; the density is about -1.5e308.
+    ([0.5, 1.0, 0.5], [-1e308, 1e308]),
+    ([2.5e305 / 3] * 3, [-1.7e308, 1.7e308]),
 ]
 
 
@@ -308,6 +351,12 @@ class TestAlrOverflow:
         got = alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(y))
         want = _mpmath_alr_log_pdf(alpha, y)
         assert got == want or abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("alpha, y", ALR_OVERFLOW)
+    def test_the_point_equals_its_batch_row(self, alpha, y):
+        got = alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(y))
+        (want,) = alr_dirichlet_log_pdf_rows(alpha, [y]).tolist()
+        assert got.hex() == want.hex()
 
     def test_batch_form_equals_scalar(self):
         # Rows that overflow beside rows that do not, which keep their bits.
@@ -322,8 +371,8 @@ class TestAlrOverflow:
 
     @pytest.mark.parametrize("entries", [7, 8, 9, 130])
     def test_long_rows_take_the_batch_arithmetic(self, entries):
-        # alpha_1 y_1 overflows; the density is about -0.9e308, taken at
-        # half scale, with a row sum of ``entries`` terms.
+        # alpha_1 y_1 overflows; the density is about -0.9e308, with a row
+        # sum of ``entries`` terms.
         alpha = [5.0] + [0.9 / entries] * entries
         y = [1e308] + [1.0] * (entries - 1)
         got = alr_dirichlet_log_pdf(DirichletParams(alpha), LogRatioVector(y))

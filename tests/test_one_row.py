@@ -34,6 +34,7 @@ from countcomp.simplex import (
     log_ratio_rows,
     ratio_rows,
 )
+from countcomp.special import _row_sum
 
 TINY = 5e-324  # the smallest subnormal
 FLOAT_MAX = sys.float_info.max
@@ -200,8 +201,8 @@ def test_one_row_matches_the_batch_row(target, entries):
             assert all(_same_bits(got[name], want[name]) for name in want), (got, want)
 
 
-# Entries on both sides of the length from which ``_row_sum`` hands a row
-# to numpy, and one past numpy's 8-way unrolled blocks.
+# Entries on both sides of numpy's 8-entry pairwise base case and past
+# its unrolled blocks, where a numpy sum and the left fold part.
 @pytest.mark.parametrize("n", [7, 8, 9, 130])
 def test_totals_at_the_fold_edge_match_the_batch_row(n):
     rng = np.random.default_rng(n)
@@ -214,4 +215,4 @@ def test_totals_at_the_fold_edge_match_the_batch_row(n):
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
         y = (10.0 ** rng.uniform(-300.0, 300.0, n)).tolist()
         assert RatioVector(y).z.hex() == float(ratio_rows([y])[1][0]).hex()
-        assert DirichletParams(y).total.hex() == float(np.add.reduce(np.array(y))).hex()
+        assert DirichletParams(y).total.hex() == float(_row_sum(list(np.array([y]).T))[0]).hex()

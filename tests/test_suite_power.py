@@ -31,7 +31,7 @@ def _reversed_alpha(fn):
     """The concentrations taken in reverse order: at n = 2, Dir(2, 3)'s
     density becomes Dir(3, 2)'s.  alpha holds one value or column per
     component."""
-    return lambda log_b, alpha, total, y, log_k: fn(log_b, alpha[::-1], total, y, log_k)
+    return lambda log_b, alpha, half_log_x: fn(log_b, alpha[::-1], half_log_x)
 
 
 def _copied_stream(fn):
@@ -97,6 +97,11 @@ TABLE = [
     pytest.param(distributions, "_alr_dirichlet_log_terms", _reversed_alpha,
                  ["change-of-variables-alr", "transform-ks-alr-alpha2-3"],
                  id="log-ratio-density-reversed-alpha"),
+    pytest.param(distributions, "_inverted_dirichlet_log_terms", _reversed_alpha,
+                 ["change-of-variables-ratio"], id="ratio-density-reversed-alpha"),
+    pytest.param(distributions, "_half_log_x_rows", _shift,
+                 ["change-of-variables-ratio", "change-of-variables-alr"],
+                 id="push-forward-log-x-shifted"),
     pytest.param(distributions, "_gamma_std", _copied_stream,
                  ["transform-ks-ratio-alpha1-1", "transform-ks-alr-alpha2-3",
                   "pi-independence-r3-2-theta0.5", "pi-independence-negative-control",
